@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -180,9 +181,13 @@ def _parse_tols(pairs) -> dict:
         if name not in vfy.DEFAULT_TOLERANCES:
             raise ConfigError(
                 f"unknown tolerance {name!r}; known: {sorted(vfy.DEFAULT_TOLERANCES)}")
-        val = float(value)
-        if val <= 0:
-            raise ConfigError("tolerances must be positive")
+        try:
+            val = float(value)
+        except (TypeError, ValueError):
+            val = math.nan
+        if not (math.isfinite(val) and val > 0):
+            raise ConfigError(f"tolerance {name!r} must be a finite positive number "
+                              f"(got {value!r})")
         tols[name] = val
     return tols
 
@@ -360,6 +365,9 @@ def main(argv=None) -> int:
         return cmd_report(cfg)
     except (ConfigError, UnknownSurface) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:   # input files map their own errors; this is an output path
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except (GeometryError, FloatingPointError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

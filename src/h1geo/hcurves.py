@@ -4,6 +4,11 @@ A horizontal curve (x, y, t) satisfies t' = x'y - xy'; the lift of a planar
 arclength curve is unique up to a vertical translation.  The planar geodesic
 curvature h = x'y'' - x''y' (normal convention (-y', x')) drives the cut
 function of the orthogonal-geodesic surface builders.
+
+A generic lift (every CSV curve) tabulates t once per curve, exact to
+rounding on analytic curves and to ~1e-13 relative on splines, and answers a
+batch of queries in one vectorized step; `t_of` is pure, so curves are safe
+to share between threads.  Only the spline builders import scipy.
 """
 
 from __future__ import annotations
@@ -12,14 +17,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from .errors import DegenerateCurve, NotArclength
+from .errors import ConfigError, DegenerateCurve, NotArclength
 from .geodesics import GeodesicSpec, geodesic_point
 from .hgroup import FrameVector, Point, group_mul
 
 TOL_ARCLENGTH = 1e-6
 VALIDATION_GRID = 1024
+_LIFT_TOL = 1e-14    # per-cell lift error target, relative to max|(x, y)| * length
+_LIFT_MAX_CELLS = 64 * VALIDATION_GRID
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -37,74 +44,33 @@ class PlanarCurve:
         return np.hypot(xd, yd)
 
 
-def _simpson_adaptive(f, a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson integration of a smooth scalar callable."""
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    stack = [(a, m, b, fa, fm, fb, whole, tol, 0)]
-    total = 0.0
-    while stack:
-        a0, m0, b0, fa0, fm0, fb0, whole0, tol0, depth = stack.pop()
-        lm, rm = 0.5 * (a0 + m0), 0.5 * (m0 + b0)
-        flm, frm = f(lm), f(rm)
-        left = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
-        right = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
-        if depth >= 50 or abs(left + right - whole0) <= 15.0 * tol0:
-            total += left + right + (left + right - whole0) / 15.0
-        else:
-            stack.append((a0, lm, m0, fa0, flm, fm0, left, tol0 / 2.0, depth + 1))
-            stack.append((m0, rm, b0, fm0, frm, fb0, right, tol0 / 2.0, depth + 1))
-    return total
+def _check_arclength(planar: PlanarCurve, tol: float = TOL_ARCLENGTH,
+                     n: int = VALIDATION_GRID) -> None:
+    speed = planar.speed(np.linspace(planar.eps_min, planar.eps_max, n))
+    if np.any(speed < 1e-12):
+        raise DegenerateCurve("planar speed vanishes on the validation grid")
+    err = np.max(np.abs(speed - 1.0))
+    if err > tol:
+        raise NotArclength(f"speed deviates from 1 by {err:.3e} (tol {tol:.1e})")
 
 
-class _LiftIntegral:
-    """Cumulative integral of x'y - xy' with adaptive Simpson and caching."""
-
-    def __init__(self, planar: PlanarCurve, t0: float, tol: float = 1e-10):
-        self._planar = planar
-        self._t0 = float(t0)
-        self._tol = tol
-        self._known_eps = [planar.eps_min]
-        self._known_val = [float(t0)]
-
-    def _integrand(self, eps):
-        x, y = self._planar.xy(eps)
-        xd, yd = self._planar.d1(eps)
-        return xd * y - x * yd
-
-    def __call__(self, eps):
-        eps_in = np.asarray(eps, float)
-        eps = np.atleast_1d(eps_in).ravel()
-        order = np.argsort(eps)
-        out = np.empty_like(eps)
-        cur_eps = self._known_eps[-1]
-        cur_val = self._known_val[-1]
-        for idx in order:
-            e = eps[idx]
-            if e >= cur_eps:
-                if e > cur_eps:
-                    cur_val += _simpson_adaptive(self._integrand, cur_eps, e, self._tol)
-                    cur_eps = e
-                    self._known_eps.append(cur_eps)
-                    self._known_val.append(cur_val)
-                out[idx] = cur_val
-            else:
-                # query left of the cache frontier: integrate from the start
-                base = np.searchsorted(self._known_eps, e) - 1
-                base = max(base, 0)
-                val = self._known_val[base] + _simpson_adaptive(
-                    self._integrand, self._known_eps[base], e, self._tol)
-                out[idx] = val
-        if eps_in.ndim == 0:
-            return float(out[0])
-        return out.reshape(eps_in.shape)
+def _lift_rule(planar: PlanarCurve, a, b):
+    """Integral of t' = x'y - xy' over each [a, b] by the 8-point Gauss-Legendre
+    rule of `measures`.  With 1-D a and b each sum runs in one fixed order."""
+    half = 0.5 * (b - a)
+    e = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+    x, y = planar.xy(e)
+    xd, yd = planar.d1(e)
+    return half * np.sum((xd * y - x * yd) * _GL_WEIGHTS, axis=-1)
 
 
 @dataclass(frozen=True)
 class HorizontalCurve:
-    """Arclength horizontal curve: planar data plus the vertical coordinate."""
+    """Arclength horizontal curve: planar data plus the vertical coordinate.
+
+    `t_of` is a closed form or the table of :func:`horizontal_lift`, a pure
+    function of eps either way, so a curve may be shared between threads.
+    """
 
     planar: PlanarCurve
     t_of: Callable                       # eps -> t
@@ -137,11 +103,7 @@ class HorizontalCurve:
         return (self.planar_curvature(eps + h_fd) - self.planar_curvature(eps - h_fd)) / (2 * h_fd)
 
     def validate(self, tol: float = TOL_ARCLENGTH, n: int = VALIDATION_GRID) -> None:
-        eps = np.linspace(self.eps_min, self.eps_max, n)
-        speed = self.planar.speed(eps)
-        err = np.max(np.abs(speed - 1.0))
-        if err > tol:
-            raise NotArclength(f"speed deviates from 1 by {err:.3e} (tol {tol:.1e})")
+        _check_arclength(self.planar, tol, n)
 
 
 def _planar_from_callables(fx, fy, dfx, dfy, ddfx, ddfy, eps_min, eps_max) -> PlanarCurve:
@@ -160,22 +122,62 @@ def _planar_from_callables(fx, fy, dfx, dfy, ddfx, ddfy, eps_min, eps_max) -> Pl
     return PlanarCurve(xy, d1, d2, float(eps_min), float(eps_max))
 
 
-def horizontal_lift(planar: PlanarCurve, t0: float = 0.0, label: str = "lift",
-                    tol: float = TOL_ARCLENGTH, validate: bool = True) -> HorizontalCurve:
+def _lift_table(planar: PlanarCurve, t0: float):
+    """Cell edges and the lift t at each edge.  Cells start as VALIDATION_GRID
+    equal ones and are halved while their rule differs from the sum over their
+    halves by more than _LIFT_TOL * max|(x, y)| * length, which rounding never
+    reaches, so the depth is bounded; _LIFT_MAX_CELLS bounds the count.  The
+    running sum is compensated (Neumaier): a plain cumsum drifts by ~1e3 ulps.
+    """
+    grid = np.linspace(planar.eps_min, planar.eps_max, VALIDATION_GRID + 1)
+    tol = _LIFT_TOL * np.max(np.hypot(*planar.xy(grid))) * (grid[-1] - grid[0])
+    lo, hi = grid[:-1], grid[1:]
+    whole = _lift_rule(planar, lo, hi)
+    done = []    # (left edges, increments) of the cells that met the target
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        left, right = _lift_rule(planar, lo, mid), _lift_rule(planar, mid, hi)
+        split = np.abs(whole - (left + right)) > tol
+        if sum(c.size for c, _ in done) + lo.size + np.count_nonzero(split) > _LIFT_MAX_CELLS:
+            split[:] = False
+        done.append((lo[~split], whole[~split]))
+        lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
+        whole = np.concatenate([left[split], right[split]])
+    cells, increments = map(np.concatenate, zip(*done))
+    order = np.argsort(cells)
+    t, comp, t_edges = t0, 0.0, [t0]
+    for d in increments[order].tolist():
+        t, old = t + d, t
+        comp += (old - t) + d if abs(old) >= abs(d) else (d - t) + old
+        t_edges.append(t + comp)
+    return np.append(cells[order], planar.eps_max), np.array(t_edges)
+
+
+def horizontal_lift(planar: PlanarCurve, t0: float = 0.0, label: str = "lift") -> HorizontalCurve:
     """Lift a planar arclength curve: t(eps) = t0 + integral of (x'y - xy').
+
+    The integral is tabulated once, per Gauss-Legendre cell (see
+    :func:`_lift_table`); a query adds one 8-point rule from the edge left of
+    it, 8 planar evaluations per point for a whole batch.  Analytic curves
+    come out exact to rounding (helix and line ~1e-15), spline curves within
+    ~1e-13 of t's size.  The table is immutable: `t_of` is pure, the same for
+    any batch, query order or thread.
 
     Raises NotArclength when the planar speed is off unit; callers may
     reparameterize first with :func:`reparameterize_arclength`.
     """
-    eps = np.linspace(planar.eps_min, planar.eps_max, VALIDATION_GRID)
-    speed = planar.speed(eps)
-    if np.any(speed < 1e-12):
-        raise DegenerateCurve("planar speed vanishes on the validation grid")
-    if validate:
-        err = np.max(np.abs(speed - 1.0))
-        if err > tol:
-            raise NotArclength(f"speed deviates from 1 by {err:.3e} (tol {tol:.1e})")
-    return HorizontalCurve(planar, _LiftIntegral(planar, t0), label=label)
+    _check_arclength(planar)
+    edges, t_edges = _lift_table(planar, float(t0))
+    edges.flags.writeable = t_edges.flags.writeable = False
+
+    def t_of(e):
+        e_in = np.asarray(e, float)
+        e = e_in.ravel()
+        k = np.clip(np.searchsorted(edges, e, side="right") - 1, 0, edges.size - 2)
+        t = (t_edges[k] + _lift_rule(planar, edges[k], e)).reshape(e_in.shape)
+        return float(t) if e_in.ndim == 0 else t
+
+    return HorizontalCurve(planar, t_of, label=label)
 
 
 def reparameterize_arclength(planar: PlanarCurve, n: int = 4096) -> PlanarCurve:
@@ -185,6 +187,8 @@ def reparameterize_arclength(planar: PlanarCurve, n: int = 4096) -> PlanarCurve:
     PCHIP interpolation, and derivatives are chained analytically through
     the inverse.
     """
+    from scipy.interpolate import PchipInterpolator
+
     u = np.linspace(planar.eps_min, planar.eps_max, n)
     speed = planar.speed(u)
     if np.any(speed < 1e-12):
@@ -320,6 +324,8 @@ def curve_from_samples(eps: np.ndarray, x: np.ndarray, y: np.ndarray,
     Samples need not be arclength; the spline curve is reparameterized
     first.  `eps` must be strictly increasing.
     """
+    from scipy.interpolate import CubicSpline
+
     eps = np.asarray(eps, float)
     if eps.ndim != 1 or eps.size < 4:
         raise DegenerateCurve("need at least 4 samples")
@@ -337,14 +343,26 @@ def curve_from_samples(eps: np.ndarray, x: np.ndarray, y: np.ndarray,
 
 
 def load_curve_csv(path, t0: float = 0.0) -> HorizontalCurve:
-    """Read the curve CSV format: header `eps,x,y`, strictly increasing eps."""
+    """Read the curve CSV format: header `eps,x,y`, strictly increasing eps.
+
+    Raises ConfigError when the file cannot be read and DegenerateCurve when
+    its content is malformed.
+    """
     import csv
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header[:3]] != ["eps", "x", "y"]:
-            raise DegenerateCurve(f"curve CSV must start with header eps,x,y (got {header})")
-        rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader if r]
-    data = np.asarray(rows, float)
+    try:
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh)) or [[]]
+    except OSError as exc:
+        raise ConfigError(f"cannot read curve file: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DegenerateCurve(f"curve CSV is not text: {exc}") from exc
+    if [h.strip() for h in header[:3]] != ["eps", "x", "y"]:
+        raise DegenerateCurve(f"curve CSV must start with header eps,x,y (got {header})")
+    try:
+        data = np.array([(float(r[0]), float(r[1]), float(r[2])) for r in rows if r]).reshape(-1, 3)
+    except (IndexError, ValueError) as exc:
+        raise DegenerateCurve(f"every curve CSV row needs three numbers: {exc}") from exc
+    if not np.all(np.isfinite(data)):
+        raise DegenerateCurve("curve CSV holds a value that is not finite")
     return curve_from_samples(data[:, 0], data[:, 1], data[:, 2], t0=t0, label="csv")

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import h1geo
 from h1geo.cli import main, parse_poly
 from h1geo.errors import ConfigError
 from h1geo.verify import Check, run_suite
@@ -213,3 +217,66 @@ def test_check_modes():
 def test_run_suite_unknown_name():
     with pytest.raises(KeyError):
         run_suite("nope")
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract at the input and output boundaries
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(h1geo.__file__)))
+    code = ("import sys, h1geo.cli; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize("text, code", [
+    (None, 2), ("", 3), ("eps,x,y\n", 3), ("eps,x,y\n0,0\n1,1\n2,2\n3,3\n", 3),
+    ("eps,x,y\n0,0,0\n1,a,0\n2,2,0\n3,3,0\n", 3), ("eps,x,y\n0,0,0\n1,nan,0\n2,2,0\n3,3,0\n", 3),
+], ids=["missing", "empty", "header-only", "short-rows", "non-numeric", "nan"])
+def test_bad_curve_csv_exit_codes(tmp_path, capsys, text, code):
+    curve = tmp_path / "curve.csv"
+    if text is not None:
+        curve.write_text(text)
+    rc = main(["mesh", "--surface", "sigma-lambda", "--curve", str(curve),
+               "--res", "4x4", "--out", str(tmp_path / "x.obj")])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "abc", "0", "-inf"])
+def test_tolerance_must_be_finite_positive(value, capsys):
+    assert main(["verify", "--suite", "geodesics", "--tol-cut-flat", value]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "[1]", "null"])
+def test_config_tolerance_must_be_finite_positive(tmp_path, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"suite": "geodesics", "tol-iso-ratio": %s}' % value)
+    assert main(["verify", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--surface", "plane", "--res", "4x4", "--out"],
+    ["mesh", "--surface", "plane", "--res", "4x4", "--out"],
+    ["mesh", "--surface", "plane", "--res", "4x4", "--csv"],
+    ["verify", "--suite", "geodesics", "--out"],
+], ids=["report-out", "mesh-out", "mesh-csv", "verify-out"])
+def test_output_into_missing_directory_exits_2(tmp_path, capsys, argv):
+    assert main(argv + [str(tmp_path / "missing" / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and "Traceback" not in err
+
+
+def test_report_sigma_lambda_over_csv_curve(tmp_path):
+    curve = tmp_path / "helix.csv"
+    write_helix_csv(curve)
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert main(["report", "--surface", "sigma-lambda", "--curve", str(curve),
+                     "--res", "16x16", "--out", str(out)]) == 0
+    rep = json.loads(outs[0].read_text())
+    assert np.isfinite(rep["A"]) and rep["A"] > 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()

@@ -1,7 +1,13 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
-from h1geo.errors import DegenerateCurve, NotArclength
+import h1geo.hcurves as hc
+from h1geo.errors import ConfigError, DegenerateCurve, NotArclength
 from h1geo.geodesics import GeodesicSpec
 from h1geo.hcurves import (
     PlanarCurve,
@@ -247,3 +253,136 @@ def test_reparameterize_rejects_vanishing_speed():
         0.0, 1.0)  # speed vanishes at the eps = 0 grid endpoint
     with pytest.raises(DegenerateCurve):
         reparameterize_arclength(planar)
+
+
+# ---------------------------------------------------------------------------
+# the tabulated lift: purity, thread safety and oracles
+
+GL16_NODES, GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def fourier_samples(n=200):
+    """A smooth planar curve that is not arclength-parameterized.  Near u = 0.515
+    its speed drops to 0.6% of the mean, so the direction turns almost fully
+    within a tiny arclength: the lift must refine there (equal cells alone were
+    9e-5 off)."""
+    u = np.linspace(0.0, 1.0, n)
+    x = u + 0.10 * np.sin(2 * np.pi * u + 0.4) + 0.05 * np.sin(4 * np.pi * u + 2.2)
+    y = 0.30 * np.sin(2 * np.pi * u + 1.9) + 0.15 * np.sin(4 * np.pi * u + 4.1)
+    return u, x, y
+
+
+CSV_SAMPLES = fourier_samples()
+CSV_CURVE = curve_from_samples(*CSV_SAMPLES)         # queried by every test
+CSV_FRESH = curve_from_samples(*CSV_SAMPLES)         # queried only pointwise
+
+
+def pointwise(curve, eps):
+    return np.array([curve.t_of(float(e)) for e in np.ravel(eps)]).reshape(np.shape(eps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    st.lists(st.floats(0.0, 1.0), max_size=20),
+    st.randoms(use_true_random=False),
+)
+def test_lift_is_pure_for_any_query_order_and_batch(fracs, earlier, rnd):
+    span = CSV_CURVE.eps_max - CSV_CURVE.eps_min
+    eps = CSV_CURVE.eps_min + span * np.array(fracs)
+    expect = pointwise(CSV_FRESH, eps)
+    CSV_CURVE.t_of(CSV_CURVE.eps_min + span * np.array(earlier))
+    order = list(range(eps.size))
+    rnd.shuffle(order)
+    assert np.array_equal(CSV_CURVE.t_of(eps[order]), expect[order])
+    assert np.array_equal(pointwise(CSV_CURVE, eps), expect)
+    assert isinstance(CSV_CURVE.t_of(float(eps[0])), float)
+    if eps.size % 2 == 0:
+        grid = eps.reshape(2, -1)
+        assert np.array_equal(CSV_CURVE.t_of(grid), expect.reshape(2, -1))
+        assert np.array_equal(CSV_CURVE.t_of(grid.T), expect.reshape(2, -1).T)
+
+
+def test_lift_threads_match_serial():
+    eps = np.linspace(CSV_CURVE.eps_min, CSV_CURVE.eps_max, 4001)
+    chunks = np.array_split(eps[::-1], 40)
+    serial = [CSV_FRESH.t_of(c) for c in chunks]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(CSV_CURVE.t_of, chunks))
+    assert all(np.array_equal(a, b) for a, b in zip(threaded, serial))
+
+
+@pytest.mark.parametrize("closed", [
+    helix_curve(0.5), helix_curve(1.0), helix_curve(3.0),
+    line_curve(0.7, Point(0.3, -1.2, 0.5)), line_curve(1.0, Point(-4.0, 2.5, 0.0)),
+], ids=["helix-0.5", "helix-1", "helix-3", "line", "line-far"])
+def test_generic_lift_matches_closed_form(closed):
+    lifted = horizontal_lift(closed.planar, float(closed.t_of(closed.eps_min)))
+    eps = np.linspace(closed.eps_min, closed.eps_max, 2001)
+    assert np.max(np.abs(lifted.t_of(eps) - closed.t_of(eps))) < 1e-13
+
+
+def gl16(f, a, b):
+    half = 0.5 * (b - a)
+    e = (0.5 * (a + b))[:, None] + half[:, None] * GL16_NODES
+    return half * (f(e) @ GL16_WEIGHTS)
+
+
+def test_csv_lift_matches_knot_aligned_oracle():
+    # reparameterize_arclength inverts the spline's arclength with PCHIP on a
+    # 4096-point grid, so the integrand is smooth between those knots; the
+    # oracle is a 16-point Gauss-Legendre rule on each knot interval
+    u, x, y = CSV_SAMPLES
+    sx, sy = CubicSpline(u, x), CubicSpline(u, y)
+    ugrid = np.linspace(u[0], u[-1], 4096)
+    knots = np.concatenate([[0.0], np.cumsum(gl16(
+        lambda e: np.hypot(sx(e, 1), sy(e, 1)), ugrid[:-1], ugrid[1:]))])
+    # the curve's knots come from composite Simpson, which is 2e-11 off here;
+    # a knot that far from a cell edge costs the oracle nothing
+    assert knots[-1] == pytest.approx(CSV_CURVE.eps_max, abs=1e-10)
+
+    def tdot(e):
+        xx, yy = CSV_CURVE.planar.xy(e)
+        xd, yd = CSV_CURVE.planar.d1(e)
+        return xd * yy - xx * yd
+
+    at_knots = np.concatenate([[0.0], np.cumsum(gl16(tdot, knots[:-1], knots[1:]))])
+    eps = np.linspace(0.0, CSV_CURVE.eps_max, 3001)[1:-1]
+    k = np.searchsorted(knots, eps) - 1
+    oracle = at_knots[k] + gl16(tdot, knots[k], eps)
+    assert np.max(np.abs(CSV_CURVE.t_of(eps) - oracle)) < 1e-12
+
+
+def test_load_curve_csv_unreadable_file(tmp_path):
+    with pytest.raises(ConfigError):
+        load_curve_csv(tmp_path / "missing.csv")
+    with pytest.raises(ConfigError):
+        load_curve_csv(tmp_path)   # a directory
+
+
+@pytest.mark.parametrize("text", [
+    "", "eps,x,y\n", "eps,x,y\n0,0\n1,1\n2,2\n3,3\n", "eps,x,y\n0,0,0\n1,a,0\n2,2,0\n3,3,0\n",
+    "eps,x,y\n0,0,0\n1,nan,0\n2,2,0\n3,3,0\n", "eps,x,y\n0,0,0\n1,1,inf\n2,2,0\n3,3,0\n",
+], ids=["empty", "header-only", "short-rows", "non-numeric", "nan", "inf"])
+def test_load_curve_csv_malformed(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DegenerateCurve):
+        load_curve_csv(path)
+
+
+def test_lift_refinement_stops_at_the_cell_budget(monkeypatch):
+    # t' jumps every 1e-5, so every cell would be refined about 7 times over
+    def zeros(e):
+        z = np.zeros_like(np.asarray(e, float))
+        return z, z
+
+    def d1(e):
+        phase = 2.0 * np.floor(np.asarray(e, float) * 1e5)
+        return np.cos(phase), np.sin(phase)
+
+    planar = PlanarCurve(lambda e: (np.asarray(e, float), np.zeros_like(e)), d1, zeros, 0.0, 1.0)
+    monkeypatch.setattr(hc, "_LIFT_MAX_CELLS", 2 * hc.VALIDATION_GRID)
+    edges, t_edges = hc._lift_table(planar, 0.0)
+    assert edges.size - 1 <= 2 * hc.VALIDATION_GRID and edges.size == t_edges.size
+    assert np.all(np.diff(edges) > 0) and np.all(np.isfinite(t_edges))
