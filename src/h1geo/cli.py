@@ -196,6 +196,11 @@ def _build_patch(cfg: dict):
     name = cfg.get("surface")
     if not name:
         raise ConfigError("--surface is required")
+    # JSON config files accept Infinity and NaN, so flags are not the only source
+    for key, flag in (("lam", "lambda"), ("r", "r"), ("d", "d")):
+        value = cfg.get(key)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ConfigError(f"--{flag} must be finite (got {value!r})")
     params = {}
     if cfg.get("lam") is not None:
         params["lam"] = cfg["lam"]

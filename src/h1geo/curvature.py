@@ -32,8 +32,8 @@ def _asf(x):
 
 def _char_velocity(patch: ImmersedPatch, eps, s):
     """Parameter-space velocity (deps, ds) of the unit characteristic field."""
-    fe, fs, _ = patch.partials(eps, s)
     nd = patch.normal_data(eps, s)
+    fe, fs = nd.fe, nd.fs
     g11 = dot_c(fe, fe)
     g12 = dot_c(fe, fs)
     g22 = dot_c(fs, fs)
@@ -95,7 +95,9 @@ def characteristic_deviation(patch: ImmersedPatch, eps0, s0, arclen: float = 1.0
     The trace covers total arclength `arclen`, split evenly forward and
     backward from the seed so cut boundaries are not crossed.  With
     lam = None the patch's nominal constant curvature is used.  This is the
-    numerical form of the ruling property of CMC surfaces.
+    numerical form of the ruling property of CMC surfaces.  eps0 and s0 may
+    be arrays of seeds; all are traced together and the maximum over them
+    is returned.
     """
     if lam is None:
         if patch.lam is None:
@@ -109,10 +111,9 @@ def characteristic_deviation(patch: ImmersedPatch, eps0, s0, arclen: float = 1.0
         ep, sp = trace_characteristic(patch, eps0, s0, sign * arclen / 2.0,
                                       n_steps // 2)
         tau = sign * np.linspace(0.0, arclen / 2.0, n_steps // 2 + 1)
-        for k, t in enumerate(tau):
-            trace_pt = patch.point(ep[k], sp[k]).as_array()
-            geo_pt = geodesic_point(geo, t).as_array()
-            worst = max(worst, float(np.max(np.abs(trace_pt - geo_pt))))
+        trace_pts = patch.point(ep, sp).as_array()
+        geo_pts = geodesic_point(geo, tau.reshape(tau.shape + (1,) * theta.ndim)).as_array()
+        worst = max(worst, float(np.max(np.abs(trace_pts - geo_pts))))
     return worst
 
 

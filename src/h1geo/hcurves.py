@@ -351,7 +351,7 @@ def load_curve_csv(path, t0: float = 0.0) -> HorizontalCurve:
     import csv
 
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header, *rows = list(csv.reader(fh)) or [[]]
     except OSError as exc:
         raise ConfigError(f"cannot read curve file: {exc}") from exc

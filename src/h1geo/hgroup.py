@@ -262,9 +262,9 @@ def divergence(field, p: Point, h_fd: float = H_FD):
 
     `field` maps a Point to frame coefficients (shape (..., 3)).  The
     directional derivatives E_i(u_i) use central differences along the
-    Cartesian straight line through p in the direction of E_i; the
-    connection contribution sum_j u_j div(E_j) is assembled from the table
-    (it vanishes identically but is kept for transparency).
+    Cartesian straight line through p in the direction of E_i.  The frame
+    fields X, Y, T are divergence-free (sum_i <D_{E_i} E_j, E_i> = 0 in the
+    connection table), so no connection term enters: div = sum_i E_i(u_i).
     """
     if abs(h_fd) < 1e-12:
         raise StepUnderflow(f"finite-difference step {h_fd} below 1e-12")
@@ -276,6 +276,4 @@ def divergence(field, p: Point, h_fd: float = H_FD):
         up = np.asarray(field(Point.from_array(base + step)), float)
         dn = np.asarray(field(Point.from_array(base - step)), float)
         div = div + (up[..., i] - dn[..., i]) / (2.0 * h_fd)
-    u0 = np.asarray(field(p), float)
-    div_frame = np.einsum("iji->j", CONNECTION)  # div E_j, identically zero
-    return div + np.einsum("...j,j->...", u0, div_frame)
+    return div

@@ -49,8 +49,7 @@ def _integrate_multi(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
     block = max(1, (1 << 21) // s_pts.size)
     for start in range(0, eps_pts.size, block):
         ee = eps_pts[start:start + block, None]
-        fe, fs, p = patch.partials(ee, s_pts[None, :])
-        raw = patch.orientation * np.cross(fe, fs)
+        p, _, _, raw = patch.frame(ee, s_pts[None, :])
         wblk = eps_wts[start:start + block]
         for kind in kinds:
             if kind == "area":
@@ -67,14 +66,6 @@ def _integrate_multi(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
     return {k: float(v) for k, v in totals.items()}
 
 
-def _integrate(patch: ImmersedPatch, n: int, kind: str) -> float:
-    return _integrate_multi(patch, n, (kind,))[kind]
-
-
-def _quad(patch: ImmersedPatch, n: int, kind: str) -> QuadratureResult:
-    return quad_many(patch, n, (kind,))[kind]
-
-
 def quad_many(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
     """QuadratureResults for several integrands sharing the sample sweep."""
     values = _integrate_multi(patch, n, kinds)
@@ -88,12 +79,12 @@ def quad_many(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
 
 def area(patch: ImmersedPatch, n: int = 256) -> QuadratureResult:
     """Sub-Riemannian area: integral of |N_H| d(area)."""
-    return _quad(patch, n, "area")
+    return quad_many(patch, n, ("area",))["area"]
 
 
 def riemannian_area(patch: ImmersedPatch, n: int = 128) -> QuadratureResult:
     """Riemannian area of the patch (no |N_H| weight)."""
-    return _quad(patch, n, "rarea")
+    return quad_many(patch, n, ("rarea",))["rarea"]
 
 
 def volume_enclosed(patch: ImmersedPatch, n: int = 256) -> QuadratureResult:
@@ -101,7 +92,7 @@ def volume_enclosed(patch: ImmersedPatch, n: int = 256) -> QuadratureResult:
     patches oriented by the inner normal."""
     if patch.orientation not in (1, -1):
         raise OrientationUnset("volume needs an oriented patch")
-    return _quad(patch, n, "volume")
+    return quad_many(patch, n, ("volume",))["volume"]
 
 
 def minkowski_check(patch: ImmersedPatch, H: float, n: int = 256) -> float:
@@ -150,21 +141,16 @@ def first_variation_check(patch: ImmersedPatch, u, dt: float = 1e-4,
         if patch.lam is None:
             raise ValueError("patch has no nominal curvature; pass H")
         H = patch.lam
-    a_vals = {}
-    v_vals = {}
-    for t in (-dt, dt):
-        pert = PerturbedPatch(patch, u, t)
-        a_vals[t] = _integrate(pert, n, "area")
-        v_vals[t] = _integrate(pert, n, "volume")
-    a_prime = (a_vals[dt] - a_vals[-dt]) / (2 * dt)
-    v_prime = (v_vals[dt] - v_vals[-dt]) / (2 * dt)
+    lo, hi = (_integrate_multi(PerturbedPatch(patch, u, t), n, ("area", "volume"))
+              for t in (-dt, dt))
+    a_prime = (hi["area"] - lo["area"]) / (2 * dt)
+    v_prime = (hi["volume"] - lo["volume"]) / (2 * dt)
     defect = abs(a_prime - 2.0 * H * v_prime)
 
     # -int u d(area) with the same rule
     eps_pts, eps_wts = _axis_rule(patch.eps_lo, patch.eps_hi, n)
     s_pts, s_wts = _axis_rule(patch.s_lo, patch.s_hi, n)
-    fe, fs, _ = patch.partials(eps_pts[:, None], s_pts[None, :])
-    raw = np.cross(fe, fs)
+    _, _, _, raw = patch.frame(eps_pts[:, None], s_pts[None, :])
     uu = np.broadcast_to(np.asarray(u(eps_pts[:, None], s_pts[None, :]), float),
                          raw.shape[:-1])
     v_direct = -float(np.einsum("i,ij,j->", eps_wts, uu * np.linalg.norm(raw, axis=-1), s_wts))

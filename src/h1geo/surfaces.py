@@ -10,6 +10,15 @@ cut-bounded builders the second parameter is rectified to sigma = s/s_cut in
 in frame coefficients; the singular set is where the horizontal part N_H
 vanishes, and there the horizontal normal nu_H, the characteristic field
 Z = J(nu_H) and S = <N,T> nu_H - |N_H| T are withheld.
+
+Each sample is evaluated along one path:
+
+    partials -> frame -> normal_data -> {quadrature, characteristic field}
+
+`partials` is the only method a patch class implements; `frame` adds the
+unnormalized oriented normal, which the quadrature integrands read, and
+`normal_data` normalizes it and carries the partials on, so the
+characteristic traces never evaluate a sample twice.
 """
 
 from __future__ import annotations
@@ -41,7 +50,11 @@ def _asf(x):
 
 @dataclass(frozen=True)
 class NormalData:
-    """Per-point normal bundle; singular entries of nu_h/z/s are NaN."""
+    """Per-point normal bundle and the partials it came from.
+
+    Singular entries of nu_h, z and s are NaN.  `fe` and `fs` are the frame
+    triples F_eps and F_s returned by `partials` at the same points.
+    """
 
     base: Point
     normal: np.ndarray       # (..., 3) unit N
@@ -50,6 +63,8 @@ class NormalData:
     z: np.ndarray            # J(nu_h)
     s: np.ndarray            # <N,T> nu_h - |N_H| T
     singular: np.ndarray     # bool mask |N_H| < tol
+    fe: np.ndarray           # (..., 3) F_eps
+    fs: np.ndarray           # (..., 3) F_s
 
 
 class ImmersedPatch:
@@ -87,12 +102,18 @@ class ImmersedPatch:
         return np.broadcast_arrays(_asf(eps), _asf(s))[1]
 
     # -- normals -----------------------------------------------------------
-    def raw_normal(self, eps, s):
+    def frame(self, eps, s):
+        """(p, F_eps, F_s, raw) from one `partials` call.
+
+        raw = orientation * (F_eps x F_s), unnormalized and without a
+        degeneracy check, so integrands that vanish on degenerate rows can
+        read it directly.
+        """
         fe, fs, p = self.partials(eps, s)
-        return self.orientation * cross_c(fe, fs), p
+        return p, fe, fs, self.orientation * cross_c(fe, fs)
 
     def normal_data(self, eps, s, tol_singular: float = TOL_SINGULAR) -> NormalData:
-        raw, p = self.raw_normal(eps, s)
+        p, fe, fs, raw = self.frame(eps, s)
         nrm = np.linalg.norm(raw, axis=-1)
         if np.any(nrm < 1e-12):
             raise DegeneratePoint("immersion partials are dependent at a requested point")
@@ -105,105 +126,71 @@ class ImmersedPatch:
         z = j_c(nu)
         svec = n[..., 2:3] * nu
         svec[..., 2] -= nh
-        return NormalData(p, n, nh, nu, z, svec, singular)
+        return NormalData(p, n, nh, nu, z, svec, singular, fe, fs)
 
-    # -- orientation and rigid motions --------------------------------------
+    # -- orientation and group motions ---------------------------------------
     def flipped(self) -> "ImmersedPatch":
-        return _ReorientedPatch(self, -1)
-
-    def with_orientation(self, sign: int) -> "ImmersedPatch":
-        return self if sign == 1 else _ReorientedPatch(self, sign)
+        return _MappedPatch(self, "", sign=-1)
 
     def translated(self, p0: Point) -> "ImmersedPatch":
-        return TranslatedPatch(self, p0)
+        """Left translation by p0; frame coefficients of partials are unchanged."""
+        return _MappedPatch(self, "+translated", move=lambda p: group_mul(p0, p))
 
     def dilated(self, s0: float) -> "ImmersedPatch":
-        return DilatedPatch(self, s0)
+        """Image under the dilation phi_{s0}.
+
+        The pushforward acts on the frame by X -> e^{s0} X, Y -> e^{s0} Y,
+        T -> e^{2 s0} T, so partials transform analytically.
+        """
+        s0 = float(s0)
+        es = np.exp(s0)
+        return _MappedPatch(self, "+dilated", move=lambda p: dilate(s0, p),
+                            scale=np.array([es, es, es * es]), lam_factor=np.exp(-s0))
 
     def singular_curves(self):
         """Singular boundary curves carried by the patch, when known."""
         return []
 
 
-class _ReorientedPatch(ImmersedPatch):
-    def __init__(self, base: ImmersedPatch, sign: int):
+class _MappedPatch(ImmersedPatch):
+    """A base patch seen through a map of the group.
+
+    `move` maps the base's points (None keeps them), `scale` multiplies the
+    frame coefficients of both partials (the map's constant pushforward on
+    the frame), `sign` multiplies the orientation, and the nominal
+    curvature becomes sign * lam_factor * lam.
+    """
+
+    def __init__(self, base: ImmersedPatch, suffix: str, move=None, scale=1.0,
+                 sign: int = 1, lam_factor=1):
         super().__init__(base.eps_lo, base.eps_hi, base.s_lo, base.s_hi,
                          orientation=sign * base.orientation)
         self._base = base
-        self._sign = sign
-        self.label = base.label
+        self._move = move
+        self._scale = scale
+        self.label = base.label + suffix
         self.closed = base.closed
         self.open_s_ends = base.open_s_ends
-        self.lam = None if base.lam is None else sign * base.lam
+        self.lam = None if base.lam is None else sign * lam_factor * base.lam
 
     def point(self, eps, s):
-        return self._base.point(eps, s)
+        p = self._base.point(eps, s)
+        return p if self._move is None else self._move(p)
 
     def partials(self, eps, s):
-        return self._base.partials(eps, s)
+        fe, fs, p = self._base.partials(eps, s)
+        return (fe * self._scale, fs * self._scale,
+                p if self._move is None else self._move(p))
 
     def geometric_s(self, eps, s):
         return self._base.geometric_s(eps, s)
 
     def singular_curves(self):
-        return self._base.singular_curves()
+        # the base's curves lie on this patch only when no point moved
+        return self._base.singular_curves() if self._move is None else []
 
 
-class TranslatedPatch(ImmersedPatch):
-    """Left translation of a patch; frame coefficients of partials are unchanged."""
-
-    def __init__(self, base: ImmersedPatch, p0: Point):
-        super().__init__(base.eps_lo, base.eps_hi, base.s_lo, base.s_hi,
-                         orientation=base.orientation)
-        self._base = base
-        self._p0 = p0
-        self.label = base.label + "+translated"
-        self.closed = base.closed
-        self.open_s_ends = base.open_s_ends
-        self.lam = base.lam
-
-    def point(self, eps, s):
-        return group_mul(self._p0, self._base.point(eps, s))
-
-    def partials(self, eps, s):
-        fe, fs, p = self._base.partials(eps, s)
-        return fe, fs, group_mul(self._p0, p)
-
-    def geometric_s(self, eps, s):
-        return self._base.geometric_s(eps, s)
-
-
-class DilatedPatch(ImmersedPatch):
-    """Image of a patch under the dilation phi_{s0}.
-
-    The pushforward acts on the frame by X -> e^{s0} X, Y -> e^{s0} Y,
-    T -> e^{2 s0} T, so partials transform analytically.
-    """
-
-    def __init__(self, base: ImmersedPatch, s0: float):
-        super().__init__(base.eps_lo, base.eps_hi, base.s_lo, base.s_hi,
-                         orientation=base.orientation)
-        self._base = base
-        self._s0 = float(s0)
-        self.label = base.label + "+dilated"
-        self.closed = base.closed
-        self.open_s_ends = base.open_s_ends
-        self.lam = None if base.lam is None else np.exp(-s0) * base.lam
-
-    def point(self, eps, s):
-        return dilate(self._s0, self._base.point(eps, s))
-
-    def partials(self, eps, s):
-        fe, fs, p = self._base.partials(eps, s)
-        es = np.exp(self._s0)
-        scale = np.array([es, es, es * es])
-        return fe * scale, fs * scale, dilate(self._s0, p)
-
-    def geometric_s(self, eps, s):
-        return self._base.geometric_s(eps, s)
-
-
-class PerturbedPatch(ImmersedPatch):
+class PerturbedPatch(_MappedPatch):
     """Normal perturbation exp-map style: q = p + amp * u(eps,s) * N(p).
 
     The displacement is a straight line in frame coefficients re-expressed
@@ -211,15 +198,14 @@ class PerturbedPatch(ImmersedPatch):
     finite differences of the displaced immersion.
     """
 
+    partials = ImmersedPatch.partials
+    singular_curves = ImmersedPatch.singular_curves
+
     def __init__(self, base: ImmersedPatch, u: Callable, amp: float):
-        super().__init__(base.eps_lo, base.eps_hi, base.s_lo, base.s_hi,
-                         orientation=base.orientation)
-        self._base = base
+        super().__init__(base, "+perturbed")
+        self.lam = None
         self._u = u
         self._amp = float(amp)
-        self.label = base.label + "+perturbed"
-        self.closed = base.closed
-        self.open_s_ends = base.open_s_ends
 
     def point(self, eps, s):
         nd = self._base.normal_data(eps, s)
@@ -920,9 +906,6 @@ class HelicoidFamily:
 
     def measured_lift(self, branch: int, k: int) -> float:
         return self.offsets[(branch, k)][1]
-
-    def measured_shift(self, branch: int, k: int) -> float:
-        return self.offsets[(branch, k)][0]
 
     @property
     def pitch(self) -> float:

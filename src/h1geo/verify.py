@@ -281,9 +281,9 @@ def suite_curvature(tols=None) -> list[Check]:
     ]
     worst = 0.0
     for _name, patch, seeds in ruling_cases:
-        for e0, s0 in seeds:
-            worst = max(worst, crv.characteristic_deviation(patch, e0, s0,
-                                                            arclen=1.0, n_steps=200))
+        e0, s0 = np.array(seeds).T
+        worst = max(worst, crv.characteristic_deviation(patch, e0, s0,
+                                                        arclen=1.0, n_steps=200))
     checks.append(Check("ruling", worst, 0.0, _tol(tols, "ruling"),
                         "characteristic traces follow curvature-H geodesics over arclength 1"))
 
@@ -442,17 +442,13 @@ SUITES = {
 
 
 def run_suite(name: str, tols=None, **kwargs) -> list[Check]:
-    if name == "all":
-        out = []
-        for key in SUITES:
-            fn = SUITES[key]
-            if key == "bernstein":
-                out.extend(fn(tols, g_data=kwargs.get("g_data")))
-            else:
-                out.extend(fn(tols))
-        return out
-    if name not in SUITES:
+    """Checks of one named suite, or of every suite in order for 'all'."""
+    if name != "all" and name not in SUITES:
         raise KeyError(name)
-    if name == "bernstein":
-        return SUITES[name](tols, g_data=kwargs.get("g_data"))
-    return SUITES[name](tols)
+    out = []
+    for key in SUITES if name == "all" else (name,):
+        if key == "bernstein":
+            out.extend(SUITES[key](tols, g_data=kwargs.get("g_data")))
+        else:
+            out.extend(SUITES[key](tols))
+    return out

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -268,6 +269,37 @@ def test_output_into_missing_directory_exits_2(tmp_path, capsys, argv):
     assert main(argv + [str(tmp_path / "missing" / "out")]) == 2
     err = capsys.readouterr().err
     assert "cannot write output" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("surface, key", [
+    ("sphere", "lambda"), ("cylinder-s", "lambda"), ("vertical-cylinder", "r"), ("plane", "d"),
+])
+def test_non_finite_surface_parameters_exit_2(tmp_path, capsys, value, source, surface, key):
+    argv = ["report", "--res", "4x4"]
+    if source == "flag":
+        argv += ["--surface", surface, f"--{key}={value}"]   # "=" lets argparse take "-inf"
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"surface": surface, key: value}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+
+
+def test_curve_csv_with_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_helix_csv(plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outs = []
+    for curve in (plain, marked):
+        out = tmp_path / (curve.stem + ".json")
+        assert main(["report", "--surface", "sigma-lambda", "--curve", str(curve),
+                     "--res", "4x4", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_report_sigma_lambda_over_csv_curve(tmp_path):

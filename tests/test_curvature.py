@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from h1geo.curvature import (
+    _char_velocity,
     bernstein_foliation,
     calibration_divergence,
     characteristic_deviation,
@@ -17,6 +18,7 @@ from h1geo.errors import NoSingularCurve, OnSingularLocus, SingularPoint
 from h1geo.hcurves import helix_curve, line_curve
 from h1geo.hgroup import Point
 from h1geo.surfaces import (
+    SpherePatch,
     VerticalCylinder,
     bernstein_graph,
     build_sigma_lambda,
@@ -236,6 +238,32 @@ def test_trace_tangent_solve_is_consistent():
     nd = sp.normal_data(0.8, 1.2)
     recon = de * fe + ds * fs
     assert np.max(np.abs(recon - nd.z)) < 1e-12
+
+
+def test_char_velocity_evaluates_the_patch_once():
+    class CountingSphere(SpherePatch):
+        calls = 0
+
+        def partials(self, eps, s):
+            self.calls += 1
+            return super().partials(eps, s)
+
+    sp = CountingSphere(1.0)
+    _char_velocity(sp, np.array([0.8, 1.1]), np.array([1.2, 0.9]))
+    assert sp.calls == 1
+
+
+@pytest.mark.parametrize("patch, seeds", [
+    (sphere_geodesic(1.0), [(0.3, 1.2), (2.0, 1.8), (4.0, 2.1)]),
+    (build_sigma_lambda(line_curve(eps_min=-3, eps_max=3), 1.0, -1), [(0.0, 0.5), (0.7, 0.6)]),
+    (helicoid_L(1.0, 1.0, k_max=2).pieces[1], [(0.0, 0.5), (0.4, 0.55)]),
+], ids=["sphere", "sigma-lambda-side-1", "helicoid-flipped"])
+def test_characteristic_deviation_array_seeds_match_scalar_calls(patch, seeds):
+    e0, s0 = np.array(seeds).T
+    together = characteristic_deviation(patch, e0, s0, arclen=1.0, n_steps=200)
+    one_by_one = max(characteristic_deviation(patch, e, s, arclen=1.0, n_steps=200)
+                     for e, s in seeds)
+    assert together == one_by_one
 
 
 def test_trace_moves_along_geodesic_parameter():

@@ -4,6 +4,7 @@ import pytest
 from h1geo.errors import NotClosedSurface, StepTooSmall
 from h1geo.hcurves import line_curve
 from h1geo.hgroup import Point
+from h1geo import measures
 from h1geo.measures import (
     area,
     dilation_homogeneity,
@@ -17,6 +18,7 @@ from h1geo.measures import (
 )
 from h1geo.surfaces import (
     ImmersedPatch,
+    PerturbedPatch,
     build_sigma_lambda,
     plane_patch,
     sphere_geodesic,
@@ -81,6 +83,28 @@ def test_quadrature_convergence_estimate():
     a64 = area(sp, 64)
     a128 = area(sp, 128)
     assert abs(a128.value - a64.value) <= a64.error_estimate + 1e-15
+
+
+def test_first_variation_sweeps_each_perturbed_patch_once(monkeypatch):
+    sp = sphere_geodesic(1.0)
+
+    def u(e, s):
+        return np.cos(np.asarray(e, float)) + 0.5 + 0.0 * np.asarray(s)
+
+    calls = []
+    sweep = measures._integrate_multi
+
+    def counting(patch, n, kinds):
+        calls.append(kinds)
+        return sweep(patch, n, kinds)
+
+    monkeypatch.setattr(measures, "_integrate_multi", counting)
+    fv = first_variation_check(sp, u, dt=1e-4, n=16)
+    assert len(calls) == 2
+    a = {t: sweep(PerturbedPatch(sp, u, t), 16, ("area",))["area"] for t in (-1e-4, 1e-4)}
+    v = {t: sweep(PerturbedPatch(sp, u, t), 16, ("volume",))["volume"] for t in (-1e-4, 1e-4)}
+    assert fv.a_prime == (a[1e-4] - a[-1e-4]) / (2 * 1e-4)
+    assert fv.v_prime == (v[1e-4] - v[-1e-4]) / (2 * 1e-4)
 
 
 def test_left_translation_invariance():

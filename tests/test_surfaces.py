@@ -505,6 +505,48 @@ def test_dilated_patch_partials_match_fd():
     assert np.max(np.abs(fs - fs2)) < 1e-7
 
 
+def test_composed_transforms_keep_metadata_and_partials():
+    p0 = Point(0.4, -0.3, 1.2)
+    tp = sphere_geodesic(1.0).dilated(0.3).translated(p0).flipped()
+    assert tp.label == "sphere(lam=1)+dilated+translated"
+    assert tp.closed and tp.open_s_ends == (True, True)
+    assert tp.lam == -(np.exp(-0.3) * 1.0)
+    assert tp.orientation == 1
+    fe, fs, p = tp.partials(0.9, 1.2)
+    fe2, fs2, p2 = fd_partials(tp, 0.9, 1.2)
+    assert np.max(np.abs(fe - fe2)) < 1e-7
+    assert np.max(np.abs(fs - fs2)) < 1e-7
+    assert np.array_equal(p.as_array(), p2.as_array())
+
+
+def test_only_flipped_patches_forward_singular_curves():
+    sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
+    assert len(sl.flipped().singular_curves()) == 2
+    assert sl.translated(Point(0.1, 0.2, 0.3)).singular_curves() == []
+    assert sl.dilated(0.2).singular_curves() == []
+    assert sl.flipped().lam == -1.0 and sl.dilated(0.2).lam == np.exp(-0.2)
+
+
+def test_frame_is_the_single_evaluation_path():
+    # normal_data carries the partials it was built from, and frame's raw
+    # normal is the oriented cross product of those partials, bit for bit
+    patches = [sphere_geodesic(1.0),
+               build_sigma_lambda(helix_curve(1.0, eps_min=-1, eps_max=1), 1.0, -1),
+               helicoid_L(1.0, 1.0, k_max=2).pieces[1],
+               sphere_geodesic(0.7).dilated(0.2).translated(Point(0.1, 0.2, 0.3))]
+    for patch in patches:
+        eps = RNG.uniform(patch.eps_lo, patch.eps_hi, (4, 5))
+        s = RNG.uniform(patch.s_lo + 0.1 * (patch.s_hi - patch.s_lo),
+                        patch.s_hi - 0.1 * (patch.s_hi - patch.s_lo), (4, 5))
+        fe, fs, p = patch.partials(eps, s)
+        nd = patch.normal_data(eps, s)
+        assert np.array_equal(nd.fe, fe) and np.array_equal(nd.fs, fs), patch.label
+        q, fe2, fs2, raw = patch.frame(eps, s)
+        assert np.array_equal(fe2, fe) and np.array_equal(fs2, fs), patch.label
+        assert np.array_equal(q.as_array(), p.as_array()), patch.label
+        assert np.array_equal(raw, patch.orientation * np.cross(fe, fs)), patch.label
+
+
 def test_vertical_cylinder_regular_everywhere():
     vc = VerticalCylinder(1.5)
     m = mesh(vc, 16, 8)
