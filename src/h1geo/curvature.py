@@ -43,18 +43,20 @@ def _char_velocity(patch: ImmersedPatch, eps, s):
     return (g22 * b1 - g12 * b2) / det, (g11 * b2 - g12 * b1) / det
 
 
-def trace_characteristic(patch: ImmersedPatch, eps0, s0, arclen: float,
+def trace_characteristic(patch: ImmersedPatch, eps0, s0, arclen,
                          n_steps: int = 200):
     """RK4 integration of the characteristic field in parameter space.
 
-    Returns (eps_path, s_path) arrays of shape (n_steps + 1,) + seed shape;
-    the trace has unit speed, so step k sits at arclength k*arclen/n_steps.
+    `arclen` is signed (a negative length traces backward) and may be an
+    array that broadcasts against the seeds, so one sweep runs both
+    directions: arclen = [[a], [-a]] over seeds of shape (n,) traces each
+    seed forward and backward.  Returns (eps_path, s_path) arrays of shape
+    (n_steps + 1,) + the broadcast shape of (eps0, s0, arclen); the trace
+    has unit speed, so step k sits at arclength k*arclen/n_steps.
     """
-    h = arclen / n_steps
-    eps = np.broadcast_arrays(_asf(eps0), _asf(s0))[0].astype(float).copy()
-    s = np.broadcast_arrays(_asf(eps0), _asf(s0))[1].astype(float).copy()
-    eps_path = [eps.copy()]
-    s_path = [s.copy()]
+    h = _asf(arclen) / n_steps
+    eps, s, _ = np.broadcast_arrays(_asf(eps0), _asf(s0), h)
+    eps_path, s_path = [eps], [s]
     for _ in range(n_steps):
         k1e, k1s = _char_velocity(patch, eps, s)
         k2e, k2s = _char_velocity(patch, eps + 0.5 * h * k1e, s + 0.5 * h * k1s)
@@ -62,9 +64,15 @@ def trace_characteristic(patch: ImmersedPatch, eps0, s0, arclen: float,
         k4e, k4s = _char_velocity(patch, eps + h * k3e, s + h * k3s)
         eps = eps + h / 6.0 * (k1e + 2 * k2e + 2 * k3e + k4e)
         s = s + h / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s)
-        eps_path.append(eps.copy())
-        s_path.append(s.copy())
+        eps_path.append(eps)
+        s_path.append(s)
     return np.array(eps_path), np.array(s_path)
+
+
+def _forward_back(seed_ndim: int):
+    """Signs (+1, -1) on a leading axis that broadcasts against seeds of
+    `seed_ndim` dimensions; times a length, one sweep traces both ways."""
+    return np.array([1.0, -1.0]).reshape((2,) + (1,) * seed_ndim)
 
 
 def mean_curvature_char(patch: ImmersedPatch, eps, s, h_fd: float = H_CHAR_STEP,
@@ -78,11 +86,10 @@ def mean_curvature_char(patch: ImmersedPatch, eps, s, h_fd: float = H_CHAR_STEP,
     nd = patch.normal_data(eps, s)
     if np.any(nd.nh_norm < 10 * tol_singular):
         raise SingularPoint("mean curvature requested too close to the singular set")
-    ep, sp = trace_characteristic(patch, eps, s, h_fd, n_steps=1)
-    em, sm = trace_characteristic(patch, eps, s, -h_fd, n_steps=1)
-    nu_p = patch.normal_data(ep[-1], sp[-1]).nu_h
-    nu_m = patch.normal_data(em[-1], sm[-1]).nu_h
-    dnu = (nu_p - nu_m) / (2.0 * h_fd)
+    ends_e, ends_s = trace_characteristic(patch, eps, s, _forward_back(nd.nh_norm.ndim) * h_fd,
+                                          n_steps=1)
+    nu = patch.normal_data(ends_e[-1], ends_s[-1]).nu_h
+    dnu = (nu[0] - nu[1]) / (2.0 * h_fd)
     cov = dnu + conn_c(nd.z, nd.nu_h)
     return -0.5 * dot_c(cov, nd.z)
 
@@ -93,11 +100,11 @@ def characteristic_deviation(patch: ImmersedPatch, eps0, s0, arclen: float = 1.0
     geodesic of curvature lam launched with the same initial data.
 
     The trace covers total arclength `arclen`, split evenly forward and
-    backward from the seed so cut boundaries are not crossed.  With
-    lam = None the patch's nominal constant curvature is used.  This is the
-    numerical form of the ruling property of CMC surfaces.  eps0 and s0 may
-    be arrays of seeds; all are traced together and the maximum over them
-    is returned.
+    backward from the seed so cut boundaries are not crossed; both halves
+    run in one sweep.  With lam = None the patch's nominal constant
+    curvature is used.  This is the numerical form of the ruling property
+    of CMC surfaces.  eps0 and s0 may be arrays of seeds; all are traced
+    together and the maximum over them is returned.
     """
     if lam is None:
         if patch.lam is None:
@@ -106,15 +113,12 @@ def characteristic_deviation(patch: ImmersedPatch, eps0, s0, arclen: float = 1.0
     nd0 = patch.normal_data(eps0, s0)
     theta = np.arctan2(nd0.z[..., 1], nd0.z[..., 0])
     geo = GeodesicSpec(nd0.base, theta, lam)
-    worst = 0.0
-    for sign in (1.0, -1.0):
-        ep, sp = trace_characteristic(patch, eps0, s0, sign * arclen / 2.0,
-                                      n_steps // 2)
-        tau = sign * np.linspace(0.0, arclen / 2.0, n_steps // 2 + 1)
-        trace_pts = patch.point(ep, sp).as_array()
-        geo_pts = geodesic_point(geo, tau.reshape(tau.shape + (1,) * theta.ndim)).as_array()
-        worst = max(worst, float(np.max(np.abs(trace_pts - geo_pts))))
-    return worst
+    signs = _forward_back(theta.ndim)
+    ep, sp = trace_characteristic(patch, eps0, s0, signs * arclen / 2.0, n_steps // 2)
+    tau = np.multiply.outer(np.linspace(0.0, arclen / 2.0, n_steps // 2 + 1), signs)
+    trace_pts = patch.point(ep, sp).as_array()
+    geo_pts = geodesic_point(geo, tau).as_array()
+    return float(np.max(np.abs(trace_pts - geo_pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +164,19 @@ def _fd_bundle(u: Callable, h: float = 1e-3):
     return u, ux, uy, d2(u, 0), d1(ux, 1), d2(u, 1)
 
 
+def _graph_lhs(source, x, y, tol_singular: float, what: str):
+    """(LHS, w^2) of the graph equation at (x, y), with w^2 = (u_x-y)^2 +
+    (u_y+x)^2; raises SingularPoint naming `what` where w < tol_singular."""
+    u, ux, uy, uxx, uxy, uyy = _graph_bundle(source)
+    x, y = _asf(x), _asf(y)
+    p = ux(x, y) - y
+    q = uy(x, y) + x
+    w2 = p * p + q * q
+    if np.any(w2 < tol_singular**2):
+        raise SingularPoint(f"{what} at a singular graph point")
+    return q * q * uxx(x, y) - 2.0 * q * p * uxy(x, y) + p * p * uyy(x, y), w2
+
+
 def graph_pde_residual(source, x, y, H, tol_singular: float = TOL_SINGULAR):
     """LHS - RHS of the prescribed-curvature graph equation at (x, y).
 
@@ -168,28 +185,14 @@ def graph_pde_residual(source, x, y, H, tol_singular: float = TOL_SINGULAR):
     with respect to the downward graph normal; for a sheet whose inner
     normal points upward, pass -H.
     """
-    u, ux, uy, uxx, uxy, uyy = _graph_bundle(source)
-    x, y = _asf(x), _asf(y)
-    p = ux(x, y) - y
-    q = uy(x, y) + x
-    w2 = p * p + q * q
-    if np.any(w2 < tol_singular**2):
-        raise SingularPoint("graph PDE residual at a singular graph point")
-    lhs = q * q * uxx(x, y) - 2.0 * q * p * uxy(x, y) + p * p * uyy(x, y)
+    lhs, w2 = _graph_lhs(source, x, y, tol_singular, "graph PDE residual")
     rhs = -2.0 * np.asarray(H, float) * w2**1.5
     return lhs - rhs
 
 
 def graph_pde_mean_curvature(source, x, y, tol_singular: float = TOL_SINGULAR):
     """The H solving the graph equation pointwise (downward-normal sign)."""
-    u, ux, uy, uxx, uxy, uyy = _graph_bundle(source)
-    x, y = _asf(x), _asf(y)
-    p = ux(x, y) - y
-    q = uy(x, y) + x
-    w2 = p * p + q * q
-    if np.any(w2 < tol_singular**2):
-        raise SingularPoint("graph mean curvature at a singular graph point")
-    lhs = q * q * uxx(x, y) - 2.0 * q * p * uxy(x, y) + p * p * uyy(x, y)
+    lhs, w2 = _graph_lhs(source, x, y, tol_singular, "graph mean curvature")
     return -lhs / (2.0 * w2**1.5)
 
 

@@ -133,7 +133,7 @@ def geodesic_residual(g: GeodesicSpec, s):
     dc = tdd - xdd * p.y + p.x * ydd
     dvel = np.stack(np.broadcast_arrays(xdd, ydd, dc), axis=-1)
     cov = dvel + conn_c(vel, vel)
-    res = cov + 2.0 * lam[..., None] * j_c(vel) if np.ndim(lam) else cov + 2.0 * lam * j_c(vel)
+    res = cov + 2.0 * lam[..., None] * j_c(vel)
     return np.linalg.norm(res, axis=-1)
 
 
@@ -189,16 +189,14 @@ def tangent_jacobi_field(g: GeodesicSpec, a: float, b: float) -> FieldAlongGeode
     def coeffs(s):
         s = np.asarray(s, float)
         f = a * s + b
-        return f[..., None] * geodesic_velocity(g, s).coeffs if f.ndim else f * geodesic_velocity(g, s).coeffs
+        return f[..., None] * geodesic_velocity(g, s).coeffs
 
     def dcoeffs(s):
         s = np.asarray(s, float)
         f = a * s + b
         vc = geodesic_velocity(g, s).coeffs
         dvc = geodesic_velocity_dcoeffs(g, s)
-        if f.ndim:
-            return a * vc + f[..., None] * dvc
-        return a * vc + f * dvc
+        return a * vc + f[..., None] * dvc
 
     def ddcoeffs(s):
         # gamma''' coefficients: d/ds(-2 lam J(gamma')) = -4 lam^2 gamma'
@@ -207,9 +205,7 @@ def tangent_jacobi_field(g: GeodesicSpec, a: float, b: float) -> FieldAlongGeode
         f = a * s + b
         vc = geodesic_velocity(g, s).coeffs
         dvc = geodesic_velocity_dcoeffs(g, s)
-        if f.ndim:
-            return 2 * a * dvc - 4 * lam * lam * f[..., None] * vc
-        return 2 * a * dvc - 4 * lam * lam * f * vc
+        return 2 * a * dvc - 4 * lam * lam * f[..., None] * vc
 
     return FieldAlongGeodesic(g, coeffs, dcoeffs, ddcoeffs)
 
@@ -277,8 +273,7 @@ def jacobi_residual(g: GeodesicSpec, field: FieldAlongGeodesic, s, h_fd: float =
     correction = j_c(vprime)
     correction = correction.copy()
     correction[..., 2] -= tangential
-    res = vpp + curvature_tensor(v, vel, vel) + 2.0 * lam[..., None] * correction \
-        if np.ndim(lam) else vpp + curvature_tensor(v, vel, vel) + 2.0 * lam * correction
+    res = vpp + curvature_tensor(v, vel, vel) + 2.0 * lam[..., None] * correction
     return np.linalg.norm(res, axis=-1)
 
 

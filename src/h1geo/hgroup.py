@@ -62,11 +62,6 @@ def group_inv(p: Point) -> Point:
     return Point(-p.x, -p.y, -p.t)
 
 
-def left_translate(p: Point, q: Point) -> Point:
-    """Left translation L_p(q) = p * q."""
-    return group_mul(p, q)
-
-
 def dilate(s: float, p: Point) -> Point:
     """Intrinsic dilation (x, y, t) -> (e^s x, e^s y, e^{2s} t)."""
     es = np.exp(s)
@@ -127,11 +122,6 @@ class FrameVector:
             np.asarray(self.a, float), np.asarray(self.b, float), np.asarray(self.c, float)
         )
         return np.stack([a, b, c], axis=-1)
-
-    @classmethod
-    def from_coeffs(cls, base: Point, coeffs) -> "FrameVector":
-        coeffs = np.asarray(coeffs, float)
-        return cls(base, coeffs[..., 0], coeffs[..., 1], coeffs[..., 2])
 
     def norm(self):
         return np.sqrt(self.a * self.a + self.b * self.b + self.c * self.c)

@@ -555,6 +555,18 @@ class VerticalCylinder(ImmersedPatch):
 # Orthogonal-geodesic builders
 
 
+def _curve_data(curve: HorizontalCurve, eps):
+    """(position, (x', y'), (x'', y''), h) of the curve on `eps` as given.
+
+    The orthogonal-geodesic patches derive every per-eps quantity from
+    these, so one patch call fetches its curve once on the eps axis and
+    never on the broadcast (eps, s) grid.
+    """
+    eps = _asf(eps)
+    return (curve.position(eps), curve.planar.d1(eps), curve.planar.d2(eps),
+            curve.planar_curvature(eps))
+
+
 class SigmaLambdaPatch(ImmersedPatch):
     """Surface swept by geodesics of curvature lam leaving a horizontal curve
     orthogonally (initial velocity side * J(Gamma')), cut at the first
@@ -591,55 +603,51 @@ class SigmaLambdaPatch(ImmersedPatch):
         return -2.0 * self.side * hdot / (4.0 * self.lam**2 + h * h)
 
     def geometric_s(self, eps, s):
-        eps, sig = np.broadcast_arrays(_asf(eps), _asf(s))
-        return sig * self.s_cut(eps)
+        return _asf(s) * self.s_cut(eps)
 
-    def _curve_data(self, eps):
-        eps = _asf(eps)
-        p = self.curve.position(eps)
-        xd, yd = self.curve.planar.d1(eps)
-        xdd, ydd = self.curve.planar.d2(eps)
-        return p, xd, yd, xdd, ydd
+    def _along(self, data, sgeo):
+        """(point, geodesic velocity, variation coefficients) at geometric s.
 
-    def point(self, eps, s):
-        p, xd, yd, _, _ = self._curve_data(eps)
-        sgeo = self.geometric_s(eps, s)
+        `data` is the curve data of `_curve_data` on the eps axis and `sgeo`
+        broadcasts against it; stable_ratios runs once for all three.  The
+        variation field is
+
+            a = x' - side y'' sig + side x'' kap
+            b = y' + side y'' kap + side x'' sig
+            c = h kap / lam - 2 side sig
+        """
+        p, (xd, yd), (xdd, ydd), h = data
+        sgeo = _asf(sgeo)
+        sig, kap, tau = stable_ratios(self.lam, sgeo)
         A = -self.side * yd
         B = self.side * xd
-        sig, kap, tau = stable_ratios(self.lam, sgeo)
         x0, y0, t0 = _asf(p.x), _asf(p.y), _asf(p.t)
         x = x0 + A * sig + B * kap
         y = y0 - A * kap + B * sig
         t = t0 + tau + (A * x0 + B * y0) * kap - (B * x0 - A * y0) * sig
-        return Point(x, y, t)
+        theta = np.arctan2(self.side * xd, -self.side * yd)
+        phase = theta - 2.0 * self.lam * sgeo
+        gdot = np.stack(np.broadcast_arrays(np.cos(phase), np.sin(phase),
+                                            np.zeros_like(phase)), axis=-1)
+        a = xd - self.side * ydd * sig + self.side * xdd * kap
+        b = yd + self.side * ydd * kap + self.side * xdd * sig
+        cv = h * kap / self.lam - 2.0 * self.side * sig
+        return Point(x, y, t), gdot, np.stack(np.broadcast_arrays(a, b, cv), axis=-1)
+
+    def point(self, eps, s):
+        return self._along(_curve_data(self.curve, eps), self.geometric_s(eps, s))[0]
 
     def velocity_at(self, eps, sgeo):
         """Frame triple of the generating geodesic velocity at geometric s."""
-        xd, yd = self.curve.planar.d1(_asf(eps))
-        theta = np.arctan2(self.side * xd, -self.side * yd)
-        phase = theta - 2.0 * self.lam * _asf(sgeo)
-        return np.stack(np.broadcast_arrays(np.cos(phase), np.sin(phase),
-                                            np.zeros_like(phase)), axis=-1)
+        return self._along(_curve_data(self.curve, eps), sgeo)[1]
 
     def variation_coeffs(self, eps, sgeo):
-        """Frame triple of the variation field V_eps at geometric s.
-
-        a = x' - side y'' sig + side x'' kap
-        b = y' + side y'' kap + side x'' sig
-        c = h kap / lam - 2 side sig
-        """
-        _, xd, yd, xdd, ydd = self._curve_data(eps)
-        h = xd * ydd - xdd * yd
-        sig, kap, _ = stable_ratios(self.lam, _asf(sgeo))
-        a = xd - self.side * ydd * sig + self.side * xdd * kap
-        b = yd + self.side * ydd * kap + self.side * xdd * sig
-        c = h * kap / self.lam - 2.0 * self.side * sig
-        return np.stack(np.broadcast_arrays(a, b, c), axis=-1)
+        """Frame triple of the variation field V_eps at geometric s (see `_along`)."""
+        return self._along(_curve_data(self.curve, eps), sgeo)[2]
 
     def variation_dcoeffs(self, eps, sgeo):
         """Analytic d/ds of the variation coefficients (sig' = cos z, kap' = sin z)."""
-        _, xd, yd, xdd, ydd = self._curve_data(eps)
-        h = xd * ydd - xdd * yd
+        _, (xd, yd), (xdd, ydd), h = _curve_data(self.curve, eps)
         z = 2.0 * self.lam * _asf(sgeo)
         cz, sz = np.cos(z), np.sin(z)
         da = self.side * (-ydd * cz + xdd * sz)
@@ -648,13 +656,10 @@ class SigmaLambdaPatch(ImmersedPatch):
         return np.stack(np.broadcast_arrays(da, db, dc), axis=-1)
 
     def partials(self, eps, s):
-        eps_b, sig_b = np.broadcast_arrays(_asf(eps), _asf(s))
-        scut = self.s_cut(eps_b)
-        sgeo = sig_b * scut
-        p = self.point(eps_b, sig_b)
-        gdot = self.velocity_at(eps_b, sgeo)
-        v = self.variation_coeffs(eps_b, sgeo)
-        fe = v + (sig_b * self.s_cut_rate(eps_b))[..., None] * gdot
+        sig = _asf(s)
+        scut = self.s_cut(eps)
+        p, gdot, v = self._along(_curve_data(self.curve, eps), sig * scut)
+        fe = v + (sig * self.s_cut_rate(eps))[..., None] * gdot
         fs = scut[..., None] * gdot
         return fe, fs, p
 
@@ -680,11 +685,9 @@ class SigmaLambdaPatch(ImmersedPatch):
         return self.point(_asf(eps), 1.0)
 
     def far_curve_tangent(self, eps):
-        """Gamma_1'(eps) = V(s_cut) + s_cut'(eps) gamma'(s_cut), a frame triple."""
-        eps = _asf(eps)
-        scut = self.s_cut(eps)
-        v = self.variation_coeffs(eps, scut)
-        return v + self.s_cut_rate(eps)[..., None] * self.velocity_at(eps, scut)
+        """Gamma_1'(eps) = V(s_cut) + s_cut'(eps) gamma'(s_cut), a frame triple:
+        F_eps at sigma = 1."""
+        return self.partials(eps, 1.0)[0]
 
     def singular_curves(self):
         def base_inward(e, offset):
@@ -727,27 +730,24 @@ class SigmaZeroPatch(ImmersedPatch):
         self.curve = curve
         self.label = f"sigma-zero({curve.label})"
 
-    def point(self, eps, s):
-        eps, s = np.broadcast_arrays(_asf(eps), _asf(s))
-        p = self.curve.position(eps)
-        xd, yd = self.curve.planar.d1(eps)
+    def _along(self, data, s):
+        """(F_eps, F_s, point) at s along the lines from the curve data
+        `data` of `_curve_data`; F_s is broadcast to the sample shape."""
+        p, (xd, yd), (xdd, ydd), h = data
+        s = _asf(s)
         x0, y0, t0 = _asf(p.x), _asf(p.y), _asf(p.t)
-        return Point(x0 - s * yd, y0 + s * xd, t0 - s * (x0 * xd + y0 * yd))
+        fe = np.stack([xd - s * ydd, yd + s * xdd, s * s * h - 2.0 * s], axis=-1)
+        fs = np.broadcast_to(np.stack([-yd, xd, np.zeros_like(xd)], axis=-1), fe.shape)
+        return fe, fs, Point(x0 - s * yd, y0 + s * xd, t0 - s * (x0 * xd + y0 * yd))
+
+    def point(self, eps, s):
+        return self._along(_curve_data(self.curve, eps), s)[2]
 
     def variation_coeffs(self, eps, s):
-        eps, s = np.broadcast_arrays(_asf(eps), _asf(s))
-        xd, yd = self.curve.planar.d1(eps)
-        xdd, ydd = self.curve.planar.d2(eps)
-        h = xd * ydd - xdd * yd
-        return np.stack([xd - s * ydd, yd + s * xdd, s * s * h - 2.0 * s], axis=-1)
+        return self._along(_curve_data(self.curve, eps), s)[0]
 
     def partials(self, eps, s):
-        eps, s = np.broadcast_arrays(_asf(eps), _asf(s))
-        p = self.point(eps, s)
-        xd, yd = self.curve.planar.d1(eps)
-        fe = self.variation_coeffs(eps, s)
-        fs = np.stack([-yd, xd, np.zeros_like(xd)], axis=-1)
-        return fe, fs, p
+        return self._along(_curve_data(self.curve, eps), s)
 
     def singular_curves(self):
         base = SingularCurveRef(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import h1geo.curvature as crv
 from h1geo.curvature import (
     _char_velocity,
     bernstein_foliation,
@@ -264,6 +265,36 @@ def test_characteristic_deviation_array_seeds_match_scalar_calls(patch, seeds):
     one_by_one = max(characteristic_deviation(patch, e, s, arclen=1.0, n_steps=200)
                      for e, s in seeds)
     assert together == one_by_one
+
+
+@pytest.mark.parametrize("patch, seeds", [
+    (sphere_geodesic(1.0), [(0.3, 1.2), (2.0, 1.8), (4.0, 2.1)]),
+    (build_sigma_lambda(line_curve(eps_min=-3, eps_max=3), 1.0, -1), [(0.0, 0.5), (0.7, 0.6)]),
+    (helicoid_L(1.0, 1.0, k_max=2).pieces[1], [(0.0, 0.5), (0.4, 0.55)]),
+], ids=["sphere", "sigma-lambda-side-1", "helicoid-flipped"])
+def test_trace_with_signed_arclen_array_stacks_the_scalar_traces(patch, seeds):
+    e0, s0 = np.array(seeds).T
+    ep, spath = trace_characteristic(patch, e0, s0, np.array([[0.3], [-0.3]]), n_steps=12)
+    assert ep.shape == spath.shape == (13, 2, len(seeds))
+    for k, length in enumerate((0.3, -0.3)):
+        e1, s1 = trace_characteristic(patch, e0, s0, length, n_steps=12)
+        assert np.array_equal(ep[:, k], e1)
+        assert np.array_equal(spath[:, k], s1)
+
+
+def test_mean_curvature_and_ruling_trace_both_ways_in_one_call(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return trace_characteristic(*args, **kwargs)
+
+    monkeypatch.setattr(crv, "trace_characteristic", counting)
+    sp = sphere_geodesic(1.0)
+    mean_curvature_char(sp, np.array([0.3, 1.1]), np.array([1.2, 0.8]))
+    assert len(calls) == 1
+    characteristic_deviation(sp, np.array([0.3, 2.0]), np.array([1.2, 1.8]), n_steps=20)
+    assert len(calls) == 2
 
 
 def test_trace_moves_along_geodesic_parameter():

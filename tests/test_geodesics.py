@@ -14,7 +14,7 @@ from h1geo.geodesics import (
     stable_ratios,
     tangent_jacobi_field,
 )
-from h1geo.hgroup import ORIGIN, Point, dilate, left_translate
+from h1geo.hgroup import ORIGIN, Point, dilate, group_mul
 
 RNG = np.random.default_rng(90125)
 
@@ -181,7 +181,7 @@ def test_left_translation_covariance():
     theta, lam = 1.1, 0.8
     s = np.linspace(0, 3, 13)
     from_origin = geodesic_point(GeodesicSpec(ORIGIN, theta, lam), s)
-    translated = left_translate(p, from_origin).as_array()
+    translated = group_mul(p, from_origin).as_array()
     direct = geodesic_point(GeodesicSpec(p, theta, lam), s).as_array()
     assert np.max(np.abs(translated - direct)) < 1e-14
 

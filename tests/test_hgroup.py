@@ -20,7 +20,6 @@ from h1geo.hgroup import (
     group_inv,
     group_mul,
     j_c,
-    left_translate,
     W_field,
 )
 
@@ -64,11 +63,6 @@ def test_group_associativity():
     lhs = group_mul(group_mul(p, q), r).as_array()
     rhs = group_mul(p, group_mul(q, r)).as_array()
     assert np.allclose(lhs, rhs, atol=1e-13)
-
-
-def test_left_translate_is_group_mul():
-    p, q = rand_points(5), rand_points(5)
-    assert np.array_equal(left_translate(p, q).as_array(), group_mul(p, q).as_array())
 
 
 def test_frame_at_origin_and_generic():

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from h1geo.errors import DegeneratePoint, UnknownSurface
 from h1geo.geodesics import conserved_quantity, jacobi_residual
-from h1geo.hcurves import helix_curve, line_curve
-from h1geo.hgroup import Point, j_c, dot_c
+from h1geo.hcurves import HorizontalCurve, PlanarCurve, helix_curve, horizontal_lift, line_curve
+from h1geo.hgroup import Point, cartesian_to_frame, j_c, dot_c
 from h1geo.surfaces import (
     BernsteinGraph,
     ImmersedPatch,
@@ -180,6 +182,76 @@ def test_sigma_lambda_partials_match_fd():
             fe2, fs2, _ = fd_partials(sl, eps, sig)
             assert np.max(np.abs(fe - fe2)) < 1e-7
             assert np.max(np.abs(fs - fs2)) < 1e-7
+
+
+def counting_curve(base):
+    """`base` with each planar and lift call recorded as (name, points)."""
+    calls = []
+
+    def wrap(name, f):
+        def counted(e):
+            calls.append((name, np.size(e)))
+            return f(e)
+        return counted
+
+    planar = dataclasses.replace(base.planar, xy=wrap("xy", base.planar.xy),
+                                 d1=wrap("d1", base.planar.d1), d2=wrap("d2", base.planar.d2))
+    return HorizontalCurve(planar, wrap("t_of", base.t_of), base.label), calls
+
+
+@pytest.mark.parametrize("build", [
+    lambda c: build_sigma_lambda(c, 1.2, -1),
+    lambda c: build_sigma_zero(c),
+], ids=["sigma-lambda", "sigma-zero"])
+def test_partials_fetch_the_curve_once_on_the_eps_axis(build):
+    curve, calls = counting_curve(helix_curve(0.8, eps_min=-2, eps_max=2))
+    patch = build(curve)
+    m, n = 7, 5
+    eps = np.linspace(-1.5, 1.5, m)[:, None]
+    s = np.linspace(0.1, 0.9, n)[None, :]
+    fe, fs, p = patch.partials(eps, s)
+    assert fe.shape == fs.shape == (m, n, 3)
+    assert max(size for _, size in calls) <= m
+    names = [name for name, _ in calls]
+    assert names.count("xy") == 1
+    assert names.count("t_of") == 1
+    # the same values as on the broadcast grid
+    fe2, fs2, p2 = patch.partials(*np.broadcast_arrays(eps, s))
+    assert np.array_equal(fe, fe2) and np.array_equal(fs, fs2)
+    assert np.array_equal(p.as_array(), p2.as_array())
+
+
+def clothoid_curve():
+    """Arclength curve with x' = cos(e^2/2), y' = sin(e^2/2): planar
+    curvature h = e, so the cut time varies along it."""
+    from scipy.special import fresnel
+
+    root_pi = np.sqrt(np.pi)
+
+    def xy(e):
+        sf, cf = fresnel(np.asarray(e, float) / root_pi)
+        return root_pi * cf, root_pi * sf
+
+    def d1(e):
+        phase = np.asarray(e, float) ** 2 / 2
+        return np.cos(phase), np.sin(phase)
+
+    def d2(e):
+        e = np.asarray(e, float)
+        return -e * np.sin(e * e / 2), e * np.cos(e * e / 2)
+
+    return horizontal_lift(PlanarCurve(xy, d1, d2, -1.0, 1.0), label="clothoid")
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_far_curve_tangent_matches_fd_of_far_curve(side):
+    sl = build_sigma_lambda(clothoid_curve(), 1.0, side)
+    eps = np.linspace(-0.8, 0.8, 7)
+    assert np.min(np.abs(sl.s_cut_rate(eps))) > 0.4   # the s_cut' term counts
+    d = 1e-5
+    de = (sl.far_curve_point(eps + d).as_array() - sl.far_curve_point(eps - d).as_array()) / (2 * d)
+    fd = cartesian_to_frame(sl.far_curve_point(eps), de)
+    assert np.max(np.abs(sl.far_curve_tangent(eps) - fd)) < 1e-7
 
 
 def test_sigma_lambda_variation_field_endpoints():
