@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NoSingularCurve, OnSingularLocus, SingularPoint
 from .geodesics import GeodesicSpec, geodesic_point
 from .hgroup import Point, conn_c, divergence, dot_c
-from .surfaces import ImmersedPatch, SingularCurveRef, TOL_SINGULAR
+from .surfaces import ImmersedPatch, SingularCurveRef, TOL_SINGULAR, atomic_write, format_rows
 
 H_CHAR_STEP = 1e-4  # arclength step along the characteristic trace
 
@@ -336,12 +336,9 @@ def curvature_report(patch: ImmersedPatch, eps, s, method: str = "characteristic
 
 def write_curvature_csv(reports: list, path) -> None:
     """CSV with columns eps,s,H_est,residual,method."""
-    from .surfaces import atomic_write
-
-    rows = ["eps,s,H_est,residual,method"]
-    for r in reports:
-        rows.append(f"{r.eps:.17g},{r.s:.17g},{r.h_est:.17g},{r.residual:.17g},{r.method}")
-    atomic_write(path, "\n".join(rows) + "\n")
+    values = [v for r in reports for v in (r.eps, r.s, r.h_est, r.residual, r.method)]
+    atomic_write(path, "eps,s,H_est,residual,method\n"
+                 + format_rows("%.17g,%.17g,%.17g,%.17g,%s\n", len(reports), values))
 
 
 def fill_mesh_curvature(m, h_fd: float = H_CHAR_STEP,

@@ -153,8 +153,16 @@ def dot_c(u, v):
 
 
 def cross_c(u, v) -> np.ndarray:
-    """Cross product of frame triples; X x Y = T for the chosen orientation."""
-    return np.cross(np.asarray(u, float), np.asarray(v, float))
+    """Cross product of frame triples; X x Y = T for the chosen orientation.
+
+    The components are written out in `np.cross`'s order, so the bits are
+    the same, without its axis handling on the small arrays of RK4 stages.
+    """
+    u = np.asarray(u, float)
+    v = np.asarray(v, float)
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=-1)
 
 
 def _connection_table() -> np.ndarray:

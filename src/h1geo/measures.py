@@ -20,6 +20,7 @@ from .surfaces import ImmersedPatch, PerturbedPatch
 
 GAUSS_ORDER = 8
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+_BLOCK_SAMPLES = 1 << 17   # samples evaluated at once by _integrate_multi
 
 
 @dataclass(frozen=True)
@@ -40,17 +41,20 @@ def _axis_rule(lo: float, hi: float, n: int):
 
 
 def _integrate_multi(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
-    """One quadrature sweep shared between the requested integrands."""
+    """One quadrature sweep shared between the requested integrands.
+
+    The sweep runs in blocks of whole eps rows, about _BLOCK_SAMPLES samples
+    each.  Each row's s-sum is kept and the rows are combined with the eps
+    weights once at the end, so the value does not depend on the block size.
+    """
     if patch.eps_hi == patch.eps_lo or patch.s_hi == patch.s_lo:
         return {k: 0.0 for k in kinds}
     eps_pts, eps_wts = _axis_rule(patch.eps_lo, patch.eps_hi, n)
     s_pts, s_wts = _axis_rule(patch.s_lo, patch.s_hi, n)
-    totals = dict.fromkeys(kinds, 0.0)
-    block = max(1, (1 << 21) // s_pts.size)
+    rows = {k: np.empty(eps_pts.size) for k in kinds}
+    block = max(1, _BLOCK_SAMPLES // s_pts.size)
     for start in range(0, eps_pts.size, block):
-        ee = eps_pts[start:start + block, None]
-        p, _, _, raw = patch.frame(ee, s_pts[None, :])
-        wblk = eps_wts[start:start + block]
+        p, _, _, raw = patch.frame(eps_pts[start:start + block, None], s_pts[None, :])
         for kind in kinds:
             if kind == "area":
                 f = np.hypot(raw[..., 0], raw[..., 1])
@@ -62,8 +66,8 @@ def _integrate_multi(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
                 raise ValueError(kind)
             if not np.all(np.isfinite(f)):
                 raise NonFinite(f"{kind} integrand produced non-finite samples")
-            totals[kind] += np.einsum("i,ij,j->", wblk, f, s_wts)
-    return {k: float(v) for k, v in totals.items()}
+            rows[kind][start:start + block] = (f * s_wts).sum(axis=1)
+    return {k: float((r * eps_wts).sum()) for k, r in rows.items()}
 
 
 def quad_many(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:

@@ -593,12 +593,17 @@ class SigmaLambdaPatch(ImmersedPatch):
         self.label = label or f"sigma-lambda({curve.label},lam={lam:g},side={side:+d})"
 
     # -- geometry ------------------------------------------------------------
-    def s_cut(self, eps):
-        return cut_time(self.side * self.curve.planar_curvature(eps), self.lam)
+    def s_cut(self, eps, h=None):
+        """cut_time(side h(eps), lam); `h` is the planar curvature at eps,
+        passed by callers that already hold it."""
+        if h is None:
+            h = self.curve.planar_curvature(eps)
+        return cut_time(self.side * h, self.lam)
 
-    def s_cut_rate(self, eps):
+    def s_cut_rate(self, eps, h=None):
         """d s_cut / d eps = -2 side h'(eps) / (4 lam^2 + h^2)."""
-        h = self.curve.planar_curvature(eps)
+        if h is None:
+            h = self.curve.planar_curvature(eps)
         hdot = self.curve.curvature_rate(eps)
         return -2.0 * self.side * hdot / (4.0 * self.lam**2 + h * h)
 
@@ -657,9 +662,11 @@ class SigmaLambdaPatch(ImmersedPatch):
 
     def partials(self, eps, s):
         sig = _asf(s)
-        scut = self.s_cut(eps)
-        p, gdot, v = self._along(_curve_data(self.curve, eps), sig * scut)
-        fe = v + (sig * self.s_cut_rate(eps))[..., None] * gdot
+        data = _curve_data(self.curve, eps)
+        h = data[3]
+        scut = self.s_cut(eps, h)
+        p, gdot, v = self._along(data, sig * scut)
+        fe = v + (sig * self.s_cut_rate(eps, h))[..., None] * gdot
         fs = scut[..., None] * gdot
         return fe, fs, p
 
@@ -1055,37 +1062,32 @@ def singular_components(m: SurfaceMesh, tol_singular: float = TOL_SINGULAR):
     return comps
 
 
+def format_rows(line: str, n: int, values) -> str:
+    """n copies of the %-format `line` filled from the flat sequence `values`,
+    in one formatting pass.  Every text writer formats through this;
+    '%.17g' % x gives the same string as f"{x:.17g}" for every float, nan,
+    inf and -0 included."""
+    return (line * n) % tuple(values)
+
+
 def export_obj(m: SurfaceMesh, path) -> None:
     """Wavefront OBJ: v records row-major, quads split into two triangles."""
     n_e, n_s = m.shape
-    lines = []
-    for i in range(n_e):
-        for j in range(n_s):
-            x, y, t = m.points[i, j]
-            lines.append(f"v {x:.17g} {y:.17g} {t:.17g}")
-
-    def vid(i, j):
-        return i * n_s + j + 1
-
-    for i in range(n_e - 1):
-        for j in range(n_s - 1):
-            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    vid = np.arange(1, n_e * n_s + 1).reshape(n_e, n_s)
+    a, b, c, d = vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]
+    faces = np.stack([a, b, c, a, c, d], axis=-1)    # (a, b, c), (a, c, d) per quad
+    atomic_write(path, format_rows("v %.17g %.17g %.17g\n", n_e * n_s, m.points.ravel().tolist())
+                 + format_rows("f %d %d %d\n", faces.size // 3, faces.ravel().tolist()))
 
 
 def export_csv(m: SurfaceMesh, path) -> None:
     """CSV with columns eps,s,x,y,t,nh_norm,h_est (row-major vertex order)."""
     n_e, n_s = m.shape
-    rows = ["eps,s,x,y,t,nh_norm,h_est"]
-    for i in range(n_e):
-        for j in range(n_s):
-            x, y, t = m.points[i, j]
-            rows.append(
-                f"{m.eps[i]:.17g},{m.geom_s[i, j]:.17g},{x:.17g},{y:.17g},{t:.17g},"
-                f"{m.nh_norm[i, j]:.17g},{m.h_est[i, j]:.17g}")
-    atomic_write(path, "\n".join(rows) + "\n")
+    eps = np.broadcast_to(m.eps[:, None], (n_e, n_s))
+    cols = np.stack([eps, m.geom_s, m.points[..., 0], m.points[..., 1], m.points[..., 2],
+                     m.nh_norm, m.h_est], axis=-1)
+    atomic_write(path, "eps,s,x,y,t,nh_norm,h_est\n"
+                 + format_rows(",".join(["%.17g"] * 7) + "\n", n_e * n_s, cols.ravel().tolist()))
 
 
 def atomic_write(path, text: str) -> None:

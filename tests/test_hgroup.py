@@ -284,3 +284,17 @@ def test_frame_vector_api():
     assert v.dot(FrameVector(p, 1.0, 0.0, 0.0)) == 3.0
     cart = v.cartesian()
     assert np.allclose(cartesian_to_frame(p, cart), v.coeffs, atol=0)
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((3,), (3,)),
+    ((17, 3), (17, 3)),
+    ((5, 1, 3), (1, 4, 3)),
+    ((6, 3), (3,)),
+])
+def test_cross_c_is_bitwise_np_cross(shape_a, shape_b):
+    a = RNG.standard_normal(shape_a) * 10.0 ** RNG.integers(-8, 8, shape_a)
+    b = RNG.standard_normal(shape_b) * 10.0 ** RNG.integers(-8, 8, shape_b)
+    got, want = cross_c(a, b), np.cross(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()

@@ -223,3 +223,19 @@ def test_measures_report_open_patch():
     rep = measures_report(sl, "sigma-lambda", 1.0, n=32)
     assert rep["V"] is None and rep["minkowski_defect"] is None
     assert rep["A"] > 0
+
+
+@pytest.mark.parametrize("patch", [
+    sphere_geodesic(1.3),
+    sphere_geodesic(0.7).dilated(0.4).translated(Point(0.3, -1.1, 0.5)).flipped(),
+], ids=["sphere", "dilated-translated-flipped"])
+def test_quadrature_is_bitwise_independent_of_the_block_size(monkeypatch, patch):
+    n = 24
+    row = 8 * n                                   # samples in one eps row
+    kinds = ("area", "volume", "rarea")
+    results = []
+    for block in (row, 7 * row, 100 * row * row):  # one row, 7 rows, more than all
+        monkeypatch.setattr(measures, "_BLOCK_SAMPLES", block)
+        res = quad_many(patch, n, kinds)
+        results.append([(res[k].value, res[k].error_estimate) for k in kinds])
+    assert results[0] == results[1] == results[2]

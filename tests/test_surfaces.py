@@ -3,6 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from h1geo.curvature import (
+    CurvatureReport,
+    curvature_report,
+    fill_mesh_curvature,
+    write_curvature_csv,
+)
 from h1geo.errors import DegeneratePoint, UnknownSurface
 from h1geo.geodesics import conserved_quantity, jacobi_residual
 from h1geo.hcurves import HorizontalCurve, PlanarCurve, helix_curve, horizontal_lift, line_curve
@@ -11,6 +17,7 @@ from h1geo.surfaces import (
     BernsteinGraph,
     ImmersedPatch,
     SpherePatch,
+    SurfaceMesh,
     bernstein_graph,
     build_sigma_lambda,
     build_sigma_zero,
@@ -27,6 +34,7 @@ from h1geo.surfaces import (
     sphere_geodesic,
     sphere_graph,
     VerticalCylinder,
+    _curve_data,
 )
 
 RNG = np.random.default_rng(4242)
@@ -241,6 +249,33 @@ def clothoid_curve():
         return -e * np.sin(e * e / 2), e * np.cos(e * e / 2)
 
     return horizontal_lift(PlanarCurve(xy, d1, d2, -1.0, 1.0), label="clothoid")
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_sigma_lambda_partials_evaluate_curvature_once_on_eps(side):
+    calls = []
+
+    class CountingCurve(HorizontalCurve):
+        def planar_curvature(self, eps):
+            calls.append(np.array(eps, float))
+            return super().planar_curvature(eps)
+
+    base = clothoid_curve()
+    sl = build_sigma_lambda(CountingCurve(base.planar, base.t_of, base.label), 1.3, side)
+    eps = np.linspace(-0.8, 0.8, 7)[:, None]
+    s = np.linspace(0.1, 0.9, 5)[None, :]
+    fe, fs, p = sl.partials(eps, s)
+    # one call on eps itself; curvature_rate makes the other two, at eps +- h_fd
+    assert sum(np.array_equal(e, eps) for e in calls) == 1
+    assert len(calls) == 3
+    # the same bits as the expressions that fetched h for s_cut and s_cut_rate
+    ref = build_sigma_lambda(base, 1.3, side)
+    scut = ref.s_cut(eps)
+    p2, gdot, v = ref._along(_curve_data(base, eps), s * scut)
+    fe2 = v + (s * ref.s_cut_rate(eps))[..., None] * gdot
+    assert fe.tobytes() == fe2.tobytes()
+    assert fs.tobytes() == (scut[..., None] * gdot).tobytes()
+    assert p.as_array().tobytes() == p2.as_array().tobytes()
 
 
 @pytest.mark.parametrize("side", [1, -1])
@@ -544,6 +579,97 @@ def test_export_obj_and_csv(tmp_path):
     header = csv.read_text().splitlines()[0]
     assert header == "eps,s,x,y,t,nh_norm,h_est"
     assert len(csv.read_text().strip().splitlines()) == 1 + 6 * 7
+
+
+def oracle_obj(m):
+    """The per-vertex OBJ writer that the bulk one replaced."""
+    n_e, n_s = m.shape
+    lines = []
+    for i in range(n_e):
+        for j in range(n_s):
+            x, y, t = m.points[i, j]
+            lines.append(f"v {x:.17g} {y:.17g} {t:.17g}")
+
+    def vid(i, j):
+        return i * n_s + j + 1
+
+    for i in range(n_e - 1):
+        for j in range(n_s - 1):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            lines.append(f"f {a} {b} {c}")
+            lines.append(f"f {a} {c} {d}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_csv(m):
+    """The per-vertex CSV writer that the bulk one replaced."""
+    n_e, n_s = m.shape
+    rows = ["eps,s,x,y,t,nh_norm,h_est"]
+    for i in range(n_e):
+        for j in range(n_s):
+            x, y, t = m.points[i, j]
+            rows.append(
+                f"{m.eps[i]:.17g},{m.geom_s[i, j]:.17g},{x:.17g},{y:.17g},{t:.17g},"
+                f"{m.nh_norm[i, j]:.17g},{m.h_est[i, j]:.17g}")
+    return "\n".join(rows) + "\n"
+
+
+def oracle_curvature_csv(reports):
+    """The per-record curvature CSV writer that the bulk one replaced."""
+    rows = ["eps,s,H_est,residual,method"]
+    for r in reports:
+        rows.append(f"{r.eps:.17g},{r.s:.17g},{r.h_est:.17g},{r.residual:.17g},{r.method}")
+    return "\n".join(rows) + "\n"
+
+
+SPECIAL = np.array([-0.0, 5e-324, 1e300, np.inf, np.nan, -np.inf, 0.1, -2.5e-17,
+                    1.0 / 3.0, 2.0**53 + 2.0, -1e-300, 123456789.0])
+
+
+def special_mesh():
+    """A hand-built 3x4 mesh whose every column holds -0, subnormals, huge,
+    inf and nan values."""
+    n_e, n_s = 3, 4
+
+    def pick(*shape):
+        return RNG.choice(SPECIAL, size=shape)
+
+    return SurfaceMesh(
+        patch=sphere_geodesic(1.0), eps=pick(n_e), s=pick(n_s), points=pick(n_e, n_s, 3),
+        normals=pick(n_e, n_s, 3), nh_norm=pick(n_e, n_s), nu_h=pick(n_e, n_s, 3),
+        z=pick(n_e, n_s, 3), s_field=pick(n_e, n_s, 3),
+        singular=np.zeros((n_e, n_s), bool), geom_s=pick(n_e, n_s), h_est=pick(n_e, n_s))
+
+
+def sphere_mesh_with_h():
+    m = mesh(sphere_geodesic(1.0), 9, 8)
+    fill_mesh_curvature(m, tol_singular=0.05)    # masks the columns next to the poles
+    assert np.isnan(m.h_est).any() and np.isfinite(m.h_est).any()
+    return m
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mesh(sphere_geodesic(1.0), 2, 2),
+    lambda: mesh(build_sigma_lambda(helix_curve(0.8), 1.2, -1), 3, 5),
+    sphere_mesh_with_h,
+    special_mesh,
+], ids=["2x2", "3x5", "sphere-with-h", "special-values"])
+def test_export_bytes_match_per_vertex_oracle(tmp_path, make):
+    m = make()
+    export_obj(m, tmp_path / "m.obj")
+    export_csv(m, tmp_path / "m.csv")
+    assert (tmp_path / "m.obj").read_text() == oracle_obj(m)
+    assert (tmp_path / "m.csv").read_text() == oracle_csv(m)
+
+
+def test_curvature_csv_bytes_match_per_record_oracle(tmp_path):
+    sl = build_sigma_lambda(helix_curve(0.8), 1.2, -1)
+    reports = curvature_report(sl, np.linspace(-1.0, 1.0, 5), np.linspace(0.2, 0.8, 5))
+    values = RNG.choice(SPECIAL, size=(6, 4))
+    reports += [CurvatureReport(*(float(v) for v in row), "graph_pde") for row in values]
+    for rs in (reports, []):
+        write_curvature_csv(rs, tmp_path / "h.csv")
+        assert (tmp_path / "h.csv").read_text() == oracle_curvature_csv(rs)
 
 
 def test_export_determinism(tmp_path):
