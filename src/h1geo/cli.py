@@ -24,7 +24,7 @@ from . import curvature as crv
 from . import measures as msr
 from . import surfaces as srf
 from . import verify as vfy
-from .errors import ConfigError, GeometryError, UnknownSurface
+from .errors import ConfigError, DegenerateCurve, GeometryError, UnknownSurface
 from .hcurves import load_curve_csv
 
 
@@ -134,14 +134,17 @@ _KNOWN_KEYS = {"surface", "lambda", "r", "g", "curve", "res", "out", "csv",
                "suite", "side", "sheet", "d", "with-h"}
 
 
+_MAX_RES = 2048   # per side; a 1024x1024 OBJ+CSV mesh already peaks near 750 MB
+
+
 def _parse_res(text: str):
     try:
         a, b = text.lower().split("x")
         na, nb = int(a), int(b)
     except ValueError as exc:
         raise ConfigError(f"resolution must look like 128x128 (got {text!r})") from exc
-    if na < 2 or nb < 2:
-        raise ConfigError("resolution must be at least 2x2")
+    if not (2 <= na <= _MAX_RES and 2 <= nb <= _MAX_RES):
+        raise ConfigError(f"resolution sides must lie in [2, {_MAX_RES}] (got {text!r})")
     return na, nb
 
 
@@ -217,8 +220,14 @@ def _build_patch(cfg: dict):
         g, dg, ddg = parse_poly(cfg["g"])
         params["g_coeffs"] = tuple(g.coef)
     if cfg.get("curve"):
-        params["curve"] = load_curve_csv(cfg["curve"])
-    return srf.build_surface(name, **params)
+        try:
+            params["curve"] = load_curve_csv(cfg["curve"])
+        except DegenerateCurve as exc:
+            raise ConfigError(f"malformed curve file: {exc}") from exc
+    try:
+        return srf.build_surface(name, **params)
+    except ValueError as exc:
+        raise ConfigError(f"invalid surface parameters: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +383,7 @@ def main(argv=None) -> int:
     except OSError as exc:   # input files map their own errors; this is an output path
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    except (GeometryError, FloatingPointError, ValueError) as exc:
+    except (GeometryError, ArithmeticError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

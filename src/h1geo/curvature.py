@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NoSingularCurve, OnSingularLocus, SingularPoint
 from .geodesics import GeodesicSpec, geodesic_point
 from .hgroup import Point, conn_c, divergence, dot_c
-from .surfaces import ImmersedPatch, SingularCurveRef, TOL_SINGULAR, atomic_write, format_rows
+from .surfaces import ImmersedPatch, SingularCurveRef, TOL_SINGULAR
 
 H_CHAR_STEP = 1e-4  # arclength step along the characteristic trace
 
@@ -298,47 +298,6 @@ def calibration_divergence(foliation: GraphFoliation, q: Point,
     if np.any(foliation.locus_distance(q) < guard):
         raise OnSingularLocus(f"probe point on the singular locus of {foliation.label}")
     return divergence(foliation.horizontal_normal, q, h_fd=h_fd)
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    """Mean-curvature estimate at one parameter point.
-
-    `residual` is |H_est - H_ref| against the patch's nominal constant when
-    known, else against the sample mean of the batch that produced it.
-    """
-
-    eps: float
-    s: float
-    h_est: float
-    residual: float
-    method: str  # "characteristic" or "graph_pde"
-
-
-def curvature_report(patch: ImmersedPatch, eps, s, method: str = "characteristic",
-                     h_fd: float = H_CHAR_STEP) -> list[CurvatureReport]:
-    """Evaluate H on a batch of parameter points and report per-point records."""
-    eps = np.atleast_1d(_asf(eps))
-    s = np.atleast_1d(_asf(s))
-    if method == "characteristic":
-        h = np.atleast_1d(mean_curvature_char(patch, eps, s, h_fd=h_fd))
-    elif method == "graph_pde":
-        # graph patches parameterize by (x, y), with the PDE sign tied to the
-        # downward normal; report with the patch orientation applied
-        h = np.atleast_1d(graph_pde_mean_curvature(patch, eps, s))
-        h = -patch.orientation * h
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    ref = patch.lam if patch.lam is not None else float(np.mean(h))
-    return [CurvatureReport(float(e), float(ss), float(hh), float(abs(hh - ref)), method)
-            for e, ss, hh in zip(eps, s, h)]
-
-
-def write_curvature_csv(reports: list, path) -> None:
-    """CSV with columns eps,s,H_est,residual,method."""
-    values = [v for r in reports for v in (r.eps, r.s, r.h_est, r.residual, r.method)]
-    atomic_write(path, "eps,s,H_est,residual,method\n"
-                 + format_rows("%.17g,%.17g,%.17g,%.17g,%s\n", len(reports), values))
 
 
 def fill_mesh_curvature(m, h_fd: float = H_CHAR_STEP,

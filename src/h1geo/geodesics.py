@@ -64,11 +64,6 @@ class GeodesicSpec:
     theta: float | np.ndarray
     lam: float | np.ndarray
 
-    @property
-    def initial_velocity(self) -> FrameVector:
-        th = np.asarray(self.theta, float)
-        return FrameVector(self.base, np.cos(th), np.sin(th), np.zeros_like(th))
-
 
 def _point_ab(base: Point, A, B, lam, s) -> Point:
     sigma, kappa, tau = stable_ratios(lam, s)

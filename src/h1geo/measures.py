@@ -6,6 +6,10 @@ enclosed by a closed oriented patch is -(1/4) of the flux of the dilation
 generator W, i.e. -(1/4) <W, F_eps x F_s> d eps ds with the inner normal.
 Neither integrand needs a normalization, so singular rows (|N_H| -> 0) are
 handled by the quadrature never sampling cell endpoints.
+
+`integrate` returns plain values from one sample sweep; `quad_many` is the
+only place that wraps them in an Estimate, whose Richardson error costs a
+second sweep at half resolution and is computed only where it is reported.
 """
 
 from __future__ import annotations
@@ -20,14 +24,13 @@ from .surfaces import ImmersedPatch, PerturbedPatch
 
 GAUSS_ORDER = 8
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
-_BLOCK_SAMPLES = 1 << 17   # samples evaluated at once by _integrate_multi
+_BLOCK_SAMPLES = 1 << 17   # samples evaluated at once by integrate
 
 
 @dataclass(frozen=True)
-class QuadratureResult:
+class Estimate:
     value: float
-    error_estimate: float   # Richardson comparison against half resolution
-    cells: int
+    error: float   # Richardson comparison against half resolution
 
 
 def _axis_rule(lo: float, hi: float, n: int):
@@ -40,8 +43,9 @@ def _axis_rule(lo: float, hi: float, n: int):
     return pts, wts
 
 
-def _integrate_multi(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
-    """One quadrature sweep shared between the requested integrands.
+def integrate(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
+    """{kind: value} from one n x n-cell sweep shared between the integrands
+    'area', 'rarea' and 'volume'.
 
     The sweep runs in blocks of whole eps rows, about _BLOCK_SAMPLES samples
     each.  Each row's s-sum is kept and the rows are combined with the eps
@@ -71,27 +75,24 @@ def _integrate_multi(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
 
 
 def quad_many(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
-    """QuadratureResults for several integrands sharing the sample sweep."""
-    values = _integrate_multi(patch, n, kinds)
-    halves = _integrate_multi(patch, max(n // 2, 1), kinds) if n >= 2 else values
-    out = {}
-    for kind in kinds:
-        err = abs(values[kind] - halves[kind]) if values[kind] != 0.0 else 0.0
-        out[kind] = QuadratureResult(values[kind], err, n * n)
-    return out
+    """{kind: Estimate}: the sweep at n, with |I_n - I_{n/2}| as the error."""
+    values = integrate(patch, n, kinds)
+    halves = integrate(patch, max(n // 2, 1), kinds) if n >= 2 else values
+    return {k: Estimate(v, abs(v - halves[k]) if v != 0.0 else 0.0)
+            for k, v in values.items()}
 
 
-def area(patch: ImmersedPatch, n: int = 256) -> QuadratureResult:
+def area(patch: ImmersedPatch, n: int = 256) -> Estimate:
     """Sub-Riemannian area: integral of |N_H| d(area)."""
     return quad_many(patch, n, ("area",))["area"]
 
 
-def riemannian_area(patch: ImmersedPatch, n: int = 128) -> QuadratureResult:
+def riemannian_area(patch: ImmersedPatch, n: int = 128) -> Estimate:
     """Riemannian area of the patch (no |N_H| weight)."""
     return quad_many(patch, n, ("rarea",))["rarea"]
 
 
-def volume_enclosed(patch: ImmersedPatch, n: int = 256) -> QuadratureResult:
+def volume_enclosed(patch: ImmersedPatch, n: int = 256) -> Estimate:
     """-(1/4) flux of W through the patch; the enclosed volume for closed
     patches oriented by the inner normal."""
     if patch.orientation not in (1, -1):
@@ -103,24 +104,23 @@ def minkowski_check(patch: ImmersedPatch, H: float, n: int = 256) -> float:
     """|3A - 8 H V| / (3A) for a closed CMC patch."""
     if not patch.closed:
         raise NotClosedSurface("Minkowski identity applies to closed surfaces")
-    res = quad_many(patch, n, ("area", "volume"))
-    a, v = res["area"].value, res["volume"].value
+    res = integrate(patch, n, ("area", "volume"))
+    a, v = res["area"], res["volume"]
     return abs(3.0 * a - 8.0 * H * v) / (3.0 * a)
 
 
 def dilation_homogeneity(patch: ImmersedPatch, s: float, n: int = 128):
     """(A(phi_s patch)/A(patch), V(phi_s patch)/V(patch)); expected
     (e^{3s}, e^{4s})."""
-    base = quad_many(patch, n, ("area", "volume"))
-    dil = quad_many(patch.dilated(s), n, ("area", "volume"))
-    return (dil["area"].value / base["area"].value,
-            dil["volume"].value / base["volume"].value)
+    base = integrate(patch, n, ("area", "volume"))
+    dil = integrate(patch.dilated(s), n, ("area", "volume"))
+    return dil["area"] / base["area"], dil["volume"] / base["volume"]
 
 
 def iso_ratio(patch: ImmersedPatch, n: int = 256) -> float:
     """A^4 / V^3, invariant under dilations; (8/3)^3 pi^2 on the spheres."""
-    res = quad_many(patch, n, ("area", "volume"))
-    return res["area"].value**4 / res["volume"].value**3
+    res = integrate(patch, n, ("area", "volume"))
+    return res["area"]**4 / res["volume"]**3
 
 
 @dataclass(frozen=True)
@@ -128,16 +128,15 @@ class FirstVariationResult:
     a_prime: float
     v_prime: float
     defect: float            # |A'(0) - 2 H V'(0)|
-    v_prime_direct: float    # -integral of u d(area), the analytic V'(0)
 
 
 def first_variation_check(patch: ImmersedPatch, u, dt: float = 1e-4,
                           n: int = 128, H: float | None = None) -> FirstVariationResult:
     """Central-difference first variation under the normal perturbation u*N.
 
-    Displaces by t*u*N for t = +-dt, quadratures area and volume, and
-    reports A'(0), V'(0), the stationarity defect |A'(0) - 2 H V'(0)|, and
-    the analytic volume derivative -int u dArea for cross-checking.
+    Displaces by t*u*N for t = +-dt, integrates area and volume of each
+    displaced patch in one sweep, and reports A'(0), V'(0) and the
+    stationarity defect |A'(0) - 2 H V'(0)|.
     """
     if dt < 1e-7:
         raise StepTooSmall(f"variation step {dt} below 1e-7")
@@ -145,20 +144,11 @@ def first_variation_check(patch: ImmersedPatch, u, dt: float = 1e-4,
         if patch.lam is None:
             raise ValueError("patch has no nominal curvature; pass H")
         H = patch.lam
-    lo, hi = (_integrate_multi(PerturbedPatch(patch, u, t), n, ("area", "volume"))
+    lo, hi = (integrate(PerturbedPatch(patch, u, t), n, ("area", "volume"))
               for t in (-dt, dt))
     a_prime = (hi["area"] - lo["area"]) / (2 * dt)
     v_prime = (hi["volume"] - lo["volume"]) / (2 * dt)
-    defect = abs(a_prime - 2.0 * H * v_prime)
-
-    # -int u d(area) with the same rule
-    eps_pts, eps_wts = _axis_rule(patch.eps_lo, patch.eps_hi, n)
-    s_pts, s_wts = _axis_rule(patch.s_lo, patch.s_hi, n)
-    _, _, _, raw = patch.frame(eps_pts[:, None], s_pts[None, :])
-    uu = np.broadcast_to(np.asarray(u(eps_pts[:, None], s_pts[None, :]), float),
-                         raw.shape[:-1])
-    v_direct = -float(np.einsum("i,ij,j->", eps_wts, uu * np.linalg.norm(raw, axis=-1), s_wts))
-    return FirstVariationResult(a_prime, v_prime, defect, v_direct)
+    return FirstVariationResult(a_prime, v_prime, abs(a_prime - 2.0 * H * v_prime))
 
 
 def measures_report(patch: ImmersedPatch, surface: str, lam: float | None,
@@ -174,7 +164,7 @@ def measures_report(patch: ImmersedPatch, surface: str, lam: float | None,
         "surface": surface,
         "lambda": lam,
         "A": a.value,
-        "A_err": a.error_estimate,
+        "A_err": a.error,
         "V": None,
         "V_err": None,
         "H": H,
@@ -184,7 +174,7 @@ def measures_report(patch: ImmersedPatch, surface: str, lam: float | None,
     if patch.closed:
         v = res["volume"]
         report["V"] = v.value
-        report["V_err"] = v.error_estimate
+        report["V_err"] = v.error
         if H is not None:
             report["minkowski_defect"] = abs(3 * a.value - 8 * H * v.value) / (3 * a.value)
         report["iso_ratio"] = a.value**4 / v.value**3

@@ -534,6 +534,8 @@ class VerticalCylinder(ImmersedPatch):
     """
 
     def __init__(self, rho: float, t_range=(-2.0, 2.0)):
+        if not rho > 0:
+            raise ValueError("cylinder radius must be positive")
         super().__init__(0.0, 2 * np.pi, t_range[0], t_range[1])
         self.rho = float(rho)
         self.label = f"vertical-cylinder(rho={rho:g})"

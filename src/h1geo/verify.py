@@ -314,8 +314,8 @@ def suite_minkowski(tols=None, n: int = 256) -> list[Check]:
     checks = []
     for lam in (0.5, 1.0, 2.0):
         sp = sphere_geodesic(lam)
-        res = msr.quad_many(sp, n, ("area", "volume"))
-        a, v = res["area"].value, res["volume"].value
+        res = msr.integrate(sp, n, ("area", "volume"))
+        a, v = res["area"], res["volume"]
         checks.append(Check(f"sphere-area[lam={lam:g}]", a, np.pi**2 / lam**3,
                             _tol(tols, "sphere-area"),
                             "A = pi^2/lambda^3", mode="rel"))
@@ -343,14 +343,13 @@ def suite_minkowski(tols=None, n: int = 256) -> list[Check]:
     checks.append(Check("first-variation[unit]", fv.defect / abs(fv.a_prime), 0.0,
                         _tol(tols, "first-variation"),
                         "A'(0) = 2H V'(0) under unit normal speed"))
-    ra = msr.riemannian_area(sp, 96).value
-    checks.append(Check("first-variation[volume-rate]", fv.v_prime, -ra,
+    ref = msr.integrate(sp, 96, ("area", "rarea"))
+    checks.append(Check("first-variation[volume-rate]", fv.v_prime, -ref["rarea"],
                         _tol(tols, "first-variation"),
                         "V'(0) = -(Riemannian area) for u = 1", mode="rel"))
     fv0 = msr.first_variation_check(
         sp, lambda e, s: np.cos(np.asarray(e, float)) + 0.0 * np.asarray(s), dt=1e-4, n=96)
-    a96 = msr.area(sp, 96).value
-    checks.append(Check("first-variation[mean-zero]", abs(fv0.a_prime) / a96, 0.0,
+    checks.append(Check("first-variation[mean-zero]", abs(fv0.a_prime) / ref["area"], 0.0,
                         _tol(tols, "first-variation"),
                         "A'(0) = 0 for volume-preserving modes"))
     return checks

@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import h1geo
-from h1geo.cli import main, parse_poly
+from h1geo.cli import _parse_res, main, parse_poly
 from h1geo.errors import ConfigError
+from h1geo.surfaces import catalog
 from h1geo.verify import Check, run_suite
 
 
@@ -232,8 +238,8 @@ def test_import_cli_leaves_scipy_unloaded():
 
 
 @pytest.mark.parametrize("text, code", [
-    (None, 2), ("", 3), ("eps,x,y\n", 3), ("eps,x,y\n0,0\n1,1\n2,2\n3,3\n", 3),
-    ("eps,x,y\n0,0,0\n1,a,0\n2,2,0\n3,3,0\n", 3), ("eps,x,y\n0,0,0\n1,nan,0\n2,2,0\n3,3,0\n", 3),
+    (None, 2), ("", 2), ("eps,x,y\n", 2), ("eps,x,y\n0,0\n1,1\n2,2\n3,3\n", 2),
+    ("eps,x,y\n0,0,0\n1,a,0\n2,2,0\n3,3,0\n", 2), ("eps,x,y\n0,0,0\n1,nan,0\n2,2,0\n3,3,0\n", 2),
 ], ids=["missing", "empty", "header-only", "short-rows", "non-numeric", "nan"])
 def test_bad_curve_csv_exit_codes(tmp_path, capsys, text, code):
     curve = tmp_path / "curve.csv"
@@ -312,3 +318,68 @@ def test_report_sigma_lambda_over_csv_curve(tmp_path):
     rep = json.loads(outs[0].read_text())
     assert np.isfinite(rep["A"]) and rep["A"] > 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--surface", "sphere", "--lambda", "1e-80"],
+    ["mesh", "--surface", "sigma-lambda", "--lambda", "1e300"],
+    ["report", "--surface", "sigma-lambda", "--lambda", "1e300"],
+    ["mesh", "--surface", "helicoid-l", "--lambda", "1e300"],
+    ["report", "--surface", "helicoid-l", "--lambda", "1e300"],
+], ids=["report-sphere-tiny", "mesh-sigma-huge", "report-sigma-huge",
+        "mesh-helicoid-huge", "report-helicoid-huge"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_float_overflow_exits_3(tmp_path, capsys, argv):
+    out = ["--out", str(tmp_path / "x.obj")] if argv[0] == "mesh" else []
+    assert main(argv + ["--res", "4x4"] + out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("surface, params", [
+    ("sphere", {"lambda": 0}), ("sphere", {"lambda": -1}), ("cylinder-s", {"lambda": 0}),
+    ("sigma-lambda", {"lambda": 0}), ("helicoid-l", {"r": 0}), ("vertical-cylinder", {"r": 0}),
+    ("sigma-lambda", {"side": 2}),
+], ids=["sphere-lambda-0", "sphere-lambda-neg", "cylinder-lambda-0", "sigma-lambda-0",
+        "helicoid-r-0", "vertical-cylinder-r-0", "config-side-2"])
+def test_invalid_surface_parameters_exit_2(tmp_path, capsys, surface, params):
+    if "side" in params:    # --side only offers +-1, so a config file carries it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"surface": surface, **params}))
+        argv = ["report", "--config", str(cfg)]
+    else:
+        (key, value), = params.items()
+        argv = ["report", "--surface", surface, f"--{key}={value}"]
+    assert main(argv + ["--res", "4x4"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid surface parameters" in err and "Traceback" not in err
+
+
+def test_resolution_upper_bound(tmp_path):
+    with pytest.raises(ConfigError):
+        _parse_res("100000000x100000000")
+    assert main(["mesh", "--surface", "plane", "--res", "2049x2",
+                 "--out", str(tmp_path / "x.obj")]) == 2
+
+
+_POOL = ["0", "-0.0", "-1", "0.5", "1e-300", "1e-80", "1e300", "5e-324"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow on extreme inputs
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["mesh", "report"]),
+       surface=st.sampled_from(sorted(catalog())),
+       params=st.fixed_dictionaries({}, optional={
+           key: st.sampled_from(_POOL) for key in ("lambda", "r", "d")}),
+       res=st.tuples(st.integers(2, 4), st.integers(2, 4)))
+def test_cli_never_raises_on_extreme_parameters(command, surface, params, res):
+    argv = [command, "--surface", surface, "--res", "%dx%d" % res]
+    argv += [f"--{key}={value}" for key, value in params.items()]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "mesh":
+            argv += ["--csv", os.path.join(tmp, "m.csv")]
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

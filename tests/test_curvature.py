@@ -422,35 +422,3 @@ def test_fill_mesh_curvature():
     assert np.all(np.isfinite(interior))
     assert np.max(np.abs(interior - 1.0)) < 1e-4
     assert np.all(np.isnan(m.h_est[:, 0])) and np.all(np.isnan(m.h_est[:, -1]))
-
-
-# ---------------------------------------------------------------------------
-# curvature reports
-
-
-def test_curvature_report_and_csv(tmp_path):
-    from h1geo.curvature import curvature_report, write_curvature_csv
-
-    sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
-    eps = np.linspace(-0.5, 0.5, 5)
-    s = np.full(5, 0.5)
-    reports = curvature_report(sl, eps, s)
-    assert all(r.method == "characteristic" for r in reports)
-    assert max(r.residual for r in reports) < 1e-5
-    path = tmp_path / "curv.csv"
-    write_curvature_csv(reports, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "eps,s,H_est,residual,method"
-    assert len(lines) == 6
-
-
-def test_curvature_report_methods_agree():
-    from h1geo.curvature import curvature_report
-
-    lower, _ = cylinder_S(1.0)
-    x = np.array([0.1, -0.2, 0.3])
-    y = np.array([0.2, 0.3, -0.25])
-    char = curvature_report(lower, x, y, method="characteristic")
-    pde = curvature_report(lower, x, y, method="graph_pde")
-    for a, b in zip(char, pde):
-        assert abs(a.h_est - b.h_est) < 1e-4

@@ -4,7 +4,7 @@ import pytest
 from h1geo.errors import NotClosedSurface, StepTooSmall
 from h1geo.hcurves import line_curve
 from h1geo.hgroup import Point
-from h1geo import measures
+from h1geo import measures, verify
 from h1geo.measures import (
     area,
     dilation_homogeneity,
@@ -47,7 +47,7 @@ def test_sphere_area_closed_form(lam):
     res = area(sphere_geodesic(lam), 256)
     expect = np.pi**2 / lam**3
     assert abs(res.value - expect) / expect < 1e-4
-    assert res.error_estimate >= 0.0
+    assert res.error >= 0.0
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
@@ -82,7 +82,7 @@ def test_quadrature_convergence_estimate():
     sp = sphere_geodesic(1.0)
     a64 = area(sp, 64)
     a128 = area(sp, 128)
-    assert abs(a128.value - a64.value) <= a64.error_estimate + 1e-15
+    assert abs(a128.value - a64.value) <= a64.error + 1e-15
 
 
 def test_first_variation_sweeps_each_perturbed_patch_once(monkeypatch):
@@ -92,13 +92,13 @@ def test_first_variation_sweeps_each_perturbed_patch_once(monkeypatch):
         return np.cos(np.asarray(e, float)) + 0.5 + 0.0 * np.asarray(s)
 
     calls = []
-    sweep = measures._integrate_multi
+    sweep = measures.integrate
 
     def counting(patch, n, kinds):
         calls.append(kinds)
         return sweep(patch, n, kinds)
 
-    monkeypatch.setattr(measures, "_integrate_multi", counting)
+    monkeypatch.setattr(measures, "integrate", counting)
     fv = first_variation_check(sp, u, dt=1e-4, n=16)
     assert len(calls) == 2
     a = {t: sweep(PerturbedPatch(sp, u, t), 16, ("area",))["area"] for t in (-1e-4, 1e-4)}
@@ -183,7 +183,6 @@ def test_first_variation_unit_speed():
     # V'(0) = -Riemannian area for u = 1
     ra = riemannian_area(sp, 96).value
     assert abs(fv.v_prime + ra) / ra < 1e-3
-    assert abs(fv.v_prime_direct + ra) / ra < 1e-10
 
 
 def test_first_variation_volume_preserving_mode():
@@ -237,5 +236,43 @@ def test_quadrature_is_bitwise_independent_of_the_block_size(monkeypatch, patch)
     for block in (row, 7 * row, 100 * row * row):  # one row, 7 rows, more than all
         monkeypatch.setattr(measures, "_BLOCK_SAMPLES", block)
         res = quad_many(patch, n, kinds)
-        results.append([(res[k].value, res[k].error_estimate) for k in kinds])
+        results.append([(res[k].value, res[k].error) for k in kinds])
     assert results[0] == results[1] == results[2]
+
+
+def _record_sweeps(monkeypatch):
+    """Record the n of every integrate sweep and count quad_many calls."""
+    sweeps, estimates = [], []
+    sweep, quad = measures.integrate, measures.quad_many
+
+    def counting_sweep(patch, n, kinds):
+        sweeps.append(n)
+        return sweep(patch, n, kinds)
+
+    def counting_quad(patch, n, kinds):
+        estimates.append(n)
+        return quad(patch, n, kinds)
+
+    monkeypatch.setattr(measures, "integrate", counting_sweep)
+    monkeypatch.setattr(measures, "quad_many", counting_quad)
+    return sweeps, estimates
+
+
+@pytest.mark.parametrize("suite, pinned", [
+    (verify.suite_minkowski, {32, 96}),   # dilation and first variation pin n = 96
+    (verify.suite_iso, {32}),
+], ids=["minkowski", "iso"])
+def test_suites_sweep_only_at_their_pinned_resolutions(monkeypatch, suite, pinned):
+    sweeps, estimates = _record_sweeps(monkeypatch)
+    suite(n=32)
+    assert set(sweeps) == pinned
+    assert estimates == []
+
+
+def test_measures_report_keeps_its_half_resolution_error(monkeypatch):
+    sweeps, _ = _record_sweeps(monkeypatch)
+    rep = measures_report(EuclideanSphere(), "euclidean-sphere", None, n=6, H=1.0)
+    assert sweeps == [6, 3]
+    # |I_6 - I_3| as quad_many gave it before integrate was split out of it
+    assert rep["A_err"] == float.fromhex("0x1.e429p-32")
+    assert rep["V_err"] == float.fromhex("0x1.3e8p-39")

@@ -3,12 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from h1geo.curvature import (
-    CurvatureReport,
-    curvature_report,
-    fill_mesh_curvature,
-    write_curvature_csv,
-)
+from h1geo.curvature import fill_mesh_curvature
 from h1geo.errors import DegeneratePoint, UnknownSurface
 from h1geo.geodesics import conserved_quantity, jacobi_residual
 from h1geo.hcurves import HorizontalCurve, PlanarCurve, helix_curve, horizontal_lift, line_curve
@@ -614,14 +609,6 @@ def oracle_csv(m):
     return "\n".join(rows) + "\n"
 
 
-def oracle_curvature_csv(reports):
-    """The per-record curvature CSV writer that the bulk one replaced."""
-    rows = ["eps,s,H_est,residual,method"]
-    for r in reports:
-        rows.append(f"{r.eps:.17g},{r.s:.17g},{r.h_est:.17g},{r.residual:.17g},{r.method}")
-    return "\n".join(rows) + "\n"
-
-
 SPECIAL = np.array([-0.0, 5e-324, 1e300, np.inf, np.nan, -np.inf, 0.1, -2.5e-17,
                     1.0 / 3.0, 2.0**53 + 2.0, -1e-300, 123456789.0])
 
@@ -660,16 +647,6 @@ def test_export_bytes_match_per_vertex_oracle(tmp_path, make):
     export_csv(m, tmp_path / "m.csv")
     assert (tmp_path / "m.obj").read_text() == oracle_obj(m)
     assert (tmp_path / "m.csv").read_text() == oracle_csv(m)
-
-
-def test_curvature_csv_bytes_match_per_record_oracle(tmp_path):
-    sl = build_sigma_lambda(helix_curve(0.8), 1.2, -1)
-    reports = curvature_report(sl, np.linspace(-1.0, 1.0, 5), np.linspace(0.2, 0.8, 5))
-    values = RNG.choice(SPECIAL, size=(6, 4))
-    reports += [CurvatureReport(*(float(v) for v in row), "graph_pde") for row in values]
-    for rs in (reports, []):
-        write_curvature_csv(rs, tmp_path / "h.csv")
-        assert (tmp_path / "h.csv").read_text() == oracle_curvature_csv(rs)
 
 
 def test_export_determinism(tmp_path):
