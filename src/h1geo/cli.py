@@ -130,8 +130,21 @@ def parse_poly(text: str):
 # configuration
 
 
-_KNOWN_KEYS = {"surface", "lambda", "r", "g", "curve", "res", "out", "csv",
-               "suite", "side", "sheet", "d", "with-h"}
+# the JSON type each config-file key accepts (null leaves the key unset);
+# flags need no such check, argparse has typed them already
+_KEY_TYPES = {"surface": str, "g": str, "curve": str, "res": str, "out": str, "csv": str,
+              "suite": str, "sheet": str, "lambda": float, "r": float, "d": float,
+              "side": int, "with-h": bool}
+_TYPE_NAMES = {str: "a string", float: "a number", int: "an integer", bool: "true or false"}
+
+
+def _check_config_type(key: str, value) -> None:
+    want = _KEY_TYPES[key]
+    accepted = (int, float) if want is float else want
+    # bool is an int subclass, so true/false must be told apart explicitly
+    if value is not None and (isinstance(value, bool) != (want is bool)
+                              or not isinstance(value, accepted)):
+        raise ConfigError(f"config key {key!r} must be {_TYPE_NAMES[want]} (got {value!r})")
 
 
 _MAX_RES = 2048   # per side; a 1024x1024 OBJ+CSV mesh already peaks near 750 MB
@@ -161,10 +174,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         for key, value in file_cfg.items():
             if key.startswith("tol-"):
                 cfg.setdefault("tols", {})[key[4:]] = value
-            elif key == "lambda":
-                cfg["lam"] = value
-            elif key in _KNOWN_KEYS:
-                cfg[key.replace("-", "_")] = value
+            elif key in _KEY_TYPES:
+                _check_config_type(key, value)
+                cfg["lam" if key == "lambda" else key.replace("-", "_")] = value
             else:
                 raise ConfigError(f"unknown config key {key!r}")
     for key, value in vars(args).items():
@@ -185,7 +197,7 @@ def _parse_tols(pairs) -> dict:
             raise ConfigError(
                 f"unknown tolerance {name!r}; known: {sorted(vfy.DEFAULT_TOLERANCES)}")
         try:
-            val = float(value)
+            val = math.nan if isinstance(value, bool) else float(value)
         except (TypeError, ValueError):
             val = math.nan
         if not (math.isfinite(val) and val > 0):
@@ -366,6 +378,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(rewritten)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    cfg = {}
     try:
         cfg = _merge_config(args)
         if getattr(args, "tol", None):
@@ -383,6 +396,10 @@ def main(argv=None) -> int:
     except OSError as exc:   # input files map their own errors; this is an output path
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
+    except OverflowError:   # its text is only an errno tuple
+        surface = f" of surface {cfg['surface']}" if cfg.get("surface") else ""
+        print(f"numerical failure: float overflow in {args.command}{surface}", file=sys.stderr)
+        return 3
     except (GeometryError, ArithmeticError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

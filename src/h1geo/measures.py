@@ -7,9 +7,11 @@ generator W, i.e. -(1/4) <W, F_eps x F_s> d eps ds with the inner normal.
 Neither integrand needs a normalization, so singular rows (|N_H| -> 0) are
 handled by the quadrature never sampling cell endpoints.
 
-`integrate` returns plain values from one sample sweep; `quad_many` is the
-only place that wraps them in an Estimate, whose Richardson error costs a
-second sweep at half resolution and is computed only where it is reported.
+`integrate` returns plain values from one sample sweep at a fixed n.
+`quad_many` is the only place that wraps them in an Estimate: it sweeps a
+ladder of resolutions from coarse to fine, with n as a cap, and stops once
+the Richardson difference of two neighbouring levels meets RTOL or the
+roundoff floor of the sum.
 """
 
 from __future__ import annotations
@@ -24,13 +26,18 @@ from .surfaces import ImmersedPatch, PerturbedPatch
 
 GAUSS_ORDER = 8
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
-_BLOCK_SAMPLES = 1 << 17   # samples evaluated at once by integrate
+_BLOCK_SAMPLES = 1 << 17   # samples evaluated at once by a sweep
+RTOL = 1e-10               # relative target of the Richardson difference
+FLOOR_ULPS = 8             # roundoff floor, in ulps of sum |f| w
+MIN_CELLS = 8              # coarsest level at which quad_many may stop
 
 
 @dataclass(frozen=True)
 class Estimate:
     value: float
-    error: float   # Richardson comparison against half resolution
+    error: float       # max(|I_m - I_prev|, roundoff floor of I_m)
+    samples: int       # integrand samples of the sweep that gave value
+    converged: bool    # the Richardson difference met max(RTOL |I_m|, floor)
 
 
 def _axis_rule(lo: float, hi: float, n: int):
@@ -43,19 +50,21 @@ def _axis_rule(lo: float, hi: float, n: int):
     return pts, wts
 
 
-def integrate(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
-    """{kind: value} from one n x n-cell sweep shared between the integrands
-    'area', 'rarea' and 'volume'.
+def _sweep(patch: ImmersedPatch, n: int, kinds: tuple):
+    """({kind: sum f w}, {kind: sum |f| w}) from one n x n-cell sweep shared
+    between the integrands 'area', 'rarea' and 'volume'.
 
     The sweep runs in blocks of whole eps rows, about _BLOCK_SAMPLES samples
     each.  Each row's s-sum is kept and the rows are combined with the eps
-    weights once at the end, so the value does not depend on the block size.
+    weights once at the end, so the values do not depend on the block size.
     """
     if patch.eps_hi == patch.eps_lo or patch.s_hi == patch.s_lo:
-        return {k: 0.0 for k in kinds}
+        return {k: 0.0 for k in kinds}, {k: 0.0 for k in kinds}
     eps_pts, eps_wts = _axis_rule(patch.eps_lo, patch.eps_hi, n)
     s_pts, s_wts = _axis_rule(patch.s_lo, patch.s_hi, n)
     rows = {k: np.empty(eps_pts.size) for k in kinds}
+    # area and rarea integrands are >= 0, so only volume needs its own |f| sum
+    abs_rows = {k: np.empty(eps_pts.size) for k in kinds if k == "volume"}
     block = max(1, _BLOCK_SAMPLES // s_pts.size)
     for start in range(0, eps_pts.size, block):
         p, _, _, raw = patch.frame(eps_pts[start:start + block, None], s_pts[None, :])
@@ -71,15 +80,60 @@ def integrate(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
             if not np.all(np.isfinite(f)):
                 raise NonFinite(f"{kind} integrand produced non-finite samples")
             rows[kind][start:start + block] = (f * s_wts).sum(axis=1)
-    return {k: float((r * eps_wts).sum()) for k, r in rows.items()}
+            if kind in abs_rows:
+                abs_rows[kind][start:start + block] = (np.abs(f) * s_wts).sum(axis=1)
+    values = {k: float((r * eps_wts).sum()) for k, r in rows.items()}
+    return values, {k: float((abs_rows[k] * eps_wts).sum()) if k in abs_rows else values[k]
+                    for k in kinds}
+
+
+def integrate(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
+    """{kind: value} from one n x n-cell sweep (see _sweep)."""
+    return _sweep(patch, n, kinds)[0]
+
+
+def _levels(n: int) -> list:
+    """Cells per side visited by quad_many, coarse to fine: n >> k for k from
+    the coarsest level of at least MIN_CELLS // 2 (and at least k = 1) down
+    to 0.  Halving by n >> k keeps the last pair (n // 2, n) of a fixed-n
+    sweep for odd n too."""
+    if n < 2:
+        return [n]
+    k = 1
+    while n >> (k + 1) >= MIN_CELLS // 2:
+        k += 1
+    return [n >> j for j in range(k, -1, -1)]
 
 
 def quad_many(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
-    """{kind: Estimate}: the sweep at n, with |I_n - I_{n/2}| as the error."""
-    values = integrate(patch, n, kinds)
-    halves = integrate(patch, max(n // 2, 1), kinds) if n >= 2 else values
-    return {k: Estimate(v, abs(v - halves[k]) if v != 0.0 else 0.0)
-            for k, v in values.items()}
+    """{kind: Estimate}, refined until every kind converges, with n cells per
+    side as the cap.
+
+    At each level m >= MIN_CELLS, kind k has converged when
+    |I_m - I_prev| <= max(RTOL |I_m|, floor_m), where floor_m is FLOOR_ULPS
+    ulps of sum |f| w from the same sweep.  The error stated is
+    max(|I_m - I_prev|, floor_m); a patch that never converges ends on the
+    (n // 2, n) pair with its plain Richardson difference.
+    """
+    prev = None
+    for m in _levels(n):
+        values, mags = _sweep(patch, m, kinds)
+        floors = {k: FLOOR_ULPS * np.finfo(float).eps * mags[k] for k in kinds}
+        diffs = {k: abs(values[k] - prev[k]) if prev is not None else 0.0 for k in kinds}
+        met = {k: prev is not None and m >= MIN_CELLS
+               and diffs[k] <= max(RTOL * abs(values[k]), floors[k]) for k in kinds}
+        if all(met.values()):
+            break
+        prev = values
+    samples = (GAUSS_ORDER * m) ** 2
+    return {k: Estimate(values[k], max(diffs[k], floors[k]), samples, met[k])
+            for k in kinds}
+
+
+def _values(patch: ImmersedPatch, n: int, kinds: tuple) -> list:
+    """The values of quad_many, in the order of kinds."""
+    res = quad_many(patch, n, kinds)
+    return [res[k].value for k in kinds]
 
 
 def area(patch: ImmersedPatch, n: int = 256) -> Estimate:
@@ -104,23 +158,22 @@ def minkowski_check(patch: ImmersedPatch, H: float, n: int = 256) -> float:
     """|3A - 8 H V| / (3A) for a closed CMC patch."""
     if not patch.closed:
         raise NotClosedSurface("Minkowski identity applies to closed surfaces")
-    res = integrate(patch, n, ("area", "volume"))
-    a, v = res["area"], res["volume"]
+    a, v = _values(patch, n, ("area", "volume"))
     return abs(3.0 * a - 8.0 * H * v) / (3.0 * a)
 
 
 def dilation_homogeneity(patch: ImmersedPatch, s: float, n: int = 128):
     """(A(phi_s patch)/A(patch), V(phi_s patch)/V(patch)); expected
     (e^{3s}, e^{4s})."""
-    base = integrate(patch, n, ("area", "volume"))
-    dil = integrate(patch.dilated(s), n, ("area", "volume"))
-    return dil["area"] / base["area"], dil["volume"] / base["volume"]
+    a0, v0 = _values(patch, n, ("area", "volume"))
+    a1, v1 = _values(patch.dilated(s), n, ("area", "volume"))
+    return a1 / a0, v1 / v0
 
 
 def iso_ratio(patch: ImmersedPatch, n: int = 256) -> float:
     """A^4 / V^3, invariant under dilations; (8/3)^3 pi^2 on the spheres."""
-    res = integrate(patch, n, ("area", "volume"))
-    return res["area"]**4 / res["volume"]**3
+    a, v = _values(patch, n, ("area", "volume"))
+    return a**4 / v**3
 
 
 @dataclass(frozen=True)
@@ -144,6 +197,7 @@ def first_variation_check(patch: ImmersedPatch, u, dt: float = 1e-4,
         if patch.lam is None:
             raise ValueError("patch has no nominal curvature; pass H")
         H = patch.lam
+    # both sides at the same fixed n: the difference needs identical nodes
     lo, hi = (integrate(PerturbedPatch(patch, u, t), n, ("area", "volume"))
               for t in (-dt, dt))
     a_prime = (hi["area"] - lo["area"]) / (2 * dt)
@@ -154,7 +208,9 @@ def first_variation_check(patch: ImmersedPatch, u, dt: float = 1e-4,
 def measures_report(patch: ImmersedPatch, surface: str, lam: float | None,
                     n: int = 128, H: float | None = None) -> dict:
     """Structured report with exact field names; open patches report null
-    volume-dependent entries."""
+    volume-dependent entries, and A = 0 or V = 0 (a degenerate domain) null
+    ratios.  n caps the cells per side; `samples` is the size of the sweep
+    the values come from, and `*_converged` says whether each met RTOL."""
     kinds = ("area", "volume") if patch.closed else ("area",)
     res = quad_many(patch, n, kinds)
     a = res["area"]
@@ -165,17 +221,22 @@ def measures_report(patch: ImmersedPatch, surface: str, lam: float | None,
         "lambda": lam,
         "A": a.value,
         "A_err": a.error,
+        "A_converged": a.converged,
         "V": None,
         "V_err": None,
+        "V_converged": None,
         "H": H,
         "minkowski_defect": None,
         "iso_ratio": None,
+        "samples": a.samples,
     }
     if patch.closed:
         v = res["volume"]
         report["V"] = v.value
         report["V_err"] = v.error
-        if H is not None:
+        report["V_converged"] = v.converged
+        if H is not None and a.value != 0.0:
             report["minkowski_defect"] = abs(3 * a.value - 8 * H * v.value) / (3 * a.value)
-        report["iso_ratio"] = a.value**4 / v.value**3
+        if v.value != 0.0:
+            report["iso_ratio"] = a.value**4 / v.value**3
     return report

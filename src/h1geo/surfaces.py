@@ -67,6 +67,14 @@ class NormalData:
     fs: np.ndarray           # (..., 3) F_s
 
 
+def _unit_normal(raw):
+    """raw / |raw|, refusing points where the immersion partials are dependent."""
+    nrm = np.linalg.norm(raw, axis=-1)
+    if np.any(nrm < 1e-12):
+        raise DegeneratePoint("immersion partials are dependent at a requested point")
+    return raw / nrm[..., None]
+
+
 class ImmersedPatch:
     """Base class: subclasses supply `point` and usually analytic `partials`."""
 
@@ -114,10 +122,7 @@ class ImmersedPatch:
 
     def normal_data(self, eps, s, tol_singular: float = TOL_SINGULAR) -> NormalData:
         p, fe, fs, raw = self.frame(eps, s)
-        nrm = np.linalg.norm(raw, axis=-1)
-        if np.any(nrm < 1e-12):
-            raise DegeneratePoint("immersion partials are dependent at a requested point")
-        n = raw / nrm[..., None]
+        n = _unit_normal(raw)
         nh = np.hypot(n[..., 0], n[..., 1])
         singular = nh < tol_singular
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -208,9 +213,9 @@ class PerturbedPatch(_MappedPatch):
         self._amp = float(amp)
 
     def point(self, eps, s):
-        nd = self._base.normal_data(eps, s)
-        disp = self._amp * _asf(self._u(eps, s))[..., None] * nd.normal
-        return Point.from_array(nd.base.as_array() + frame_to_cartesian(nd.base, disp))
+        p, _, _, raw = self._base.frame(eps, s)
+        disp = self._amp * _asf(self._u(eps, s))[..., None] * _unit_normal(raw)
+        return Point.from_array(p.as_array() + frame_to_cartesian(p, disp))
 
 
 # ---------------------------------------------------------------------------
@@ -1124,6 +1129,8 @@ def catalog():
         return sphere_geodesic(float(lam))
 
     def make_cylinder(lam=1.0, sheet="lower", x_range=(-2.0, 2.0), **_):
+        if sheet not in ("lower", "upper"):
+            raise ValueError(f"sheet must be 'lower' or 'upper' (got {sheet!r})")
         lower, upper = cylinder_S(float(lam), x_range)
         return lower if sheet == "lower" else upper
 

@@ -334,6 +334,7 @@ def test_float_overflow_exits_3(tmp_path, capsys, argv):
     assert main(argv + ["--res", "4x4"] + out) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure") and "Traceback" not in err
+    assert f"float overflow in {argv[0]} of surface {argv[2]}" in err
 
 
 @pytest.mark.parametrize("surface, params", [
@@ -382,4 +383,59 @@ def test_cli_never_raises_on_extreme_parameters(command, surface, params, res):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             rc = main(argv)
     assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("text", [
+    '{"surface": "sphere", "res": 128}',
+    '{"surface": "bernstein", "g": 5}',
+    '{"surface": "sigma-lambda", "side": 1.5}',
+    '{"surface": "sigma-lambda", "side": 1e400}',
+    '{"surface": "sigma-lambda", "side": true}',
+    '{"surface": "cylinder-s", "sheet": "middle"}',
+    '{"surface": "sphere", "lambda": "1"}',
+    '{"surface": 5}',
+    '{"surface": "sphere", "tol-iso-ratio": true}',
+], ids=["res-int", "g-int", "side-fraction", "side-inf", "side-bool", "sheet-unknown",
+        "lambda-string", "surface-int", "tol-bool"])
+def test_config_value_types_exit_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["report", "--config", str(cfg), "--res", "4x4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+# values of the wrong JSON type, non-integral and non-finite; no string, so
+# no path key can name a file
+_CONFIG_POOL = [128, 5, 1, -1, 0, 1.5, 1e300, True, False, None, [1], {"k": 1},
+                math.inf, -math.inf, math.nan]
+_CONFIG_KEYS = ("surface", "lambda", "r", "d", "g", "res", "side", "sheet", "with-h",
+                "suite", "curve", "out", "csv", "tol-iso-ratio")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow on extreme inputs
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["mesh", "report", "verify"]),
+       surface=st.sampled_from(sorted(catalog())),
+       file_cfg=st.dictionaries(st.sampled_from(_CONFIG_KEYS), st.sampled_from(_CONFIG_POOL),
+                                min_size=1, max_size=4))
+def test_cli_never_raises_on_config_values(command, surface, file_cfg):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(file_cfg, fh)   # writes inf and nan as Infinity and NaN
+        argv = [command, "--config", path]
+        if command == "verify":
+            argv += ["--suite", "iso"]
+        elif "surface" not in file_cfg:
+            argv += ["--surface", surface]
+        if "res" not in file_cfg:
+            argv += ["--res", "3x3"]
+        if command == "mesh":
+            argv += ["--csv", os.path.join(tmp, "m.csv")]
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+    assert rc in (0, 1, 2, 3) if command == "verify" else rc in (0, 2, 3)
     assert "Traceback" not in err.getvalue()

@@ -20,6 +20,8 @@ from h1geo.surfaces import (
     ImmersedPatch,
     PerturbedPatch,
     build_sigma_lambda,
+    build_surface,
+    cylinder_S,
     plane_patch,
     sphere_geodesic,
 )
@@ -209,8 +211,8 @@ def test_quad_many_matches_single():
 
 def test_measures_report_fields():
     rep = measures_report(sphere_geodesic(1.0), "sphere", 1.0, n=64)
-    assert list(rep) == ["surface", "lambda", "A", "A_err", "V", "V_err", "H",
-                         "minkowski_defect", "iso_ratio"]
+    assert list(rep) == ["surface", "lambda", "A", "A_err", "A_converged", "V", "V_err",
+                         "V_converged", "H", "minkowski_defect", "iso_ratio", "samples"]
     assert abs(rep["A"] - np.pi**2) < 1e-6
     assert abs(rep["V"] - 3 * np.pi**2 / 8) < 1e-6
     assert rep["minkowski_defect"] < 1e-8
@@ -241,9 +243,9 @@ def test_quadrature_is_bitwise_independent_of_the_block_size(monkeypatch, patch)
 
 
 def _record_sweeps(monkeypatch):
-    """Record the n of every integrate sweep and count quad_many calls."""
+    """Record the n of every sweep and of every quad_many call."""
     sweeps, estimates = [], []
-    sweep, quad = measures.integrate, measures.quad_many
+    sweep, quad = measures._sweep, measures.quad_many
 
     def counting_sweep(patch, n, kinds):
         sweeps.append(n)
@@ -253,26 +255,85 @@ def _record_sweeps(monkeypatch):
         estimates.append(n)
         return quad(patch, n, kinds)
 
-    monkeypatch.setattr(measures, "integrate", counting_sweep)
+    monkeypatch.setattr(measures, "_sweep", counting_sweep)
     monkeypatch.setattr(measures, "quad_many", counting_quad)
     return sweeps, estimates
 
 
 @pytest.mark.parametrize("suite, pinned", [
-    (verify.suite_minkowski, {32, 96}),   # dilation and first variation pin n = 96
-    (verify.suite_iso, {32}),
+    # spheres stop at 8 cells (ladder 4, 8 under the cap 32); dilation and the
+    # reference areas stop at 12 (ladder 6, 12 under the cap 96); first
+    # variation sweeps at its pinned n = 96
+    (verify.suite_minkowski, {4, 8, 6, 12, 96}),
+    (verify.suite_iso, {4, 8}),
 ], ids=["minkowski", "iso"])
 def test_suites_sweep_only_at_their_pinned_resolutions(monkeypatch, suite, pinned):
     sweeps, estimates = _record_sweeps(monkeypatch)
     suite(n=32)
     assert set(sweeps) == pinned
-    assert estimates == []
+    assert set(estimates) <= {32, 96}
 
 
 def test_measures_report_keeps_its_half_resolution_error(monkeypatch):
     sweeps, _ = _record_sweeps(monkeypatch)
     rep = measures_report(EuclideanSphere(), "euclidean-sphere", None, n=6, H=1.0)
-    assert sweeps == [6, 3]
+    assert sweeps == [3, 6]
     # |I_6 - I_3| as quad_many gave it before integrate was split out of it
     assert rep["A_err"] == float.fromhex("0x1.e429p-32")
     assert rep["V_err"] == float.fromhex("0x1.3e8p-39")
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 0.8464])
+def test_sphere_converges_early_and_its_error_bounds_the_true_error(lam):
+    res = quad_many(sphere_geodesic(lam), 256, ("area", "volume"))
+    exact = {"area": np.pi**2 / lam**3, "volume": 3 * np.pi**2 / (8 * lam**4)}
+    for kind, est in res.items():
+        assert est.converged
+        assert est.samples <= (measures.GAUSS_ORDER * 16) ** 2
+        # the roundoff floor keeps the stated error from reading 0.0
+        assert est.error >= abs(est.value - exact[kind]) and est.error > 0.0
+
+
+@pytest.mark.parametrize("patch", [
+    cylinder_S(1.0)[0],
+    build_surface("bernstein", g_coeffs=(0.0, 0.0, 1.0)),
+], ids=["cylinder-lower", "bernstein-y^2"])
+def test_unconverged_patch_ends_on_the_capped_pair(patch):
+    est = quad_many(patch, 128, ("area",))["area"]
+    fine = measures.integrate(patch, 128, ("area",))["area"]
+    coarse = measures.integrate(patch, 64, ("area",))["area"]
+    assert not est.converged
+    assert est.samples == (measures.GAUSS_ORDER * 128) ** 2
+    assert est.value == fine
+    assert est.error == abs(fine - coarse)
+
+
+def test_unconverged_report_is_flagged():
+    rep = measures_report(cylinder_S(1.0)[0], "cylinder-s", 1.0, n=32)
+    assert rep["A_converged"] is False and rep["V_converged"] is None
+    assert rep["samples"] == (measures.GAUSS_ORDER * 32) ** 2
+
+
+def test_degenerate_domain_reports_null_ratios():
+    sp = sphere_geodesic(1.0)
+    sp.s_hi = sp.s_lo
+    rep = measures_report(sp, "sphere", 1.0, n=16)
+    assert rep["A"] == 0.0 and rep["V"] == 0.0
+    assert rep["A_err"] == 0.0 and rep["A_converged"]
+    assert rep["minkowski_defect"] is None and rep["iso_ratio"] is None
+
+
+def test_perturbed_patch_sweep_keeps_its_bits():
+    # area and volume of both displaced spheres at n = 16, as computed when
+    # PerturbedPatch.point still built the full NormalData of its base
+    sp = sphere_geodesic(1.0)
+
+    def u(e, s):
+        return np.cos(np.asarray(e, float)) + 0.5 + 0.0 * np.asarray(s)
+
+    expect = {-1e-4: ("0x1.3bde252919348p+3", "0x1.d9d24a8fe1183p+1"),
+              1e-4: ("0x1.3bc98e715332cp+3", "0x1.d9a91d2051f66p+1")}
+    for t, (a_hex, v_hex) in expect.items():
+        res = measures.integrate(PerturbedPatch(sp, u, t), 16, ("area", "volume"))
+        assert res["area"] == float.fromhex(a_hex)
+        assert res["volume"] == float.fromhex(v_hex)
