@@ -99,7 +99,7 @@ class _PolyParser:
         if self.peek() == "^":
             self.take()
             exp = self.take()
-            if not isinstance(exp, float) or exp != int(exp) or exp < 0:
+            if not (isinstance(exp, float) and exp.is_integer() and exp >= 0):
                 raise ConfigError("exponent must be a nonnegative integer")
             return base ** int(exp)
         return base
@@ -121,8 +121,19 @@ class _PolyParser:
 
 
 def parse_poly(text: str):
-    """Parse a polynomial in y; returns (g, g', g'') as callables."""
-    poly = _PolyParser(text).parse()
+    """Parse a polynomial in y; returns (g, g', g'') as callables.
+
+    Malformed literals, nesting deeper than the interpreter's recursion
+    limit, degrees numpy refuses and non-finite coefficients raise
+    ConfigError.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            poly = _PolyParser(text).parse()
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot parse polynomial: {exc}") from exc
+    if not np.all(np.isfinite(poly.coef)):
+        raise ConfigError("polynomial coefficients must be finite")
     return poly, poly.deriv(), poly.deriv(2)
 
 
@@ -312,7 +323,10 @@ def _measure_H(patch):
 
 def cmd_report(cfg: dict) -> int:
     patch = _build_patch(cfg)
-    n = _parse_res(cfg.get("res") or "128x128")[0]
+    n, n_s = _parse_res(cfg.get("res") or "128x128")
+    if n != n_s:
+        raise ConfigError(f"report sweeps the same number of cells per side; "
+                          f"--res must be NxN (got {cfg['res']!r})")
     report = msr.measures_report(patch, cfg.get("surface"), cfg.get("lam"), n=n,
                                  H=_measure_H(patch))
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -15,10 +15,18 @@ Each sample is evaluated along one path:
 
     partials -> frame -> normal_data -> {quadrature, characteristic field}
 
-`partials` is the only method a patch class implements; `frame` adds the
-unnormalized oriented normal, which the quadrature integrands read, and
-`normal_data` normalizes it and carries the partials on, so the
-characteristic traces never evaluate a sample twice.
+A patch class implements only `partials(eps, s) -> (F_eps, F_s, p)`: both
+partials as frame triples and the point, from one evaluation of the chart.
+`frame` adds the unnormalized oriented normal, which the quadrature
+integrands read, and `normal_data` normalizes it and carries the partials
+on, so the characteristic traces never evaluate a sample twice.
+`fd_partials` is the finite-difference reference for `partials`; the tests
+hold every patch to it, and `PerturbedPatch`, with no closed form, uses it.
+A `SurfaceMesh` keeps the grid, the points, |N_H|, the geometric s and the
+mean-curvature estimate.  An orthogonal-geodesic patch reads its curve's
+`position`, `planar.d1` and `planar.d2` once per call, on eps as given, and
+forms h = x'y'' - x''y' from them; a sigma-lambda call also reads d1 and d2
+at eps +- h_fd, for `curvature_rate`.
 """
 
 from __future__ import annotations
@@ -75,8 +83,21 @@ def _unit_normal(raw):
     return raw / nrm[..., None]
 
 
+def fd_partials(patch, eps, s):
+    """(F_eps, F_s, p) by central differences of `patch.point`, steps 1e-6
+    of each parameter range (at least 1e-6); the reference for `partials`."""
+    he = 1e-6 * max(patch.eps_hi - patch.eps_lo, 1.0)
+    hs = 1e-6 * max(patch.s_hi - patch.s_lo, 1.0)
+    eps = _asf(eps)
+    s = _asf(s)
+    p = patch.point(eps, s)
+    de = (patch.point(eps + he, s).as_array() - patch.point(eps - he, s).as_array()) / (2 * he)
+    ds = (patch.point(eps, s + hs).as_array() - patch.point(eps, s - hs).as_array()) / (2 * hs)
+    return cartesian_to_frame(p, de), cartesian_to_frame(p, ds), p
+
+
 class ImmersedPatch:
-    """Base class: subclasses supply `point` and usually analytic `partials`."""
+    """Base class: subclasses supply `partials`."""
 
     label = "patch"
     lam = None            # expected constant mean curvature, when known
@@ -91,19 +112,12 @@ class ImmersedPatch:
         self.orientation = orientation
 
     # -- geometry ----------------------------------------------------------
-    def point(self, eps, s) -> Point:
+    def partials(self, eps, s):
+        """(F_eps, F_s, p): the partials as frame triples and the point."""
         raise NotImplementedError
 
-    def partials(self, eps, s):
-        """(F_eps, F_s) as frame triples at the base point; default is central FD."""
-        he = 1e-6 * max(self.eps_hi - self.eps_lo, 1.0)
-        hs = 1e-6 * max(self.s_hi - self.s_lo, 1.0)
-        eps = _asf(eps)
-        s = _asf(s)
-        p = self.point(eps, s)
-        de = (self.point(eps + he, s).as_array() - self.point(eps - he, s).as_array()) / (2 * he)
-        ds = (self.point(eps, s + hs).as_array() - self.point(eps, s - hs).as_array()) / (2 * hs)
-        return cartesian_to_frame(p, de), cartesian_to_frame(p, ds), p
+    def point(self, eps, s) -> Point:
+        return self.partials(eps, s)[2]
 
     def geometric_s(self, eps, s):
         """Geometric second coordinate (un-rectified); identity by default."""
@@ -120,11 +134,11 @@ class ImmersedPatch:
         fe, fs, p = self.partials(eps, s)
         return p, fe, fs, self.orientation * cross_c(fe, fs)
 
-    def normal_data(self, eps, s, tol_singular: float = TOL_SINGULAR) -> NormalData:
+    def normal_data(self, eps, s) -> NormalData:
         p, fe, fs, raw = self.frame(eps, s)
         n = _unit_normal(raw)
         nh = np.hypot(n[..., 0], n[..., 1])
-        singular = nh < tol_singular
+        singular = nh < TOL_SINGULAR
         with np.errstate(invalid="ignore", divide="ignore"):
             nu = np.stack([n[..., 0] / nh, n[..., 1] / nh, np.zeros_like(nh)], axis=-1)
         nu = np.where(singular[..., None], np.nan, nu)
@@ -178,10 +192,6 @@ class _MappedPatch(ImmersedPatch):
         self.open_s_ends = base.open_s_ends
         self.lam = None if base.lam is None else sign * lam_factor * base.lam
 
-    def point(self, eps, s):
-        p = self._base.point(eps, s)
-        return p if self._move is None else self._move(p)
-
     def partials(self, eps, s):
         fe, fs, p = self._base.partials(eps, s)
         return (fe * self._scale, fs * self._scale,
@@ -195,22 +205,25 @@ class _MappedPatch(ImmersedPatch):
         return self._base.singular_curves() if self._move is None else []
 
 
-class PerturbedPatch(_MappedPatch):
+class PerturbedPatch(ImmersedPatch):
     """Normal perturbation exp-map style: q = p + amp * u(eps,s) * N(p).
 
     The displacement is a straight line in frame coefficients re-expressed
-    at the base point (first-order exponential map); partials fall back to
-    finite differences of the displaced immersion.
+    at the base point (first-order exponential map); partials are
+    `fd_partials` of the displaced immersion.
     """
 
-    partials = ImmersedPatch.partials
-    singular_curves = ImmersedPatch.singular_curves
-
     def __init__(self, base: ImmersedPatch, u: Callable, amp: float):
-        super().__init__(base, "+perturbed")
-        self.lam = None
+        super().__init__(base.eps_lo, base.eps_hi, base.s_lo, base.s_hi,
+                         orientation=base.orientation)
+        self._base = base
+        self.label = base.label + "+perturbed"
+        self.closed = base.closed
+        self.open_s_ends = base.open_s_ends
         self._u = u
         self._amp = float(amp)
+
+    partials = fd_partials
 
     def point(self, eps, s):
         p, _, _, raw = self._base.frame(eps, s)
@@ -243,18 +256,12 @@ class SpherePatch(ImmersedPatch):
         self.lam = float(lam)
         self.label = f"sphere(lam={lam:g})"
 
-    def point(self, eps, s):
-        th = _asf(eps)
-        sig, kap, tau = stable_ratios(self.lam, _asf(s))
-        A, B = np.cos(th), np.sin(th)
-        return Point(A * sig + B * kap, -A * kap + B * sig, tau + 0.0 * A)
-
     def partials(self, eps, s):
         th = _asf(eps)
         s = _asf(s)
-        sig, kap, _ = stable_ratios(self.lam, s)
+        sig, kap, tau = stable_ratios(self.lam, s)
         A, B = np.cos(th), np.sin(th)
-        p = self.point(eps, s)
+        p = Point(A * sig + B * kap, -A * kap + B * sig, tau + 0.0 * A)
         dx_th = -B * sig + A * kap
         dy_th = B * kap + A * sig
         c_th = -dx_th * _asf(p.y) + dy_th * _asf(p.x)
@@ -315,16 +322,11 @@ class SphereGraphSheet(ImmersedPatch):
         self.label = f"sphere-sheet({'upper' if sheet > 0 else 'lower'},lam={lam:g})"
         self.profile = _sphere_profile(lam, sheet)
 
-    def point(self, eps, s):
-        phi, rho = _asf(eps), _asf(s)
-        f, _, _ = self.profile
-        return Point(rho * np.cos(phi), rho * np.sin(phi), f(rho) + 0.0 * phi)
-
     def partials(self, eps, s):
         phi, rho = _asf(eps), _asf(s)
-        _, df, _ = self.profile
-        p = self.point(eps, s)
+        f, df, _ = self.profile
         cph, sph = np.cos(phi), np.sin(phi)
+        p = Point(rho * cph, rho * sph, f(rho) + 0.0 * phi)
         de = np.stack(np.broadcast_arrays(-rho * sph, rho * cph, rho * rho + 0.0 * cph), axis=-1)
         c_r = df(rho) - cph * _asf(p.y) + sph * _asf(p.x)
         dr = np.stack(np.broadcast_arrays(cph + 0.0 * rho, sph + 0.0 * rho, c_r), axis=-1)
@@ -391,13 +393,9 @@ class GraphPatch(ImmersedPatch):
         self.label = label
         self.lam = lam
 
-    def point(self, eps, s):
-        x, y = _asf(eps), _asf(s)
-        return Point(x + 0.0 * y, y + 0.0 * x, self.u(x, y))
-
     def partials(self, eps, s):
         x, y = np.broadcast_arrays(_asf(eps), _asf(s))
-        p = self.point(x, y)
+        p = Point(x + 0.0 * y, y + 0.0 * x, self.u(x, y))
         one = np.ones_like(x)
         zero = np.zeros_like(x)
         fx = np.stack([one, zero, self.ux(x, y) - y], axis=-1)
@@ -517,14 +515,10 @@ class _VerticalPlane(ImmersedPatch):
         self._base = (n1 * d / nrm**2, n2 * d / nrm**2)
         self.label = "vertical-plane"
 
-    def point(self, eps, s):
-        ell, t = _asf(eps), _asf(s)
-        return Point(self._base[0] + ell * self._dir[0],
-                     self._base[1] + ell * self._dir[1], t + 0.0 * ell)
-
     def partials(self, eps, s):
         ell, t = np.broadcast_arrays(_asf(eps), _asf(s))
-        p = self.point(ell, t)
+        p = Point(self._base[0] + ell * self._dir[0],
+                  self._base[1] + ell * self._dir[1], t + 0.0 * ell)
         dx, dy = self._dir
         c = -dx * _asf(p.y) + dy * _asf(p.x)
         fe = np.stack([dx + 0.0 * ell, dy + 0.0 * ell, c], axis=-1)
@@ -545,14 +539,10 @@ class VerticalCylinder(ImmersedPatch):
         self.rho = float(rho)
         self.label = f"vertical-cylinder(rho={rho:g})"
 
-    def point(self, eps, s):
-        phi, t = _asf(eps), _asf(s)
-        return Point(self.rho * np.cos(phi), self.rho * np.sin(phi), t + 0.0 * phi)
-
     def partials(self, eps, s):
         phi, t = np.broadcast_arrays(_asf(eps), _asf(s))
-        p = self.point(phi, t)
         rho = self.rho
+        p = Point(rho * np.cos(phi), rho * np.sin(phi), t + 0.0 * phi)
         fe = np.stack([-rho * np.sin(phi), rho * np.cos(phi), rho * rho + 0.0 * phi], axis=-1)
         fs = np.stack([0.0 * phi, 0.0 * phi, 1.0 + 0.0 * phi], axis=-1)
         return fe, fs, p
@@ -570,8 +560,8 @@ def _curve_data(curve: HorizontalCurve, eps):
     never on the broadcast (eps, s) grid.
     """
     eps = _asf(eps)
-    return (curve.position(eps), curve.planar.d1(eps), curve.planar.d2(eps),
-            curve.planar_curvature(eps))
+    (xd, yd), (xdd, ydd) = curve.planar.d1(eps), curve.planar.d2(eps)
+    return curve.position(eps), (xd, yd), (xdd, ydd), xd * ydd - xdd * yd
 
 
 class SigmaLambdaPatch(ImmersedPatch):
@@ -645,13 +635,6 @@ class SigmaLambdaPatch(ImmersedPatch):
         b = yd + self.side * ydd * kap + self.side * xdd * sig
         cv = h * kap / self.lam - 2.0 * self.side * sig
         return Point(x, y, t), gdot, np.stack(np.broadcast_arrays(a, b, cv), axis=-1)
-
-    def point(self, eps, s):
-        return self._along(_curve_data(self.curve, eps), self.geometric_s(eps, s))[0]
-
-    def velocity_at(self, eps, sgeo):
-        """Frame triple of the generating geodesic velocity at geometric s."""
-        return self._along(_curve_data(self.curve, eps), sgeo)[1]
 
     def variation_coeffs(self, eps, sgeo):
         """Frame triple of the variation field V_eps at geometric s (see `_along`)."""
@@ -744,24 +727,17 @@ class SigmaZeroPatch(ImmersedPatch):
         self.curve = curve
         self.label = f"sigma-zero({curve.label})"
 
-    def _along(self, data, s):
-        """(F_eps, F_s, point) at s along the lines from the curve data
-        `data` of `_curve_data`; F_s is broadcast to the sample shape."""
-        p, (xd, yd), (xdd, ydd), h = data
+    def partials(self, eps, s):
+        """F_s is broadcast to the sample shape."""
+        p, (xd, yd), (xdd, ydd), h = _curve_data(self.curve, eps)
         s = _asf(s)
         x0, y0, t0 = _asf(p.x), _asf(p.y), _asf(p.t)
         fe = np.stack([xd - s * ydd, yd + s * xdd, s * s * h - 2.0 * s], axis=-1)
         fs = np.broadcast_to(np.stack([-yd, xd, np.zeros_like(xd)], axis=-1), fe.shape)
         return fe, fs, Point(x0 - s * yd, y0 + s * xd, t0 - s * (x0 * xd + y0 * yd))
 
-    def point(self, eps, s):
-        return self._along(_curve_data(self.curve, eps), s)[2]
-
     def variation_coeffs(self, eps, s):
-        return self._along(_curve_data(self.curve, eps), s)[0]
-
-    def partials(self, eps, s):
-        return self._along(_curve_data(self.curve, eps), s)
+        return self.partials(eps, s)[0]
 
     def singular_curves(self):
         base = SingularCurveRef(
@@ -989,18 +965,13 @@ def helicoid_L(lam: float, r: float, k_max: int = 2,
 
 @dataclass
 class SurfaceMesh:
-    """Tensor-grid samples of a patch with per-vertex normal data."""
+    """Tensor-grid samples of a patch with |N_H| per vertex."""
 
     patch: ImmersedPatch
     eps: np.ndarray          # (n_e,)
     s: np.ndarray            # (n_s,) parameter values (sigma for rectified patches)
     points: np.ndarray       # (n_e, n_s, 3) Cartesian
-    normals: np.ndarray      # (n_e, n_s, 3) frame triples
     nh_norm: np.ndarray      # (n_e, n_s)
-    nu_h: np.ndarray
-    z: np.ndarray
-    s_field: np.ndarray
-    singular: np.ndarray     # bool, |N_H| < tol at mesh time
     geom_s: np.ndarray       # (n_e, n_s) geometric s values
     h_est: np.ndarray        # (n_e, n_s), NaN until filled
 
@@ -1009,8 +980,7 @@ class SurfaceMesh:
         return self.points.shape[:2]
 
 
-def mesh(patch: ImmersedPatch, n_eps: int, n_s: int,
-         tol_singular: float = TOL_SINGULAR) -> SurfaceMesh:
+def mesh(patch: ImmersedPatch, n_eps: int, n_s: int) -> SurfaceMesh:
     """Sample the patch on an (n_eps x n_s) tensor grid.
 
     Rows flagged `open_s_ends` (degenerate parameterizations such as sphere
@@ -1026,14 +996,12 @@ def mesh(patch: ImmersedPatch, n_eps: int, n_s: int,
     if patch.open_s_ends[1]:
         hi -= half
     s = np.linspace(lo, hi, n_s)
-    nd = patch.normal_data(eps[:, None], s[None, :], tol_singular=tol_singular)
-    geom = np.broadcast_to(patch.geometric_s(eps[:, None], s[None, :]), nd.nh_norm.shape).copy()
-    return SurfaceMesh(
-        patch=patch, eps=eps, s=s, points=nd.base.as_array(),
-        normals=nd.normal, nh_norm=nd.nh_norm, nu_h=nd.nu_h, z=nd.z,
-        s_field=nd.s, singular=nd.singular, geom_s=geom,
-        h_est=np.full(nd.nh_norm.shape, np.nan),
-    )
+    p, _, _, raw = patch.frame(eps[:, None], s[None, :])
+    n = _unit_normal(raw)
+    nh = np.hypot(n[..., 0], n[..., 1])
+    geom = np.broadcast_to(patch.geometric_s(eps[:, None], s[None, :]), nh.shape).copy()
+    return SurfaceMesh(patch=patch, eps=eps, s=s, points=p.as_array(), nh_norm=nh,
+                       geom_s=geom, h_est=np.full(nh.shape, np.nan))
 
 
 def detect_singular(m: SurfaceMesh, tol_singular: float = TOL_SINGULAR) -> np.ndarray:

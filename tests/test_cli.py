@@ -159,6 +159,35 @@ def test_verify_bernstein_custom_g(capsys):
     assert "bernstein-defect[t=xy+y^2]" in out
 
 
+_G_ARGV = {"report": ["report", "--surface", "bernstein", "--res", "4x4"],
+           "verify": ["verify", "--suite", "bernstein"]}
+
+
+@pytest.mark.parametrize("g", ["1.2.3", "1e", "(" * 1200 + "y" + ")" * 1200, "y^101",
+                               "1e400*y", "1e300*y*1e300", "y^1e400"],
+                         ids=["two-points", "bare-exponent", "deep-nesting", "degree-101",
+                              "inf-literal", "inf-product", "inf-exponent"])
+@pytest.mark.parametrize("command", sorted(_G_ARGV))
+def test_malformed_g_exits_2(capsys, command, g):
+    assert main(_G_ARGV[command] + [f"--g={g}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow on extreme inputs
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(_G_ARGV)),
+       g=st.one_of(st.text("0123456789.eE+-*^()y −·", min_size=1, max_size=24),
+                   st.integers(1, 3000).map(lambda k: "(" * k + "y" + ")" * k)))
+def test_cli_never_raises_on_g_strings(command, g):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(_G_ARGV[command] + [f"--g={g}"])
+    # 1 is verify's failed-checks code: a huge g'' can legitimately miss a tolerance
+    assert rc in (0, 1, 2, 3) if command == "verify" else rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # report command
 
@@ -181,6 +210,22 @@ def test_report_cylinder_sheet_H(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert abs(rep["H"] - 1.0) < 1e-5  # measured, not nominal
     assert rep["V"] is None  # open sheet
+
+
+def test_report_rejects_unequal_resolution(capsys):
+    assert main(["report", "--surface", "plane", "--res", "16x128"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "16x128" in err
+
+
+@pytest.mark.parametrize("d", [0.0, -1.5])
+def test_report_plane_area_within_stated_error(capsys, d):
+    # the horizontal plane t = d over [-2, 2]^2 has |N_H| = sqrt(x^2 + y^2)
+    # area density for every d, so A = (32/3)(sqrt 2 + asinh 1)
+    assert main(["report", "--surface", "plane", f"--d={d}"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    exact = 32.0 / 3.0 * (math.sqrt(2.0) + math.asinh(1.0))
+    assert abs(rep["A"] - exact) <= rep["A_err"]
 
 
 def test_report_stdout_default(capsys):
@@ -374,6 +419,8 @@ _POOL = ["0", "-0.0", "-1", "0.5", "1e-300", "1e-80", "1e300", "5e-324"]
            key: st.sampled_from(_POOL) for key in ("lambda", "r", "d")}),
        res=st.tuples(st.integers(2, 4), st.integers(2, 4)))
 def test_cli_never_raises_on_extreme_parameters(command, surface, params, res):
+    if command == "report":   # report takes NxN only
+        res = (res[0], res[0])
     argv = [command, "--surface", surface, "--res", "%dx%d" % res]
     argv += [f"--{key}={value}" for key, value in params.items()]
     err = io.StringIO()

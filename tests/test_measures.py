@@ -22,6 +22,7 @@ from h1geo.surfaces import (
     build_sigma_lambda,
     build_surface,
     cylinder_S,
+    fd_partials,
     plane_patch,
     sphere_geodesic,
 )
@@ -38,6 +39,8 @@ class EuclideanSphere(ImmersedPatch):
     def __init__(self):
         super().__init__(0.0, 2 * np.pi, 0.0, np.pi, orientation=1)
         self.label = "euclidean-sphere"
+
+    partials = fd_partials
 
     def point(self, eps, s):
         th, ph = np.broadcast_arrays(np.asarray(eps, float), np.asarray(s, float))

@@ -5,12 +5,11 @@ import pytest
 
 from h1geo.curvature import fill_mesh_curvature
 from h1geo.errors import DegeneratePoint, UnknownSurface
-from h1geo.geodesics import conserved_quantity, jacobi_residual
+from h1geo.geodesics import conserved_quantity, geodesic_velocity, jacobi_residual
 from h1geo.hcurves import HorizontalCurve, PlanarCurve, helix_curve, horizontal_lift, line_curve
 from h1geo.hgroup import Point, cartesian_to_frame, j_c, dot_c
 from h1geo.surfaces import (
     BernsteinGraph,
-    ImmersedPatch,
     SpherePatch,
     SurfaceMesh,
     bernstein_graph,
@@ -22,6 +21,7 @@ from h1geo.surfaces import (
     detect_singular,
     export_csv,
     export_obj,
+    fd_partials,
     helicoid_L,
     mesh,
     plane_patch,
@@ -33,10 +33,6 @@ from h1geo.surfaces import (
 )
 
 RNG = np.random.default_rng(4242)
-
-
-def fd_partials(patch, eps, s):
-    return ImmersedPatch.partials(patch, eps, s)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +256,9 @@ def test_sigma_lambda_partials_evaluate_curvature_once_on_eps(side):
     eps = np.linspace(-0.8, 0.8, 7)[:, None]
     s = np.linspace(0.1, 0.9, 5)[None, :]
     fe, fs, p = sl.partials(eps, s)
-    # one call on eps itself; curvature_rate makes the other two, at eps +- h_fd
-    assert sum(np.array_equal(e, eps) for e in calls) == 1
-    assert len(calls) == 3
+    # none on eps itself; curvature_rate makes two, at eps +- h_fd
+    assert sum(np.array_equal(e, eps) for e in calls) == 0
+    assert len(calls) == 2
     # the same bits as the expressions that fetched h for s_cut and s_cut_rate
     ref = build_sigma_lambda(base, 1.3, side)
     scut = ref.s_cut(eps)
@@ -291,7 +287,7 @@ def test_sigma_lambda_variation_field_endpoints():
         assert np.allclose(v0, sl.curve.velocity(eps).coeffs, atol=1e-14)
         scut = sl.s_cut(eps)
         vc = sl.variation_coeffs(eps, scut)
-        expect = j_c(sl.velocity_at(eps, scut))
+        expect = j_c(geodesic_velocity(sl.generating_geodesic(eps), scut).coeffs)
         assert np.max(np.abs(vc - expect)) < 1e-9
 
 
@@ -301,7 +297,7 @@ def test_sigma_lambda_tilde_variation_endpoint():
     eps = 0.3
     scut = sl.s_cut(eps)
     vc = sl.variation_coeffs(eps, scut)
-    expect = -j_c(sl.velocity_at(eps, scut))
+    expect = -j_c(geodesic_velocity(sl.generating_geodesic(eps), scut).coeffs)
     assert np.max(np.abs(vc - expect)) < 1e-9
 
 
@@ -332,13 +328,14 @@ def test_sigma_lambda_vjg_identity():
         eps = 0.25
         s = np.linspace(0.0, np.pi, 50)
         v = sl.variation_coeffs(eps, s)
-        jg = j_c(sl.velocity_at(eps, s))
+        jg = j_c(geodesic_velocity(sl.generating_geodesic(eps), s).coeffs)
         got = dot_c(v, jg)
         h = float(sl.curve.planar_curvature(eps))
         expect = np.sin(2 * s) / 2 * h - side * np.cos(2 * s)
         assert np.max(np.abs(got - expect)) < 1e-12
         scut = float(sl.s_cut(eps))
-        vcut = dot_c(sl.variation_coeffs(eps, scut), j_c(sl.velocity_at(eps, scut)))
+        vcut = dot_c(sl.variation_coeffs(eps, scut),
+                     j_c(geodesic_velocity(sl.generating_geodesic(eps), scut).coeffs))
         assert abs(vcut - side) < 1e-12
 
 
@@ -621,11 +618,15 @@ def special_mesh():
     def pick(*shape):
         return RNG.choice(SPECIAL, size=shape)
 
-    return SurfaceMesh(
-        patch=sphere_geodesic(1.0), eps=pick(n_e), s=pick(n_s), points=pick(n_e, n_s, 3),
-        normals=pick(n_e, n_s, 3), nh_norm=pick(n_e, n_s), nu_h=pick(n_e, n_s, 3),
-        z=pick(n_e, n_s, 3), s_field=pick(n_e, n_s, 3),
-        singular=np.zeros((n_e, n_s), bool), geom_s=pick(n_e, n_s), h_est=pick(n_e, n_s))
+    # the unused picks stand for fields meshes no longer keep, so every kept
+    # field draws the values it drew before and later tests see the same RNG
+    eps, s, points = pick(n_e), pick(n_s), pick(n_e, n_s, 3)
+    pick(n_e, n_s, 3)
+    nh_norm = pick(n_e, n_s)
+    for _ in range(3):
+        pick(n_e, n_s, 3)
+    return SurfaceMesh(patch=sphere_geodesic(1.0), eps=eps, s=s, points=points,
+                       nh_norm=nh_norm, geom_s=pick(n_e, n_s), h_est=pick(n_e, n_s))
 
 
 def sphere_mesh_with_h():
@@ -689,6 +690,30 @@ def test_composed_transforms_keep_metadata_and_partials():
     assert tp.orientation == 1
     fe, fs, p = tp.partials(0.9, 1.2)
     fe2, fs2, p2 = fd_partials(tp, 0.9, 1.2)
+    assert np.max(np.abs(fe - fe2)) < 1e-7
+    assert np.max(np.abs(fs - fs2)) < 1e-7
+    assert np.array_equal(p.as_array(), p2.as_array())
+
+
+_FORMS = {"base": lambda p: p, "flipped": lambda p: p.flipped(),
+          "translated": lambda p: p.translated(Point(0.4, -0.3, 1.2)),
+          "dilated": lambda p: p.dilated(0.3)}
+
+
+@pytest.mark.parametrize("form", sorted(_FORMS))
+@pytest.mark.parametrize("params", [{}, {"lam": 1.3, "r": 0.7, "rho": 0.7, "d": 0.4}],
+                         ids=["defaults", "non-unit"])   # a unit value hides rho^2 vs rho
+@pytest.mark.parametrize("name", sorted(catalog()) + ["vertical-plane"])
+def test_partials_match_fd_across_catalog(name, params, form):
+    base = (plane_patch((1.0, 0.5, 0.0), params.get("d", 0.3)) if name == "vertical-plane"
+            else build_surface(name, **params))
+    patch = _FORMS[form](base)
+    # its own generator, so the module RNG draws of later tests stay as they were
+    rng = np.random.default_rng(97)
+    eps = patch.eps_lo + (patch.eps_hi - patch.eps_lo) * rng.uniform(0.1, 0.9, 8)
+    s = patch.s_lo + (patch.s_hi - patch.s_lo) * rng.uniform(0.1, 0.9, 8)
+    fe, fs, p = patch.partials(eps, s)
+    fe2, fs2, p2 = fd_partials(patch, eps, s)
     assert np.max(np.abs(fe - fe2)) < 1e-7
     assert np.max(np.abs(fs - fs2)) < 1e-7
     assert np.array_equal(p.as_array(), p2.as_array())
