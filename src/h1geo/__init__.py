@@ -7,7 +7,7 @@ diagnostics (curvature), area/volume quadrature and the isoperimetric
 ratio (measures), plus a batch CLI (cli).
 """
 
-from .hgroup import FrameVector, Point, ORIGIN  # noqa: F401
+from .hgroup import Point, ORIGIN  # noqa: F401
 from .geodesics import GeodesicSpec, cut_time, geodesic_point, geodesic_velocity  # noqa: F401
 from .hcurves import HorizontalCurve, helix_curve, horizontal_lift, line_curve  # noqa: F401
 from .surfaces import (  # noqa: F401

@@ -232,7 +232,6 @@ def _build_patch(cfg: dict):
         params["lam"] = cfg["lam"]
     if cfg.get("r") is not None:
         params["r"] = cfg["r"]
-        params["rho"] = cfg["r"]
     if cfg.get("side") is not None:
         params["side"] = cfg["side"]
     if cfg.get("sheet") is not None:
@@ -399,18 +398,21 @@ def main(argv=None) -> int:
             cfg.setdefault("tols", {}).update(_parse_tols(args.tol))
         if cfg.get("tols"):
             cfg["tols"] = _parse_tols(list(cfg["tols"].items()))
-        if args.command == "mesh":
-            return cmd_mesh(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        return cmd_report(cfg)
+        # overflow and NaN are caught as errors or non-finite results, so
+        # numpy's RuntimeWarnings would only repeat them on stderr
+        with np.errstate(all="ignore"):
+            if args.command == "mesh":
+                return cmd_mesh(cfg)
+            if args.command == "verify":
+                return cmd_verify(cfg)
+            return cmd_report(cfg)
     except (ConfigError, UnknownSurface) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:   # input files map their own errors; this is an output path
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    except OverflowError:   # its text is only an errno tuple
+    except (OverflowError, FloatingPointError):   # their text names no input
         surface = f" of surface {cfg['surface']}" if cfg.get("surface") else ""
         print(f"numerical failure: float overflow in {args.command}{surface}", file=sys.stderr)
         return 3

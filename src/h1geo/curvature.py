@@ -221,7 +221,12 @@ def orthogonality_defect(patch: ImmersedPatch, curve, eps,
         pe, ps = curve.inward(eps, off)
         nd = patch.normal_data(pe, ps)
         if np.any(nd.singular):
-            raise SingularPoint("probe offset landed inside the singular band")
+            shape, k = nd.singular.shape, np.flatnonzero(nd.singular)[0]
+            at = [np.broadcast_to(v, shape).flat[k]
+                  for v in (eps, pe, ps, *curve.inward(eps, 0.0))]
+            lost = ": the offset is lost to rounding there" if at[1:3] == at[3:] else ""
+            raise SingularPoint(f"probe offset {off:g} from {curve.label} of {patch.label} "
+                                f"at parameter {at[0]:g} landed inside the singular band{lost}")
         return dot_c(nd.z, tangent)
 
     d1 = pairing(offset)

@@ -38,7 +38,7 @@ class NotClosedSurface(GeometryError):
 
 
 class NonFinite(GeometryError):
-    """A quadrature sample evaluated to NaN or infinity."""
+    """A quadrature sample or a mesh vertex evaluated to NaN or infinity."""
 
 
 class UnknownSurface(GeometryError):

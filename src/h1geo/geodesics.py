@@ -24,7 +24,7 @@ import numpy as np
 
 from . import hgroup
 from .errors import StepUnderflow
-from .hgroup import FrameVector, Point, conn_c, curvature_tensor, dot_c, j_c
+from .hgroup import Point, conn_c, curvature_tensor, dot_c, j_c
 
 SERIES_SWITCH = 1e-4  # evaluate sigma/kappa/tau by series for |2*lambda*s| below this
 H_FD2 = 2e-4          # step for finite-difference second derivatives; at 1e-5 the
@@ -82,7 +82,7 @@ def geodesic_point(g: GeodesicSpec, s) -> Point:
     return _point_ab(g.base, np.cos(th), np.sin(th), g.lam, s)
 
 
-def geodesic_velocity(g: GeodesicSpec, s) -> FrameVector:
+def geodesic_velocity(g: GeodesicSpec, s) -> np.ndarray:
     """Unit horizontal velocity at arclength s, in frame coefficients.
 
     The planar direction rotates: (x', y') = (cos(theta - z), sin(theta - z))
@@ -90,8 +90,7 @@ def geodesic_velocity(g: GeodesicSpec, s) -> FrameVector:
     """
     phase = np.asarray(g.theta, float) - 2.0 * np.asarray(g.lam, float) * np.asarray(s, float)
     a = np.cos(phase)
-    b = np.sin(phase)
-    return FrameVector(geodesic_point(g, s), a, b, np.zeros_like(a))
+    return np.stack(np.broadcast_arrays(a, np.sin(phase), np.zeros_like(a)), axis=-1)
 
 
 def geodesic_velocity_dcoeffs(g: GeodesicSpec, s) -> np.ndarray:
@@ -184,12 +183,12 @@ def tangent_jacobi_field(g: GeodesicSpec, a: float, b: float) -> FieldAlongGeode
     def coeffs(s):
         s = np.asarray(s, float)
         f = a * s + b
-        return f[..., None] * geodesic_velocity(g, s).coeffs
+        return f[..., None] * geodesic_velocity(g, s)
 
     def dcoeffs(s):
         s = np.asarray(s, float)
         f = a * s + b
-        vc = geodesic_velocity(g, s).coeffs
+        vc = geodesic_velocity(g, s)
         dvc = geodesic_velocity_dcoeffs(g, s)
         return a * vc + f[..., None] * dvc
 
@@ -198,7 +197,7 @@ def tangent_jacobi_field(g: GeodesicSpec, a: float, b: float) -> FieldAlongGeode
         s = np.asarray(s, float)
         lam = float(np.asarray(g.lam, float))
         f = a * s + b
-        vc = geodesic_velocity(g, s).coeffs
+        vc = geodesic_velocity(g, s)
         dvc = geodesic_velocity_dcoeffs(g, s)
         return 2 * a * dvc - 4 * lam * lam * f[..., None] * vc
 
@@ -209,7 +208,7 @@ def conserved_quantity(g: GeodesicSpec, field: FieldAlongGeodesic | Callable, s)
     """lambda <V, T> + <V, gamma'>, constant along the geodesic for variation fields."""
     coeffs = field.coeffs if isinstance(field, FieldAlongGeodesic) else field
     v = np.asarray(coeffs(s), float)
-    vel = geodesic_velocity(g, s).coeffs
+    vel = geodesic_velocity(g, s)
     return np.asarray(g.lam, float) * v[..., 2] + dot_c(v, vel)
 
 
@@ -220,7 +219,7 @@ def second_cov_deriv(g: GeodesicSpec, s, v, vdot, vddot) -> np.ndarray:
     V'' = vddot + conn(d gamma'/ds, v) + 2 conn(gamma', vdot)
           + conn(gamma', conn(gamma', v)).
     """
-    vel = geodesic_velocity(g, s).coeffs
+    vel = geodesic_velocity(g, s)
     dvel = geodesic_velocity_dcoeffs(g, s)
     return (
         vddot
@@ -260,7 +259,7 @@ def jacobi_residual(g: GeodesicSpec, field: FieldAlongGeodesic, s, h_fd: float =
         f_2p = np.asarray(field.coeffs(s + 2 * h), float)
         vdot = (-f_2p + 8 * f_p - 8 * f_m + f_2m) / (12 * h)
         vddot = (-f_2p + 16 * f_p - 30 * v + 16 * f_m - f_2m) / (12 * h * h)
-    vel = geodesic_velocity(g, s).coeffs
+    vel = geodesic_velocity(g, s)
     vpp = second_cov_deriv(g, s, v, vdot, vddot)
     vprime = vdot + conn_c(vel, v)
     lam = np.asarray(g.lam, float)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateCurve, NotArclength
 from .geodesics import GeodesicSpec, geodesic_point
-from .hgroup import FrameVector, Point, group_mul
+from .hgroup import Point
 
 TOL_ARCLENGTH = 1e-6
 VALIDATION_GRID = 1024
@@ -88,10 +88,11 @@ class HorizontalCurve:
         x, y = self.planar.xy(eps)
         return Point(x, y, self.t_of(eps))
 
-    def velocity(self, eps) -> FrameVector:
-        """Unit horizontal velocity; the T-coefficient is zero by lifting."""
-        xd, yd = self.planar.d1(eps)
-        return FrameVector(self.position(eps), xd, yd, np.zeros_like(np.asarray(xd, float)))
+    def velocity(self, eps) -> np.ndarray:
+        """Unit horizontal velocity in frame coefficients; the T-coefficient
+        is zero by lifting, so `t_of` is not evaluated."""
+        xd, yd = (np.asarray(v, float) for v in self.planar.d1(eps))
+        return np.stack(np.broadcast_arrays(xd, yd, np.zeros_like(xd)), axis=-1)
 
     def planar_curvature(self, eps):
         xd, yd = self.planar.d1(eps)
@@ -270,51 +271,6 @@ def helix_curve(r: float, eps_shift: float = 0.0, t_shift: float = 0.0,
 
     planar = PlanarCurve(xy, d1, d2, float(eps_min), float(eps_max))
     return HorizontalCurve(planar, t_of, label="helix")
-
-
-def geodesic_as_curve(g: GeodesicSpec, eps_min: float, eps_max: float) -> HorizontalCurve:
-    """A geodesic wrapped as a HorizontalCurve; |h| = 2|lambda| (observed h = -2 lambda)."""
-    th = float(np.asarray(g.theta, float))
-    lam = float(np.asarray(g.lam, float))
-
-    def xy(e):
-        p = geodesic_point(g, e)
-        return np.asarray(p.x, float), np.asarray(p.y, float)
-
-    def d1(e):
-        phase = th - 2.0 * lam * np.asarray(e, float)
-        return np.cos(phase), np.sin(phase)
-
-    def d2(e):
-        phase = th - 2.0 * lam * np.asarray(e, float)
-        return 2.0 * lam * np.sin(phase), -2.0 * lam * np.cos(phase)
-
-    def t_of(e):
-        return np.asarray(geodesic_point(g, e).t, float)
-
-    planar = PlanarCurve(xy, d1, d2, float(eps_min), float(eps_max))
-    return HorizontalCurve(planar, t_of, label="geodesic")
-
-
-def left_translate_curve(p: Point, curve: HorizontalCurve) -> HorizontalCurve:
-    """Left-translate a horizontal curve; horizontality is preserved.
-
-    The planar projection picks up the constant offset (p.x, p.y) and the
-    vertical part the group cocycle, so derivatives are unchanged.
-    """
-    px, py = float(p.x), float(p.y)
-
-    def xy(e):
-        x, y = curve.planar.xy(e)
-        return px + x, py + y
-
-    def t_of(e):
-        q = curve.position(e)
-        return np.asarray(group_mul(p, q).t, float)
-
-    planar = PlanarCurve(xy, curve.planar.d1, curve.planar.d2,
-                         curve.eps_min, curve.eps_max)
-    return HorizontalCurve(planar, t_of, label=curve.label + "+translated")
 
 
 def curve_from_samples(eps: np.ndarray, x: np.ndarray, y: np.ndarray,

@@ -9,8 +9,9 @@ The left-invariant frame
 
     X = d/dx + y d/dt,    Y = d/dy - x d/dt,    T = d/dt
 
-is declared orthonormal; every tangent vector is stored as a coefficient
-triple (a, b, c) in this frame, where the metric, the rotation J and the
+is declared orthonormal; every tangent vector is stored as its coefficient
+triple (a, b, c) in this frame, an array of shape (..., 3), and no base
+point travels with it.  In the frame the metric, the rotation J and the
 Levi-Civita connection are all constant.  Cartesian components appear only
 at I/O boundaries.
 
@@ -107,37 +108,8 @@ def frame_to_cartesian(p: Point, coeffs) -> np.ndarray:
     return np.stack(np.broadcast_arrays(a, b, vt), axis=-1)
 
 
-@dataclass(frozen=True)
-class FrameVector:
-    """A tangent vector at `base`, stored by frame coefficients."""
-
-    base: Point
-    a: float | np.ndarray
-    b: float | np.ndarray
-    c: float | np.ndarray
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        a, b, c = np.broadcast_arrays(
-            np.asarray(self.a, float), np.asarray(self.b, float), np.asarray(self.c, float)
-        )
-        return np.stack([a, b, c], axis=-1)
-
-    def norm(self):
-        return np.sqrt(self.a * self.a + self.b * self.b + self.c * self.c)
-
-    def dot(self, other: "FrameVector"):
-        return self.a * other.a + self.b * other.b + self.c * other.c
-
-    def cartesian(self) -> np.ndarray:
-        return frame_to_cartesian(self.base, self.coeffs)
-
-    def is_horizontal(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.c) <= tol))
-
-
 # ---------------------------------------------------------------------------
-# Operations on raw coefficient triples (hot paths work on these directly).
+# Operations on coefficient triples.
 
 def j_c(v) -> np.ndarray:
     """J(a, b, c) = (-b, a, 0): 90-degree rotation of the horizontal part."""
@@ -228,31 +200,10 @@ def curvature_tensor(u, v, w) -> np.ndarray:
     )
 
 
-def curvature_tensor_frame(i: int, j: int, k: int) -> np.ndarray:
-    """R(E_i, E_j) E_k for frame indices, as a coefficient triple."""
-    return CURVATURE[i, j, k].copy()
-
-
-def cov_deriv_along(velocity, field, s, h_fd: float = H_FD, field_deriv=None) -> np.ndarray:
-    """Covariant derivative D_{gamma'} V of a field along a curve.
-
-    `velocity` is the frame-coefficient triple of the curve velocity at
-    parameter s, `field` maps s to the frame coefficients of V.  The plain
-    coefficient derivative comes from `field_deriv` when supplied,
-    otherwise from central differences with step `h_fd`.
-    """
-    if field_deriv is not None:
-        dv = np.asarray(field_deriv(s), float)
-    else:
-        if abs(h_fd) < 1e-12:
-            raise StepUnderflow(f"finite-difference step {h_fd} below 1e-12")
-        dv = (np.asarray(field(s + h_fd), float) - np.asarray(field(s - h_fd), float)) / (2.0 * h_fd)
-    return dv + conn_c(velocity, field(s))
-
-
-def W_field(p: Point) -> FrameVector:
-    """Generator of the dilations: W = x X + y Y + 2t T."""
-    return FrameVector(p, p.x, p.y, 2.0 * np.asarray(p.t, float))
+def W_field(p: Point) -> np.ndarray:
+    """Generator of the dilations: W = x X + y Y + 2t T, as frame coefficients."""
+    return np.stack(np.broadcast_arrays(
+        np.asarray(p.x, float), np.asarray(p.y, float), 2.0 * np.asarray(p.t, float)), axis=-1)
 
 
 def divergence(field, p: Point, h_fd: float = H_FD):

@@ -74,7 +74,7 @@ def _sweep(patch: ImmersedPatch, n: int, kinds: tuple):
             elif kind == "rarea":
                 f = np.linalg.norm(raw, axis=-1)
             elif kind == "volume":
-                f = -0.25 * dot_c(W_field(p).coeffs, raw)
+                f = -0.25 * dot_c(W_field(p), raw)
             else:
                 raise ValueError(kind)
             if not np.all(np.isfinite(f)):

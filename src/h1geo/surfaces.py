@@ -8,8 +8,8 @@ cut-bounded builders the second parameter is rectified to sigma = s/s_cut in
     N = orientation * (F_eps x F_s) / |F_eps x F_s|
 
 in frame coefficients; the singular set is where the horizontal part N_H
-vanishes, and there the horizontal normal nu_H, the characteristic field
-Z = J(nu_H) and S = <N,T> nu_H - |N_H| T are withheld.
+vanishes, and there the horizontal normal nu_H and the characteristic field
+Z = J(nu_H) are withheld.
 
 Each sample is evaluated along one path:
 
@@ -31,12 +31,13 @@ at eps +- h_fd, for `curvature_rate`.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegeneratePoint, UnknownSurface
+from .errors import DegeneratePoint, NonFinite, UnknownSurface
 from .geodesics import GeodesicSpec, cut_time, stable_ratios
 from .hcurves import HorizontalCurve, helix_curve, line_curve
 from .hgroup import (
@@ -60,7 +61,7 @@ def _asf(x):
 class NormalData:
     """Per-point normal bundle and the partials it came from.
 
-    Singular entries of nu_h, z and s are NaN.  `fe` and `fs` are the frame
+    Singular entries of nu_h and z are NaN.  `fe` and `fs` are the frame
     triples F_eps and F_s returned by `partials` at the same points.
     """
 
@@ -69,15 +70,17 @@ class NormalData:
     nh_norm: np.ndarray      # |N_H|
     nu_h: np.ndarray         # (..., 3) or NaN where singular
     z: np.ndarray            # J(nu_h)
-    s: np.ndarray            # <N,T> nu_h - |N_H| T
     singular: np.ndarray     # bool mask |N_H| < tol
     fe: np.ndarray           # (..., 3) F_eps
     fs: np.ndarray           # (..., 3) F_s
 
 
 def _unit_normal(raw):
-    """raw / |raw|, refusing points where the immersion partials are dependent."""
-    nrm = np.linalg.norm(raw, axis=-1)
+    """raw / |raw|, refusing points where the immersion partials are dependent.
+    A squared norm that overflows raises FloatingPointError instead of
+    reading |raw| = inf, which would give N = 0."""
+    with np.errstate(over="raise"):
+        nrm = np.linalg.norm(raw, axis=-1)
     if np.any(nrm < 1e-12):
         raise DegeneratePoint("immersion partials are dependent at a requested point")
     return raw / nrm[..., None]
@@ -142,10 +145,7 @@ class ImmersedPatch:
         with np.errstate(invalid="ignore", divide="ignore"):
             nu = np.stack([n[..., 0] / nh, n[..., 1] / nh, np.zeros_like(nh)], axis=-1)
         nu = np.where(singular[..., None], np.nan, nu)
-        z = j_c(nu)
-        svec = n[..., 2:3] * nu
-        svec[..., 2] -= nh
-        return NormalData(p, n, nh, nu, z, svec, singular, fe, fs)
+        return NormalData(p, n, nh, nu, j_c(nu), singular, fe, fs)
 
     # -- orientation and group motions ---------------------------------------
     def flipped(self) -> "ImmersedPatch":
@@ -695,7 +695,7 @@ class SigmaLambdaPatch(ImmersedPatch):
 
         base = SingularCurveRef(
             lambda e: self.curve.position(_asf(e)),
-            lambda e: self.curve.velocity(_asf(e)).coeffs,
+            lambda e: self.curve.velocity(_asf(e)),
             base_inward, label="base")
         far = SingularCurveRef(self.far_curve_point, self.far_curve_tangent,
                                far_inward, label="far")
@@ -742,7 +742,7 @@ class SigmaZeroPatch(ImmersedPatch):
     def singular_curves(self):
         base = SingularCurveRef(
             lambda e: self.curve.position(_asf(e)),
-            lambda e: self.curve.velocity(_asf(e)).coeffs,
+            lambda e: self.curve.velocity(_asf(e)),
             lambda e, offset: (_asf(e), offset + 0.0 * _asf(e)),
             label="base")
         return [base]
@@ -984,7 +984,8 @@ def mesh(patch: ImmersedPatch, n_eps: int, n_s: int) -> SurfaceMesh:
     """Sample the patch on an (n_eps x n_s) tensor grid.
 
     Rows flagged `open_s_ends` (degenerate parameterizations such as sphere
-    poles) are inset by half a grid step.
+    poles) are inset by half a grid step.  Raises NonFinite when a point or
+    |N_H| is not finite, so no such mesh is ever written.
     """
     if n_eps < 2 or n_s < 2:
         raise ValueError("mesh needs at least 2 samples per axis")
@@ -999,8 +1000,11 @@ def mesh(patch: ImmersedPatch, n_eps: int, n_s: int) -> SurfaceMesh:
     p, _, _, raw = patch.frame(eps[:, None], s[None, :])
     n = _unit_normal(raw)
     nh = np.hypot(n[..., 0], n[..., 1])
+    points = p.as_array()
+    if not (np.all(np.isfinite(points)) and np.all(np.isfinite(nh))):
+        raise NonFinite(f"{patch.label}: a mesh point or |N_H| is not finite")
     geom = np.broadcast_to(patch.geometric_s(eps[:, None], s[None, :]), nh.shape).copy()
-    return SurfaceMesh(patch=patch, eps=eps, s=s, points=p.as_array(), nh_norm=nh,
+    return SurfaceMesh(patch=patch, eps=eps, s=s, points=points, nh_norm=nh,
                        geom_s=geom, h_est=np.full(nh.shape, np.nan))
 
 
@@ -1091,36 +1095,37 @@ def _poly_bundle(coeffs):
 
 
 def catalog():
-    """Named surface builders with their parameter defaults."""
+    """Named surface builders with their parameter defaults; each takes only
+    the parameters its surface has."""
 
-    def make_sphere(lam=1.0, **_):
+    def make_sphere(lam=1.0):
         return sphere_geodesic(float(lam))
 
-    def make_cylinder(lam=1.0, sheet="lower", x_range=(-2.0, 2.0), **_):
+    def make_cylinder(lam=1.0, sheet="lower", x_range=(-2.0, 2.0)):
         if sheet not in ("lower", "upper"):
             raise ValueError(f"sheet must be 'lower' or 'upper' (got {sheet!r})")
         lower, upper = cylinder_S(float(lam), x_range)
         return lower if sheet == "lower" else upper
 
-    def make_helicoid(lam=1.0, r=1.0, **_):
+    def make_helicoid(lam=1.0, r=1.0):
         return helicoid_L(float(lam), float(r), k_max=1).pieces[0]
 
-    def make_bernstein(g_coeffs=(0.0,), **_):
+    def make_bernstein(g_coeffs=(0.0,)):
         g, dg, ddg = _poly_bundle(list(g_coeffs))
         return BernsteinGraph(g, dg, ddg)
 
-    def make_plane(normal=(0.0, 0.0, 1.0), d=0.0, **_):
+    def make_plane(normal=(0.0, 0.0, 1.0), d=0.0):
         return plane_patch(normal, float(d))
 
-    def make_vertical_cylinder(rho=1.0, **_):
-        return VerticalCylinder(float(rho))
+    def make_vertical_cylinder(r=1.0):
+        return VerticalCylinder(float(r))
 
-    def make_sigma_lambda(curve=None, lam=1.0, side=1, **_):
+    def make_sigma_lambda(curve=None, lam=1.0, side=1):
         if curve is None:
             curve = line_curve(eps_min=-2.0, eps_max=2.0)
         return build_sigma_lambda(curve, float(lam), int(side))
 
-    def make_sigma_zero(curve=None, s_range=(-2.0, 2.0), **_):
+    def make_sigma_zero(curve=None, s_range=(-2.0, 2.0)):
         if curve is None:
             curve = line_curve(eps_min=-2.0, eps_max=2.0)
         return build_sigma_zero(curve, s_range)
@@ -1141,4 +1146,7 @@ def build_surface(name: str, **params) -> ImmersedPatch:
     reg = catalog()
     if name not in reg:
         raise UnknownSurface(f"unknown surface {name!r}; known: {sorted(reg)}")
+    extra = sorted(set(params) - set(inspect.signature(reg[name]).parameters))
+    if extra:
+        raise ValueError(f"surface {name!r} takes no parameter {', '.join(extra)}")
     return reg[name](**params)

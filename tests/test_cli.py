@@ -188,6 +188,15 @@ def test_cli_never_raises_on_g_strings(command, g):
     assert "Traceback" not in err.getvalue()
 
 
+def test_bernstein_probe_failure_names_the_lost_offset(capsys):
+    # g' of (y+1)^100 reaches ~1e13 on [-1, 1], where a 1e-5 step rounds away
+    assert main(["verify", "--suite", "bernstein", "--g", "(y+1)^100"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "probe offset 1e-05 from bernstein-singular of bernstein at parameter" in err
+    assert "the offset is lost to rounding there" in err
+
+
 # ---------------------------------------------------------------------------
 # report command
 
@@ -380,6 +389,65 @@ def test_float_overflow_exits_3(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure") and "Traceback" not in err
     assert f"float overflow in {argv[0]} of surface {argv[2]}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--surface", "sphere", "--lambda", "1e-300"],
+    ["mesh", "--surface", "cylinder-s", "--lambda", "1e-300"],
+    ["mesh", "--surface", "sigma-lambda", "--lambda", "1e-300"],
+    ["mesh", "--surface", "helicoid-l", "--lambda", "1e-300"],
+    ["mesh", "--surface", "helicoid-l", "--lambda", "1e-150"],
+    ["mesh", "--surface", "sphere", "--lambda", "1e-80"],
+    ["report", "--surface", "sphere", "--lambda", "1e-300"],
+    ["report", "--surface", "cylinder-s", "--lambda", "1e-300"],
+], ids=["mesh-sphere-1e-300", "mesh-cylinder-1e-300", "mesh-sigma-1e-300",
+        "mesh-helicoid-1e-300", "mesh-helicoid-1e-150", "mesh-sphere-1e-80",
+        "report-sphere-1e-300", "report-cylinder-1e-300"])
+@pytest.mark.filterwarnings("error")   # a numpy RuntimeWarning fails the test
+def test_overflowed_geometry_exits_3_without_output(tmp_path, capsys, argv):
+    outs = [tmp_path / "m.obj", tmp_path / "m.csv"]
+    extra = ["--out", str(outs[0])] + (["--csv", str(outs[1])] if argv[0] == "mesh" else [])
+    assert main(argv + ["--res", "4x4"] + extra) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and err.count("\n") == 1
+    assert not any(path.exists() for path in outs)
+
+
+# the flags each catalog surface takes; every other flag exits 2
+_SURFACE_FLAGS = {
+    "sphere": {"lambda"}, "cylinder-s": {"lambda", "sheet"}, "helicoid-l": {"lambda", "r"},
+    "bernstein": {"g"}, "plane": {"d"}, "vertical-cylinder": {"r"},
+    "sigma-lambda": {"curve", "lambda", "side"}, "sigma-zero": {"curve"},
+}
+_FLAG_VALUES = {"lambda": "0.9", "r": "0.8", "g": "y^2", "side": "-1", "sheet": "upper",
+                "d": "0.5", "curve": None}
+
+
+def _flag_argv(flags, curve_path):
+    return [f"--{f}={curve_path if f == 'curve' else _FLAG_VALUES[f]}" for f in sorted(flags)]
+
+
+@pytest.mark.parametrize("surface, flag", [
+    (surface, flag) for surface, taken in sorted(_SURFACE_FLAGS.items())
+    for flag in sorted(_FLAG_VALUES) if flag not in taken])
+def test_flag_a_surface_does_not_take_exits_2(tmp_path, capsys, surface, flag):
+    curve = tmp_path / "helix.csv"
+    write_helix_csv(curve)
+    out = tmp_path / "r.json"
+    argv = ["report", "--surface", surface, "--res", "4x4", "--out", str(out)]
+    assert main(argv + _flag_argv({flag}, curve)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid surface parameters") and err.count("\n") == 1
+    assert {"lambda": "lam", "g": "g_coeffs"}.get(flag, flag) in err   # the builder's name
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("surface", sorted(_SURFACE_FLAGS))
+def test_every_flag_a_surface_takes_is_accepted(tmp_path, surface):
+    curve = tmp_path / "helix.csv"
+    write_helix_csv(curve)
+    argv = ["mesh", "--surface", surface, "--res", "3x3", "--csv", str(tmp_path / "m.csv")]
+    assert main(argv + _flag_argv(_SURFACE_FLAGS[surface], curve)) == 0
 
 
 @pytest.mark.parametrize("surface, params", [

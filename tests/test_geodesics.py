@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from h1geo import geodesics
 from h1geo.geodesics import (
     FieldAlongGeodesic,
     GeodesicSpec,
@@ -54,17 +55,33 @@ def test_point_quarter_turn():
 def test_velocity_initial_and_quarter_turn():
     g = GeodesicSpec(ORIGIN, 0.0, 1.0)
     v0 = geodesic_velocity(g, 0.0)
-    assert np.allclose(v0.coeffs, [1.0, 0.0, 0.0], atol=0)
+    assert np.allclose(v0, [1.0, 0.0, 0.0], atol=0)
     v = geodesic_velocity(g, np.pi / 2)
-    assert np.allclose(v.coeffs, [-1.0, 0.0, 0.0], atol=1e-15)
+    assert np.allclose(v, [-1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_velocity_unit_norm_everywhere():
     g = rand_specs(1000)
     s = RNG.uniform(-5, 5, 1000)
     v = geodesic_velocity(g, s)
-    assert np.max(np.abs(v.norm() - 1.0)) < 1e-15
-    assert np.all(v.coeffs[..., 2] == 0.0)
+    assert np.max(np.abs(np.linalg.norm(v, axis=-1) - 1.0)) < 1e-15
+    assert np.all(v[..., 2] == 0.0)
+
+
+def test_velocity_is_the_rotating_phase_without_the_point(monkeypatch):
+    calls = []
+
+    def counting(lam, s):
+        calls.append(s)
+        return stable_ratios(lam, s)
+
+    monkeypatch.setattr(geodesics, "stable_ratios", counting)
+    g = GeodesicSpec(Point(0.3, -0.7, 1.1), 0.9, -1.7)
+    s = np.linspace(-2.0, 2.0, 9)
+    v = geodesic_velocity(g, s)
+    assert calls == []
+    phase = 0.9 - 2.0 * -1.7 * s
+    assert np.array_equal(v, np.stack([np.cos(phase), np.sin(phase), np.zeros(9)], axis=-1))
 
 
 def test_stable_ratios_match_closed_form_away_from_switch():
@@ -358,5 +375,5 @@ def test_velocity_is_derivative_of_position():
         d = (geodesic_point(g, s + h).as_array()
              - geodesic_point(g, s - h).as_array()) / (2 * h)
         fd = cartesian_to_frame(geodesic_point(g, s), d)
-        worst = max(worst, float(np.max(np.abs(fd - geodesic_velocity(g, s).coeffs))))
+        worst = max(worst, float(np.max(np.abs(fd - geodesic_velocity(g, s)))))
     assert worst < 1e-8

@@ -8,14 +8,12 @@ from scipy.interpolate import CubicSpline
 
 import h1geo.hcurves as hc
 from h1geo.errors import ConfigError, DegenerateCurve, NotArclength
-from h1geo.geodesics import GeodesicSpec
+from h1geo.geodesics import GeodesicSpec, geodesic_point
 from h1geo.hcurves import (
     PlanarCurve,
     curve_from_samples,
-    geodesic_as_curve,
     helix_curve,
     horizontal_lift,
-    left_translate_curve,
     line_curve,
     load_curve_csv,
     reparameterize_arclength,
@@ -164,49 +162,35 @@ def test_reparameterize_ellipse_speed():
     assert np.max(np.abs(out.speed(eps) - 1.0)) < 1e-8
 
 
-def test_geodesic_as_curve_curvature_magnitude():
-    lam = 1.0
-    c = geodesic_as_curve(GeodesicSpec(ORIGIN, 0.0, lam), 0.0, np.pi)
-    h = c.planar_curvature(np.linspace(0.1, 3.0, 15))
-    assert np.allclose(np.abs(h), 2 * lam, atol=1e-14)
-    # observed sign convention: the projection of a curvature-lambda
-    # geodesic has planar curvature -2 lambda (the catalog helix, which is
-    # the lambda = r geodesic, has h = -2r)
-    assert np.allclose(h, -2 * lam, atol=1e-14)
-
-    line = geodesic_as_curve(GeodesicSpec(ORIGIN, 0.3, 0.0), -2.0, 2.0)
-    assert np.max(np.abs(line.planar_curvature(np.linspace(-1.9, 1.9, 9)))) == 0.0
-
-
-def test_geodesic_as_curve_invariants_dense():
-    c = geodesic_as_curve(GeodesicSpec(ORIGIN, 0.7, 1.3), 0.0, 2.0)
-    eps = np.linspace(0.01, 1.99, 1000)
-    assert np.max(np.abs(c.planar.speed(eps) - 1.0)) < 1e-15
-    v = c.velocity(eps)
-    assert np.all(v.coeffs[..., 2] == 0.0)
-    c.validate()
-
-
 def test_helix_is_geodesic_curve():
     r = 1.0
     helix = helix_curve(r)
-    geo = geodesic_as_curve(GeodesicSpec(ORIGIN, 0.0, r), helix.eps_min, helix.eps_max)
     eps = np.linspace(helix.eps_min + 0.05, helix.eps_max - 0.05, 33)
-    d = helix.position(eps).as_array() - geo.position(eps).as_array()
+    geo = geodesic_point(GeodesicSpec(ORIGIN, 0.0, r), eps)
+    d = helix.position(eps).as_array() - geo.as_array()
     assert np.max(np.abs(d)) < 1e-13
 
 
+def test_velocity_reads_only_the_planar_tangent():
+    helix = helix_curve(0.8)
+    calls = []
+
+    def t_of(e):
+        calls.append(e)
+        return helix.t_of(e)
+
+    curve = hc.HorizontalCurve(helix.planar, t_of)
+    eps = np.linspace(-1.0, 1.0, 7)
+    v = curve.velocity(eps)
+    assert calls == []
+    assert v.shape == (7, 3)
+    assert np.array_equal(v[..., :2], np.stack(helix.planar.d1(eps), axis=-1))
+    assert np.all(v[..., 2] == 0.0)
+
+
 def test_horizontality_defect_on_catalog():
-    for curve in (line_curve(0.4), helix_curve(0.8),
-                  geodesic_as_curve(GeodesicSpec(ORIGIN, 1.1, 0.6), -1.0, 1.0)):
+    for curve in (line_curve(0.4), helix_curve(0.8)):
         assert horizontality_defect(curve) < 1e-9
-
-
-def test_left_translation_preserves_horizontality():
-    curve = helix_curve(1.2)
-    moved = left_translate_curve(Point(0.7, -0.4, 2.0), curve)
-    assert horizontality_defect(moved) < 1e-9
-    moved.validate()
 
 
 def test_curve_from_samples_roundtrip():

@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from h1geo.errors import StepUnderflow
 from h1geo.hgroup import (
     CONNECTION,
-    FrameVector,
+    CURVATURE,
     ORIGIN,
     Point,
     cartesian_to_frame,
-    cov_deriv_along,
     cross_c,
     curvature_tensor,
-    curvature_tensor_frame,
     dilate,
     divergence,
     dot_c,
@@ -150,14 +147,14 @@ def test_torsion_free_symmetry():
 def test_curvature_hand_expanded_values():
     # Oracle: expand R(U,V)W = D_U D_V W - D_V D_U W - D_[U,V] W by hand
     # with the table and [X,Y] = -2T.
-    assert np.array_equal(curvature_tensor_frame(0, 1, 1), [-3, 0, 0])  # R(X,Y)Y = -3X
-    assert np.array_equal(curvature_tensor_frame(0, 1, 0), [0, 3, 0])   # R(X,Y)X = 3Y
-    assert np.array_equal(curvature_tensor_frame(0, 2, 2), [1, 0, 0])   # R(X,T)T = X
-    assert np.array_equal(curvature_tensor_frame(0, 2, 0), [0, 0, -1])  # R(X,T)X = -T
-    assert np.array_equal(curvature_tensor_frame(1, 2, 2), [0, 1, 0])   # R(Y,T)T = Y
-    assert np.array_equal(curvature_tensor_frame(1, 2, 1), [0, 0, -1])  # R(Y,T)Y = -T
-    assert np.array_equal(curvature_tensor_frame(0, 1, 2), [0, 0, 0])   # R(X,Y)T = 0
-    assert np.array_equal(curvature_tensor_frame(0, 0, 1), [0, 0, 0])   # antisymmetry
+    assert np.array_equal(CURVATURE[0, 1, 1], [-3, 0, 0])  # R(X,Y)Y = -3X
+    assert np.array_equal(CURVATURE[0, 1, 0], [0, 3, 0])   # R(X,Y)X = 3Y
+    assert np.array_equal(CURVATURE[0, 2, 2], [1, 0, 0])   # R(X,T)T = X
+    assert np.array_equal(CURVATURE[0, 2, 0], [0, 0, -1])  # R(X,T)X = -T
+    assert np.array_equal(CURVATURE[1, 2, 2], [0, 1, 0])   # R(Y,T)T = Y
+    assert np.array_equal(CURVATURE[1, 2, 1], [0, 0, -1])  # R(Y,T)Y = -T
+    assert np.array_equal(CURVATURE[0, 1, 2], [0, 0, 0])   # R(X,Y)T = 0
+    assert np.array_equal(CURVATURE[0, 0, 1], [0, 0, 0])   # antisymmetry
 
 
 def test_curvature_symmetries():
@@ -178,46 +175,6 @@ def test_sectional_curvatures():
     assert dot_c(curvature_tensor(x, y, y), x) == -3.0
     assert dot_c(curvature_tensor(x, t, t), x) == 1.0
     assert dot_c(curvature_tensor(y, t, t), y) == 1.0
-
-
-def test_cov_deriv_constant_T_field_gives_J():
-    # D_{gamma'} T = J(gamma') for horizontal velocity (a, b, 0)
-    vel = np.array([0.6, -0.8, 0.0])
-
-    def field(_s):
-        return np.array([0.0, 0.0, 1.0])
-
-    d = cov_deriv_along(vel, field, 0.3)
-    assert np.allclose(d, j_c(vel), atol=1e-12)
-
-
-def test_cov_deriv_zero_field():
-    d = cov_deriv_along(np.array([1.0, 0.0, 0.0]), lambda s: np.zeros(3), 0.0)
-    assert np.array_equal(d, np.zeros(3))
-
-
-def test_cov_deriv_table_row():
-    # velocity X, constant field Y -> D_X Y = -T
-    d = cov_deriv_along(np.array([1.0, 0.0, 0.0]), lambda s: np.array([0.0, 1.0, 0.0]), 0.0)
-    assert np.allclose(d, [0.0, 0.0, -1.0], atol=1e-12)
-
-
-def test_cov_deriv_analytic_derivative_path():
-    def field(s):
-        return np.array([np.sin(s), np.cos(s), s])
-
-    def dfield(s):
-        return np.array([np.cos(s), -np.sin(s), 1.0])
-
-    vel = np.array([1.0, 0.0, 0.0])
-    d_fd = cov_deriv_along(vel, field, 0.7)
-    d_an = cov_deriv_along(vel, field, 0.7, field_deriv=dfield)
-    assert np.allclose(d_fd, d_an, atol=1e-9)
-
-
-def test_cov_deriv_step_underflow():
-    with pytest.raises(StepUnderflow):
-        cov_deriv_along(np.zeros(3), lambda s: np.zeros(3), 0.0, h_fd=1e-13)
 
 
 def test_dilate_identity_and_value():
@@ -243,19 +200,15 @@ def test_dilate_inverse():
 
 
 def test_W_field_values():
-    w0 = W_field(ORIGIN)
-    assert (w0.a, w0.b, w0.c) == (0.0, 0.0, 0.0)
-    w = W_field(Point(1.0, 2.0, 3.0))
-    assert (w.a, w.b, w.c) == (1.0, 2.0, 6.0)
+    assert np.array_equal(W_field(ORIGIN), [0.0, 0.0, 0.0])
+    assert np.array_equal(W_field(Point(1.0, 2.0, 3.0)), [1.0, 2.0, 6.0])
+    # a batch gives the (..., 3) array; its own generator keeps the module RNG draws
+    p = Point.from_array(np.random.default_rng(5).uniform(-3, 3, size=(40, 3)))
+    assert np.array_equal(W_field(p), np.stack([p.x, p.y, 2.0 * p.t], axis=-1))
 
 
 def test_W_divergence_is_four():
-    p = rand_points(100)
-
-    def field(q):
-        return W_field(q).coeffs
-
-    div = divergence(field, p)
+    div = divergence(W_field, rand_points(100))
     assert np.max(np.abs(div - 4.0)) < 1e-6
 
 
@@ -274,16 +227,6 @@ def test_frame_orthonormality_via_coefficients():
 def test_cross_product_orientation():
     # X x Y = T in frame coefficients
     assert np.array_equal(cross_c([1, 0, 0], [0, 1, 0]), [0, 0, 1])
-
-
-def test_frame_vector_api():
-    p = Point(1.0, 2.0, 3.0)
-    v = FrameVector(p, 3.0, 4.0, 0.0)
-    assert v.norm() == 5.0
-    assert v.is_horizontal()
-    assert v.dot(FrameVector(p, 1.0, 0.0, 0.0)) == 3.0
-    cart = v.cartesian()
-    assert np.allclose(cartesian_to_frame(p, cart), v.coeffs, atol=0)
 
 
 @pytest.mark.parametrize("shape_a, shape_b", [
