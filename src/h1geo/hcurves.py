@@ -103,9 +103,6 @@ class HorizontalCurve:
         """dh/deps by central differences (zero for the constant-h catalog)."""
         return (self.planar_curvature(eps + h_fd) - self.planar_curvature(eps - h_fd)) / (2 * h_fd)
 
-    def validate(self, tol: float = TOL_ARCLENGTH, n: int = VALIDATION_GRID) -> None:
-        _check_arclength(self.planar, tol, n)
-
 
 def _planar_from_callables(fx, fy, dfx, dfy, ddfx, ddfy, eps_min, eps_max) -> PlanarCurve:
     def xy(e):

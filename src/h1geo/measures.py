@@ -11,7 +11,11 @@ handled by the quadrature never sampling cell endpoints.
 `quad_many` is the only place that wraps them in an Estimate: it sweeps a
 ladder of resolutions from coarse to fine, with n as a cap, and stops once
 the Richardson difference of two neighbouring levels meets RTOL or the
-roundoff floor of the sum.
+roundoff floor of the sum.  Next to the built-in integrands it takes named
+integrand functions of the sample, as `first_variation` does: A'(0) and
+V'(0) of a closed patch under a normal variation u N, from one ladder over
+the base patch, with the mean curvature read pointwise from `curvature`.
+`first_variation_check` is the finite-difference oracle for it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, NotClosedSurface, OrientationUnset, StepTooSmall
+from . import curvature as crv
+from .errors import (
+    GeometryError,
+    NonFinite,
+    NotClosedSurface,
+    OrientationUnset,
+    StepTooSmall,
+)
 from .hgroup import W_field, dot_c
 from .surfaces import ImmersedPatch, PerturbedPatch
 
@@ -50,41 +61,69 @@ def _axis_rule(lo: float, hi: float, n: int):
     return pts, wts
 
 
+def _area(eps, s, p, raw):
+    return np.hypot(raw[..., 0], raw[..., 1]), None
+
+
+def _rarea(eps, s, p, raw):
+    return np.linalg.norm(raw, axis=-1), None
+
+
+def _volume(eps, s, p, raw):
+    return -0.25 * dot_c(W_field(p), raw), None
+
+
+# A named integrand maps the samples (eps, s, p, raw) of one block to (f,
+# roundoff): f the integrand values, roundoff None or a per-sample bound on
+# the rounding error f carries from its own evaluation.
+_INTEGRANDS = {"area": _area, "rarea": _rarea, "volume": _volume}
+_NONNEGATIVE = (_area, _rarea)   # sum |f| w is sum f w for these
+
+
 def _sweep(patch: ImmersedPatch, n: int, kinds: tuple):
-    """({kind: sum f w}, {kind: sum |f| w}) from one n x n-cell sweep shared
-    between the integrands 'area', 'rarea' and 'volume'.
+    """({kind: sum f w}, {kind: roundoff floor}) from one n x n-cell sweep
+    shared between the integrands.
+
+    A kind is a built-in name ('area', 'rarea', 'volume') or a (name, fn)
+    pair with fn a named integrand (see _INTEGRANDS); results are keyed by
+    name.  The floor of a kind is FLOOR_ULPS ulps of sum |f| w, plus
+    sum roundoff w when its integrand states a roundoff.
 
     The sweep runs in blocks of whole eps rows, about _BLOCK_SAMPLES samples
     each.  Each row's s-sum is kept and the rows are combined with the eps
     weights once at the end, so the values do not depend on the block size.
     """
+    funcs = dict((k, _INTEGRANDS[k]) if isinstance(k, str) else k for k in kinds)
     if patch.eps_hi == patch.eps_lo or patch.s_hi == patch.s_lo:
-        return {k: 0.0 for k in kinds}, {k: 0.0 for k in kinds}
+        return {k: 0.0 for k in funcs}, {k: 0.0 for k in funcs}
     eps_pts, eps_wts = _axis_rule(patch.eps_lo, patch.eps_hi, n)
     s_pts, s_wts = _axis_rule(patch.s_lo, patch.s_hi, n)
-    rows = {k: np.empty(eps_pts.size) for k in kinds}
-    # area and rarea integrands are >= 0, so only volume needs its own |f| sum
-    abs_rows = {k: np.empty(eps_pts.size) for k in kinds if k == "volume"}
+    rows = {k: np.empty(eps_pts.size) for k in funcs}
+    abs_rows = {k: np.empty(eps_pts.size) for k, fn in funcs.items() if fn not in _NONNEGATIVE}
+    round_rows = {}
     block = max(1, _BLOCK_SAMPLES // s_pts.size)
     for start in range(0, eps_pts.size, block):
-        p, _, _, raw = patch.frame(eps_pts[start:start + block, None], s_pts[None, :])
-        for kind in kinds:
-            if kind == "area":
-                f = np.hypot(raw[..., 0], raw[..., 1])
-            elif kind == "rarea":
-                f = np.linalg.norm(raw, axis=-1)
-            elif kind == "volume":
-                f = -0.25 * dot_c(W_field(p), raw)
-            else:
-                raise ValueError(kind)
+        eps, s = eps_pts[start:start + block, None], s_pts[None, :]
+        p, _, _, raw = patch.frame(eps, s)
+        for kind, fn in funcs.items():
+            f, roundoff = fn(eps, s, p, raw)
             if not np.all(np.isfinite(f)):
                 raise NonFinite(f"{kind} integrand produced non-finite samples")
             rows[kind][start:start + block] = (f * s_wts).sum(axis=1)
             if kind in abs_rows:
                 abs_rows[kind][start:start + block] = (np.abs(f) * s_wts).sum(axis=1)
+            if roundoff is not None:
+                if kind not in round_rows:
+                    round_rows[kind] = np.empty(eps_pts.size)
+                round_rows[kind][start:start + block] = (roundoff * s_wts).sum(axis=1)
     values = {k: float((r * eps_wts).sum()) for k, r in rows.items()}
-    return values, {k: float((abs_rows[k] * eps_wts).sum()) if k in abs_rows else values[k]
-                    for k in kinds}
+    floors = {}
+    for k in funcs:
+        mag = float((abs_rows[k] * eps_wts).sum()) if k in abs_rows else values[k]
+        floors[k] = float(FLOOR_ULPS * np.finfo(float).eps * mag)
+        if k in round_rows:
+            floors[k] += float((round_rows[k] * eps_wts).sum())
+    return values, floors
 
 
 def integrate(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
@@ -107,27 +146,26 @@ def _levels(n: int) -> list:
 
 def quad_many(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
     """{kind: Estimate}, refined until every kind converges, with n cells per
-    side as the cap.
+    side as the cap; kinds as in _sweep.
 
     At each level m >= MIN_CELLS, kind k has converged when
-    |I_m - I_prev| <= max(RTOL |I_m|, floor_m), where floor_m is FLOOR_ULPS
-    ulps of sum |f| w from the same sweep.  The error stated is
+    |I_m - I_prev| <= max(RTOL |I_m|, floor_m), where floor_m is the
+    roundoff floor of the same sweep (see _sweep).  The error stated is
     max(|I_m - I_prev|, floor_m); a patch that never converges ends on the
     (n // 2, n) pair with its plain Richardson difference.
     """
     prev = None
     for m in _levels(n):
-        values, mags = _sweep(patch, m, kinds)
-        floors = {k: FLOOR_ULPS * np.finfo(float).eps * mags[k] for k in kinds}
-        diffs = {k: abs(values[k] - prev[k]) if prev is not None else 0.0 for k in kinds}
+        values, floors = _sweep(patch, m, kinds)
+        diffs = {k: abs(v - prev[k]) if prev is not None else 0.0 for k, v in values.items()}
         met = {k: prev is not None and m >= MIN_CELLS
-               and diffs[k] <= max(RTOL * abs(values[k]), floors[k]) for k in kinds}
+               and diffs[k] <= max(RTOL * abs(v), floors[k]) for k, v in values.items()}
         if all(met.values()):
             break
         prev = values
     samples = (GAUSS_ORDER * m) ** 2
-    return {k: Estimate(values[k], max(diffs[k], floors[k]), samples, met[k])
-            for k in kinds}
+    return {k: Estimate(v, max(diffs[k], floors[k]), samples, met[k])
+            for k, v in values.items()}
 
 
 def _values(patch: ImmersedPatch, n: int, kinds: tuple) -> list:
@@ -176,6 +214,53 @@ def iso_ratio(patch: ImmersedPatch, n: int = 256) -> float:
     return a**4 / v**3
 
 
+# Rounding of the Richardson mean curvature below, in units of eps / h for
+# the step h = H_CHAR_STEP.  H(k) = -(1/2) <(nu_+ - nu_-) / (2k), Z> reads
+# the unit nu_H at the two ends of a characteristic trace; each end carries
+# about 4 ulps, 2 of nu_H itself and 2 from where the trace lands, so H(k)
+# is off by about 2 eps / k and (4 H(h/2) - H(h)) / 3 by (16 + 2) / 3 = 6
+# eps / h.  At the Gauss nodes of S_lambda (lambda = 0.5, 1, 2, and S_1
+# dilated, translated and flipped) the error measures 2.5 to 4.6 eps / h.
+H_ROUNDOFF = 6.0
+
+
+def first_variation(patch: ImmersedPatch, u, n: int = 96) -> dict:
+    """{'a_prime': Estimate, 'v_prime': Estimate}: A'(0) and V'(0) of a closed
+    patch under the normal variation u N, from one quad_many ladder over the
+    base patch with n cells per side as the cap.
+
+    On the regular set A'(0) = -integral 2 H u dSigma and V'(0) = -integral
+    u dSigma, dSigma = |raw| d eps ds the Riemannian area element.  H is
+    curvature.mean_curvature_char, Richardson-extrapolated over the steps h
+    and h/2, h = H_CHAR_STEP: (4 H(h/2) - H(h)) / 3.  The floor of a_prime
+    adds that H's rounding, H_ROUNDOFF eps / h per sample, times 2 |u| |raw|.
+    An open patch's variation has a boundary term, so it raises
+    NotClosedSurface; a patch with singular curves raises GeometryError,
+    since their term is not evaluated.  The isolated singular points of the
+    spheres add no term.
+    """
+    if not patch.closed:
+        raise NotClosedSurface("first variation formula applies to closed surfaces")
+    if patch.singular_curves():
+        raise GeometryError(f"first variation of {patch.label}: the singular-curve "
+                            "term is not evaluated")
+    h = crv.H_CHAR_STEP
+
+    def u_da(eps, s, raw):
+        return np.asarray(u(eps, s), float) * np.linalg.norm(raw, axis=-1)
+
+    def a_prime(eps, s, p, raw):
+        H = (4.0 * crv.mean_curvature_char(patch, eps, s, h_fd=h / 2)
+             - crv.mean_curvature_char(patch, eps, s, h_fd=h)) / 3.0
+        ud = u_da(eps, s, raw)
+        return -2.0 * H * ud, 2.0 * H_ROUNDOFF * np.finfo(float).eps / h * np.abs(ud)
+
+    def v_prime(eps, s, p, raw):
+        return -u_da(eps, s, raw), None
+
+    return quad_many(patch, n, (("a_prime", a_prime), ("v_prime", v_prime)))
+
+
 @dataclass(frozen=True)
 class FirstVariationResult:
     a_prime: float
@@ -185,7 +270,8 @@ class FirstVariationResult:
 
 def first_variation_check(patch: ImmersedPatch, u, dt: float = 1e-4,
                           n: int = 128, H: float | None = None) -> FirstVariationResult:
-    """Central-difference first variation under the normal perturbation u*N.
+    """Central-difference first variation under the normal perturbation u*N:
+    the finite-difference oracle for `first_variation`.
 
     Displaces by t*u*N for t = +-dt, integrates area and volume of each
     displaced patch in one sweep, and reports A'(0), V'(0) and the

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from h1geo.errors import NotClosedSurface, StepTooSmall
+from h1geo import curvature
+from h1geo.errors import GeometryError, NotClosedSurface, StepTooSmall
 from h1geo.hcurves import line_curve
 from h1geo.hgroup import Point
 from h1geo import measures, verify
 from h1geo.measures import (
     area,
     dilation_homogeneity,
+    first_variation,
     first_variation_check,
     iso_ratio,
     measures_report,
@@ -19,6 +21,7 @@ from h1geo.measures import (
 from h1geo.surfaces import (
     ImmersedPatch,
     PerturbedPatch,
+    SpherePatch,
     build_sigma_lambda,
     build_surface,
     cylinder_S,
@@ -264,10 +267,11 @@ def _record_sweeps(monkeypatch):
 
 
 @pytest.mark.parametrize("suite, pinned", [
-    # spheres stop at 8 cells (ladder 4, 8 under the cap 32); dilation and the
-    # reference areas stop at 12 (ladder 6, 12 under the cap 96); first
-    # variation sweeps at its pinned n = 96
-    (verify.suite_minkowski, {4, 8, 6, 12, 96}),
+    # spheres stop at 8 cells (ladder 4, 8 under the cap 32); dilation, the
+    # reference areas and the first-variation formula stop at 12 (ladder 6,
+    # 12 under the cap 96); the finite-difference oracle sweeps at its
+    # pinned n = 16
+    (verify.suite_minkowski, {4, 8, 6, 12, 16}),
     (verify.suite_iso, {4, 8}),
 ], ids=["minkowski", "iso"])
 def test_suites_sweep_only_at_their_pinned_resolutions(monkeypatch, suite, pinned):
@@ -340,3 +344,112 @@ def test_perturbed_patch_sweep_keeps_its_bits():
         res = measures.integrate(PerturbedPatch(sp, u, t), 16, ("area", "volume"))
         assert res["area"] == float.fromhex(a_hex)
         assert res["volume"] == float.fromhex(v_hex)
+
+
+# ---------------------------------------------------------------------------
+# first variation of area: the formula against the finite-difference oracle
+
+_MODES = {
+    "unit": lambda e, s: 1.0 + 0.0 * np.asarray(e),
+    "cos": lambda e, s: np.cos(np.asarray(e, float)) + 0.0 * np.asarray(s),
+    "bump": lambda e, s: np.sin(1.3 * np.asarray(s)) ** 2 * (1 + 0.5 * np.cos(2 * np.asarray(e))),
+}
+_SPHERES = {
+    "S_0.5": lambda: sphere_geodesic(0.5),
+    "S_1": lambda: sphere_geodesic(1.0),
+    "S_2": lambda: sphere_geodesic(2.0),
+    "S_1-dilated-translated-flipped":
+        lambda: sphere_geodesic(1.0).dilated(0.3).translated(Point(0.7, -0.4, 1.1)).flipped(),
+}
+
+
+def test_estimate_fields_have_one_type():
+    # the floor is a float like the Richardson difference, so neither the
+    # error nor converged depends on which of the two is larger
+    res = quad_many(sphere_geodesic(1.0), 96, ("area", "rarea", "volume"))
+    res.update(first_variation(sphere_geodesic(1.0), _MODES["cos"]))
+    for est in res.values():
+        assert type(est.error) is float and type(est.converged) is bool
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+@pytest.mark.parametrize("which", sorted(_SPHERES))
+def test_first_variation_matches_the_finite_difference_oracle(which, mode):
+    sp, u = _SPHERES[which](), _MODES[mode]
+    fv = first_variation(sp, u)
+    fd = first_variation_check(sp, u, dt=1e-4, n=16)
+    # the mean-zero mode has A'(0) = V'(0) = 0, so each side is compared at
+    # the scale of the unit mode: 2 |H| and 1 times the Riemannian area
+    ra = riemannian_area(sp, 96).value
+    for got, ref, scale in ((fv["a_prime"].value, fd.a_prime, 2 * abs(sp.lam) * ra),
+                            (fv["v_prime"].value, fd.v_prime, ra)):
+        assert abs(got - ref) <= 1e-6 * max(abs(ref), scale)
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_first_variation_errors_bound_the_stationarity_defect(lam, mode):
+    fv = first_variation(sphere_geodesic(lam), _MODES[mode])
+    a, v = fv["a_prime"], fv["v_prime"]
+    assert abs(a.value - 2 * lam * v.value) <= a.error + 2 * lam * v.error
+
+
+@pytest.mark.parametrize("mode", ["unit", "cos"])
+def test_first_variation_stops_at_twelve_cells(mode):
+    for est in first_variation(sphere_geodesic(1.0), _MODES[mode]).values():
+        assert est.converged
+        assert est.samples <= (measures.GAUSS_ORDER * 12) ** 2
+
+
+def test_first_variation_richardson_h_is_within_its_rounding():
+    # the per-sample bound the a_prime floor adds, H_ROUNDOFF eps / h
+    h = curvature.H_CHAR_STEP
+    bound = measures.H_ROUNDOFF * np.finfo(float).eps / h
+    for make in _SPHERES.values():
+        sp = make()
+        e, _ = measures._axis_rule(sp.eps_lo, sp.eps_hi, 12)
+        s, _ = measures._axis_rule(sp.s_lo, sp.s_hi, 12)
+        H = (4 * curvature.mean_curvature_char(sp, e[:, None], s[None, :], h_fd=h / 2)
+             - curvature.mean_curvature_char(sp, e[:, None], s[None, :], h_fd=h)) / 3
+        assert np.max(np.abs(H - sp.lam)) <= bound
+
+
+def test_first_variation_rejects_open_and_singular_curve_patches():
+    u = _MODES["unit"]
+    for patch in (plane_patch(), build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)):
+        with pytest.raises(NotClosedSurface):
+            first_variation(patch, u)
+
+    class MarkedSphere(SpherePatch):
+        def singular_curves(self):
+            return ["a singular curve"]
+
+    sp = MarkedSphere(1.0)
+    sp.label = "marked-sphere"
+    with pytest.raises(GeometryError, match="marked-sphere"):
+        first_variation(sp, u)
+
+
+def test_first_variation_does_not_depend_on_call_order():
+    def bits(fv):
+        return [(e.value, e.error, e.samples, e.converged) for e in fv.values()]
+
+    sp = sphere_geodesic(1.0)
+    unit, cos = _MODES["unit"], _MODES["cos"]
+    first = bits(first_variation(sp, unit)), bits(first_variation(sp, cos))
+    second = bits(first_variation(sp, cos)), bits(first_variation(sp, unit))
+    assert first == second[::-1]
+
+
+def test_minkowski_suite_perturbs_only_at_the_oracle_resolution(monkeypatch):
+    sizes = []
+    sweep = measures._sweep
+
+    def counting(patch, n, kinds):
+        if isinstance(patch, PerturbedPatch):
+            sizes.append(n)
+        return sweep(patch, n, kinds)
+
+    monkeypatch.setattr(measures, "_sweep", counting)
+    verify.suite_minkowski(n=32)
+    assert sizes and max(sizes) <= 16
