@@ -44,14 +44,13 @@ class PlanarCurve:
         return np.hypot(xd, yd)
 
 
-def _check_arclength(planar: PlanarCurve, tol: float = TOL_ARCLENGTH,
-                     n: int = VALIDATION_GRID) -> None:
-    speed = planar.speed(np.linspace(planar.eps_min, planar.eps_max, n))
+def _check_arclength(planar: PlanarCurve) -> None:
+    speed = planar.speed(np.linspace(planar.eps_min, planar.eps_max, VALIDATION_GRID))
     if np.any(speed < 1e-12):
         raise DegenerateCurve("planar speed vanishes on the validation grid")
     err = np.max(np.abs(speed - 1.0))
-    if err > tol:
-        raise NotArclength(f"speed deviates from 1 by {err:.3e} (tol {tol:.1e})")
+    if err > TOL_ARCLENGTH:
+        raise NotArclength(f"speed deviates from 1 by {err:.3e} (tol {TOL_ARCLENGTH:.1e})")
 
 
 def _lift_rule(planar: PlanarCurve, a, b):

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import curvature as crv
 from .errors import (
-    GeometryError,
     NonFinite,
     NotClosedSurface,
     OrientationUnset,
@@ -222,12 +221,13 @@ def iso_ratio(patch: ImmersedPatch, n: int = 256) -> float:
 # eps / h.  At the Gauss nodes of S_lambda (lambda = 0.5, 1, 2, and S_1
 # dilated, translated and flipped) the error measures 2.5 to 4.6 eps / h.
 H_ROUNDOFF = 6.0
+FIRST_VARIATION_CELLS = 96   # cap of first_variation's ladder; S_lambda stops at 12
 
 
-def first_variation(patch: ImmersedPatch, u, n: int = 96) -> dict:
+def first_variation(patch: ImmersedPatch, u) -> dict:
     """{'a_prime': Estimate, 'v_prime': Estimate}: A'(0) and V'(0) of a closed
     patch under the normal variation u N, from one quad_many ladder over the
-    base patch with n cells per side as the cap.
+    base patch with FIRST_VARIATION_CELLS cells per side as the cap.
 
     On the regular set A'(0) = -integral 2 H u dSigma and V'(0) = -integral
     u dSigma, dSigma = |raw| d eps ds the Riemannian area element.  H is
@@ -235,15 +235,12 @@ def first_variation(patch: ImmersedPatch, u, n: int = 96) -> dict:
     and h/2, h = H_CHAR_STEP: (4 H(h/2) - H(h)) / 3.  The floor of a_prime
     adds that H's rounding, H_ROUNDOFF eps / h per sample, times 2 |u| |raw|.
     An open patch's variation has a boundary term, so it raises
-    NotClosedSurface; a patch with singular curves raises GeometryError,
-    since their term is not evaluated.  The isolated singular points of the
-    spheres add no term.
+    NotClosedSurface.  The term along singular curves is not evaluated, so
+    the result is A'(0) only for closed patches whose singular set is
+    isolated points, as on the spheres, where it adds no term.
     """
     if not patch.closed:
         raise NotClosedSurface("first variation formula applies to closed surfaces")
-    if patch.singular_curves():
-        raise GeometryError(f"first variation of {patch.label}: the singular-curve "
-                            "term is not evaluated")
     h = crv.H_CHAR_STEP
 
     def u_da(eps, s, raw):
@@ -258,7 +255,8 @@ def first_variation(patch: ImmersedPatch, u, n: int = 96) -> dict:
     def v_prime(eps, s, p, raw):
         return -u_da(eps, s, raw), None
 
-    return quad_many(patch, n, (("a_prime", a_prime), ("v_prime", v_prime)))
+    return quad_many(patch, FIRST_VARIATION_CELLS,
+                     (("a_prime", a_prime), ("v_prime", v_prime)))
 
 
 @dataclass(frozen=True)

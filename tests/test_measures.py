@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from h1geo import curvature
-from h1geo.errors import GeometryError, NotClosedSurface, StepTooSmall
+from h1geo.errors import NotClosedSurface, StepTooSmall
 from h1geo.hcurves import line_curve
 from h1geo.hgroup import Point
 from h1geo import measures, verify
@@ -21,7 +21,6 @@ from h1geo.measures import (
 from h1geo.surfaces import (
     ImmersedPatch,
     PerturbedPatch,
-    SpherePatch,
     build_sigma_lambda,
     build_surface,
     cylinder_S,
@@ -249,12 +248,15 @@ def test_quadrature_is_bitwise_independent_of_the_block_size(monkeypatch, patch)
 
 
 def _record_sweeps(monkeypatch):
-    """Record the n of every sweep and of every quad_many call."""
-    sweeps, estimates = [], []
+    """Record the n of every sweep, of every PerturbedPatch sweep and of
+    every quad_many call."""
+    sweeps, perturbed, estimates = [], [], []
     sweep, quad = measures._sweep, measures.quad_many
 
     def counting_sweep(patch, n, kinds):
         sweeps.append(n)
+        if isinstance(patch, PerturbedPatch):
+            perturbed.append(n)
         return sweep(patch, n, kinds)
 
     def counting_quad(patch, n, kinds):
@@ -263,7 +265,7 @@ def _record_sweeps(monkeypatch):
 
     monkeypatch.setattr(measures, "_sweep", counting_sweep)
     monkeypatch.setattr(measures, "quad_many", counting_quad)
-    return sweeps, estimates
+    return sweeps, perturbed, estimates
 
 
 @pytest.mark.parametrize("suite, pinned", [
@@ -275,14 +277,16 @@ def _record_sweeps(monkeypatch):
     (verify.suite_iso, {4, 8}),
 ], ids=["minkowski", "iso"])
 def test_suites_sweep_only_at_their_pinned_resolutions(monkeypatch, suite, pinned):
-    sweeps, estimates = _record_sweeps(monkeypatch)
+    sweeps, perturbed, estimates = _record_sweeps(monkeypatch)
     suite(n=32)
     assert set(sweeps) == pinned
     assert set(estimates) <= {32, 96}
+    # only the finite-difference oracle integrates perturbed patches, at n = 16
+    assert set(perturbed) == ({16} if suite is verify.suite_minkowski else set())
 
 
 def test_measures_report_keeps_its_half_resolution_error(monkeypatch):
-    sweeps, _ = _record_sweeps(monkeypatch)
+    sweeps, _, _ = _record_sweeps(monkeypatch)
     rep = measures_report(EuclideanSphere(), "euclidean-sphere", None, n=6, H=1.0)
     assert sweeps == [3, 6]
     # |I_6 - I_3| as quad_many gave it before integrate was split out of it
@@ -414,42 +418,8 @@ def test_first_variation_richardson_h_is_within_its_rounding():
         assert np.max(np.abs(H - sp.lam)) <= bound
 
 
-def test_first_variation_rejects_open_and_singular_curve_patches():
+def test_first_variation_rejects_open_patches():
     u = _MODES["unit"]
     for patch in (plane_patch(), build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)):
         with pytest.raises(NotClosedSurface):
             first_variation(patch, u)
-
-    class MarkedSphere(SpherePatch):
-        def singular_curves(self):
-            return ["a singular curve"]
-
-    sp = MarkedSphere(1.0)
-    sp.label = "marked-sphere"
-    with pytest.raises(GeometryError, match="marked-sphere"):
-        first_variation(sp, u)
-
-
-def test_first_variation_does_not_depend_on_call_order():
-    def bits(fv):
-        return [(e.value, e.error, e.samples, e.converged) for e in fv.values()]
-
-    sp = sphere_geodesic(1.0)
-    unit, cos = _MODES["unit"], _MODES["cos"]
-    first = bits(first_variation(sp, unit)), bits(first_variation(sp, cos))
-    second = bits(first_variation(sp, cos)), bits(first_variation(sp, unit))
-    assert first == second[::-1]
-
-
-def test_minkowski_suite_perturbs_only_at_the_oracle_resolution(monkeypatch):
-    sizes = []
-    sweep = measures._sweep
-
-    def counting(patch, n, kinds):
-        if isinstance(patch, PerturbedPatch):
-            sizes.append(n)
-        return sweep(patch, n, kinds)
-
-    monkeypatch.setattr(measures, "_sweep", counting)
-    verify.suite_minkowski(n=32)
-    assert sizes and max(sizes) <= 16
