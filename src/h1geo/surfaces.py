@@ -1045,39 +1045,79 @@ def format_rows(line: str, n: int, values) -> str:
     """n copies of the %-format `line` filled from the flat sequence `values`,
     in one formatting pass.  Every text writer formats through this;
     '%.17g' % x gives the same string as f"{x:.17g}" for every float, nan,
-    inf and -0 included."""
+    inf and -0 included.  A '%s' conversion takes a string this function
+    made earlier, so a value formatted once can fill many lines with the
+    same bytes."""
     return (line * n) % tuple(values)
+
+
+def _vertex_values(cols):
+    """Conversions and flat row-major values for per-vertex columns of shape
+    (n_e, n_s), ready for one `format_rows` pass.
+
+    A column whose bits are constant along a grid axis is formatted once per
+    eps row, once per s column, or once in all, and enters as '%s'; any
+    other column enters per vertex as '%.17g'.  Bits, not ==, decide:
+    -0.0 == 0.0 but prints '-0', and nan != nan."""
+    n_e, n_s = np.shape(cols[0])
+    values = np.empty((n_e, n_s, len(cols)), dtype=object)
+    convs = []
+    for k, col in enumerate(cols):
+        col = _asf(col)
+        bits = col.view(np.uint64)
+        per_row = bool(np.all(bits == bits[:, :1]))
+        per_col = bool(np.all(bits == bits[:1, :]))
+        if per_row or per_col:
+            distinct = col[:1 if per_col else n_e, :1 if per_row else n_s]
+            text = format_rows("%.17g\n", distinct.size, distinct.ravel().tolist()).splitlines()
+            values[..., k] = np.array(text, dtype=object).reshape(distinct.shape)
+            convs.append("%s")
+        else:
+            values[..., k] = col
+            convs.append("%.17g")
+    return convs, values.ravel().tolist()
 
 
 def export_obj(m: SurfaceMesh, path) -> None:
     """Wavefront OBJ: v records row-major, quads split into two triangles."""
     n_e, n_s = m.shape
+    convs, values = _vertex_values([m.points[..., k] for k in range(3)])
     vid = np.arange(1, n_e * n_s + 1).reshape(n_e, n_s)
     a, b, c, d = vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]
     faces = np.stack([a, b, c, a, c, d], axis=-1)    # (a, b, c), (a, c, d) per quad
-    atomic_write(path, format_rows("v %.17g %.17g %.17g\n", n_e * n_s, m.points.ravel().tolist())
+    atomic_write(path, format_rows("v " + " ".join(convs) + "\n", n_e * n_s, values)
                  + format_rows("f %d %d %d\n", faces.size // 3, faces.ravel().tolist()))
 
 
 def export_csv(m: SurfaceMesh, path) -> None:
     """CSV with columns eps,s,x,y,t,nh_norm,h_est (row-major vertex order)."""
     n_e, n_s = m.shape
-    eps = np.broadcast_to(m.eps[:, None], (n_e, n_s))
-    cols = np.stack([eps, m.geom_s, m.points[..., 0], m.points[..., 1], m.points[..., 2],
-                     m.nh_norm, m.h_est], axis=-1)
+    convs, values = _vertex_values([np.broadcast_to(m.eps[:, None], (n_e, n_s)), m.geom_s,
+                                    m.points[..., 0], m.points[..., 1], m.points[..., 2],
+                                    m.nh_norm, m.h_est])
     atomic_write(path, "eps,s,x,y,t,nh_norm,h_est\n"
-                 + format_rows(",".join(["%.17g"] * 7) + "\n", n_e * n_s, cols.ravel().tolist()))
+                 + format_rows(",".join(convs) + "\n", n_e * n_s, values))
 
 
 def atomic_write(path, text: str) -> None:
+    """Write `text` to `path` through a temp file in the same directory and
+    `os.replace`, so a reader sees the old file or the whole new one.  The
+    file gets the mode `open(path, "w")` would give it: an existing file
+    keeps its mode, a new one gets 0o666 less the umask.  On any failure the
+    temp file is removed and `path` is left as it was."""
     import os
-    import tempfile
 
     path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        mode = None
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

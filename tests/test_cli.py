@@ -331,6 +331,26 @@ def test_output_into_missing_directory_exits_2(tmp_path, capsys, argv):
     assert "cannot write output" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--surface", "plane", "--res", "4x4", "--out"],
+    ["mesh", "--surface", "plane", "--res", "4x4", "--out"],
+    ["mesh", "--surface", "plane", "--res", "4x4", "--csv"],
+    ["verify", "--suite", "iso", "--out"],
+], ids=["report-out", "mesh-out", "mesh-csv", "verify-out"])
+def test_output_files_get_the_mode_open_would_give(tmp_path, capsys, argv):
+    new, old = tmp_path / "new", tmp_path / "old"
+    old.write_text("")
+    old.chmod(0o640)
+    saved = os.umask(0o022)
+    try:
+        assert main(argv + [str(new)]) == 0
+        assert main(argv + [str(old)]) == 0
+    finally:
+        os.umask(saved)
+    assert new.stat().st_mode & 0o7777 == 0o644
+    assert old.stat().st_mode & 0o7777 == 0o640 and old.stat().st_size > 0
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("surface, key", [

@@ -1,8 +1,11 @@
 import dataclasses
 import inspect
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h1geo.curvature import fill_mesh_curvature
 from h1geo.errors import DegeneratePoint, UnknownSurface
@@ -31,6 +34,8 @@ from h1geo.surfaces import (
     sphere_graph,
     VerticalCylinder,
     _curve_data,
+    _vertex_values,
+    atomic_write,
 )
 
 RNG = np.random.default_rng(4242)
@@ -633,18 +638,95 @@ def sphere_mesh_with_h():
     return m
 
 
+VERTEX_FIELDS = ("x", "y", "t", "nh_norm", "geom_s", "h_est")
+NEG_NAN = np.copysign(np.nan, -1.0)
+
+
+def field_mesh(eps=(0.1, -0.0, 1e300), n_s=4, **fields):
+    """A hand-built mesh over `eps`: each given field is broadcast to
+    (n_e, n_s), a row vector making it constant along eps and a column
+    vector constant along s; every other field differs at every vertex."""
+    n_e = len(eps)
+    ramp = np.arange(n_e * n_s).reshape(n_e, n_s) / 7.0
+    f = {name: np.broadcast_to(np.asarray(fields.get(name, ramp + k), float), (n_e, n_s)).copy()
+         for k, name in enumerate(VERTEX_FIELDS)}
+    return SurfaceMesh(patch=sphere_geodesic(1.0), eps=np.array(eps, float),
+                       s=np.arange(n_s, dtype=float),
+                       points=np.stack([f["x"], f["y"], f["t"]], axis=-1),
+                       nh_norm=f["nh_norm"], geom_s=f["geom_s"], h_est=f["h_est"])
+
+
+def _one_negative_zero():
+    z = np.zeros((3, 4))
+    z[1, 2] = -0.0
+    return z
+
+
+def _nans_of_both_signs():
+    nans = np.full((3, 4), np.nan)
+    nans[::2, 1::2] = NEG_NAN
+    return nans
+
+
 @pytest.mark.parametrize("make", [
     lambda: mesh(sphere_geodesic(1.0), 2, 2),
     lambda: mesh(build_sigma_lambda(helix_curve(0.8), 1.2, -1), 3, 5),
     sphere_mesh_with_h,
     special_mesh,
-], ids=["2x2", "3x5", "sphere-with-h", "special-values"])
+    lambda: field_mesh(y=SPECIAL[:4], geom_s=[0.0, 0.5, 1.0, 1.5]),
+    lambda: field_mesh(x=SPECIAL[4:7, None], t=[[-0.0], [0.0], [-0.0]]),
+    lambda: field_mesh(nh_norm=1.0 / 3.0, t=-0.0),
+    lambda: field_mesh(x=_one_negative_zero(), geom_s=[0.0, -0.0, 0.0, 0.0]),
+    lambda: field_mesh(h_est=np.nan),
+    lambda: field_mesh(h_est=_nans_of_both_signs(), y=[[np.nan], [NEG_NAN], [np.nan]]),
+], ids=["2x2", "3x5", "sphere-with-h", "special-values", "constant-along-eps",
+        "constant-along-s", "constant-along-both", "one-negative-zero", "all-nan",
+        "nan-both-signs"])
 def test_export_bytes_match_per_vertex_oracle(tmp_path, make):
     m = make()
     export_obj(m, tmp_path / "m.obj")
     export_csv(m, tmp_path / "m.csv")
     assert (tmp_path / "m.obj").read_text() == oracle_obj(m)
     assert (tmp_path / "m.csv").read_text() == oracle_csv(m)
+
+
+def test_vertex_values_format_only_bitwise_constant_columns_once():
+    m = field_mesh(x=SPECIAL[4:7, None], y=SPECIAL[:4], t=np.nan, nh_norm=_one_negative_zero(),
+                   h_est=_nans_of_both_signs())
+    convs, values = _vertex_values([m.points[..., 0], m.points[..., 1], m.points[..., 2],
+                                    m.nh_norm, m.h_est])
+    assert convs == ["%s", "%s", "%s", "%.17g", "%.17g"]
+    assert len(values) == 3 * 4 * 5
+    assert values[:3] == ["nan", "-0", "nan"]
+    assert values[0] is values[5]      # x: one string per eps row
+    assert values[2] is values[-3]     # t: one string for the whole mesh
+
+
+@st.composite
+def axis_constant_meshes(draw):
+    """Small meshes whose fields are drawn from SPECIAL, 0.0 and a negative
+    nan, each constant along eps, along s, along both or neither."""
+    value = st.sampled_from([*SPECIAL.tolist(), 0.0, NEG_NAN])
+    n_e, n_s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def field(shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(value, min_size=size, max_size=size))).reshape(shape)
+
+    fields = {name: field(draw(st.sampled_from([(n_e, n_s), (n_e, 1), (n_s,), ()])))
+              for name in VERTEX_FIELDS}
+    return field_mesh(eps=field((n_e,)), n_s=n_s, **fields)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=axis_constant_meshes())
+def test_export_bytes_match_oracle_for_axis_constant_fields(tmp_path_factory, m):
+    out = tmp_path_factory.getbasetemp() / "axis-constant"
+    out.mkdir(exist_ok=True)
+    export_obj(m, out / "m.obj")
+    export_csv(m, out / "m.csv")
+    assert (out / "m.obj").read_text() == oracle_obj(m)
+    assert (out / "m.csv").read_text() == oracle_csv(m)
 
 
 def test_export_determinism(tmp_path):
@@ -654,6 +736,42 @@ def test_export_determinism(tmp_path):
     export_csv(m, p1)
     export_csv(m, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.fixture
+def restore_umask():
+    """Restore the process umask after a test that sets it."""
+    saved = os.umask(0o022)
+    yield
+    os.umask(saved)
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o007, 0o077], ids=["022", "007", "077"])
+def test_atomic_write_gives_a_new_file_the_umask_mode(tmp_path, restore_umask, mask):
+    os.umask(mask)
+    atomic_write(tmp_path / "new.txt", "x\n")
+    assert (tmp_path / "new.txt").stat().st_mode & 0o7777 == 0o666 & ~mask
+
+
+def test_atomic_write_keeps_an_overwritten_file_mode(tmp_path, restore_umask):
+    path = tmp_path / "old.txt"
+    path.write_text("old\n")
+    path.chmod(0o640)
+    atomic_write(path, "new\n")    # a new file would get 0o644 under umask 0o022
+    assert path.read_text() == "new\n"
+    assert path.stat().st_mode & 0o7777 == 0o640
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["overwrite", "new"])
+def test_atomic_write_failing_partway_leaves_no_trace(tmp_path, existing):
+    path = tmp_path / "out.txt"
+    if existing:
+        path.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write(path, "v 1\n" * 1000 + "\ud800\n")    # a lone surrogate cannot be encoded
+    assert os.listdir(tmp_path) == (["out.txt"] if existing else [])
+    if existing:
+        assert path.read_text() == "old\n"
 
 
 # ---------------------------------------------------------------------------
