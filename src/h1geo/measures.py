@@ -5,7 +5,10 @@ element, which in parameters is just |(F_eps x F_s)_H| d eps ds; the volume
 enclosed by a closed oriented patch is -(1/4) of the flux of the dilation
 generator W, i.e. -(1/4) <W, F_eps x F_s> d eps ds with the inner normal.
 Neither integrand needs a normalization, so singular rows (|N_H| -> 0) are
-handled by the quadrature never sampling cell endpoints.
+handled by the quadrature never sampling cell endpoints.  Where |N_H| stops
+being smooth inside a patch, the patch declares `quadrature_charts`,
+reparameterized pieces on which it is smooth again, and each sweep sums
+over them.
 
 `integrate` returns plain values from one sample sweep at a fixed n.
 `quad_many` is the only place that wraps them in an Estimate: it sweeps a
@@ -80,34 +83,64 @@ _NONNEGATIVE = (_area, _rarea)   # sum |f| w is sum f w for these
 
 
 def _sweep(patch: ImmersedPatch, n: int, kinds: tuple):
-    """({kind: sum f w}, {kind: roundoff floor}) from one n x n-cell sweep
-    shared between the integrands.
+    """({kind: sum f w}, {kind: roundoff floor}, samples) from one sweep of
+    n x n cells over each of the patch's quadrature charts, shared between
+    the integrands and summed over the charts in order.
 
     A kind is a built-in name ('area', 'rarea', 'volume') or a (name, fn)
     pair with fn a named integrand (see _INTEGRANDS); results are keyed by
-    name.  The floor of a kind is FLOOR_ULPS ulps of sum |f| w, plus
-    sum roundoff w when its integrand states a roundoff.
+    name.  An integrand sees the base parameters (eps, s) of its samples and
+    the chart's raw normal, which carries the map's Jacobian.  The floor of a
+    kind is FLOOR_ULPS ulps of sum |f| w, plus sum roundoff w when its
+    integrand states a roundoff, plus sum rel |f| w on a chart that states
+    the relative rounding rel of its samples.
 
-    The sweep runs in blocks of whole eps rows, about _BLOCK_SAMPLES samples
-    each.  Each row's s-sum is kept and the rows are combined with the eps
-    weights once at the end, so the values do not depend on the block size.
+    Each chart is swept in blocks of whole rows, about _BLOCK_SAMPLES
+    samples each.  Each row's s-sum is kept and the rows are combined with
+    the eps weights once at the end, so the values do not depend on the
+    block size.
     """
     funcs = dict((k, _INTEGRANDS[k]) if isinstance(k, str) else k for k in kinds)
     if patch.eps_hi == patch.eps_lo or patch.s_hi == patch.s_lo:
-        return {k: 0.0 for k in funcs}, {k: 0.0 for k in funcs}
-    eps_pts, eps_wts = _axis_rule(patch.eps_lo, patch.eps_hi, n)
-    s_pts, s_wts = _axis_rule(patch.s_lo, patch.s_hi, n)
+        return {k: 0.0 for k in funcs}, {k: 0.0 for k in funcs}, (GAUSS_ORDER * n) ** 2
+    parts = [_sweep_chart(patch, chart, n, funcs) for chart in patch.quadrature_charts()]
+    values, floors = {}, {}
+    for k in funcs:
+        value, mag, rounding = (_total([part[k][i] for part in parts]) for i in range(3))
+        values[k] = value
+        floors[k] = float(FLOOR_ULPS * np.finfo(float).eps * mag)
+        if rounding is not None:
+            floors[k] += rounding
+    return values, floors, len(parts) * (GAUSS_ORDER * n) ** 2
+
+
+def _total(terms: list):
+    """Left-to-right sum of the terms that are not None, or None; a single
+    term comes back as it is, so a patch with one chart keeps its bits."""
+    terms = [t for t in terms if t is not None]
+    return sum(terms[1:], terms[0]) if terms else None
+
+
+def _sweep_chart(patch: ImmersedPatch, chart: ImmersedPatch, n: int, funcs: dict) -> dict:
+    """{kind: (sum f w, sum |f| w, sum roundoff w or None)} over one chart."""
+    mapped = chart is not patch
+    eps_pts, eps_wts = _axis_rule(chart.eps_lo, chart.eps_hi, n)
+    s_pts, s_wts = _axis_rule(chart.s_lo, chart.s_hi, n)
     rows = {k: np.empty(eps_pts.size) for k in funcs}
     abs_rows = {k: np.empty(eps_pts.size) for k, fn in funcs.items() if fn not in _NONNEGATIVE}
     round_rows = {}
     block = max(1, _BLOCK_SAMPLES // s_pts.size)
     for start in range(0, eps_pts.size, block):
-        eps, s = eps_pts[start:start + block, None], s_pts[None, :]
-        p, _, _, raw = patch.frame(eps, s)
+        a, b = eps_pts[start:start + block, None], s_pts[None, :]
+        p, _, _, raw = chart.frame(a, b)
+        eps, s = chart.to_base(a, b)[:2] if mapped else (a, b)
+        rel = chart.roundoff(a, b) if mapped and chart.roundoff is not None else None
         for kind, fn in funcs.items():
             f, roundoff = fn(eps, s, p, raw)
             if not np.all(np.isfinite(f)):
                 raise NonFinite(f"{kind} integrand produced non-finite samples")
+            if rel is not None:
+                roundoff = rel * np.abs(f) + (0.0 if roundoff is None else roundoff)
             rows[kind][start:start + block] = (f * s_wts).sum(axis=1)
             if kind in abs_rows:
                 abs_rows[kind][start:start + block] = (np.abs(f) * s_wts).sum(axis=1)
@@ -115,18 +148,17 @@ def _sweep(patch: ImmersedPatch, n: int, kinds: tuple):
                 if kind not in round_rows:
                     round_rows[kind] = np.empty(eps_pts.size)
                 round_rows[kind][start:start + block] = (roundoff * s_wts).sum(axis=1)
-    values = {k: float((r * eps_wts).sum()) for k, r in rows.items()}
-    floors = {}
+    out = {}
     for k in funcs:
-        mag = float((abs_rows[k] * eps_wts).sum()) if k in abs_rows else values[k]
-        floors[k] = float(FLOOR_ULPS * np.finfo(float).eps * mag)
-        if k in round_rows:
-            floors[k] += float((round_rows[k] * eps_wts).sum())
-    return values, floors
+        value = float((rows[k] * eps_wts).sum())
+        mag = float((abs_rows[k] * eps_wts).sum()) if k in abs_rows else value
+        out[k] = (value, mag,
+                  float((round_rows[k] * eps_wts).sum()) if k in round_rows else None)
+    return out
 
 
 def integrate(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
-    """{kind: value} from one n x n-cell sweep (see _sweep)."""
+    """{kind: value} from one n x n-cell sweep of each chart (see _sweep)."""
     return _sweep(patch, n, kinds)[0]
 
 
@@ -155,14 +187,13 @@ def quad_many(patch: ImmersedPatch, n: int, kinds: tuple) -> dict:
     """
     prev = None
     for m in _levels(n):
-        values, floors = _sweep(patch, m, kinds)
+        values, floors, samples = _sweep(patch, m, kinds)
         diffs = {k: abs(v - prev[k]) if prev is not None else 0.0 for k, v in values.items()}
         met = {k: prev is not None and m >= MIN_CELLS
                and diffs[k] <= max(RTOL * abs(v), floors[k]) for k, v in values.items()}
         if all(met.values()):
             break
         prev = values
-    samples = (GAUSS_ORDER * m) ** 2
     return {k: Estimate(v, max(diffs[k], floors[k]), samples, met[k])
             for k, v in values.items()}
 

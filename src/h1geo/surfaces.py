@@ -22,6 +22,9 @@ integrands read, and `normal_data` normalizes it and carries the partials
 on, so the characteristic traces never evaluate a sample twice.
 `fd_partials` is the finite-difference reference for `partials`; the tests
 hold every patch to it, and `PerturbedPatch`, with no closed form, uses it.
+A patch whose area integrand |N_H| is not smooth on its parameter rectangle
+declares `quadrature_charts`: `_ReparamPatch` charts of itself on which it
+is, read only by the quadrature.
 A `SurfaceMesh` keeps the grid, the points, |N_H|, the geometric s and the
 mean-curvature estimate.  An orthogonal-geodesic patch reads its curve's
 `position`, `planar.d1` and `planar.d2` once per call, on eps as given, and
@@ -170,6 +173,81 @@ class ImmersedPatch:
         """Singular boundary curves carried by the patch, when known."""
         return []
 
+    def quadrature_charts(self) -> list:
+        """The charts the quadrature integrates, summed: [self], or
+        `_ReparamPatch` charts over self built from where the area integrand
+        stops being smooth.  Nothing else reads them."""
+        return [self]
+
+
+class _ReparamPatch(ImmersedPatch):
+    """A base patch seen through a map of its parameters.
+
+    `to_base(a, b)` gives (eps, s, (eps_a, eps_b, s_a, s_b)): the base
+    parameters of (a, b) in the rectangle `rect` and the map's Jacobian, with
+    det >= 0 so the orientation is kept.  The partials follow by the chain
+    rule, F_a = eps_a F_eps + s_a F_s and F_b = eps_b F_eps + s_b F_s, so
+    the raw normal is det J times the base's.  `roundoff`, when given, maps
+    (a, b) to a bound on the relative rounding error the base carries into
+    the integrands at those samples.
+    """
+
+    def __init__(self, base: ImmersedPatch, to_base, rect, roundoff=None):
+        super().__init__(*rect, orientation=base.orientation)
+        self._base = base
+        self.to_base = to_base
+        self.roundoff = roundoff
+        self.label = base.label + "+chart"
+
+    def partials(self, a, b):
+        eps, s, jac = self.to_base(_asf(a), _asf(b))
+        fe, fs, p = self._base.partials(eps, s)
+        ea, eb, sa, sb = (_asf(j)[..., None] for j in jac)
+        return ea * fe + sa * fs, eb * fe + sb * fs, p
+
+    def over(self, base: ImmersedPatch) -> "_ReparamPatch":
+        """The same map over another base with the same parameters."""
+        return _ReparamPatch(base, self.to_base,
+                             (self.eps_lo, self.eps_hi, self.s_lo, self.s_hi), self.roundoff)
+
+
+def _box_chart(patch: ImmersedPatch, rect) -> _ReparamPatch:
+    """The patch itself on the sub-rectangle rect of its parameters."""
+    return _ReparamPatch(patch, lambda a, b: (a, b, (1.0, 0.0, 0.0, 1.0)), rect)
+
+
+# Rounding the base carries into a sine chart's integrands, relative, in
+# units of eps / cos^2(pi b / 2).  Near a singular edge the base evaluates
+# 1 - (s / L)^2 or its like from the rounded s, and cos^2 is that quantity.
+# Against the charts' closed-form integrands the area samples of cylinder
+# sheets measure at most 2.9 eps / cos^2 near the edge.
+SINE_ROUNDOFF = 4.0
+
+
+def _sine_roundoff(a, b):
+    return SINE_ROUNDOFF * np.finfo(float).eps / np.cos(0.5 * np.pi * b) ** 2
+
+
+def _sine_charts(patch: ImmersedPatch, mid: float) -> list:
+    """Charts of `patch` under s = mid + L sin(pi b / 2): b in [-1, 0] with
+    L = mid - s_lo, and b in [0, 1] with L = s_hi - mid; a side of length 0
+    adds no chart.  An integrand with an inverse square root at s_lo or s_hi
+    and a kink at mid is smooth in b: the map's s_b = L (pi/2) cos(pi b / 2)
+    vanishes at b = -1 and b = 1 like the square root of the distance to
+    those edges, and mid is a chart edge."""
+    charts = []
+    for b_lo, b_hi, L in ((-1.0, 0.0, mid - patch.s_lo), (0.0, 1.0, patch.s_hi - mid)):
+        if L <= 0.0:
+            continue
+
+        def to_base(a, b, L=L):
+            q = 0.5 * np.pi * b
+            return a, mid + L * np.sin(q), (1.0, 0.0, 0.0, 0.5 * np.pi * L * np.cos(q))
+
+        charts.append(_ReparamPatch(patch, to_base, (patch.eps_lo, patch.eps_hi, b_lo, b_hi),
+                                    _sine_roundoff))
+    return charts
+
 
 class _MappedPatch(ImmersedPatch):
     """A base patch seen through a map of the group.
@@ -203,6 +281,11 @@ class _MappedPatch(ImmersedPatch):
     def singular_curves(self):
         # the base's curves lie on this patch only when no point moved
         return self._base.singular_curves() if self._move is None else []
+
+    def quadrature_charts(self):
+        # a move changes points, not parameters: the base's maps serve here too
+        return [self if c is self._base else c.over(self)
+                for c in self._base.quadrature_charts()]
 
 
 class PerturbedPatch(ImmersedPatch):
@@ -331,6 +414,10 @@ class SphereGraphSheet(ImmersedPatch):
         c_r = df(rho) - cph * _asf(p.y) + sph * _asf(p.x)
         dr = np.stack(np.broadcast_arrays(cph + 0.0 * rho, sph + 0.0 * rho, c_r), axis=-1)
         return de, dr, p
+
+    def quadrature_charts(self):
+        # |N_H| has an inverse square root at the vertical edge rho = 1/lam
+        return _sine_charts(self, self.s_lo)
 
     def graph_bundle(self):
         """(u, ux, uy, uxx, uxy, uyy) callables in Cartesian (x, y)."""
@@ -463,6 +550,55 @@ class BernsteinGraph(GraphPatch):
 
         return [SingularCurveRef(pt, tangent, inward, label="bernstein-singular")]
 
+    def quadrature_charts(self):
+        """|N_H| = |2x + g'(y)| has a kink along x = c(y) = -g'(y)/2.  The
+        y-axis is cut where the curve crosses x = x_lo or x = x_hi; on a
+        piece the curve crosses, each row is split at c(y) into two charts,
+        x linear in a on [0, 1] with a = 1 (left) or a = 0 (right) on the
+        curve; a piece it misses is one chart.  A curve that misses the
+        rectangle adds no split."""
+        x0, x1, y0, y1 = self.eps_lo, self.eps_hi, self.s_lo, self.s_hi
+
+        def c(y):
+            return -0.5 * self.dg(y)
+
+        def left(a, b):
+            cb, dc = c(b), -0.5 * self.ddg(b)
+            return x0 + a * (cb - x0), b, (cb - x0, a * dc, 0.0, 1.0)
+
+        def right(a, b):
+            cb, dc = c(b), -0.5 * self.ddg(b)
+            return cb + a * (x1 - cb), b, (x1 - cb, (1.0 - a) * dc, 0.0, 1.0)
+
+        cuts = sorted({y0, y1, *_roots(lambda y: (c(y) - x0) * (c(y) - x1), y0, y1)})
+        charts, split = [], False
+        for ya, yb in zip(cuts[:-1], cuts[1:]):
+            if x0 < c(0.5 * (ya + yb)) < x1:
+                split = True
+                charts += [_ReparamPatch(self, left, (0.0, 1.0, ya, yb)),
+                           _ReparamPatch(self, right, (0.0, 1.0, ya, yb))]
+            else:
+                charts.append(_box_chart(self, (x0, x1, ya, yb)))
+        return charts if split else [self]
+
+
+def _roots(f, lo: float, hi: float, samples: int = 1024) -> list:
+    """Interior zeros of f on [lo, hi] where it changes sign: f sampled at
+    samples + 1 points, and each bracket resampled the same way until it is
+    below rounding."""
+    y = np.linspace(lo, hi, samples + 1)
+    v = _asf(f(y))
+    roots = list(y[1:-1][v[1:-1] == 0.0])
+    i = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
+    a, b = y[i], y[i + 1]
+    for _ in range(6 if i.size else 0):   # each pass narrows a bracket 1024-fold
+        yy = np.linspace(a, b, samples + 1, axis=-1)
+        vv = _asf(f(yy))
+        j = np.argmax(vv[:, :-1] * vv[:, 1:] <= 0.0, axis=1)
+        k = np.arange(j.size)
+        a, b = yy[k, j], yy[k, j + 1]
+    return roots + list(0.5 * (a + b))
+
 
 def bernstein_graph(g, dg=None, ddg=None, rect=(-3.0, 3.0, -3.0, 3.0),
                     h_fd: float = 1e-5) -> BernsteinGraph:
@@ -486,8 +622,16 @@ def plane_patch(normal=(0.0, 0.0, 1.0), d: float = 0.0,
     """
     n1, n2, n3 = (float(v) for v in normal)
     if abs(n3) > 1e-14:
-        a, b, c = -n1 / n3, -n2 / n3, d / n3
+        return _PlaneGraph(-n1 / n3, -n2 / n3, d / n3, rect)
+    return _VerticalPlane(n1, n2, d, rect)
 
+
+class _PlaneGraph(GraphPatch):
+    """The graph t = a x + b y + c.  Its raw horizontal normal
+    (y - a, -x - b) vanishes only at the cone point (x, y) = (-b, a), where
+    |N_H| grows like the distance to it."""
+
+    def __init__(self, a, b, c, rect):
         def u(x, y):
             return a * _asf(x) + b * _asf(y) + c
 
@@ -500,9 +644,34 @@ def plane_patch(normal=(0.0, 0.0, 1.0), d: float = 0.0,
         def zero2(x, y):
             return np.zeros(np.broadcast_shapes(_asf(x).shape, _asf(y).shape))
 
-        return GraphPatch(u, ux, uy, rect, label="plane", uxx=zero2, uxy=zero2,
-                          uyy=zero2, lam=0.0)
-    return _VerticalPlane(n1, n2, d, rect)
+        super().__init__(u, ux, uy, rect, label="plane", uxx=zero2, uxy=zero2,
+                         uyy=zero2, lam=0.0)
+        self.cone = (-b, a)
+
+    def quadrature_charts(self):
+        """With the cone point P in the rectangle, one Duffy triangle per
+        rectangle side V_i V_(i+1), counterclockwise:
+        (a, b) -> P + a ((1 - b) E_1 + b E_2), E_k = V - P, on [0, 1]^2,
+        with det J = a det(E_1, E_2).  The distance to P is a times a smooth
+        function of b, so the integrand is smooth.  A side through P gives
+        no triangle; a point outside the rectangle adds no split."""
+        px, py = self.cone
+        x0, x1, y0, y1 = self.eps_lo, self.eps_hi, self.s_lo, self.s_hi
+        if not (x0 <= px <= x1 and y0 <= py <= y1):
+            return [self]
+        corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        charts = []
+        for (vx0, vy0), (vx1, vy1) in zip(corners, corners[1:] + corners[:1]):
+            e1x, e1y, e2x, e2y = vx0 - px, vy0 - py, vx1 - px, vy1 - py
+            if e1x * e2y - e1y * e2x <= 0.0:
+                continue
+
+            def to_base(a, b, e1x=e1x, e1y=e1y, dx=e2x - e1x, dy=e2y - e1y):
+                wx, wy = e1x + b * dx, e1y + b * dy
+                return px + a * wx, py + a * wy, (wx, a * dx, wy, a * dy)
+
+            charts.append(_ReparamPatch(self, to_base, (0.0, 1.0, 0.0, 1.0)))
+        return charts
 
 
 class _VerticalPlane(ImmersedPatch):
@@ -818,15 +987,24 @@ def cylinder_S(lam: float, x_range=(-2.0, 2.0)):
     rect = (x_range[0], x_range[1], -half, half)
     lo_b = _cylinder_bundles(lam, "lower")
     up_b = _cylinder_bundles(lam, "upper")
-    lower = GraphPatch(lo_b[0], lo_b[1], lo_b[2], rect, orientation=1,
-                       label=f"cylinder-sheet(lower,lam={lam:g})",
-                       uxx=lo_b[3], uxy=lo_b[4], uyy=lo_b[5], lam=lam)
-    upper = GraphPatch(up_b[0], up_b[1], up_b[2], rect, orientation=-1,
-                       label=f"cylinder-sheet(upper,lam={lam:g})",
-                       uxx=up_b[3], uxy=up_b[4], uyy=up_b[5], lam=lam)
-    lower.open_s_ends = (True, True)
-    upper.open_s_ends = (True, True)
+    lower = _CylinderSheet(lo_b[0], lo_b[1], lo_b[2], rect, orientation=1,
+                           label=f"cylinder-sheet(lower,lam={lam:g})",
+                           uxx=lo_b[3], uxy=lo_b[4], uyy=lo_b[5], lam=lam)
+    upper = _CylinderSheet(up_b[0], up_b[1], up_b[2], rect, orientation=-1,
+                           label=f"cylinder-sheet(upper,lam={lam:g})",
+                           uxx=up_b[3], uxy=up_b[4], uyy=up_b[5], lam=lam)
     return lower, upper
+
+
+class _CylinderSheet(GraphPatch):
+    """A graph sheet of the cylinder over the strip |y| <= 1/(2|lam|)."""
+
+    open_s_ends = (True, True)
+
+    def quadrature_charts(self):
+        # |N_H| = 2|y| / sqrt(1 - 4 lam^2 y^2): a kink on the singular curve
+        # y = 0, inverse square roots at the strip edges
+        return _sine_charts(self, 0.5 * (self.s_lo + self.s_hi))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
+import json
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
 from h1geo import curvature
+from h1geo.cli import main
 from h1geo.errors import NotClosedSurface, StepTooSmall
 from h1geo.hcurves import line_curve
 from h1geo.hgroup import Point
@@ -19,6 +24,7 @@ from h1geo.measures import (
     volume_enclosed,
 )
 from h1geo.surfaces import (
+    GraphPatch,
     ImmersedPatch,
     PerturbedPatch,
     build_sigma_lambda,
@@ -27,6 +33,7 @@ from h1geo.surfaces import (
     fd_partials,
     plane_patch,
     sphere_geodesic,
+    sphere_graph,
 )
 
 RNG = np.random.default_rng(5150)
@@ -305,9 +312,17 @@ def test_sphere_converges_early_and_its_error_bounds_the_true_error(lam):
         assert est.error >= abs(est.value - exact[kind]) and est.error > 0.0
 
 
+def _undeclared(patch):
+    """The same graph as a plain GraphPatch, which declares no quadrature
+    charts: its area integrand keeps the non-smooth places on its cells."""
+    return GraphPatch(patch.u, patch.ux, patch.uy,
+                      (patch.eps_lo, patch.eps_hi, patch.s_lo, patch.s_hi),
+                      orientation=patch.orientation)
+
+
 @pytest.mark.parametrize("patch", [
-    cylinder_S(1.0)[0],
-    build_surface("bernstein", g_coeffs=(0.0, 0.0, 1.0)),
+    _undeclared(cylinder_S(1.0)[0]),
+    _undeclared(build_surface("bernstein", g_coeffs=(0.0, 0.0, 1.0))),
 ], ids=["cylinder-lower", "bernstein-y^2"])
 def test_unconverged_patch_ends_on_the_capped_pair(patch):
     est = quad_many(patch, 128, ("area",))["area"]
@@ -320,7 +335,7 @@ def test_unconverged_patch_ends_on_the_capped_pair(patch):
 
 
 def test_unconverged_report_is_flagged():
-    rep = measures_report(cylinder_S(1.0)[0], "cylinder-s", 1.0, n=32)
+    rep = measures_report(_undeclared(cylinder_S(1.0)[0]), "cylinder-s", 1.0, n=32)
     assert rep["A_converged"] is False and rep["V_converged"] is None
     assert rep["samples"] == (measures.GAUSS_ORDER * 32) ** 2
 
@@ -423,3 +438,208 @@ def test_first_variation_rejects_open_patches():
     for patch in (plane_patch(), build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)):
         with pytest.raises(NotClosedSurface):
             first_variation(patch, u)
+
+
+# ---------------------------------------------------------------------------
+# quadrature charts: the singular set on cell edges
+
+
+def _bernstein_area_mp(coeffs, rect=(-3.0, 3.0, -3.0, 3.0)):
+    """The area 2 integral |x + g'(y)/2| of t = xy + g(y) over rect, by
+    mpmath.quad: the inner integral in closed form, the outer one split where
+    the singular curve x = -g'(y)/2 crosses x = x_lo or x = x_hi."""
+    x0, x1, y0, y1 = (mpmath.mpf(v) for v in rect)
+    dg = [k * mpmath.mpf(c) for k, c in enumerate(coeffs)][1:] or [mpmath.mpf(0)]
+
+    def gp(y):
+        return mpmath.polyval(dg[::-1], y)
+
+    def inner(y):
+        r = -gp(y) / 2
+        if r <= x0:
+            return (x1**2 - x0**2) + gp(y) * (x1 - x0)
+        if r >= x1:
+            return -((x1**2 - x0**2) + gp(y) * (x1 - x0))
+        return (r - x0) ** 2 + (x1 - r) ** 2
+
+    cuts = [y0, y1]
+    if len(dg) > 1:
+        for xe in (x0, x1):
+            shifted = dg[::-1]
+            shifted[-1] += 2 * xe
+            cuts += [z.real for z in mpmath.polyroots(shifted, maxsteps=200, extraprec=60)
+                     if abs(z.imag) < 1e-20 and y0 < z.real < y1]
+    return float(mpmath.quad(inner, sorted(cuts)))
+
+
+def _plane_area_mp(point, rect=(-2.0, 2.0, -2.0, 2.0)):
+    """The area integral |(x, y) - P| of a non-vertical plane with cone
+    point P over rect, by mpmath.quad split at P."""
+    px, py = point
+    x0, x1, y0, y1 = rect
+    xs = sorted({x0, x1, min(max(px, x0), x1)})
+    ys = sorted({y0, y1, min(max(py, y0), y1)})
+    return float(mpmath.quad(lambda x, y: mpmath.sqrt((x - px) ** 2 + (y - py) ** 2), xs, ys))
+
+
+_SEED_1_G = (1.795, -0.753, -0.307)
+_CHART_CASES = {
+    # name: (patch, exact area)
+    "bernstein-3y^2": (lambda: build_surface("bernstein", g_coeffs=(0.0, 0.0, 3.0)),
+                       lambda: _bernstein_area_mp((0.0, 0.0, 3.0))),
+    "bernstein-0.3y^3": (lambda: build_surface("bernstein", g_coeffs=(0.0, 0.0, 0.0, 0.3)),
+                         lambda: _bernstein_area_mp((0.0, 0.0, 0.0, 0.3))),
+    "bernstein-curve-outside": (lambda: build_surface("bernstein", g_coeffs=(1.0, 10.0)),
+                                lambda: _bernstein_area_mp((1.0, 10.0))),
+    "bernstein-seed-1": (lambda: build_surface("bernstein", g_coeffs=_SEED_1_G),
+                         lambda: _bernstein_area_mp(_SEED_1_G)),
+    "plane-tilted": (lambda: plane_patch((0.3, -0.2, 1.0), 0.4),
+                     lambda: _plane_area_mp((-0.2, -0.3))),
+    "plane-point-outside": (lambda: plane_patch((3.0, 0.5, 1.0), 0.1),
+                            lambda: _plane_area_mp((0.5, -3.0))),
+    "cylinder-upper": (lambda: cylinder_S(1.1339)[1], lambda: 4.0 / 1.1339**2),
+    "cylinder-lower-lam-1": (lambda: cylinder_S(-1.0)[0], lambda: 4.0),
+    "cylinder-upper-lam-1": (lambda: cylinder_S(-1.0)[1], lambda: 4.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHART_CASES))
+def test_charted_area_converges_by_16_cells_within_its_stated_error(name):
+    make, exact = _CHART_CASES[name]
+    patch = make()
+    est = quad_many(patch, 128, ("area",))["area"]
+    assert est.converged
+    assert est.samples <= len(patch.quadrature_charts()) * (measures.GAUSS_ORDER * 16) ** 2
+    assert est.error >= abs(est.value - exact())
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_sphere_graph_sheets_give_the_sphere_within_their_stated_errors(lam):
+    res = [quad_many(sheet, 128, ("area", "volume")) for sheet in sphere_graph(lam)]
+    for kind, exact in (("area", np.pi**2 / lam**3), ("volume", 3 * np.pi**2 / (8 * lam**4))):
+        total = sum(r[kind].value for r in res)
+        assert abs(total - exact) <= sum(r[kind].error for r in res)
+        for r in res:
+            assert r[kind].converged
+            assert r[kind].samples <= (measures.GAUSS_ORDER * 16) ** 2
+
+
+@pytest.mark.parametrize("name", ["cylinder-s", "bernstein-3y^2"])
+def test_moved_charts_converge_with_the_base_and_scale_by_e_3s(name):
+    base = cylinder_S(1.1339)[0] if name == "cylinder-s" else _CHART_CASES[name][0]()
+    ref = area(base, 128)
+    s0 = 0.3
+    moved = {"translated": (base.translated(Point(0.7, -0.4, 1.1)), 1.0),
+             "dilated": (base.dilated(s0), np.exp(3 * s0)),
+             "flipped": (base.flipped(), 1.0),
+             "all three": (base.dilated(-s0).translated(Point(0.2, 0.1, -0.3)).flipped(),
+                           np.exp(-3 * s0))}
+    for form, (patch, factor) in moved.items():
+        est = area(patch, 128)
+        assert est.converged and est.samples == ref.samples, form
+        assert abs(est.value - factor * ref.value) <= est.error + factor * ref.error, form
+
+
+@pytest.mark.parametrize("patch", [
+    cylinder_S(0.8)[0], cylinder_S(-1.3)[1],
+    build_surface("bernstein", g_coeffs=(0.0, 0.0, 3.0)),
+    build_surface("bernstein", g_coeffs=_SEED_1_G).dilated(0.2),
+    plane_patch((0.3, -0.2, 1.0), 0.4), plane_patch((2.0, 0.0, 1.0)).flipped(),
+], ids=["cylinder-lower", "cylinder-upper", "bernstein-3y^2", "bernstein-dilated",
+        "plane-tilted", "plane-point-on-side-flipped"])
+def test_charts_tile_the_rectangle_and_integrands_see_base_parameters(patch):
+    # on a graph the T coefficient of the raw normal is the orientation times
+    # det J, so raw_T (1 + eps + s^2) integrates to the orientation times the
+    # integral of 1 + x + y^2 over the parameter rectangle
+    def poly(eps, s, p, raw):
+        return raw[..., 2] * (1.0 + eps + s * s), None
+
+    x0, x1, y0, y1 = patch.eps_lo, patch.eps_hi, patch.s_lo, patch.s_hi
+    exact = patch.orientation * ((x1 - x0) * (y1 - y0) + (x1**2 - x0**2) / 2 * (y1 - y0)
+                                 + (x1 - x0) * (y1**3 - y0**3) / 3)
+    if patch.label.endswith("+dilated"):   # the dilation scales T by e^{2 s0}
+        exact *= np.exp(2 * 0.2)
+    est = quad_many(patch, 32, (("poly", poly),))["poly"]
+    assert est.converged
+    assert abs(est.value - exact) <= 1e-13 * abs(exact)
+
+
+def test_samples_count_every_chart():
+    plane = plane_patch()
+    assert area(plane, 128).samples == 4 * (measures.GAUSS_ORDER * 8) ** 2
+    bg = build_surface("bernstein", g_coeffs=(0.0, 0.0, 3.0))
+    _, _, samples = measures._sweep(bg, 8, ("area",))
+    assert samples == 4 * (measures.GAUSS_ORDER * 8) ** 2
+
+
+def test_sine_chart_samples_are_within_their_stated_rounding():
+    # the area integrand of a sine chart in closed form: h^2 pi |sin(pi b/2)|
+    # on a cylinder sheet, h = 1/(2|lam|), and pi sin^2(pi b/2) / (2 lam^3)
+    # on a sphere sheet; each sample's error is within the floor it states,
+    # FLOOR_ULPS eps |f| plus the chart's roundoff times |f|
+    cases = []
+    for lam in (0.5, 1.1339, 2.0, -1.0, 3.3):
+        h = 1 / (2 * abs(mpmath.mpf(lam)))
+        cases += [(sheet, lambda q, h=h: h**2 * mpmath.pi * abs(mpmath.sin(q)))
+                  for sheet in cylinder_S(lam)]
+    for lam in (0.5, 1.1339, 2.0, 3.3):
+        cases += [(sheet, lambda q, lam=mpmath.mpf(lam): mpmath.pi * mpmath.sin(q) ** 2 / (2 * lam**3))
+                  for sheet in sphere_graph(lam)]
+    eps = np.finfo(float).eps
+    for patch, exact in cases:
+        for chart in patch.quadrature_charts():
+            for n in (8, 128):
+                a, _ = measures._axis_rule(chart.eps_lo, chart.eps_hi, 1)
+                b, _ = measures._axis_rule(chart.s_lo, chart.s_hi, n)
+                _, _, _, raw = chart.frame(a[:2, None], b[None, :])
+                f = np.hypot(raw[..., 0], raw[..., 1])
+                ref = np.array([float(exact(mpmath.pi * mpmath.mpf(v) / 2)) for v in b])
+                bound = (measures.FLOOR_ULPS * eps + chart.roundoff(a[:2, None], b[None, :])) * f
+                assert np.all(np.abs(f - ref) <= bound), patch.label
+
+
+# the benchmark's seed-1 catalog parameters, and the CLI defaults
+_REPORT_PARAMS = {
+    "sphere": {"--lambda": "1.1339"},
+    "cylinder-s": {"--lambda": "1.1339"},
+    "helicoid-l": {"--lambda": "1.1339", "--r": "1.4628"},
+    "bernstein": {"--g": "1.795 - 0.753*y - 0.307*y^2"},
+    "plane": {"--d": "-0.7117"},
+    "vertical-cylinder": {"--r": "1.4628"},
+    "sigma-lambda": {"--lambda": "1.1339"},
+    "sigma-zero": {},
+}
+
+
+def _exact_area(surface, flags):
+    """The area in closed form or by mpmath; None where neither is at hand."""
+    lam = float(flags.get("--lambda", 1.0))
+    r = float(flags.get("--r", 1.0))
+    if surface == "sphere":
+        return np.pi**2 / lam**3
+    if surface in ("cylinder-s", "sigma-lambda"):
+        # sigma-lambda over the x-axis is the cylinder's sheet in another chart
+        return 4.0 / lam**2
+    if surface == "bernstein":
+        return _bernstein_area_mp(_SEED_1_G if flags else (0.0,))
+    if surface == "plane":   # the cone point is the origin for every d
+        return 32.0 / 3.0 * (math.sqrt(2.0) + math.asinh(1.0))
+    if surface == "vertical-cylinder":
+        return 8.0 * np.pi * r
+    if surface == "sigma-zero":   # |N_H| = 2|s| over [-2, 2]^2
+        return 32.0
+    return None
+
+
+@pytest.mark.parametrize("params", ["defaults", "seed-1"])
+@pytest.mark.parametrize("surface", sorted(_REPORT_PARAMS))
+def test_catalog_reports_converge_within_their_stated_error(capsys, surface, params):
+    flags = _REPORT_PARAMS[surface] if params == "seed-1" else {}
+    argv = ["report", "--surface", surface, "--res", "128x128"]
+    assert main(argv + [v for kv in flags.items() for v in kv]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["A_converged"] is True and rep["V_converged"] in (True, None)
+    assert rep["samples"] <= 32768
+    exact = _exact_area(surface, flags)
+    if exact is not None:
+        assert rep["A_err"] >= abs(rep["A"] - exact)

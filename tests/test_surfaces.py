@@ -837,6 +837,72 @@ def test_partials_match_fd_across_catalog(name, params, form):
     assert np.array_equal(p.as_array(), p2.as_array())
 
 
+_DECLARED = {
+    "cylinder-lower": lambda: cylinder_S(1.3)[0],
+    "cylinder-upper-lam-1": lambda: cylinder_S(-1.0)[1],
+    "sphere-sheet-lower": lambda: sphere_graph(0.7)[0],
+    "sphere-sheet-upper": lambda: sphere_graph(0.7)[1],
+    "bernstein-y^2": lambda: build_surface("bernstein", g_coeffs=(0.0, 0.0, 1.0)),
+    "bernstein-3y^2": lambda: build_surface("bernstein", g_coeffs=(0.0, 0.0, 3.0)),
+    "plane-tilted": lambda: plane_patch((0.3, -0.2, 1.0), 0.4),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_FORMS))
+@pytest.mark.parametrize("name", sorted(_DECLARED))
+def test_chart_partials_follow_the_chain_rule(name, form):
+    patch = _FORMS[form](_DECLARED[name]())
+    charts = patch.quadrature_charts()
+    assert charts and patch not in charts
+    rng = np.random.default_rng(31)
+    for chart in charts:
+        a = chart.eps_lo + (chart.eps_hi - chart.eps_lo) * rng.uniform(0.1, 0.9, 8)
+        b = chart.s_lo + (chart.s_hi - chart.s_lo) * rng.uniform(0.1, 0.9, 8)
+        fe, fs, p = chart.partials(a, b)
+        fe2, fs2, p2 = fd_partials(chart, a, b)
+        assert np.max(np.abs(fe - fe2)) < 1e-7 and np.max(np.abs(fs - fs2)) < 1e-7
+        # the chart's samples are the patch's points, and its raw normal is
+        # det J times the patch's, with det J >= 0
+        eps, s, (ea, eb, sa, sb) = chart.to_base(a, b)
+        q, _, _, raw = patch.frame(eps, s)
+        assert np.array_equal(p.as_array(), q.as_array())
+        det = np.asarray(ea * sb - eb * sa, float)
+        assert np.all(det > 0.0)
+        assert np.allclose(chart.frame(a, b)[3], det[..., None] * raw, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("form", sorted(_FORMS))
+def test_patches_that_declare_nothing_are_their_own_chart(form):
+    patches = [sphere_geodesic(1.0),
+               build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1),
+               build_sigma_zero(line_curve(eps_min=-1, eps_max=1)),
+               helicoid_L(1.0, 1.0, k_max=2).pieces[1],
+               VerticalCylinder(1.5),
+               plane_patch((1.0, 0.5, 0.0), 0.3),
+               plane_patch((3.0, 0.5, 1.0), 0.1),          # cone point (0.5, -3) outside
+               build_surface("bernstein", g_coeffs=(0.0, 10.0))]   # curve x = -5 outside
+    for base in patches:
+        patch = _FORMS[form](base)
+        assert patch.quadrature_charts() == [patch], base.label
+
+
+def test_charts_split_where_the_singular_set_lies():
+    # the cone point on a side gives three triangles, on a corner two
+    assert len(plane_patch((2.0, 0.0, 1.0)).quadrature_charts()) == 3
+    assert len(plane_patch((2.0, 2.0, 1.0)).quadrature_charts()) == 2
+    # for g = 3y^2 the curve x = -g'(y)/2 = -3y leaves [-3, 3]^2 at y = +-1:
+    # one whole-row chart on each outer piece, two split charts on the middle
+    charts = build_surface("bernstein", g_coeffs=(0.0, 0.0, 3.0)).quadrature_charts()
+    cuts = [(-3.0, -1.0), (-1.0, 1.0), (-1.0, 1.0), (1.0, 3.0)]
+    assert [(c.s_lo, c.s_hi) for c in charts] == [pytest.approx(c, abs=1e-15) for c in cuts]
+    assert [(c.eps_lo, c.eps_hi) for c in charts] == [(-3.0, 3.0), (0.0, 1.0), (0.0, 1.0),
+                                                      (-3.0, 3.0)]
+    lower, upper = cylinder_S(0.8)
+    for sheet in (lower, upper):
+        assert [(c.s_lo, c.s_hi) for c in sheet.quadrature_charts()] == [(-1.0, 0.0), (0.0, 1.0)]
+    assert [(c.s_lo, c.s_hi) for c in sphere_graph(0.8)[0].quadrature_charts()] == [(0.0, 1.0)]
+
+
 def test_only_flipped_patches_forward_singular_curves():
     sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
     assert len(sl.flipped().singular_curves()) == 2

@@ -9,7 +9,9 @@ OUTDIR receives:
   and `curve` workloads at seeds 11 and 12, one subdirectory per workload
   and seed, with the operations taken unchanged from `bench/workloads.make_ops`;
 - `extra/`: 40x40 `--with-h` meshes of five surfaces whose per-vertex mean
-  curvature runs characteristic traces;
+  curvature runs characteristic traces, and the reports of a Bernstein graph
+  whose singular curve crosses the rectangle's sides and of a cylinder sheet
+  at a second lambda;
 - for every operation, `<name>.stdout`: its exit code, then its standard
   output without the `wrote PATH` lines (those name OUTDIR); a report's
   JSON is there, because `report` without `--out` prints it.
@@ -34,6 +36,8 @@ import workloads  # noqa: E402
 
 SEEDS = (11, 12)
 EXTRA_WITH_H = ("sigma-lambda", "helicoid-l", "sigma-zero", "bernstein", "cylinder-s")
+EXTRA_REPORTS = {"bernstein-3y2": ["--surface", "bernstein", "--g", "3*y^2"],
+                 "cylinder-s-lam0.6": ["--surface", "cylinder-s", "--lambda", "0.6"]}
 
 
 def _run(argv, outdir, name):
@@ -68,6 +72,8 @@ def write_all(outdir):
         _run(["mesh", "--surface", surf, "--res", "40x40", "--with-h",
               "--out", os.path.join(extra, tag + ".obj"),
               "--csv", os.path.join(extra, tag + ".csv")], extra, tag)
+    for tag, argv in EXTRA_REPORTS.items():
+        _run(["report", *argv], extra, "report-" + tag)
 
 
 if __name__ == "__main__":
