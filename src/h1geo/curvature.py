@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NoSingularCurve, OnSingularLocus, SingularPoint
 from .geodesics import GeodesicSpec, geodesic_point
 from .hgroup import Point, conn_c, divergence, dot_c
-from .surfaces import ImmersedPatch, SingularCurveRef, TOL_SINGULAR
+from .surfaces import ImmersedPatch, TOL_SINGULAR
 
 H_CHAR_STEP = 1e-4  # arclength step along the characteristic trace
 
@@ -200,37 +200,42 @@ def graph_pde_mean_curvature(source, x, y, tol_singular: float = TOL_SINGULAR):
 # Stationarity at singular curves
 
 
-def orthogonality_defect(patch: ImmersedPatch, curve, eps,
-                         offset: float = 10 * TOL_SINGULAR):
-    """<limit characteristic direction, singular-curve tangent> at `eps`.
+DEFECT_OFFSET = 10 * TOL_SINGULAR   # the probe's distance into the regular side
 
-    `curve` is a SingularCurveRef from patch.singular_curves(), or an index
-    into that list.  Z is sampled at `offset` and `2*offset` into the
-    regular side and extrapolated linearly to the curve, which removes the
-    O(offset) rotation bias of the characteristic direction.  Zero means
-    the patch is compatible with area-stationarity at this curve.
+
+def orthogonality_defect(patch: ImmersedPatch, index: int, param):
+    """<limit characteristic direction, singular-curve tangent> at `param`
+    on the curve patch.singular_curves()[index].
+
+    The tangent is d eps F_eps + d s F_s at the curve, from the curve's
+    `rate` and the patch's own partials.  Z is sampled at DEFECT_OFFSET and
+    twice that into the regular side and extrapolated linearly to the curve,
+    which removes the O(offset) rotation bias of the characteristic
+    direction.  Zero means the patch is compatible with area-stationarity at
+    this curve.
     """
-    if not isinstance(curve, SingularCurveRef):
-        curves = patch.singular_curves()
-        if not curves:
-            raise NoSingularCurve(f"{patch.label} carries no singular curve")
-        curve = curves[int(curve)]
-    tangent = _asf(curve.tangent(eps))
+    curves = patch.singular_curves()
+    if not curves:
+        raise NoSingularCurve(f"{patch.label} carries no singular curve")
+    curve = curves[int(index)]
+    on_curve = curve.inward(param, 0.0)
+    fe, fs, _ = patch.partials(*on_curve)
+    de, ds = (_asf(r)[..., None] for r in curve.rate(param))
+    tangent = de * fe + ds * fs
 
     def pairing(off):
-        pe, ps = curve.inward(eps, off)
+        pe, ps = curve.inward(param, off)
         nd = patch.normal_data(pe, ps)
         if np.any(nd.singular):
             shape, k = nd.singular.shape, np.flatnonzero(nd.singular)[0]
-            at = [np.broadcast_to(v, shape).flat[k]
-                  for v in (eps, pe, ps, *curve.inward(eps, 0.0))]
+            at = [np.broadcast_to(v, shape).flat[k] for v in (param, pe, ps, *on_curve)]
             lost = ": the offset is lost to rounding there" if at[1:3] == at[3:] else ""
             raise SingularPoint(f"probe offset {off:g} from {curve.label} of {patch.label} "
                                 f"at parameter {at[0]:g} landed inside the singular band{lost}")
         return dot_c(nd.z, tangent)
 
-    d1 = pairing(offset)
-    d2 = pairing(2.0 * offset)
+    d1 = pairing(DEFECT_OFFSET)
+    d2 = pairing(2.0 * DEFECT_OFFSET)
     return 2.0 * d1 - d2
 
 

@@ -7,8 +7,8 @@ generator W, i.e. -(1/4) <W, F_eps x F_s> d eps ds with the inner normal.
 Neither integrand needs a normalization, so singular rows (|N_H| -> 0) are
 handled by the quadrature never sampling cell endpoints.  Where |N_H| stops
 being smooth inside a patch, the patch declares `quadrature_charts`,
-reparameterized pieces on which it is smooth again, and each sweep sums
-over them.
+`Chart` maps of its parameters on which it is smooth again, and each sweep
+sums over them.
 
 `integrate` returns plain values from one sample sweep at a fixed n.
 `quad_many` is the only place that wraps them in an Estimate: it sweeps a
@@ -84,8 +84,9 @@ _NONNEGATIVE = (_area, _rarea)   # sum |f| w is sum f w for these
 
 def _sweep(patch: ImmersedPatch, n: int, kinds: tuple):
     """({kind: sum f w}, {kind: roundoff floor}, samples) from one sweep of
-    n x n cells over each of the patch's quadrature charts, shared between
-    the integrands and summed over the charts in order.
+    n x n cells over each of the patch's quadrature charts, or over its own
+    rectangle when it declares none, shared between the integrands and
+    summed over the charts in order.
 
     A kind is a built-in name ('area', 'rarea', 'volume') or a (name, fn)
     pair with fn a named integrand (see _INTEGRANDS); results are keyed by
@@ -101,9 +102,8 @@ def _sweep(patch: ImmersedPatch, n: int, kinds: tuple):
     block size.
     """
     funcs = dict((k, _INTEGRANDS[k]) if isinstance(k, str) else k for k in kinds)
-    if patch.eps_hi == patch.eps_lo or patch.s_hi == patch.s_lo:
-        return {k: 0.0 for k in funcs}, {k: 0.0 for k in funcs}, (GAUSS_ORDER * n) ** 2
-    parts = [_sweep_chart(patch, chart, n, funcs) for chart in patch.quadrature_charts()]
+    parts = [_sweep_chart(patch, chart, n, funcs)
+             for chart in patch.quadrature_charts() or [None]]
     values, floors = {}, {}
     for k in funcs:
         value, mag, rounding = (_total([part[k][i] for part in parts]) for i in range(3))
@@ -121,20 +121,24 @@ def _total(terms: list):
     return sum(terms[1:], terms[0]) if terms else None
 
 
-def _sweep_chart(patch: ImmersedPatch, chart: ImmersedPatch, n: int, funcs: dict) -> dict:
-    """{kind: (sum f w, sum |f| w, sum roundoff w or None)} over one chart."""
-    mapped = chart is not patch
-    eps_pts, eps_wts = _axis_rule(chart.eps_lo, chart.eps_hi, n)
-    s_pts, s_wts = _axis_rule(chart.s_lo, chart.s_hi, n)
+def _sweep_chart(patch: ImmersedPatch, chart, n: int, funcs: dict) -> dict:
+    """{kind: (sum f w, sum |f| w, sum roundoff w or None)} over one `Chart`
+    of the patch, or over the patch's own rectangle for chart None."""
+    rect = chart.rect if chart is not None else (patch.eps_lo, patch.eps_hi, patch.s_lo, patch.s_hi)
+    eps_pts, eps_wts = _axis_rule(*rect[:2], n)
+    s_pts, s_wts = _axis_rule(*rect[2:], n)
     rows = {k: np.empty(eps_pts.size) for k in funcs}
     abs_rows = {k: np.empty(eps_pts.size) for k, fn in funcs.items() if fn not in _NONNEGATIVE}
     round_rows = {}
     block = max(1, _BLOCK_SAMPLES // s_pts.size)
     for start in range(0, eps_pts.size, block):
         a, b = eps_pts[start:start + block, None], s_pts[None, :]
-        p, _, _, raw = chart.frame(a, b)
-        eps, s = chart.to_base(a, b)[:2] if mapped else (a, b)
-        rel = chart.roundoff(a, b) if mapped and chart.roundoff is not None else None
+        if chart is None:
+            eps, s, rel = a, b, None
+            p, _, _, raw = patch.frame(a, b)
+        else:
+            eps, s, p, raw = chart.samples(patch, a, b)
+            rel = None if chart.roundoff is None else chart.roundoff(a, b)
         for kind, fn in funcs.items():
             f, roundoff = fn(eps, s, p, raw)
             if not np.all(np.isfinite(f)):

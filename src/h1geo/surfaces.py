@@ -22,9 +22,10 @@ integrands read, and `normal_data` normalizes it and carries the partials
 on, so the characteristic traces never evaluate a sample twice.
 `fd_partials` is the finite-difference reference for `partials`; the tests
 hold every patch to it, and `PerturbedPatch`, with no closed form, uses it.
-A patch whose area integrand |N_H| is not smooth on its parameter rectangle
-declares `quadrature_charts`: `_ReparamPatch` charts of itself on which it
-is, read only by the quadrature.
+A patch states its singular set in its parameters: `quadrature_charts`,
+`Chart` maps on which |N_H| is smooth, read only by the quadrature, and
+`singular_curves`, `SingularCurveRef`s.  A group motion moves points, not
+parameters, so a moved patch keeps both.
 A `SurfaceMesh` keeps the grid, the points, |N_H|, the geometric s and the
 mean-curvature estimate.  An orthogonal-geodesic patch reads its curve's
 `position`, `planar.d1` and `planar.d2` once per call, on eps as given, and
@@ -169,51 +170,47 @@ class ImmersedPatch:
         return _MappedPatch(self, "+dilated", move=lambda p: dilate(s0, p),
                             scale=np.array([es, es, es * es]), lam_factor=np.exp(-s0))
 
-    def singular_curves(self):
-        """Singular boundary curves carried by the patch, when known."""
+    def singular_curves(self) -> list:
+        """The patch's singular curves as `SingularCurveRef`s, when known."""
         return []
 
     def quadrature_charts(self) -> list:
-        """The charts the quadrature integrates, summed: [self], or
-        `_ReparamPatch` charts over self built from where the area integrand
-        stops being smooth.  Nothing else reads them."""
-        return [self]
+        """The charts the quadrature integrates, summed: [] for the patch's
+        own rectangle, or `Chart`s built from where the area integrand stops
+        being smooth.  Nothing else reads them."""
+        return []
 
 
-class _ReparamPatch(ImmersedPatch):
-    """A base patch seen through a map of its parameters.
+@dataclass(frozen=True)
+class Chart:
+    """A map of a patch's parameters on which its area integrand is smooth.
 
-    `to_base(a, b)` gives (eps, s, (eps_a, eps_b, s_a, s_b)): the base
-    parameters of (a, b) in the rectangle `rect` and the map's Jacobian, with
-    det >= 0 so the orientation is kept.  The partials follow by the chain
-    rule, F_a = eps_a F_eps + s_a F_s and F_b = eps_b F_eps + s_b F_s, so
-    the raw normal is det J times the base's.  `roundoff`, when given, maps
-    (a, b) to a bound on the relative rounding error the base carries into
-    the integrands at those samples.
+    `to_base(a, b)` gives (eps, s, (eps_a, eps_b, s_a, s_b)): the patch
+    parameters of (a, b) in the rectangle `rect` = (a_lo, a_hi, b_lo, b_hi)
+    and the map's Jacobian, with det >= 0 so the orientation is kept.
+    `roundoff`, when given, maps (a, b) to a bound on the relative rounding
+    error the patch carries into the integrands at those samples.
     """
 
-    def __init__(self, base: ImmersedPatch, to_base, rect, roundoff=None):
-        super().__init__(*rect, orientation=base.orientation)
-        self._base = base
-        self.to_base = to_base
-        self.roundoff = roundoff
-        self.label = base.label + "+chart"
+    to_base: Callable
+    rect: tuple
+    roundoff: Callable | None = None
 
-    def partials(self, a, b):
+    def samples(self, patch: ImmersedPatch, a, b):
+        """(eps, s, p, raw) of `patch` at the chart parameters (a, b), from
+        one `to_base` call: the patch parameters, the point, and the chart's
+        raw normal orientation * (F_a x F_b), where by the chain rule
+        F_a = eps_a F_eps + s_a F_s and F_b = eps_b F_eps + s_b F_s, so raw
+        is det J times the patch's."""
         eps, s, jac = self.to_base(_asf(a), _asf(b))
-        fe, fs, p = self._base.partials(eps, s)
+        fe, fs, p = patch.partials(eps, s)
         ea, eb, sa, sb = (_asf(j)[..., None] for j in jac)
-        return ea * fe + sa * fs, eb * fe + sb * fs, p
-
-    def over(self, base: ImmersedPatch) -> "_ReparamPatch":
-        """The same map over another base with the same parameters."""
-        return _ReparamPatch(base, self.to_base,
-                             (self.eps_lo, self.eps_hi, self.s_lo, self.s_hi), self.roundoff)
+        return eps, s, p, patch.orientation * cross_c(ea * fe + sa * fs, eb * fe + sb * fs)
 
 
-def _box_chart(patch: ImmersedPatch, rect) -> _ReparamPatch:
+def _box_chart(rect) -> Chart:
     """The patch itself on the sub-rectangle rect of its parameters."""
-    return _ReparamPatch(patch, lambda a, b: (a, b, (1.0, 0.0, 0.0, 1.0)), rect)
+    return Chart(lambda a, b: (a, b, (1.0, 0.0, 0.0, 1.0)), rect)
 
 
 # Rounding the base carries into a sine chart's integrands, relative, in
@@ -244,8 +241,7 @@ def _sine_charts(patch: ImmersedPatch, mid: float) -> list:
             q = 0.5 * np.pi * b
             return a, mid + L * np.sin(q), (1.0, 0.0, 0.0, 0.5 * np.pi * L * np.cos(q))
 
-        charts.append(_ReparamPatch(patch, to_base, (patch.eps_lo, patch.eps_hi, b_lo, b_hi),
-                                    _sine_roundoff))
+        charts.append(Chart(to_base, (patch.eps_lo, patch.eps_hi, b_lo, b_hi), _sine_roundoff))
     return charts
 
 
@@ -278,14 +274,13 @@ class _MappedPatch(ImmersedPatch):
     def geometric_s(self, eps, s):
         return self._base.geometric_s(eps, s)
 
+    # a move changes points, not parameters: the base's curves and charts,
+    # both stated in parameters, serve here too
     def singular_curves(self):
-        # the base's curves lie on this patch only when no point moved
-        return self._base.singular_curves() if self._move is None else []
+        return self._base.singular_curves()
 
     def quadrature_charts(self):
-        # a move changes points, not parameters: the base's maps serve here too
-        return [self if c is self._base else c.over(self)
-                for c in self._base.quadrature_charts()]
+        return self._base.quadrature_charts()
 
 
 class PerturbedPatch(ImmersedPatch):
@@ -495,12 +490,22 @@ class GraphPatch(ImmersedPatch):
 
 @dataclass(frozen=True)
 class SingularCurveRef:
-    """A singular curve on a patch with an inward probe into the regular side."""
+    """A singular curve of a patch, in its parameters.
 
-    point: Callable          # param -> Point
-    tangent: Callable        # param -> frame triple of the curve tangent
+    `inward(param, offset)` gives the patch parameters (eps, s) of a probe
+    `offset` into the regular side, the curve itself at offset 0; `rate`
+    maps param to (d eps, d s) along the curve, so its tangent is
+    d eps F_eps + d s F_s from the patch's own partials.
+    """
+
     inward: Callable         # (param, offset) -> (eps, s) patch parameters
+    rate: Callable           # param -> (d eps / d param, d s / d param)
     label: str = "singular"
+
+
+def _along_eps(param):
+    """The rate of a singular curve that runs along eps at constant s."""
+    return 1.0, 0.0
 
 
 class BernsteinGraph(GraphPatch):
@@ -536,19 +541,14 @@ class BernsteinGraph(GraphPatch):
         self.g, self.dg, self.ddg = g, dg, ddg
 
     def singular_curves(self):
-        def pt(y):
-            y = _asf(y)
-            return Point(-self.dg(y) / 2.0, y, self.g(y) - self.dg(y) * y / 2.0)
-
-        def tangent(y):
-            y = _asf(y)
-            return np.stack(np.broadcast_arrays(-self.ddg(y) / 2.0, np.ones_like(y), np.zeros_like(y)), axis=-1)
-
         def inward(y, offset):
             y = _asf(y)
             return -self.dg(y) / 2.0 + offset, y
 
-        return [SingularCurveRef(pt, tangent, inward, label="bernstein-singular")]
+        def rate(y):
+            return -self.ddg(_asf(y)) / 2.0, 1.0
+
+        return [SingularCurveRef(inward, rate, label="bernstein-singular")]
 
     def quadrature_charts(self):
         """|N_H| = |2x + g'(y)| has a kink along x = c(y) = -g'(y)/2.  The
@@ -575,11 +575,10 @@ class BernsteinGraph(GraphPatch):
         for ya, yb in zip(cuts[:-1], cuts[1:]):
             if x0 < c(0.5 * (ya + yb)) < x1:
                 split = True
-                charts += [_ReparamPatch(self, left, (0.0, 1.0, ya, yb)),
-                           _ReparamPatch(self, right, (0.0, 1.0, ya, yb))]
+                charts += [Chart(left, (0.0, 1.0, ya, yb)), Chart(right, (0.0, 1.0, ya, yb))]
             else:
-                charts.append(_box_chart(self, (x0, x1, ya, yb)))
-        return charts if split else [self]
+                charts.append(_box_chart((x0, x1, ya, yb)))
+        return charts if split else []
 
 
 def _roots(f, lo: float, hi: float, samples: int = 1024) -> list:
@@ -598,18 +597,6 @@ def _roots(f, lo: float, hi: float, samples: int = 1024) -> list:
         k = np.arange(j.size)
         a, b = yy[k, j], yy[k, j + 1]
     return roots + list(0.5 * (a + b))
-
-
-def bernstein_graph(g, dg=None, ddg=None, rect=(-3.0, 3.0, -3.0, 3.0),
-                    h_fd: float = 1e-5) -> BernsteinGraph:
-    """Build the graph t = xy + g(y); derivative callables default to FD."""
-    if dg is None:
-        def dg(y):
-            return (g(_asf(y) + h_fd) - g(_asf(y) - h_fd)) / (2 * h_fd)
-    if ddg is None:
-        def ddg(y):
-            return (g(_asf(y) + h_fd) - 2 * g(_asf(y)) + g(_asf(y) - h_fd)) / (h_fd * h_fd)
-    return BernsteinGraph(g, dg, ddg, rect)
 
 
 def plane_patch(normal=(0.0, 0.0, 1.0), d: float = 0.0,
@@ -658,7 +645,7 @@ class _PlaneGraph(GraphPatch):
         px, py = self.cone
         x0, x1, y0, y1 = self.eps_lo, self.eps_hi, self.s_lo, self.s_hi
         if not (x0 <= px <= x1 and y0 <= py <= y1):
-            return [self]
+            return []
         corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
         charts = []
         for (vx0, vy0), (vx1, vy1) in zip(corners, corners[1:] + corners[:1]):
@@ -670,7 +657,7 @@ class _PlaneGraph(GraphPatch):
                 wx, wy = e1x + b * dx, e1y + b * dy
                 return px + a * wx, py + a * wy, (wx, a * dx, wy, a * dy)
 
-            charts.append(_ReparamPatch(self, to_base, (0.0, 1.0, 0.0, 1.0)))
+            charts.append(Chart(to_base, (0.0, 1.0, 0.0, 1.0)))
         return charts
 
 
@@ -847,28 +834,17 @@ class SigmaLambdaPatch(ImmersedPatch):
             lambda s: self.variation_dcoeffs(e, s),
         )
 
-    def far_curve_point(self, eps) -> Point:
-        return self.point(_asf(eps), 1.0)
-
-    def far_curve_tangent(self, eps):
-        """Gamma_1'(eps) = V(s_cut) + s_cut'(eps) gamma'(s_cut), a frame triple:
-        F_eps at sigma = 1."""
-        return self.partials(eps, 1.0)[0]
-
     def singular_curves(self):
+        """The base curve sigma = 0 and the far curve sigma = 1, whose tangent
+        F_eps(eps, 1) is V(s_cut) + s_cut'(eps) gamma'(s_cut)."""
         def base_inward(e, offset):
             return _asf(e), offset / self.s_cut(_asf(e))
 
         def far_inward(e, offset):
             return _asf(e), 1.0 - offset / self.s_cut(_asf(e))
 
-        base = SingularCurveRef(
-            lambda e: self.curve.position(_asf(e)),
-            lambda e: self.curve.velocity(_asf(e)),
-            base_inward, label="base")
-        far = SingularCurveRef(self.far_curve_point, self.far_curve_tangent,
-                               far_inward, label="far")
-        return [base, far]
+        return [SingularCurveRef(base_inward, _along_eps, label="base"),
+                SingularCurveRef(far_inward, _along_eps, label="far")]
 
 
 def build_sigma_lambda(curve: HorizontalCurve, lam: float, side: int = 1,
@@ -909,12 +885,16 @@ class SigmaZeroPatch(ImmersedPatch):
         return self.partials(eps, s)[0]
 
     def singular_curves(self):
-        base = SingularCurveRef(
-            lambda e: self.curve.position(_asf(e)),
-            lambda e: self.curve.velocity(_asf(e)),
-            lambda e, offset: (_asf(e), offset + 0.0 * _asf(e)),
-            label="base")
-        return [base]
+        return [SingularCurveRef(lambda e, offset: (_asf(e), offset + 0.0 * _asf(e)),
+                                 _along_eps, label="base")]
+
+    def quadrature_charts(self):
+        # |N_H| is a multiple of |s| near the base curve s = 0: a kink there
+        # unless s = 0 is an edge
+        if not self.s_lo < 0.0 < self.s_hi:
+            return []
+        return [_box_chart((self.eps_lo, self.eps_hi, self.s_lo, 0.0)),
+                _box_chart((self.eps_lo, self.eps_hi, 0.0, self.s_hi))]
 
 
 def build_sigma_zero(curve: HorizontalCurve, s_range=(-2.0, 2.0),

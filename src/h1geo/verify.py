@@ -27,7 +27,7 @@ from .geodesics import (
 from .hcurves import helix_curve, line_curve
 from .hgroup import ORIGIN, Point
 from .surfaces import (
-    bernstein_graph,
+    BernsteinGraph,
     build_sigma_lambda,
     build_sigma_zero,
     cylinder_S,
@@ -244,9 +244,9 @@ def suite_curvature(tols=None) -> list[Check]:
     fam = helicoid_L(1.0, 1.0, k_max=2)
     for i, piece in enumerate(fam.pieces[:4]):
         cases.append((f"helicoid-piece{i}", piece, 1.0, (0.2, 0.8)))
-    bg = bernstein_graph(lambda y: np.asarray(y, float) ** 2,
-                         lambda y: 2 * np.asarray(y, float),
-                         lambda y: 2.0 + 0 * np.asarray(y, float))
+    bg = BernsteinGraph(lambda y: np.asarray(y, float) ** 2,
+                        lambda y: 2 * np.asarray(y, float),
+                        lambda y: 2.0 + 0 * np.asarray(y, float))
     cases.append(("bernstein(y^2)", bg, 0.0, (1.0, 2.5)))
     sz = build_sigma_zero(helix_curve(1.0, eps_min=-2, eps_max=2), s_range=(-1.5, 1.5))
     cases.append(("sigma-zero(helix)", sz, 0.0, (0.3, 1.2)))
@@ -274,7 +274,7 @@ def suite_curvature(tols=None) -> list[Check]:
         ("cylinder(sigma chart)", build_sigma_lambda(line_curve(eps_min=-3, eps_max=3), 1.0, -1),
          [(0.0, 0.5), (0.7, 0.6)]),
         ("helicoid", fam.pieces[0], [(0.0, 0.5), (0.4, 0.55)]),
-        ("bernstein(affine)", bernstein_graph(
+        ("bernstein(affine)", BernsteinGraph(
             lambda yy: 3 * np.asarray(yy, float) + 7,
             lambda yy: 3.0 + 0 * np.asarray(yy, float),
             lambda yy: 0.0 * np.asarray(yy, float)), [(0.5, 0.5), (1.0, -0.5)]),
@@ -389,7 +389,7 @@ def suite_bernstein(tols=None, g_data=None) -> list[Check]:
     else:
         g_cases = [g_data]
     for label, (g, dg, ddg) in g_cases:
-        patch = bernstein_graph(g, dg, ddg)
+        patch = BernsteinGraph(g, dg, ddg)
         worst = 0.0
         for y in rng.uniform(-1.0, 1.0, 8):
             defect = float(crv.orthogonality_defect(patch, 0, float(y)))

@@ -24,7 +24,7 @@ from h1geo.geodesics import (
 from h1geo.hcurves import helix_curve, line_curve
 from h1geo.hgroup import ORIGIN, Point
 from h1geo.surfaces import (
-    bernstein_graph,
+    BernsteinGraph,
     build_sigma_lambda,
     cylinder_S,
     helicoid_L,
@@ -201,8 +201,8 @@ def test_criterion_09_mean_curvature():
     fam = helicoid_L(1.0, 1.0, k_max=2)
     for piece in fam.pieces:
         cases.append((piece, 1.0, (0.2, 0.8)))
-    cases.append((bernstein_graph(*quadratic_g()), 0.0, (1.0, 2.5)))
-    cases.append((bernstein_graph(*affine_g()), 0.0, (1.0, 2.5)))
+    cases.append((BernsteinGraph(*quadratic_g()), 0.0, (1.0, 2.5)))
+    cases.append((BernsteinGraph(*affine_g()), 0.0, (1.0, 2.5)))
     for patch, expected, (lo_s, hi_s) in cases:
         eps = rng.uniform(patch.eps_lo + 0.3, patch.eps_hi - 0.3, 30)
         s = rng.uniform(lo_s, hi_s, 30)
@@ -229,10 +229,10 @@ def test_criterion_10_orthogonality():
             for eps in rng.uniform(-1.0, 1.0, 8):
                 worst = max(worst, abs(float(
                     crv.orthogonality_defect(patch, idx, float(eps)))))
-    bg_aff = bernstein_graph(*affine_g())
+    bg_aff = BernsteinGraph(*affine_g())
     for y in rng.uniform(-1.0, 1.0, 8):
         worst = max(worst, abs(float(crv.orthogonality_defect(bg_aff, 0, float(y)))))
-    bg_quad = bernstein_graph(*quadratic_g())
+    bg_quad = BernsteinGraph(*quadratic_g())
     neg = max(abs(float(crv.orthogonality_defect(bg_quad, 0, float(y))) - (-1.0))
               for y in rng.uniform(-1.0, 1.0, 8))
     report(10, worst < 1e-6 and neg < 1e-6,
@@ -309,7 +309,7 @@ def test_criterion_15_ruling():
         (build_sigma_lambda(line_curve(eps_min=-3, eps_max=3), 1.0, -1),
          [(0.0, 0.5), (0.7, 0.6)]),
         (helicoid_L(1.0, 1.0, k_max=1).pieces[0], [(0.0, 0.5), (0.4, 0.55)]),
-        (bernstein_graph(*affine_g()), [(0.5, 0.5), (1.0, -0.5)]),
+        (BernsteinGraph(*affine_g()), [(0.5, 0.5), (1.0, -0.5)]),
     ]
     worst = 0.0
     for patch, seeds in cases:

@@ -19,9 +19,11 @@ from h1geo.errors import NoSingularCurve, OnSingularLocus, SingularPoint
 from h1geo.hcurves import helix_curve, line_curve
 from h1geo.hgroup import Point
 from h1geo.surfaces import (
+    BernsteinGraph,
+    ImmersedPatch,
+    SingularCurveRef,
     SpherePatch,
     VerticalCylinder,
-    bernstein_graph,
     build_sigma_lambda,
     build_sigma_zero,
     cylinder_S,
@@ -37,12 +39,12 @@ RNG = np.random.default_rng(1234)
 
 def make_bernstein(kind):
     if kind == "quadratic":
-        return bernstein_graph(lambda y: np.asarray(y, float) ** 2,
-                               lambda y: 2 * np.asarray(y, float),
-                               lambda y: 2.0 + 0 * np.asarray(y, float))
-    return bernstein_graph(lambda y: 3 * np.asarray(y, float) + 7.0,
-                           lambda y: 3.0 + 0 * np.asarray(y, float),
-                           lambda y: 0.0 * np.asarray(y, float))
+        return BernsteinGraph(lambda y: np.asarray(y, float) ** 2,
+                              lambda y: 2 * np.asarray(y, float),
+                              lambda y: 2.0 + 0 * np.asarray(y, float))
+    return BernsteinGraph(lambda y: 3 * np.asarray(y, float) + 7.0,
+                          lambda y: 3.0 + 0 * np.asarray(y, float),
+                          lambda y: 0.0 * np.asarray(y, float))
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +355,35 @@ def test_defect_bernstein_affine():
     bg = make_bernstein("affine")
     for y in (-0.8, 0.0, 0.5):
         assert abs(orthogonality_defect(bg, 0, y)) < 1e-9
+
+
+class _ShearedBernstein(ImmersedPatch):
+    """t = xy + y^2 in the parameters x = eps + s, y = s.  Its singular curve
+    x = -y is eps = -2s, oblique to both parameter axes, so its tangent
+    needs both partials: -2 F_eps + F_s = -F_x + F_y."""
+
+    def __init__(self):
+        super().__init__(-3.0, 3.0, -3.0, 3.0)
+        self._graph = make_bernstein("quadratic")
+        self.label = "sheared-bernstein"
+
+    def partials(self, eps, s):
+        fx, fy, p = self._graph.partials(np.asarray(eps, float) + s, s)
+        return fx, fx + fy, p
+
+    def singular_curves(self):
+        def inward(y, offset):
+            y = np.asarray(y, float)
+            return -2.0 * y + offset, y
+
+        return [SingularCurveRef(inward, lambda y: (-2.0, 1.0))]
+
+
+def test_defect_tangent_takes_both_partials():
+    # the same surface and curve as t = xy + y^2, so the same -g''/2
+    y = np.array([-0.8, 0.0, 0.5])
+    d = orthogonality_defect(_ShearedBernstein(), 0, y)
+    assert np.max(np.abs(d - (-1.0))) < 1e-6
 
 
 def test_defect_requires_singular_curve():

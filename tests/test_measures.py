@@ -27,6 +27,7 @@ from h1geo.surfaces import (
     GraphPatch,
     ImmersedPatch,
     PerturbedPatch,
+    SpherePatch,
     build_sigma_lambda,
     build_surface,
     cylinder_S,
@@ -76,6 +77,24 @@ def test_degenerate_domain_integrates_to_zero():
     sp2 = sphere_geodesic(1.0)
     sp2.s_hi = sp2.s_lo
     assert area(sp2, 16).value == 0.0
+
+
+def test_degenerate_domain_is_swept_for_the_samples_it_reports():
+    # zero weights give exactly 0, and the samples stated are the ones taken
+    points = []
+
+    class CountingSphere(SpherePatch):
+        def partials(self, eps, s):
+            points.append(np.broadcast(eps, s).size)
+            return super().partials(eps, s)
+
+    sp = CountingSphere(1.0)
+    sp.s_hi = sp.s_lo
+    est = area(sp, 16)
+    assert est.value == 0.0 and est.converged
+    # the ladder sweeps 4 and then 8 cells per side, where it stops
+    assert sum(points) == sum((measures.GAUSS_ORDER * m) ** 2 for m in (4, 8))
+    assert est.samples == (measures.GAUSS_ORDER * 8) ** 2
 
 
 def test_volume_orientation_flip():
@@ -509,7 +528,8 @@ def test_charted_area_converges_by_16_cells_within_its_stated_error(name):
     patch = make()
     est = quad_many(patch, 128, ("area",))["area"]
     assert est.converged
-    assert est.samples <= len(patch.quadrature_charts()) * (measures.GAUSS_ORDER * 16) ** 2
+    charts = max(1, len(patch.quadrature_charts()))   # [] is the patch's own rectangle
+    assert est.samples <= charts * (measures.GAUSS_ORDER * 16) ** 2
     assert est.error >= abs(est.value - exact())
 
 
@@ -589,9 +609,9 @@ def test_sine_chart_samples_are_within_their_stated_rounding():
     for patch, exact in cases:
         for chart in patch.quadrature_charts():
             for n in (8, 128):
-                a, _ = measures._axis_rule(chart.eps_lo, chart.eps_hi, 1)
-                b, _ = measures._axis_rule(chart.s_lo, chart.s_hi, n)
-                _, _, _, raw = chart.frame(a[:2, None], b[None, :])
+                a, _ = measures._axis_rule(*chart.rect[:2], 1)
+                b, _ = measures._axis_rule(*chart.rect[2:], n)
+                _, _, _, raw = chart.samples(patch, a[:2, None], b[None, :])
                 f = np.hypot(raw[..., 0], raw[..., 1])
                 ref = np.array([float(exact(mpmath.pi * mpmath.mpf(v) / 2)) for v in b])
                 bound = (measures.FLOOR_ULPS * eps + chart.roundoff(a[:2, None], b[None, :])) * f
@@ -629,6 +649,16 @@ def _exact_area(surface, flags):
     if surface == "sigma-zero":   # |N_H| = 2|s| over [-2, 2]^2
         return 32.0
     return None
+
+
+@pytest.mark.parametrize("cap", [9, 11, 13, 15])
+def test_sigma_zero_converges_at_odd_caps(capsys, cap):
+    # an odd cap is the last level, whose cell edges miss s = 0; the charts
+    # split there put the singular curve on a chart edge all the same
+    assert main(["report", "--surface", "sigma-zero", "--res", f"{cap}x{cap}"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["A_converged"] is True
+    assert rep["A_err"] >= abs(rep["A"] - 32.0)
 
 
 @pytest.mark.parametrize("params", ["defaults", "seed-1"])

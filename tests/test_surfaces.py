@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from h1geo.curvature import fill_mesh_curvature
+from h1geo.curvature import fill_mesh_curvature, orthogonality_defect
 from h1geo.errors import DegeneratePoint, UnknownSurface
 from h1geo.geodesics import conserved_quantity, geodesic_velocity, jacobi_residual
 from h1geo.hcurves import HorizontalCurve, PlanarCurve, helix_curve, horizontal_lift, line_curve
-from h1geo.hgroup import Point, cartesian_to_frame, j_c, dot_c
+from h1geo.hgroup import Point, cartesian_to_frame, cross_c, j_c, dot_c
 from h1geo.surfaces import (
     BernsteinGraph,
+    Chart,
     SpherePatch,
     SurfaceMesh,
-    bernstein_graph,
     build_sigma_lambda,
     build_sigma_zero,
     build_surface,
@@ -168,7 +168,7 @@ def test_sigma_lambda_x_axis_far_curve_is_translated_axis():
         sl = build_sigma_lambda(line_curve(eps_min=-2, eps_max=2), lam, +1)
         assert np.allclose(sl.s_cut(0.0), np.pi / (2 * abs(lam)), atol=1e-15)
         eps = np.linspace(-1, 1, 7)
-        far = sl.far_curve_point(eps).as_array()
+        far = sl.point(eps, 1.0).as_array()
         assert np.max(np.abs(far[:, 1])) < 1e-14
         assert np.allclose(far[:, 2], np.sign(lam) * np.pi / (4 * lam**2), atol=1e-14)
 
@@ -277,9 +277,11 @@ def test_far_curve_tangent_matches_fd_of_far_curve(side):
     eps = np.linspace(-0.8, 0.8, 7)
     assert np.min(np.abs(sl.s_cut_rate(eps))) > 0.4   # the s_cut' term counts
     d = 1e-5
-    de = (sl.far_curve_point(eps + d).as_array() - sl.far_curve_point(eps - d).as_array()) / (2 * d)
-    fd = cartesian_to_frame(sl.far_curve_point(eps), de)
-    assert np.max(np.abs(sl.far_curve_tangent(eps) - fd)) < 1e-7
+    de = (sl.point(eps + d, 1.0).as_array() - sl.point(eps - d, 1.0).as_array()) / (2 * d)
+    fd = cartesian_to_frame(sl.point(eps, 1.0), de)
+    # the far curve runs along eps at sigma = 1, so its tangent is F_eps there
+    assert sl.singular_curves()[1].rate(eps) == (1.0, 0.0)
+    assert np.max(np.abs(sl.partials(eps, 1.0)[0] - fd)) < 1e-7
 
 
 def test_sigma_lambda_variation_field_endpoints():
@@ -448,23 +450,28 @@ def test_cylinder_singular_lines():
 # bernstein graphs
 
 
+def _bernstein_y2():
+    return BernsteinGraph(lambda y: np.asarray(y, float) ** 2,
+                          lambda y: 2 * np.asarray(y, float),
+                          lambda y: 2.0 + 0 * np.asarray(y, float))
+
+
 def test_bernstein_singular_curve_projection():
-    bg = bernstein_graph(lambda y: np.asarray(y, float) ** 2,
-                         lambda y: 2 * np.asarray(y, float),
-                         lambda y: 2.0 + 0 * np.asarray(y, float))
+    bg = _bernstein_y2()
     sc = bg.singular_curves()[0]
     y = np.linspace(-1, 1, 9)
-    pts = sc.point(y).as_array()
+    pts = bg.point(*sc.inward(y, 0.0)).as_array()
     assert np.allclose(pts[:, 0], -y, atol=0)  # x = -g'(y)/2 = -y
+    assert np.all(pts[:, 2] == 0.0)  # t = xy + g(y) = -y^2 + y^2
     nd = bg.normal_data(pts[:, 0], y)
     assert np.all(nd.singular)
 
 
 def test_bernstein_characteristic_lines():
     # t = xy + g(y) contains the line s -> (s, y, s y + g(y)) at each y
-    bg = bernstein_graph(lambda y: 3 * np.asarray(y, float) + 7,
-                         lambda y: 3.0 + 0 * np.asarray(y, float),
-                         lambda y: 0.0 * np.asarray(y, float))
+    bg = BernsteinGraph(lambda y: 3 * np.asarray(y, float) + 7,
+                        lambda y: 3.0 + 0 * np.asarray(y, float),
+                        lambda y: 0.0 * np.asarray(y, float))
     y0 = 0.8
     s = np.linspace(-2, 2, 9)
     t = np.asarray(bg.u(s, y0))
@@ -472,13 +479,19 @@ def test_bernstein_characteristic_lines():
 
 
 def test_bernstein_horizontal_singular_curve():
-    bg = bernstein_graph(lambda y: np.asarray(y, float) ** 2,
-                         lambda y: 2 * np.asarray(y, float),
-                         lambda y: 2.0 + 0 * np.asarray(y, float))
+    bg = _bernstein_y2()
     sc = bg.singular_curves()[0]
+    y = np.linspace(-1, 1, 7)
+    fe, fs, p = bg.partials(*sc.inward(y, 0.0))
+    de, ds = (np.asarray(r, float)[..., None] for r in sc.rate(y))
+    tang = de * fe + ds * fs
     # tangent has no T-component: the singular curve is horizontal
-    tang = sc.tangent(np.linspace(-1, 1, 7))
     assert np.max(np.abs(tang[..., 2])) == 0.0
+    # and it is the derivative of the curve's points
+    d = 1e-6
+    fd = (bg.point(*sc.inward(y + d, 0.0)).as_array()
+          - bg.point(*sc.inward(y - d, 0.0)).as_array()) / (2 * d)
+    assert np.max(np.abs(tang - cartesian_to_frame(p, fd))) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +858,13 @@ _DECLARED = {
     "bernstein-y^2": lambda: build_surface("bernstein", g_coeffs=(0.0, 0.0, 1.0)),
     "bernstein-3y^2": lambda: build_surface("bernstein", g_coeffs=(0.0, 0.0, 3.0)),
     "plane-tilted": lambda: plane_patch((0.3, -0.2, 1.0), 0.4),
+    "sigma-zero-helix": lambda: build_sigma_zero(helix_curve(0.8, eps_min=-1, eps_max=1),
+                                                 s_range=(-0.5, 1.5)),
 }
+
+
+def _central(f, x, h):
+    return (f(x + h) - f(x - h)) / (2 * h)
 
 
 @pytest.mark.parametrize("form", sorted(_FORMS))
@@ -853,29 +872,46 @@ _DECLARED = {
 def test_chart_partials_follow_the_chain_rule(name, form):
     patch = _FORMS[form](_DECLARED[name]())
     charts = patch.quadrature_charts()
-    assert charts and patch not in charts
+    assert charts and all(isinstance(c, Chart) for c in charts)
     rng = np.random.default_rng(31)
     for chart in charts:
-        a = chart.eps_lo + (chart.eps_hi - chart.eps_lo) * rng.uniform(0.1, 0.9, 8)
-        b = chart.s_lo + (chart.s_hi - chart.s_lo) * rng.uniform(0.1, 0.9, 8)
-        fe, fs, p = chart.partials(a, b)
-        fe2, fs2, p2 = fd_partials(chart, a, b)
-        assert np.max(np.abs(fe - fe2)) < 1e-7 and np.max(np.abs(fs - fs2)) < 1e-7
-        # the chart's samples are the patch's points, and its raw normal is
-        # det J times the patch's, with det J >= 0
-        eps, s, (ea, eb, sa, sb) = chart.to_base(a, b)
-        q, _, _, raw = patch.frame(eps, s)
-        assert np.array_equal(p.as_array(), q.as_array())
-        det = np.asarray(ea * sb - eb * sa, float)
+        a_lo, a_hi, b_lo, b_hi = chart.rect
+        a = a_lo + (a_hi - a_lo) * rng.uniform(0.1, 0.9, 8)
+        b = b_lo + (b_hi - b_lo) * rng.uniform(0.1, 0.9, 8)
+        ha, hb = 1e-6 * max(a_hi - a_lo, 1.0), 1e-6 * max(b_hi - b_lo, 1.0)
+        eps, s, jac = chart.to_base(a, b)
+        ea, eb, sa, sb = np.broadcast_arrays(*jac, a)[:4]
+        # the stated Jacobian against central differences of to_base
+        for k, (col_a, col_b) in enumerate(((ea, eb), (sa, sb))):
+            assert np.max(np.abs(_central(lambda x: chart.to_base(x, b)[k], a, ha) - col_a)) < 1e-7
+            assert np.max(np.abs(_central(lambda x: chart.to_base(a, x)[k], b, hb) - col_b)) < 1e-7
+        # chain rule: the chart's raw normal is the oriented cross product of
+        # the central differences of the patch's points along a and b
+        def pts(aa, bb):
+            return patch.point(*chart.to_base(aa, bb)[:2])
+
+        q = pts(a, b)
+        fa = cartesian_to_frame(q, _central(lambda x: pts(x, b).as_array(), a, ha))
+        fb = cartesian_to_frame(q, _central(lambda x: pts(a, x).as_array(), b, hb))
+        e2, s2, p, raw = chart.samples(patch, a, b)
+        scale = np.linalg.norm(fa, axis=-1) + np.linalg.norm(fb, axis=-1)
+        assert np.all(np.linalg.norm(raw - patch.orientation * cross_c(fa, fb), axis=-1)
+                      < 1e-7 * scale)
+        # the chart's samples are the patch's points at the base parameters,
+        # and its raw normal is det J times the patch's, with det J > 0
+        assert np.array_equal(e2, eps) and np.array_equal(s2, s)
+        p0, _, _, raw0 = patch.frame(eps, s)
+        assert np.array_equal(p.as_array(), p0.as_array())
+        det = ea * sb - eb * sa
         assert np.all(det > 0.0)
-        assert np.allclose(chart.frame(a, b)[3], det[..., None] * raw, rtol=1e-12, atol=0.0)
+        assert np.allclose(raw, det[..., None] * raw0, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("form", sorted(_FORMS))
 def test_patches_that_declare_nothing_are_their_own_chart(form):
     patches = [sphere_geodesic(1.0),
                build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1),
-               build_sigma_zero(line_curve(eps_min=-1, eps_max=1)),
+               build_sigma_zero(line_curve(eps_min=-1, eps_max=1), s_range=(0.0, 2.0)),
                helicoid_L(1.0, 1.0, k_max=2).pieces[1],
                VerticalCylinder(1.5),
                plane_patch((1.0, 0.5, 0.0), 0.3),
@@ -883,7 +919,7 @@ def test_patches_that_declare_nothing_are_their_own_chart(form):
                build_surface("bernstein", g_coeffs=(0.0, 10.0))]   # curve x = -5 outside
     for base in patches:
         patch = _FORMS[form](base)
-        assert patch.quadrature_charts() == [patch], base.label
+        assert patch.quadrature_charts() == [], base.label
 
 
 def test_charts_split_where_the_singular_set_lies():
@@ -894,21 +930,38 @@ def test_charts_split_where_the_singular_set_lies():
     # one whole-row chart on each outer piece, two split charts on the middle
     charts = build_surface("bernstein", g_coeffs=(0.0, 0.0, 3.0)).quadrature_charts()
     cuts = [(-3.0, -1.0), (-1.0, 1.0), (-1.0, 1.0), (1.0, 3.0)]
-    assert [(c.s_lo, c.s_hi) for c in charts] == [pytest.approx(c, abs=1e-15) for c in cuts]
-    assert [(c.eps_lo, c.eps_hi) for c in charts] == [(-3.0, 3.0), (0.0, 1.0), (0.0, 1.0),
-                                                      (-3.0, 3.0)]
+    assert [c.rect[2:] for c in charts] == [pytest.approx(c, abs=1e-15) for c in cuts]
+    assert [c.rect[:2] for c in charts] == [(-3.0, 3.0), (0.0, 1.0), (0.0, 1.0), (-3.0, 3.0)]
     lower, upper = cylinder_S(0.8)
     for sheet in (lower, upper):
-        assert [(c.s_lo, c.s_hi) for c in sheet.quadrature_charts()] == [(-1.0, 0.0), (0.0, 1.0)]
-    assert [(c.s_lo, c.s_hi) for c in sphere_graph(0.8)[0].quadrature_charts()] == [(0.0, 1.0)]
+        assert [c.rect[2:] for c in sheet.quadrature_charts()] == [(-1.0, 0.0), (0.0, 1.0)]
+    assert [c.rect[2:] for c in sphere_graph(0.8)[0].quadrature_charts()] == [(0.0, 1.0)]
+    # sigma-zero splits at its base curve s = 0 when it lies inside
+    sz = build_surface("sigma-zero")
+    assert [c.rect for c in sz.quadrature_charts()] == [(-2.0, 2.0, -2.0, 0.0),
+                                                        (-2.0, 2.0, 0.0, 2.0)]
 
 
-def test_only_flipped_patches_forward_singular_curves():
+def test_moved_patches_keep_their_singular_curves():
+    # a move changes points, not parameters: every moved patch keeps the
+    # base's curves, and the defect pairs its own Z with its own tangent
     sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
-    assert len(sl.flipped().singular_curves()) == 2
-    assert sl.translated(Point(0.1, 0.2, 0.3)).singular_curves() == []
-    assert sl.dilated(0.2).singular_curves() == []
     assert sl.flipped().lam == -1.0 and sl.dilated(0.2).lam == np.exp(-0.2)
+    p0, s0 = Point(0.4, -0.3, 1.2), 0.3
+    bg = build_surface("bernstein", g_coeffs=(0.0, 0.0, 1.0))
+    y = np.linspace(-0.8, 0.8, 5)
+    base = orthogonality_defect(bg, 0, y)
+    assert np.allclose(base, -1.0, atol=1e-6)   # -g''/2
+    assert orthogonality_defect(bg.translated(p0), 0, y).tobytes() == base.tobytes()
+    assert np.allclose(orthogonality_defect(bg.dilated(s0), 0, y), np.exp(s0) * base,
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(orthogonality_defect(bg.flipped(), 0, y), -base, rtol=1e-12, atol=0.0)
+    helix = build_sigma_lambda(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, +1)
+    eps = np.linspace(-1.0, 1.0, 5)
+    for moved in (helix.translated(p0), helix.dilated(-s0), helix.flipped(),
+                  helix.dilated(s0).translated(p0).flipped()):
+        for idx in (0, 1):
+            assert np.max(np.abs(orthogonality_defect(moved, idx, eps))) < 1e-6
 
 
 def test_frame_is_the_single_evaluation_path():

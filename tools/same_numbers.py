@@ -10,8 +10,9 @@ OUTDIR receives:
   and seed, with the operations taken unchanged from `bench/workloads.make_ops`;
 - `extra/`: 40x40 `--with-h` meshes of five surfaces whose per-vertex mean
   curvature runs characteristic traces, and the reports of a Bernstein graph
-  whose singular curve crosses the rectangle's sides and of a cylinder sheet
-  at a second lambda;
+  whose singular curve crosses the rectangle's sides, of a cylinder sheet
+  at a second lambda, and of sigma-zero at an odd cap, which puts its
+  singular curve s = 0 inside a cell unless it is a chart edge;
 - for every operation, `<name>.stdout`: its exit code, then its standard
   output without the `wrote PATH` lines (those name OUTDIR); a report's
   JSON is there, because `report` without `--out` prints it.
@@ -37,7 +38,8 @@ import workloads  # noqa: E402
 SEEDS = (11, 12)
 EXTRA_WITH_H = ("sigma-lambda", "helicoid-l", "sigma-zero", "bernstein", "cylinder-s")
 EXTRA_REPORTS = {"bernstein-3y2": ["--surface", "bernstein", "--g", "3*y^2"],
-                 "cylinder-s-lam0.6": ["--surface", "cylinder-s", "--lambda", "0.6"]}
+                 "cylinder-s-lam0.6": ["--surface", "cylinder-s", "--lambda", "0.6"],
+                 "sigma-zero-9x9": ["--surface", "sigma-zero", "--res", "9x9"]}
 
 
 def _run(argv, outdir, name):
