@@ -227,20 +227,9 @@ def _build_patch(cfg: dict):
         value = cfg.get(key)
         if isinstance(value, (int, float)) and not math.isfinite(value):
             raise ConfigError(f"--{flag} must be finite (got {value!r})")
-    params = {}
-    if cfg.get("lam") is not None:
-        params["lam"] = cfg["lam"]
-    if cfg.get("r") is not None:
-        params["r"] = cfg["r"]
-    if cfg.get("side") is not None:
-        params["side"] = cfg["side"]
-    if cfg.get("sheet") is not None:
-        params["sheet"] = cfg["sheet"]
-    if cfg.get("d") is not None:
-        params["d"] = cfg["d"]
+    params = {k: cfg[k] for k in ("lam", "r", "side", "sheet", "d") if cfg.get(k) is not None}
     if cfg.get("g"):
-        g, dg, ddg = parse_poly(cfg["g"])
-        params["g_coeffs"] = tuple(g.coef)
+        params["g_coeffs"] = tuple(parse_poly(cfg["g"])[0].coef)
     if cfg.get("curve"):
         try:
             params["curve"] = load_curve_csv(cfg["curve"])
@@ -287,14 +276,8 @@ def cmd_verify(cfg: dict) -> int:
     suite = cfg.get("suite") or "all"
     if suite != "all" and suite not in vfy.SUITES:
         raise ConfigError(f"unknown suite {suite!r}; known: {sorted(vfy.SUITES)} or 'all'")
-    kwargs = {}
-    if cfg.get("g"):
-        g, dg, ddg = parse_poly(cfg["g"])
-        kwargs["g_data"] = (cfg["g"], (
-            lambda y: g(np.asarray(y, float)),
-            lambda y: dg(np.asarray(y, float)),
-            lambda y: ddg(np.asarray(y, float))))
-    checks = vfy.run_suite(suite, cfg.get("tols"), **kwargs)
+    g_data = (cfg["g"], parse_poly(cfg["g"])) if cfg.get("g") else None
+    checks = vfy.run_suite(suite, cfg.get("tols"), g_data)
     for c in checks:
         print(_format_check(c))
     n_fail = sum(not c.passed for c in checks)

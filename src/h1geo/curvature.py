@@ -125,19 +125,10 @@ def characteristic_deviation(patch: ImmersedPatch, eps0, s0, arclen: float = 1.0
 # Graph PDE
 
 
-def _graph_bundle(source):
-    if hasattr(source, "graph_bundle"):
-        bundle = source.graph_bundle()
-        if bundle[3] is not None:
-            return bundle
-        source = bundle[0]
-    if callable(source):
-        return _fd_bundle(source)
-    return source  # assume a 6-tuple of callables
-
-
 def _fd_bundle(u: Callable, h: float = 1e-3):
-    """Fourth-order central-difference derivative bundle for a graph u(x, y)."""
+    """(u, u_x, u_y, u_xx, u_xy, u_yy) callables of a bare graph u(x, y) by
+    fourth-order central differences; the oracle for graphs' own
+    `height` and `hessian`."""
 
     def d1(f, axis):
         def g(x, y):
@@ -167,23 +158,26 @@ def _fd_bundle(u: Callable, h: float = 1e-3):
 def _graph_lhs(source, x, y, tol_singular: float, what: str):
     """(LHS, w^2) of the graph equation at (x, y), with w^2 = (u_x-y)^2 +
     (u_y+x)^2; raises SingularPoint naming `what` where w < tol_singular."""
-    u, ux, uy, uxx, uxy, uyy = _graph_bundle(source)
     x, y = _asf(x), _asf(y)
-    p = ux(x, y) - y
-    q = uy(x, y) + x
+    if callable(source):
+        ux, uy, uxx, uxy, uyy = (d(x, y) for d in _fd_bundle(source)[1:])
+    else:
+        (_, ux, uy), (uxx, uxy, uyy) = source.height(x, y), source.hessian(x, y)
+    p = ux - y
+    q = uy + x
     w2 = p * p + q * q
     if np.any(w2 < tol_singular**2):
         raise SingularPoint(f"{what} at a singular graph point")
-    return q * q * uxx(x, y) - 2.0 * q * p * uxy(x, y) + p * p * uyy(x, y), w2
+    return q * q * uxx - 2.0 * q * p * uxy + p * p * uyy, w2
 
 
 def graph_pde_residual(source, x, y, H, tol_singular: float = TOL_SINGULAR):
     """LHS - RHS of the prescribed-curvature graph equation at (x, y).
 
-    `source` is a GraphPatch, a bundle of six callables, or a bare u(x, y)
-    (then fourth-order differences supply the derivatives).  H is measured
-    with respect to the downward graph normal; for a sheet whose inner
-    normal points upward, pass -H.
+    `source` is a graph, whose `height` and `hessian` give the derivatives
+    in Cartesian (x, y), or a bare u(x, y), whose derivatives come from
+    fourth-order differences.  H is measured with respect to the downward
+    graph normal; for a sheet whose inner normal points upward, pass -H.
     """
     lhs, w2 = _graph_lhs(source, x, y, tol_singular, "graph PDE residual")
     rhs = -2.0 * np.asarray(H, float) * w2**1.5

@@ -17,6 +17,8 @@ Each sample is evaluated along one path:
 
 A patch class implements only `partials(eps, s) -> (F_eps, F_s, p)`: both
 partials as frame triples and the point, from one evaluation of the chart.
+A graph t = u(x, y) implements `height(x, y) -> (u, u_x, u_y)` instead,
+which `GraphPatch.partials` reads, and `hessian` for the graph equation.
 `frame` adds the unnormalized oriented normal, which the quadrature
 integrands read, and `normal_data` normalizes it and carries the partials
 on, so the characteristic traces never evaluate a sample twice.
@@ -354,37 +356,17 @@ def sphere_geodesic(lam: float) -> SpherePatch:
     return SpherePatch(lam)
 
 
-def _sphere_profile(lam: float, sheet: int):
-    """Radial profile t = f(rho) of one sheet; sheet = -1 lower, +1 upper.
+class SphereGraphSheet(ImmersedPatch):
+    """One radial graph sheet t = f(rho) of the sphere, parameterized by
+    (phi, rho); sheet = -1 lower, +1 upper.
 
     The sphere with poles at (0,0,0) and (0,0,pi/(2 lam^2)) has
     f(rho) = pi/(4 lam^2) + sheet * (lam rho sqrt(1-lam^2 rho^2)
              + arccos(lam rho)) / (2 lam^2),
-    recovered by inverting the geodesic parameterization.
-    """
-    def f(rho):
-        rho = _asf(rho)
-        w = np.sqrt(np.maximum(1.0 - (lam * rho) ** 2, 0.0))
-        return np.pi / (4 * lam**2) + sheet * (lam * rho * w + np.arccos(np.clip(lam * rho, -1, 1))) / (2 * lam**2)
-
-    def df(rho):
-        rho = _asf(rho)
-        w = np.sqrt(np.maximum(1.0 - (lam * rho) ** 2, 1e-300))
-        return -sheet * lam * rho**2 / w
-
-    def ddf(rho):
-        rho = _asf(rho)
-        w2 = np.maximum(1.0 - (lam * rho) ** 2, 1e-300)
-        return -sheet * lam * rho * (2.0 - (lam * rho) ** 2) / w2**1.5
-
-    return f, df, ddf
-
-
-class SphereGraphSheet(ImmersedPatch):
-    """One radial graph sheet of the sphere, parameterized by (phi, rho).
-
-    Default orientation is the inner normal (upward on the lower sheet,
-    downward on the upper).
+    recovered by inverting the geodesic parameterization.  `partials` is
+    polar; `height` and `hessian` give the same graph in Cartesian (x, y),
+    as every graph does.  Default orientation is the inner normal (upward
+    on the lower sheet, downward on the upper).
     """
 
     open_s_ends = (True, True)  # rho = 0 is a polar-coordinate degeneracy; rho = 1/lam is vertical
@@ -398,57 +380,50 @@ class SphereGraphSheet(ImmersedPatch):
         self.lam = float(lam)
         self.sheet = int(sheet)
         self.label = f"sphere-sheet({'upper' if sheet > 0 else 'lower'},lam={lam:g})"
-        self.profile = _sphere_profile(lam, sheet)
+
+    def _profile(self, rho):
+        """(f(rho), f'(rho))."""
+        lam, sheet = self.lam, self.sheet
+        w = np.sqrt(np.maximum(1.0 - (lam * rho) ** 2, 0.0))
+        f = (np.pi / (4 * lam**2)
+             + sheet * (lam * rho * w + np.arccos(np.clip(lam * rho, -1, 1))) / (2 * lam**2))
+        return f, -sheet * lam * rho**2 / np.sqrt(np.maximum(1.0 - (lam * rho) ** 2, 1e-300))
 
     def partials(self, eps, s):
         phi, rho = _asf(eps), _asf(s)
-        f, df, _ = self.profile
+        f, df = self._profile(rho)
         cph, sph = np.cos(phi), np.sin(phi)
-        p = Point(rho * cph, rho * sph, f(rho) + 0.0 * phi)
+        p = Point(rho * cph, rho * sph, f + 0.0 * phi)
         de = np.stack(np.broadcast_arrays(-rho * sph, rho * cph, rho * rho + 0.0 * cph), axis=-1)
-        c_r = df(rho) - cph * _asf(p.y) + sph * _asf(p.x)
+        c_r = df - cph * _asf(p.y) + sph * _asf(p.x)
         dr = np.stack(np.broadcast_arrays(cph + 0.0 * rho, sph + 0.0 * rho, c_r), axis=-1)
         return de, dr, p
+
+    @staticmethod
+    def _polar(x, y):
+        x, y = _asf(x), _asf(y)
+        return x, y, np.maximum(np.hypot(x, y), 1e-300)
+
+    def height(self, x, y):
+        """(u, u_x, u_y) in Cartesian (x, y)."""
+        x, y, rho = self._polar(x, y)
+        f, df = self._profile(rho)
+        return f, df * x / rho, df * y / rho
+
+    def hessian(self, x, y):
+        """(u_xx, u_xy, u_yy) in Cartesian (x, y)."""
+        x, y, rho = self._polar(x, y)
+        _, df = self._profile(rho)
+        lam = self.lam
+        w2 = np.maximum(1.0 - (lam * rho) ** 2, 1e-300)
+        ddf = -self.sheet * lam * rho * (2.0 - (lam * rho) ** 2) / w2**1.5
+        return (ddf * x * x / rho**2 + df * y * y / rho**3,
+                ddf * x * y / rho**2 - df * x * y / rho**3,
+                ddf * y * y / rho**2 + df * x * x / rho**3)
 
     def quadrature_charts(self):
         # |N_H| has an inverse square root at the vertical edge rho = 1/lam
         return _sine_charts(self, self.s_lo)
-
-    def graph_bundle(self):
-        """(u, ux, uy, uxx, uxy, uyy) callables in Cartesian (x, y)."""
-        f, df, ddf = self.profile
-
-        def split(x, y):
-            x, y = _asf(x), _asf(y)
-            rho = np.hypot(x, y)
-            rho = np.maximum(rho, 1e-300)
-            return x, y, rho
-
-        def u(x, y):
-            _, _, rho = split(x, y)
-            return f(rho)
-
-        def ux(x, y):
-            x, _, rho = split(x, y)
-            return df(rho) * x / rho
-
-        def uy(x, y):
-            _, y, rho = split(x, y)
-            return df(rho) * y / rho
-
-        def uxx(x, y):
-            x, y, rho = split(x, y)
-            return ddf(rho) * x * x / rho**2 + df(rho) * y * y / rho**3
-
-        def uyy(x, y):
-            x, y, rho = split(x, y)
-            return ddf(rho) * y * y / rho**2 + df(rho) * x * x / rho**3
-
-        def uxy(x, y):
-            x, y, rho = split(x, y)
-            return ddf(rho) * x * y / rho**2 - df(rho) * x * y / rho**3
-
-        return u, ux, uy, uxx, uxy, uyy
 
 
 def sphere_graph(lam: float):
@@ -461,31 +436,24 @@ def sphere_graph(lam: float):
 
 
 class GraphPatch(ImmersedPatch):
-    """Graph t = u(x, y) over a rectangle, with analytic partials.
+    """Graph t = u(x, y) over the rectangle of its parameters (x, y).
 
-    In the frame, F_x = (1, 0, u_x - y) and F_y = (0, 1, u_y + x); the raw
-    normal (orientation +1) is the upward direction (y - u_x, -x - u_y, 1).
+    A subclass states its height once: `height(x, y) -> (u, u_x, u_y)`,
+    which `partials` reads, and `hessian(x, y) -> (u_xx, u_xy, u_yy)`,
+    which only the graph equation in `curvature` reads.  In the frame,
+    F_x = (1, 0, u_x - y) and F_y = (0, 1, u_y + x); the raw normal
+    (orientation +1) is the upward direction (y - u_x, -x - u_y, 1).
     """
-
-    def __init__(self, u, ux, uy, rect, orientation=1, label="graph",
-                 uxx=None, uxy=None, uyy=None, lam=None):
-        super().__init__(rect[0], rect[1], rect[2], rect[3], orientation=orientation)
-        self.u, self.ux, self.uy = u, ux, uy
-        self.uxx, self.uxy, self.uyy = uxx, uxy, uyy
-        self.label = label
-        self.lam = lam
 
     def partials(self, eps, s):
         x, y = np.broadcast_arrays(_asf(eps), _asf(s))
-        p = Point(x + 0.0 * y, y + 0.0 * x, self.u(x, y))
+        u, ux, uy = self.height(x, y)
+        p = Point(x + 0.0 * y, y + 0.0 * x, u)
         one = np.ones_like(x)
         zero = np.zeros_like(x)
-        fx = np.stack([one, zero, self.ux(x, y) - y], axis=-1)
-        fy = np.stack([zero, one, self.uy(x, y) + x], axis=-1)
+        fx = np.stack([one, zero, ux - y], axis=-1)
+        fy = np.stack([zero, one, uy + x], axis=-1)
         return fx, fy, p
-
-    def graph_bundle(self):
-        return self.u, self.ux, self.uy, self.uxx, self.uxy, self.uyy
 
 
 @dataclass(frozen=True)
@@ -517,28 +485,19 @@ class BernsteinGraph(GraphPatch):
     <Z, Gamma'(y)> evaluates to -g''(y)/2.
     """
 
+    label = "bernstein"
+    lam = 0.0
+
     def __init__(self, g, dg, ddg, rect=(-3.0, 3.0, -3.0, 3.0)):
-        def u(x, y):
-            return x * y + g(y)
-
-        def ux(x, y):
-            return _asf(y) + 0.0 * _asf(x)
-
-        def uy(x, y):
-            return _asf(x) + dg(y)
-
-        def uxx(x, y):
-            return np.zeros(np.broadcast_shapes(_asf(x).shape, _asf(y).shape))
-
-        def uxy(x, y):
-            return np.ones(np.broadcast_shapes(_asf(x).shape, _asf(y).shape))
-
-        def uyy(x, y):
-            return ddg(y) + 0.0 * _asf(x)
-
-        super().__init__(u, ux, uy, rect, orientation=1, label="bernstein",
-                         uxx=uxx, uxy=uxy, uyy=uyy, lam=0.0)
+        super().__init__(*rect)
         self.g, self.dg, self.ddg = g, dg, ddg
+
+    def height(self, x, y):
+        return x * y + self.g(y), _asf(y) + 0.0 * _asf(x), _asf(x) + self.dg(y)
+
+    def hessian(self, x, y):
+        shape = np.broadcast_shapes(_asf(x).shape, _asf(y).shape)
+        return np.zeros(shape), np.ones(shape), self.ddg(y) + 0.0 * _asf(x)
 
     def singular_curves(self):
         def inward(y, offset):
@@ -618,22 +577,21 @@ class _PlaneGraph(GraphPatch):
     (y - a, -x - b) vanishes only at the cone point (x, y) = (-b, a), where
     |N_H| grows like the distance to it."""
 
+    label = "plane"
+    lam = 0.0
+
     def __init__(self, a, b, c, rect):
-        def u(x, y):
-            return a * _asf(x) + b * _asf(y) + c
-
-        def ux(x, y):
-            return a + 0.0 * _asf(x) + 0.0 * _asf(y)
-
-        def uy(x, y):
-            return b + 0.0 * _asf(x) + 0.0 * _asf(y)
-
-        def zero2(x, y):
-            return np.zeros(np.broadcast_shapes(_asf(x).shape, _asf(y).shape))
-
-        super().__init__(u, ux, uy, rect, label="plane", uxx=zero2, uxy=zero2,
-                         uyy=zero2, lam=0.0)
+        super().__init__(*rect)
+        self.a, self.b, self.c = a, b, c
         self.cone = (-b, a)
+
+    def height(self, x, y):
+        a, b, x, y = self.a, self.b, _asf(x), _asf(y)
+        return a * x + b * y + self.c, a + 0.0 * x + 0.0 * y, b + 0.0 * x + 0.0 * y
+
+    def hessian(self, x, y):
+        zero = np.zeros(np.broadcast_shapes(_asf(x).shape, _asf(y).shape))
+        return zero, zero, zero
 
     def quadrature_charts(self):
         """With the cone point P in the rectangle, one Duffy triangle per
@@ -906,55 +864,6 @@ def build_sigma_zero(curve: HorizontalCurve, s_range=(-2.0, 2.0),
 # Cylinders S_lambda
 
 
-def _cylinder_bundles(lam: float, which: str):
-    """Graph bundles for the two sheets over the strip |y| <= 1/(2|lam|).
-
-    Both radicands use 1 - 4 lam^2 y^2; the sheets then agree on the strip
-    boundary and solve the prescribed-curvature graph equation.
-    """
-    def w(y):
-        return np.sqrt(np.maximum(1.0 - 4.0 * lam * lam * _asf(y) ** 2, 1e-300))
-
-    if which == "lower":
-        def u(x, y):
-            x, y = _asf(x), _asf(y)
-            return np.sign(y) / (2 * lam) * (
-                np.arcsin(np.clip(2 * lam * y, -1, 1)) / (2 * lam) - y * w(y)) - x * y
-
-        def uy(x, y):
-            x, y = _asf(x), _asf(y)
-            return np.sign(y) * 4 * lam * y * y / w(y) - x
-
-        def uyy(x, y):
-            x, y = _asf(x), _asf(y)
-            return np.sign(y) * 4 * lam * y * (2.0 - 4 * lam * lam * y * y) / w(y) ** 3 + 0.0 * x
-    else:
-        def u(x, y):
-            x, y = _asf(x), _asf(y)
-            return (1.0 / (2 * lam)) * (
-                (np.sign(lam) * np.pi - np.sign(y) * np.arcsin(np.clip(2 * lam * y, -1, 1))) / (2 * lam)
-                + np.sign(y) * y * w(y)) - x * y
-
-        def uy(x, y):
-            x, y = _asf(x), _asf(y)
-            return -np.sign(y) * 4 * lam * y * y / w(y) - x
-
-        def uyy(x, y):
-            x, y = _asf(x), _asf(y)
-            return -np.sign(y) * 4 * lam * y * (2.0 - 4 * lam * lam * y * y) / w(y) ** 3 + 0.0 * x
-
-    def ux(x, y):
-        return -_asf(y) + 0.0 * _asf(x)
-
-    def uxx(x, y):
-        return np.zeros(np.broadcast_shapes(_asf(x).shape, _asf(y).shape))
-
-    def uxy(x, y):
-        return -np.ones(np.broadcast_shapes(_asf(x).shape, _asf(y).shape))
-
-    return u, ux, uy, uxx, uxy, uyy
-
-
 def cylinder_S(lam: float, x_range=(-2.0, 2.0)):
     """The two graph sheets (lower, upper) of the cylinder over the strip.
 
@@ -963,23 +872,46 @@ def cylinder_S(lam: float, x_range=(-2.0, 2.0)):
     """
     if lam == 0:
         raise ValueError("cylinder requires lam != 0")
-    half = 1.0 / (2.0 * abs(lam))
-    rect = (x_range[0], x_range[1], -half, half)
-    lo_b = _cylinder_bundles(lam, "lower")
-    up_b = _cylinder_bundles(lam, "upper")
-    lower = _CylinderSheet(lo_b[0], lo_b[1], lo_b[2], rect, orientation=1,
-                           label=f"cylinder-sheet(lower,lam={lam:g})",
-                           uxx=lo_b[3], uxy=lo_b[4], uyy=lo_b[5], lam=lam)
-    upper = _CylinderSheet(up_b[0], up_b[1], up_b[2], rect, orientation=-1,
-                           label=f"cylinder-sheet(upper,lam={lam:g})",
-                           uxx=up_b[3], uxy=up_b[4], uyy=up_b[5], lam=lam)
-    return lower, upper
+    return _CylinderSheet(lam, "lower", x_range), _CylinderSheet(lam, "upper", x_range)
 
 
 class _CylinderSheet(GraphPatch):
-    """A graph sheet of the cylinder over the strip |y| <= 1/(2|lam|)."""
+    """A graph sheet of the cylinder over the strip |y| <= 1/(2|lam|).
+
+    Both sheets' radicands use w^2 = 1 - 4 lam^2 y^2; the sheets then agree
+    on the strip boundary and solve the prescribed-curvature graph equation.
+    """
 
     open_s_ends = (True, True)
+
+    def __init__(self, lam: float, which: str, x_range):
+        half = 1.0 / (2.0 * abs(lam))
+        self.sign = 1 if which == "lower" else -1
+        super().__init__(x_range[0], x_range[1], -half, half, orientation=self.sign)
+        self.lam = lam
+        self.label = f"cylinder-sheet({which},lam={lam:g})"
+
+    def _w(self, y):
+        return np.sqrt(np.maximum(1.0 - 4.0 * self.lam * self.lam * y ** 2, 1e-300))
+
+    def height(self, x, y):
+        x, y = _asf(x), _asf(y)
+        lam, w = self.lam, self._w(y)
+        if self.sign > 0:
+            u = np.sign(y) / (2 * lam) * (
+                np.arcsin(np.clip(2 * lam * y, -1, 1)) / (2 * lam) - y * w) - x * y
+        else:
+            u = (1.0 / (2 * lam)) * (
+                (np.sign(lam) * np.pi - np.sign(y) * np.arcsin(np.clip(2 * lam * y, -1, 1))) / (2 * lam)
+                + np.sign(y) * y * w) - x * y
+        return u, -y + 0.0 * x, self.sign * np.sign(y) * 4 * lam * y * y / w - x
+
+    def hessian(self, x, y):
+        x, y = _asf(x), _asf(y)
+        lam, shape = self.lam, np.broadcast_shapes(x.shape, y.shape)
+        uyy = (self.sign * np.sign(y) * 4 * lam * y * (2.0 - 4 * lam * lam * y * y)
+               / self._w(y) ** 3 + 0.0 * x)
+        return np.zeros(shape), -np.ones(shape), uyy
 
     def quadrature_charts(self):
         # |N_H| = 2|y| / sqrt(1 - 4 lam^2 y^2): a kink on the singular curve

@@ -38,6 +38,14 @@ from .surfaces import (
 
 SEED = 20240915
 
+# (g, g', g'') of the Bernstein graphs t = xy + g(y) the suites build
+G_SQUARE = (lambda y: np.asarray(y, float) ** 2,
+            lambda y: 2 * np.asarray(y, float),
+            lambda y: 2.0 + 0 * np.asarray(y, float))
+G_AFFINE = (lambda y: 3 * np.asarray(y, float) + 7,
+            lambda y: 3.0 + 0 * np.asarray(y, float),
+            lambda y: 0.0 * np.asarray(y, float))
+
 
 @dataclass(frozen=True)
 class Check:
@@ -244,10 +252,7 @@ def suite_curvature(tols=None) -> list[Check]:
     fam = helicoid_L(1.0, 1.0, k_max=2)
     for i, piece in enumerate(fam.pieces[:4]):
         cases.append((f"helicoid-piece{i}", piece, 1.0, (0.2, 0.8)))
-    bg = BernsteinGraph(lambda y: np.asarray(y, float) ** 2,
-                        lambda y: 2 * np.asarray(y, float),
-                        lambda y: 2.0 + 0 * np.asarray(y, float))
-    cases.append(("bernstein(y^2)", bg, 0.0, (1.0, 2.5)))
+    cases.append(("bernstein(y^2)", BernsteinGraph(*G_SQUARE), 0.0, (1.0, 2.5)))
     sz = build_sigma_zero(helix_curve(1.0, eps_min=-2, eps_max=2), s_range=(-1.5, 1.5))
     cases.append(("sigma-zero(helix)", sz, 0.0, (0.3, 1.2)))
 
@@ -274,10 +279,7 @@ def suite_curvature(tols=None) -> list[Check]:
         ("cylinder(sigma chart)", build_sigma_lambda(line_curve(eps_min=-3, eps_max=3), 1.0, -1),
          [(0.0, 0.5), (0.7, 0.6)]),
         ("helicoid", fam.pieces[0], [(0.0, 0.5), (0.4, 0.55)]),
-        ("bernstein(affine)", BernsteinGraph(
-            lambda yy: 3 * np.asarray(yy, float) + 7,
-            lambda yy: 3.0 + 0 * np.asarray(yy, float),
-            lambda yy: 0.0 * np.asarray(yy, float)), [(0.5, 0.5), (1.0, -0.5)]),
+        ("bernstein(affine)", BernsteinGraph(*G_AFFINE), [(0.5, 0.5), (1.0, -0.5)]),
     ]
     worst = 0.0
     for _name, patch, seeds in ruling_cases:
@@ -377,18 +379,7 @@ def suite_bernstein(tols=None, g_data=None) -> list[Check]:
         checks.append(Check(f"orthogonality[sigma,{label}]", worst, 0.0, tol_orth,
                             "characteristic curves meet singular curves at right angles"))
 
-    if g_data is None:
-        g_cases = [
-            ("ay+b", (lambda y: 3 * np.asarray(y, float) + 7,
-                      lambda y: 3.0 + 0 * np.asarray(y, float),
-                      lambda y: 0.0 * np.asarray(y, float))),
-            ("y^2", (lambda y: np.asarray(y, float) ** 2,
-                     lambda y: 2 * np.asarray(y, float),
-                     lambda y: 2.0 + 0 * np.asarray(y, float))),
-        ]
-    else:
-        g_cases = [g_data]
-    for label, (g, dg, ddg) in g_cases:
+    for label, (g, dg, ddg) in [g_data] if g_data else [("ay+b", G_AFFINE), ("y^2", G_SQUARE)]:
         patch = BernsteinGraph(g, dg, ddg)
         worst = 0.0
         for y in rng.uniform(-1.0, 1.0, 8):
@@ -447,14 +438,10 @@ SUITES = {
 }
 
 
-def run_suite(name: str, tols=None, **kwargs) -> list[Check]:
-    """Checks of one named suite, or of every suite in order for 'all'."""
+def run_suite(name: str, tols=None, g_data=None) -> list[Check]:
+    """Checks of one named suite, or of every suite in order for 'all';
+    `g_data` = (label, (g, g', g'')) replaces the bernstein suite's graphs."""
     if name != "all" and name not in SUITES:
         raise KeyError(name)
-    out = []
-    for key in SUITES if name == "all" else (name,):
-        if key == "bernstein":
-            out.extend(SUITES[key](tols, g_data=kwargs.get("g_data")))
-        else:
-            out.extend(SUITES[key](tols))
-    return out
+    suites = dict(SUITES, bernstein=lambda t: suite_bernstein(t, g_data))
+    return [c for key in (SUITES if name == "all" else (name,)) for c in suites[key](tols)]

@@ -188,11 +188,79 @@ def test_pde_rejects_singular_graph_point():
 
 def test_pde_fd_fallback_matches_analytic():
     lower, _ = sphere_graph(1.0)
-    bundle = lower.graph_bundle()
     x, y = 0.31, 0.22
     r_analytic = graph_pde_residual(lower, x, y, -1.0)
-    r_fd = graph_pde_residual(bundle[0], x, y, -1.0)  # bare u callable
+    r_fd = graph_pde_residual(lambda x, y: lower.height(x, y)[0], x, y, -1.0)  # bare u callable
     assert abs(r_analytic - r_fd) < 1e-7
+
+
+# how far the test points lie from a graph's singular set toward its edges:
+# at least 10% of the way in from both; the fourth-order differences of a
+# cylinder sheet are off by 9e-8 relative at 90% of the way to the rim
+_FRACTIONS = np.array([0.1, 0.5, 0.8])
+
+
+def _bernstein_points(bg):
+    """Points `_FRACTIONS` of the way from the singular curve x = -g'(y)/2
+    to each side of the rectangle, at y 10% in from its ends."""
+    y = np.linspace(0.8 * bg.s_lo, 0.8 * bg.s_hi, 5)
+    c = -0.5 * np.asarray(bg.dg(y))
+    a = _FRACTIONS[:, None]
+    return (np.concatenate([c + a * (bg.eps_lo - c), c + a * (bg.eps_hi - c)]).ravel(),
+            np.tile(y, 6))
+
+
+def _plane_points(pl):
+    """A grid 10% in from the edges, without the points within a tenth of
+    the width of the cone point."""
+    x, y = (v.ravel() for v in np.meshgrid(np.linspace(-1.6, 1.6, 5), np.linspace(-1.6, 1.6, 5)))
+    keep = np.hypot(x - pl.cone[0], y - pl.cone[1]) >= 0.4
+    return x[keep], y[keep]
+
+
+def _strip_points(sheet):
+    """y `_FRACTIONS` of the way from the singular line y = 0 to each strip
+    edge, x 10% in from the ends."""
+    x, y = np.meshgrid(np.linspace(0.8 * sheet.eps_lo, 0.8 * sheet.eps_hi, 3),
+                       sheet.s_hi * np.concatenate([-_FRACTIONS, _FRACTIONS]))
+    return x.ravel(), y.ravel()
+
+
+def _disc_points(sheet):
+    """rho `_FRACTIONS` of the way from the singular centre to the vertical
+    rim rho = 1/lam, at five angles."""
+    rho, phi = np.meshgrid(_FRACTIONS / sheet.lam,
+                           0.3 + np.linspace(0.0, 2 * np.pi, 5, endpoint=False))
+    return (rho * np.cos(phi)).ravel(), (rho * np.sin(phi)).ravel()
+
+
+_CUBIC = np.polynomial.Polynomial([0.5, -1.0, 0.0, 1.0 / 3.0])
+_GRAPHS = {
+    "bernstein-y^2": (lambda: make_bernstein("quadratic"), _bernstein_points),
+    "bernstein-cubic": (lambda: BernsteinGraph(_CUBIC, _CUBIC.deriv(), _CUBIC.deriv(2)),
+                        _bernstein_points),
+    "plane-tilted": (lambda: plane_patch((0.3, -0.2, 1.0), 0.5), _plane_points),
+    **{f"cylinder-{which}-lam{lam:g}": (lambda lam=lam, k=k: cylinder_S(lam)[k], _strip_points)
+       for lam in (1.0, 0.6, -1.0) for k, which in enumerate(("lower", "upper"))},
+    **{f"sphere-{which}-lam{lam:g}": (lambda lam=lam, k=k: sphere_graph(lam)[k], _disc_points)
+       for lam in (1.0, 0.5) for k, which in enumerate(("lower", "upper"))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRAPHS))
+def test_graph_derivatives_match_differences_of_u(name):
+    # each graph's own u_x, u_y and hessian against fourth-order differences
+    # of its own u, away from its singular set and edges
+    make, points = _GRAPHS[name]
+    graph = make()
+    x, y = points(graph)
+    _, ux, uy = graph.height(x, y)
+    analytic = [ux, uy, *graph.hessian(x, y)]
+    fd = crv._fd_bundle(lambda xx, yy: graph.height(xx, yy)[0])
+    for k, (value, d) in enumerate(zip(analytic, fd[1:])):
+        value = np.broadcast_to(value, x.shape)
+        gap = np.abs(value - d(x, y)) / np.maximum(1.0, np.abs(value))
+        assert np.max(gap) < 1e-7, ("u_x", "u_y", "u_xx", "u_xy", "u_yy")[k]
 
 
 def test_method_agreement_char_vs_pde():
@@ -214,11 +282,11 @@ def test_method_agreement_char_vs_pde():
     phi = RNG.uniform(0, 2 * np.pi, 8)
     rho = RNG.uniform(0.2, 0.8, 8)
     xs, ys = rho * np.cos(phi), rho * np.sin(phi)
-    # the sheet patches are (phi, rho)-parameterized; the PDE bundle is (x, y)
+    # the sheet patches are (phi, rho)-parameterized; height and hessian are (x, y)
     assert np.max(np.abs(mean_curvature_char(lo_sheet, phi, rho)
-                         + graph_pde_mean_curvature(lo_sheet.graph_bundle(), xs, ys))) < 1e-4
+                         + graph_pde_mean_curvature(lo_sheet, xs, ys))) < 1e-4
     assert np.max(np.abs(mean_curvature_char(up_sheet, phi, rho)
-                         - graph_pde_mean_curvature(up_sheet.graph_bundle(), xs, ys))) < 1e-4
+                         - graph_pde_mean_curvature(up_sheet, xs, ys))) < 1e-4
 
     bg = make_bernstein("quadratic")
     xq = RNG.uniform(0.5, 2.0, 8)

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -24,7 +25,6 @@ from h1geo.measures import (
     volume_enclosed,
 )
 from h1geo.surfaces import (
-    GraphPatch,
     ImmersedPatch,
     PerturbedPatch,
     SpherePatch,
@@ -332,11 +332,11 @@ def test_sphere_converges_early_and_its_error_bounds_the_true_error(lam):
 
 
 def _undeclared(patch):
-    """The same graph as a plain GraphPatch, which declares no quadrature
-    charts: its area integrand keeps the non-smooth places on its cells."""
-    return GraphPatch(patch.u, patch.ux, patch.uy,
-                      (patch.eps_lo, patch.eps_hi, patch.s_lo, patch.s_hi),
-                      orientation=patch.orientation)
+    """The same graph with no quadrature charts: its area integrand keeps
+    the non-smooth places on its cells."""
+    bare = copy.copy(patch)
+    bare.quadrature_charts = lambda: []
+    return bare
 
 
 @pytest.mark.parametrize("patch", [

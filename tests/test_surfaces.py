@@ -430,8 +430,8 @@ def test_cylinder_matches_sigma_builder():
         eps = RNG.uniform(-0.5, 0.5, 40)
         sig = RNG.uniform(0.02, 0.98, 40)
         p = sl.point(eps, sig).as_array()
-        t_lo = np.asarray(lower.u(p[:, 0], p[:, 1]))
-        t_up = np.asarray(upper.u(p[:, 0], p[:, 1]))
+        t_lo = np.asarray(lower.height(p[:, 0], p[:, 1])[0])
+        t_up = np.asarray(upper.height(p[:, 0], p[:, 1])[0])
         gap = np.minimum(np.abs(t_lo - p[:, 2]), np.abs(t_up - p[:, 2]))
         assert np.max(gap) < 1e-8
 
@@ -440,8 +440,8 @@ def test_cylinder_singular_lines():
     lam = 1.0
     lower, upper = cylinder_S(lam)
     x = np.linspace(-1, 1, 5)
-    assert np.max(np.abs(np.asarray(lower.u(x, 0.0)))) < 1e-15
-    assert np.allclose(np.asarray(upper.u(x, 0.0)), np.pi / (4 * lam**2), atol=1e-15)
+    assert np.max(np.abs(np.asarray(lower.height(x, 0.0)[0]))) < 1e-15
+    assert np.allclose(np.asarray(upper.height(x, 0.0)[0]), np.pi / (4 * lam**2), atol=1e-15)
     nd = lower.normal_data(x, np.zeros_like(x))
     assert np.all(nd.singular)
 
@@ -474,7 +474,7 @@ def test_bernstein_characteristic_lines():
                         lambda y: 0.0 * np.asarray(y, float))
     y0 = 0.8
     s = np.linspace(-2, 2, 9)
-    t = np.asarray(bg.u(s, y0))
+    t = np.asarray(bg.height(s, y0)[0])
     assert np.allclose(t, s * y0 + 3 * y0 + 7, atol=1e-14)
 
 

@@ -5,14 +5,22 @@
 OUTDIR receives:
 
 - `verify-all.json`, from `h1geo verify --suite all --out`;
-- the reports (JSON) and meshes (OBJ and CSV) of the benchmark's `catalog`
-  and `curve` workloads at seeds 11 and 12, one subdirectory per workload
-  and seed, with the operations taken unchanged from `bench/workloads.make_ops`;
+- the outputs of the benchmark's `suites`, `catalog` and `curve` workloads at
+  seeds 11 and 12, one subdirectory per workload and seed, with the
+  operations taken from `bench/workloads.make_ops`: the reports (JSON) and
+  meshes (OBJ and CSV) unchanged, and each `verify` operation (among them
+  `--suite bernstein --g` with the seed's polynomial) given
+  `--out <name>.json`, so its checks are kept at full precision;
 - `extra/`: 40x40 `--with-h` meshes of five surfaces whose per-vertex mean
   curvature runs characteristic traces, and the reports of a Bernstein graph
   whose singular curve crosses the rectangle's sides, of a cylinder sheet
   at a second lambda, and of sigma-zero at an odd cap, which puts its
   singular curve s = 0 inside a cell unless it is a chart edge;
+- `extra/graph-pde.txt`: the `repr` of `graph_pde_residual` and
+  `graph_pde_mean_curvature` of every graph family (Bernstein with a
+  quadratic and a cubic g, a tilted plane, both cylinder sheets at
+  lambda = 1, 0.6 and -1, both sphere sheets at lambda = 1 and 0.5) on a
+  fixed 4x4 grid of regular points of each;
 - for every operation, `<name>.stdout`: its exit code, then its standard
   output without the `wrote PATH` lines (those name OUTDIR); a report's
   JSON is there, because `report` without `--out` prints it.
@@ -32,6 +40,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
+import numpy as np  # noqa: E402
+
+from h1geo import curvature as crv, surfaces as srf  # noqa: E402
 from h1geo.cli import main  # noqa: E402
 import workloads  # noqa: E402
 
@@ -57,16 +68,57 @@ def _file_name(key):
     return key.replace(":", "-").replace("[", "-").replace("]", "")
 
 
+# fractions of each parameter range where the graph equation is evaluated:
+# none is 0.5 (a cylinder's singular line y = 0) or an end (a sphere sheet's
+# centre and rim), and the equation raises at a singular point, so a file
+# that gets written holds regular points only
+GRID = np.array([0.12, 0.31, 0.62, 0.83])
+
+
+def _graphs():
+    """(name, graph, H): each graph with the downward-normal H of its
+    graph equation (-lam on a sheet whose inner normal points up)."""
+    cases = [("bernstein-y^2", srf.build_surface("bernstein", g_coeffs=(0.0, 0.0, 1.0)), 0.0),
+             ("bernstein-cubic", srf.build_surface("bernstein", g_coeffs=(0.5, -1.0, 0.0, 0.4)),
+              0.0),
+             ("plane-tilted", srf.plane_patch((0.3, -0.2, 1.0), 0.5), 0.0)]
+    for lam in (1.0, 0.6, -1.0):
+        lower, upper = srf.cylinder_S(lam)
+        cases += [(f"cylinder-lower-lam{lam:g}", lower, -lam),
+                  (f"cylinder-upper-lam{lam:g}", upper, lam)]
+    for lam in (1.0, 0.5):
+        lower, upper = srf.sphere_graph(lam)
+        cases += [(f"sphere-lower-lam{lam:g}", lower, -lam),
+                  (f"sphere-upper-lam{lam:g}", upper, lam)]
+    return cases
+
+
+def write_graph_pde(path):
+    lines = []
+    for name, graph, H in _graphs():
+        eps, s = np.meshgrid(graph.eps_lo + GRID * (graph.eps_hi - graph.eps_lo),
+                             graph.s_lo + GRID * (graph.s_hi - graph.s_lo), indexing="ij")
+        p = graph.point(eps, s)
+        x, y = np.asarray(p.x, float).ravel(), np.asarray(p.y, float).ravel()
+        lines += [f"{name} residual {crv.graph_pde_residual(graph, x, y, H).tolist()!r}\n",
+                  f"{name} H {crv.graph_pde_mean_curvature(graph, x, y).tolist()!r}\n"]
+    with open(path, "w") as fh:
+        fh.write("".join(lines))
+
+
 def write_all(outdir):
     os.makedirs(outdir, exist_ok=True)
     _run(["verify", "--suite", "all", "--out", os.path.join(outdir, "verify-all.json")],
          outdir, "verify-all")
-    for workload in ("catalog", "curve"):
+    for workload in ("suites", "catalog", "curve"):
         for seed in SEEDS:
             workdir = os.path.join(outdir, f"{workload}-{seed}")
             os.makedirs(workdir, exist_ok=True)
             for op in workloads.make_ops(workload, seed, workdir):
-                _run(op["argv"], workdir, _file_name(op["key"]))
+                name = _file_name(op["key"])
+                json_out = os.path.join(workdir, name + ".json")
+                _run(op["argv"] + (["--out", json_out] if op["cmd"] == "verify" else []),
+                     workdir, name)
     extra = os.path.join(outdir, "extra")
     os.makedirs(extra, exist_ok=True)
     for surf in EXTRA_WITH_H:
@@ -76,6 +128,7 @@ def write_all(outdir):
               "--csv", os.path.join(extra, tag + ".csv")], extra, tag)
     for tag, argv in EXTRA_REPORTS.items():
         _run(["report", *argv], extra, "report-" + tag)
+    write_graph_pde(os.path.join(extra, "graph-pde.txt"))
 
 
 if __name__ == "__main__":
