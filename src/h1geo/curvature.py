@@ -53,7 +53,10 @@ def trace_characteristic(patch: ImmersedPatch, eps0, s0, arclen,
     seed forward and backward.  Returns (eps_path, s_path) arrays of shape
     (n_steps + 1,) + the broadcast shape of (eps0, s0, arclen); the trace
     has unit speed, so step k sits at arclength k*arclen/n_steps.
+    Raises ValueError when n_steps < 1.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     h = _asf(arclen) / n_steps
     eps, s, _ = np.broadcast_arrays(_asf(eps0), _asf(s0), h)
     eps_path, s_path = [eps], [s]
@@ -104,8 +107,11 @@ def characteristic_deviation(patch: ImmersedPatch, eps0, s0, arclen: float = 1.0
     run in one sweep.  With lam = None the patch's nominal constant
     curvature is used.  This is the numerical form of the ruling property
     of CMC surfaces.  eps0 and s0 may be arrays of seeds; all are traced
-    together and the maximum over them is returned.
+    together and the maximum over them is returned.  n_steps counts both
+    halves, so it must be even and at least 2 (ValueError otherwise).
     """
+    if n_steps < 2 or n_steps % 2:
+        raise ValueError(f"n_steps must be even and at least 2, got {n_steps}")
     if lam is None:
         if patch.lam is None:
             raise ValueError("patch has no nominal curvature; pass lam")

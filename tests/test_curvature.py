@@ -331,8 +331,8 @@ def test_char_velocity_evaluates_the_patch_once():
 ], ids=["sphere", "sigma-lambda-side-1", "helicoid-flipped"])
 def test_characteristic_deviation_array_seeds_match_scalar_calls(patch, seeds):
     e0, s0 = np.array(seeds).T
-    together = characteristic_deviation(patch, e0, s0, arclen=1.0, n_steps=200)
-    one_by_one = max(characteristic_deviation(patch, e, s, arclen=1.0, n_steps=200)
+    together = characteristic_deviation(patch, e0, s0, arclen=1.0, n_steps=20)
+    one_by_one = max(characteristic_deviation(patch, e, s, arclen=1.0, n_steps=20)
                      for e, s in seeds)
     assert together == one_by_one
 
@@ -365,6 +365,24 @@ def test_mean_curvature_and_ruling_trace_both_ways_in_one_call(monkeypatch):
     assert len(calls) == 1
     characteristic_deviation(sp, np.array([0.3, 2.0]), np.array([1.2, 1.8]), n_steps=20)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 3, 41, -2])
+def test_characteristic_deviation_rejects_steps_that_do_not_split_evenly(n_steps):
+    # n_steps // 2 steps each way: 0 or 1 would trace nothing and read 0.0
+    # whatever the curvature, and an odd count would drop a step
+    with pytest.raises(ValueError, match="even and at least 2"):
+        characteristic_deviation(sphere_geodesic(1.0), 0.3, 1.2, lam=5.0, n_steps=n_steps)
+
+
+def test_characteristic_deviation_at_two_steps_sees_a_wrong_curvature():
+    assert characteristic_deviation(sphere_geodesic(1.0), 0.3, 1.2, lam=5.0, n_steps=2) > 1e-2
+
+
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_trace_rejects_fewer_than_one_step(n_steps):
+    with pytest.raises(ValueError, match="at least 1"):
+        trace_characteristic(sphere_geodesic(1.0), 0.3, 1.2, 0.2, n_steps=n_steps)
 
 
 def test_trace_moves_along_geodesic_parameter():

@@ -1,6 +1,11 @@
 import numpy as np
+import pytest
 
-from h1geo.verify import DEFAULT_TOLERANCES, SUITES, run_suite
+from h1geo.curvature import characteristic_deviation
+from h1geo.verify import DEFAULT_TOLERANCES, SUITES, ruling_cases, run_suite
+
+SHEET_ARCLEN, SHEET_STEPS, _, GRAPH_SHEETS = {
+    check: rest for check, *rest in ruling_cases()}["ruling[graph-sheets]"]
 
 
 def test_fast_suites_all_pass():
@@ -16,7 +21,23 @@ def test_curvature_suite_passes():
     failed = [c.name for c in checks if not c.passed]
     assert not failed, failed
     names = {c.name for c in checks}
-    assert "ruling" in names and "helicoid-offsets" in names
+    assert {"ruling", "ruling[graph-sheets]", "helicoid-offsets"} <= names
+
+
+@pytest.mark.parametrize("label, patch, seeds", GRAPH_SHEETS,
+                         ids=[case[0] for case in GRAPH_SHEETS])
+def test_graph_sheet_ruling_cases_are_real(label, patch, seeds):
+    # RK4 has work to do here: halving the step divides the deviation by
+    # about 2^4, which a trace with constant chart velocity (exact at any
+    # step) cannot show; and a wrong curvature is seen at the pinned steps
+    e0, s0 = np.array(seeds).T
+    pinned = characteristic_deviation(patch, e0, s0, arclen=SHEET_ARCLEN, n_steps=SHEET_STEPS)
+    halved = characteristic_deviation(patch, e0, s0, arclen=SHEET_ARCLEN,
+                                      n_steps=SHEET_STEPS // 2)
+    assert 12.0 <= halved / pinned <= 20.0
+    wrong = characteristic_deviation(patch, e0, s0, arclen=SHEET_ARCLEN, n_steps=SHEET_STEPS,
+                                     lam=1.1 * patch.lam)
+    assert wrong > DEFAULT_TOLERANCES["ruling"]
 
 
 def test_tolerance_override_applies():

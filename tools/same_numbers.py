@@ -21,6 +21,10 @@ OUTDIR receives:
   quadratic and a cubic g, a tilted plane, both cylinder sheets at
   lambda = 1, 0.6 and -1, both sphere sheets at lambda = 1 and 0.5) on a
   fixed 4x4 grid of regular points of each;
+- `extra/ruling.txt`: the `repr` of `characteristic_deviation` for every
+  case of both ruling checks (`verify.ruling_cases`), at the steps and
+  arclength the curvature suite pins, one line per case, so a change to the
+  traces or the partials shows which case moved and not only the maximum;
 - for every operation, `<name>.stdout`: its exit code, then its standard
   output without the `wrote PATH` lines (those name OUTDIR); a report's
   JSON is there, because `report` without `--out` prints it.
@@ -42,7 +46,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import numpy as np  # noqa: E402
 
-from h1geo import curvature as crv, surfaces as srf  # noqa: E402
+from h1geo import curvature as crv, surfaces as srf, verify  # noqa: E402
 from h1geo.cli import main  # noqa: E402
 import workloads  # noqa: E402
 
@@ -106,6 +110,17 @@ def write_graph_pde(path):
         fh.write("".join(lines))
 
 
+def write_ruling(path):
+    lines = []
+    for check, arclen, n_steps, _source, cases in verify.ruling_cases():
+        for label, patch, seeds in cases:
+            dev = crv.characteristic_deviation(patch, *np.array(seeds).T,
+                                               arclen=arclen, n_steps=n_steps)
+            lines.append(f"{check} {label} {dev!r}\n")
+    with open(path, "w") as fh:
+        fh.write("".join(lines))
+
+
 def write_all(outdir):
     os.makedirs(outdir, exist_ok=True)
     _run(["verify", "--suite", "all", "--out", os.path.join(outdir, "verify-all.json")],
@@ -129,6 +144,7 @@ def write_all(outdir):
     for tag, argv in EXTRA_REPORTS.items():
         _run(["report", *argv], extra, "report-" + tag)
     write_graph_pde(os.path.join(extra, "graph-pde.txt"))
+    write_ruling(os.path.join(extra, "ruling.txt"))
 
 
 if __name__ == "__main__":
