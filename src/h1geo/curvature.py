@@ -1,8 +1,10 @@
 """Mean curvature, stationarity diagnostics, and calibration fields.
 
 The mean curvature of a patch at a regular point is evaluated intrinsically:
--2H = <D_Z nu_H, Z> along a short characteristic trace (an integral curve of
-Z = J(nu_H) followed in parameter space), so no graph structure is assumed.
+-2H = <D_Z nu_H, Z> is a first derivative along the characteristic field
+Z = J(nu_H), so it is differenced along the straight parameter line through
+the point in Z's direction, and no graph structure is assumed.  Integral
+curves of Z (characteristic traces) serve the ruling check only.
 Graphs additionally support the prescribed-curvature PDE residual
 
     (u_y+x)^2 u_xx - 2 (u_y+x)(u_x-y) u_xy + (u_x-y)^2 u_yy
@@ -21,18 +23,30 @@ import numpy as np
 from .errors import NoSingularCurve, OnSingularLocus, SingularPoint
 from .geodesics import GeodesicSpec, geodesic_point
 from .hgroup import Point, conn_c, divergence, dot_c
-from .surfaces import ImmersedPatch, TOL_SINGULAR
+from .surfaces import ImmersedPatch, NormalData, TOL_SINGULAR
 
-H_CHAR_STEP = 1e-4  # arclength step along the characteristic trace
+# The difference step h of mean_curvature_char: its ends sit at parameter
+# offsets +-h/2 and +-h along Z's velocity, that is at arclength about h/2
+# and h from the point, and Richardson's step over the two removes the h^2
+# term of the central differences.
+H_CHAR_STEP = 1e-4
+# The rounding of that H, in units of eps / h.  H(k) = -(1/2) <(nu_+ - nu_-)
+# / (2k), Z> reads the unit nu_H at the two ends of the line; each end carries
+# about 4 ulps, 2 of nu_H itself and 2 from rounding the end's parameters
+# (eps, s) +- k (ve, vs), so H(k) is off by about 2 eps / k and (4 H(h/2) -
+# H(h)) / 3 by (16 + 2) / 3 = 6 eps / h.  At the Gauss nodes of S_lambda
+# (lambda = 0.5, 1, 2, and S_1 dilated, translated and flipped) the error
+# measures 2.5 to 4.2 eps / h.
+H_ROUNDOFF = 6.0
 
 
 def _asf(x):
     return np.asarray(x, float)
 
 
-def _char_velocity(patch: ImmersedPatch, eps, s):
-    """Parameter-space velocity (deps, ds) of the unit characteristic field."""
-    nd = patch.normal_data(eps, s)
+def _z_velocity(nd: NormalData):
+    """Parameter-space velocity (deps, ds) of the unit characteristic field
+    at the points of `nd`: the solution of deps F_eps + ds F_s = Z."""
     fe, fs = nd.fe, nd.fs
     g11 = dot_c(fe, fe)
     g12 = dot_c(fe, fs)
@@ -41,6 +55,11 @@ def _char_velocity(patch: ImmersedPatch, eps, s):
     b2 = dot_c(nd.z, fs)
     det = g11 * g22 - g12 * g12
     return (g22 * b1 - g12 * b2) / det, (g11 * b2 - g12 * b1) / det
+
+
+def _char_velocity(patch: ImmersedPatch, eps, s):
+    """Parameter-space velocity (deps, ds) of the unit characteristic field."""
+    return _z_velocity(patch.normal_data(eps, s))
 
 
 def trace_characteristic(patch: ImmersedPatch, eps0, s0, arclen,
@@ -74,27 +93,55 @@ def trace_characteristic(patch: ImmersedPatch, eps0, s0, arclen,
 
 def _forward_back(seed_ndim: int):
     """Signs (+1, -1) on a leading axis that broadcasts against seeds of
-    `seed_ndim` dimensions; times a length, one sweep traces both ways."""
+    `seed_ndim` dimensions; times a length, one sweep goes both ways."""
     return np.array([1.0, -1.0]).reshape((2,) + (1,) * seed_ndim)
+
+
+def _mean_curvature(patch: ImmersedPatch, eps, s, h_fd: float, tol_singular: float):
+    """(H, regular): the estimate of mean_curvature_char and the mask of the
+    points where its stencil is regular.  A point is not regular when
+    |N_H| < 10 * tol_singular there, or when an end of its stencil lies in
+    the singular band (where nu_H is NaN) or across a singular curve: both
+    fail <nu_end, nu_seed> > 0.  H is meaningless there.  Non-regular seeds
+    take no step, so no end is evaluated at NaN parameters."""
+    nd = patch.normal_data(eps, s)
+    regular = nd.nh_norm >= 10 * tol_singular
+    ve, vs = (np.where(regular, v, 0.0) for v in _z_velocity(nd))
+    signs = _forward_back(regular.ndim)
+
+    def slope(k):
+        # keeps only nu_H of the ends, so the two pairs' NormalData are never
+        # alive together, which would raise peak memory
+        nu = patch.normal_data(eps + signs * k * ve, s + signs * k * vs).nu_h
+        return (nu[0] - nu[1]) / (2.0 * k), np.all(dot_c(nu, nd.nu_h) > 0, axis=0)
+
+    (half, half_ok), (full, full_ok) = slope(h_fd / 2), slope(h_fd)
+    regular = regular & half_ok & full_ok
+    dnu = (4.0 * half - full) / 3.0
+    cov = dnu + conn_c(nd.z, nd.nu_h)
+    return -0.5 * dot_c(cov, nd.z), regular
 
 
 def mean_curvature_char(patch: ImmersedPatch, eps, s, h_fd: float = H_CHAR_STEP,
                         tol_singular: float = TOL_SINGULAR):
-    """H = -(1/2) <D_Z nu_H, Z> via a central difference of nu_H along the
-    characteristic trace through (eps, s).
+    """H = -(1/2) <D_Z nu_H, Z> at (eps, s).
 
-    Raises SingularPoint when |N_H| < 10 * tol_singular at the point (the
-    horizontal normal blows up across singular curves).
+    D_Z nu_H is a first derivative along Z, so nu_H is differenced along the
+    straight parameter line through the point in the direction of Z's
+    parameter velocity (ve, vs): central differences with ends at
+    (eps, s) +- k (ve, vs) for k = h_fd / 2 and h_fd, combined by
+    Richardson's step (4 D(h_fd / 2) - D(h_fd)) / 3.  That costs one
+    `normal_data` call at the points and one for each pair of ends.  The
+    rounding is about H_ROUNDOFF eps / h_fd.
+
+    Raises SingularPoint when |N_H| < 10 * tol_singular at the point, or
+    when an end of the stencil lies in the singular band or across a
+    singular curve (the horizontal normal blows up or flips there).
     """
-    nd = patch.normal_data(eps, s)
-    if np.any(nd.nh_norm < 10 * tol_singular):
+    H, regular = _mean_curvature(patch, eps, s, h_fd, tol_singular)
+    if not np.all(regular):
         raise SingularPoint("mean curvature requested too close to the singular set")
-    ends_e, ends_s = trace_characteristic(patch, eps, s, _forward_back(nd.nh_norm.ndim) * h_fd,
-                                          n_steps=1)
-    nu = patch.normal_data(ends_e[-1], ends_s[-1]).nu_h
-    dnu = (nu[0] - nu[1]) / (2.0 * h_fd)
-    cov = dnu + conn_c(nd.z, nd.nu_h)
-    return -0.5 * dot_c(cov, nd.z)
+    return H
 
 
 def characteristic_deviation(patch: ImmersedPatch, eps0, s0, arclen: float = 1.0,
@@ -312,13 +359,14 @@ def calibration_divergence(foliation: GraphFoliation, q: Point,
 
 def fill_mesh_curvature(m, h_fd: float = H_CHAR_STEP,
                         tol_singular: float = TOL_SINGULAR) -> None:
-    """Populate mesh.h_est at regular vertices (NaN near the singular set)."""
+    """Populate mesh.h_est at regular vertices: NaN near the singular set,
+    where mean_curvature_char would raise."""
     eps = np.broadcast_to(m.eps[:, None], m.shape)
     s = np.broadcast_to(m.s[None, :], m.shape)
     ok = m.nh_norm >= 10 * tol_singular
     if not np.any(ok):
         return
     h = np.full(m.shape, np.nan)
-    h[ok] = mean_curvature_char(m.patch, eps[ok], s[ok], h_fd=h_fd,
-                                tol_singular=tol_singular)
+    H, regular = _mean_curvature(m.patch, eps[ok], s[ok], h_fd, tol_singular)
+    h[ok] = np.where(regular, H, np.nan)
     m.h_est = h

@@ -248,14 +248,6 @@ def iso_ratio(patch: ImmersedPatch, n: int = 256) -> float:
     return a**4 / v**3
 
 
-# Rounding of the Richardson mean curvature below, in units of eps / h for
-# the step h = H_CHAR_STEP.  H(k) = -(1/2) <(nu_+ - nu_-) / (2k), Z> reads
-# the unit nu_H at the two ends of a characteristic trace; each end carries
-# about 4 ulps, 2 of nu_H itself and 2 from where the trace lands, so H(k)
-# is off by about 2 eps / k and (4 H(h/2) - H(h)) / 3 by (16 + 2) / 3 = 6
-# eps / h.  At the Gauss nodes of S_lambda (lambda = 0.5, 1, 2, and S_1
-# dilated, translated and flipped) the error measures 2.5 to 4.6 eps / h.
-H_ROUNDOFF = 6.0
 FIRST_VARIATION_CELLS = 96   # cap of first_variation's ladder; S_lambda stops at 12
 
 
@@ -266,10 +258,9 @@ def first_variation(patch: ImmersedPatch, u) -> dict:
 
     On the regular set A'(0) = -integral 2 H u dSigma and V'(0) = -integral
     u dSigma, dSigma = |raw| d eps ds the Riemannian area element.  H is
-    curvature.mean_curvature_char, Richardson-extrapolated over the steps h
-    and h/2, h = H_CHAR_STEP: (4 H(h/2) - H(h)) / 3.  The floor of a_prime
-    adds that H's rounding, H_ROUNDOFF eps / h per sample, times 2 |u| |raw|.
-    An open patch's variation has a boundary term, so it raises
+    curvature.mean_curvature_char at its step h = H_CHAR_STEP.  The floor of
+    a_prime adds that H's rounding, H_ROUNDOFF eps / h per sample, times
+    2 |u| |raw|.  An open patch's variation has a boundary term, so it raises
     NotClosedSurface.  The term along singular curves is not evaluated, so
     the result is A'(0) only for closed patches whose singular set is
     isolated points, as on the spheres, where it adds no term.
@@ -282,10 +273,9 @@ def first_variation(patch: ImmersedPatch, u) -> dict:
         return np.asarray(u(eps, s), float) * np.linalg.norm(raw, axis=-1)
 
     def a_prime(eps, s, p, raw):
-        H = (4.0 * crv.mean_curvature_char(patch, eps, s, h_fd=h / 2)
-             - crv.mean_curvature_char(patch, eps, s, h_fd=h)) / 3.0
+        H = crv.mean_curvature_char(patch, eps, s)
         ud = u_da(eps, s, raw)
-        return -2.0 * H * ud, 2.0 * H_ROUNDOFF * np.finfo(float).eps / h * np.abs(ud)
+        return -2.0 * H * ud, 2.0 * crv.H_ROUNDOFF * np.finfo(float).eps / h * np.abs(ud)
 
     def v_prime(eps, s, p, raw):
         return -u_da(eps, s, raw), None

@@ -21,7 +21,8 @@ A graph t = u(x, y) implements `height(x, y) -> (u, u_x, u_y)` instead,
 which `GraphPatch.partials` reads, and `hessian` for the graph equation.
 `frame` adds the unnormalized oriented normal, which the quadrature
 integrands read, and `normal_data` normalizes it and carries the partials
-on, so the characteristic traces never evaluate a sample twice.
+on, so Z's parameter velocity, which the mean curvature and the
+characteristic traces read, never evaluates a sample twice.
 `fd_partials` is the finite-difference reference for `partials`; the tests
 hold every patch to it, and `PerturbedPatch`, with no closed form, uses it.
 A patch states its singular set in its parameters: `quadrature_charts`,

@@ -11,8 +11,8 @@ OUTDIR receives:
   meshes (OBJ and CSV) unchanged, and each `verify` operation (among them
   `--suite bernstein --g` with the seed's polynomial) given
   `--out <name>.json`, so its checks are kept at full precision;
-- `extra/`: 40x40 `--with-h` meshes of five surfaces whose per-vertex mean
-  curvature runs characteristic traces, and the reports of a Bernstein graph
+- `extra/`: 40x40 `--with-h` meshes of five surfaces, whose per-vertex mean
+  curvature differences nu_H along Z, and the reports of a Bernstein graph
   whose singular curve crosses the rectangle's sides, of a cylinder sheet
   at a second lambda, and of sigma-zero at an odd cap, which puts its
   singular curve s = 0 inside a cell unless it is a chart edge;
@@ -21,6 +21,9 @@ OUTDIR receives:
   quadratic and a cubic g, a tilted plane, both cylinder sheets at
   lambda = 1, 0.6 and -1, both sphere sheets at lambda = 1 and 0.5) on a
   fixed 4x4 grid of regular points of each;
+- `extra/mean-curvature.txt`: the `repr` of `mean_curvature_char` on the
+  same 4x4 grid of every catalog surface (at its default parameters) and of
+  every graph above, so a change to the estimator shows which H moved;
 - `extra/ruling.txt`: the `repr` of `characteristic_deviation` for every
   case of both ruling checks (`verify.ruling_cases`), at the steps and
   arclength the curvature suite pins, one line per case, so a change to the
@@ -72,11 +75,17 @@ def _file_name(key):
     return key.replace(":", "-").replace("[", "-").replace("]", "")
 
 
-# fractions of each parameter range where the graph equation is evaluated:
-# none is 0.5 (a cylinder's singular line y = 0) or an end (a sphere sheet's
-# centre and rim), and the equation raises at a singular point, so a file
-# that gets written holds regular points only
+# fractions of each parameter range where the graph equation and the mean
+# curvature are evaluated: none is 0.5 (a cylinder's singular line y = 0) or
+# an end (a sphere sheet's centre and rim), and both raise at a singular
+# point, so a file that gets written holds regular points only
 GRID = np.array([0.12, 0.31, 0.62, 0.83])
+
+
+def _grid(patch):
+    """The (4, 4) parameter grid of GRID's fractions over the patch."""
+    return np.meshgrid(patch.eps_lo + GRID * (patch.eps_hi - patch.eps_lo),
+                       patch.s_lo + GRID * (patch.s_hi - patch.s_lo), indexing="ij")
 
 
 def _graphs():
@@ -100,12 +109,19 @@ def _graphs():
 def write_graph_pde(path):
     lines = []
     for name, graph, H in _graphs():
-        eps, s = np.meshgrid(graph.eps_lo + GRID * (graph.eps_hi - graph.eps_lo),
-                             graph.s_lo + GRID * (graph.s_hi - graph.s_lo), indexing="ij")
-        p = graph.point(eps, s)
+        p = graph.point(*_grid(graph))
         x, y = np.asarray(p.x, float).ravel(), np.asarray(p.y, float).ravel()
         lines += [f"{name} residual {crv.graph_pde_residual(graph, x, y, H).tolist()!r}\n",
                   f"{name} H {crv.graph_pde_mean_curvature(graph, x, y).tolist()!r}\n"]
+    with open(path, "w") as fh:
+        fh.write("".join(lines))
+
+
+def write_mean_curvature(path):
+    cases = [(name, srf.build_surface(name)) for name in sorted(srf.catalog())]
+    cases += [(name, graph) for name, graph, _H in _graphs()]
+    lines = [f"{name} {crv.mean_curvature_char(patch, *_grid(patch)).tolist()!r}\n"
+             for name, patch in cases]
     with open(path, "w") as fh:
         fh.write("".join(lines))
 
@@ -144,6 +160,7 @@ def write_all(outdir):
     for tag, argv in EXTRA_REPORTS.items():
         _run(["report", *argv], extra, "report-" + tag)
     write_graph_pde(os.path.join(extra, "graph-pde.txt"))
+    write_mean_curvature(os.path.join(extra, "mean-curvature.txt"))
     write_ruling(os.path.join(extra, "ruling.txt"))
 
 
