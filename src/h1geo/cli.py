@@ -158,7 +158,7 @@ def _check_config_type(key: str, value) -> None:
         raise ConfigError(f"config key {key!r} must be {_TYPE_NAMES[want]} (got {value!r})")
 
 
-_MAX_RES = 2048   # per side; a 1024x1024 OBJ+CSV mesh already peaks near 750 MB
+_MAX_RES = 2048   # per side; a 1024x1024 helicoid OBJ+CSV mesh peaks near 180 MB
 
 
 def _parse_res(text: str):
@@ -246,14 +246,14 @@ def _build_patch(cfg: dict):
 
 
 def cmd_mesh(cfg: dict) -> int:
+    out = cfg.get("out")
+    if not out and not cfg.get("csv"):
+        raise ConfigError("mesh needs --out (OBJ path) and/or --csv")
     patch = _build_patch(cfg)
     n_eps, n_s = _parse_res(cfg.get("res") or "64x64")
     m = srf.mesh(patch, n_eps, n_s)
     if cfg.get("with_h"):
         crv.fill_mesh_curvature(m)
-    out = cfg.get("out")
-    if not out and not cfg.get("csv"):
-        raise ConfigError("mesh needs --out (OBJ path) and/or --csv")
     if out:
         srf.export_obj(m, out)
         print(f"wrote {out} ({n_eps * n_s} vertices)")

@@ -39,6 +39,7 @@ at eps +- h_fd, for `curvature_rate`.
 from __future__ import annotations
 
 import inspect
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -1132,70 +1133,204 @@ def singular_components(m: SurfaceMesh, tol_singular: float = TOL_SINGULAR):
     return comps
 
 
-def format_rows(line: str, n: int, values) -> str:
-    """n copies of the %-format `line` filled from the flat sequence `values`,
-    in one formatting pass.  Every text writer formats through this;
-    '%.17g' % x gives the same string as f"{x:.17g}" for every float, nan,
-    inf and -0 included.  A '%s' conversion takes a string this function
-    made earlier, so a value formatted once can fill many lines with the
-    same bytes."""
-    return (line * n) % tuple(values)
+# Text export.  `_float_text` turns a float64 array into the bytes of
+# '%.17g' % v for each value, `_int_text` an integer array into those of
+# '%d' % i: one uint8 text row per value, padded with 0 bytes.  `_lines`
+# joins the text rows of a block of lines and their separators into one
+# matrix and drops the pad bytes, so a file is built and written as bytes,
+# a block of whole eps rows at a time, and never held whole.
+
+_BLOCK_VERTICES = 8192       # vertices, or faces, built and written at a time
 
 
-def _vertex_values(cols):
-    """Conversions and flat row-major values for per-vertex columns of shape
-    (n_e, n_s), ready for one `format_rows` pass.
+def _digit_tables():
+    """The four ASCII digits of 0..9999 in one word each: zero-filled, and
+    with leading zeros as pad bytes (0 keeps its last digit); and the
+    trailing zeros of each."""
+    digits = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T) + np.uint8(48)
+    lead = digits * np.maximum.accumulate(digits > 48, axis=1)
+    lead[0, 3] = 48
+    tz = 4 - np.maximum.accumulate(digits[:, ::-1] > 48, axis=1).sum(axis=1)
+    return (digits.view(np.uint32).ravel().astype(np.uint64),
+            lead.view(np.uint32).ravel().astype(np.uint64), tz.astype(np.uint8))
 
-    A column whose bits are constant along a grid axis is formatted once per
-    eps row, once per s column, or once in all, and enters as '%s'; any
-    other column enters per vertex as '%.17g'.  Bits, not ==, decide:
-    -0.0 == 0.0 but prints '-0', and nan != nan."""
+
+_DIGITS4, _LEAD4, _TZ4 = _digit_tables()
+_POW10 = 10.0 ** np.arange(21)      # exact doubles
+# _LOW[i, n]: the bytes below n of a 24-byte row, in its i-th 8-byte word
+_LOW = ((np.arange(24) < np.arange(25)[:, None]) * 255).astype(np.uint8).view(np.uint64).T.copy()
+_ZEROS7, _DOTS, _MINUS = np.uint64(0x30303030303030), np.uint64(0x2E2E2E2E2E2E2E2E), np.uint64(0x2D)
+_NAMED = np.array([b"nan", b"inf", b"-inf", b"0", b"-0"], "S24").view(np.uint8).reshape(5, 24)
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly (Dekker 1971),
+    where a * b neither overflows nor underflows."""
+    def split(v):
+        c = 134217729.0 * v          # 2**27 + 1
+        hi = c - (c - v)
+        return hi, v - hi
+
+    (ah, al), (bh, bl) = split(a), split(b)
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _float_text(x):
+    """(n, 24) uint8 text rows of '%.17g' % v for the n values of x.
+
+    For 1e-4 <= |v| < 1e15 '%.17g' prints fixed notation.  With
+    k = floor(log10|v|), |v| * 10**(16 - k) is p + e exactly, and as
+    p >= 1e16 > 2**53 is an even integer, D = p + rint(e) is the 17-digit
+    integer rounded half to even, as '%.17g' rounds; where the log10
+    estimate puts p + e outside [1e16, 1e17), k moves by one.  No double of
+    the range lies within half a unit of the 17th digit below a power of
+    ten, so D never rounds up to 1e17.  The digits of D sit at bytes 7..23
+    of three 8-byte words after seven '0's; the text takes its integer part
+    and its fraction from two byte shifts of them, then the '.', the sign,
+    and the length once trailing zeros are stripped.  Other values go to
+    `_fallback_text`."""
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e15)
+    a = np.where(fast, a, 1.0)
+    k = np.clip(np.floor(np.log10(a)), -4, 14).astype(np.int64)
+    p, e = _two_product(a, _POW10[16 - k])
+    move = (((p > 1e17) | ((p == 1e17) & (e >= 0))).astype(np.int64)
+            - ((p < 1e16) | ((p == 1e16) & (e < 0))))
+    if move.any():
+        k += move
+        p, e = _two_product(a, _POW10[16 - k])
+    d = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    hi = d // 10**8                                   # the first 9 digits
+    lo = (d - hi * 10**8).astype(np.int32)            # the last 8; int32 divides faster
+    hi = hi.astype(np.int32)
+    g1, g2, g3, g4 = (g.astype(np.intp) for g in (hi // 10000 % 10000, hi % 10000,
+                                                  lo // 10000, lo % 10000))
+    words = [_ZEROS7 | (hi // 10**8 + 48).astype(np.uint64) << np.uint64(56),
+             np.take(_DIGITS4, g1) | np.take(_DIGITS4, g2) << np.uint64(32),
+             np.take(_DIGITS4, g3) | np.take(_DIGITS4, g4) << np.uint64(32)]
+    tz = np.take(_TZ4, g4) + (g4 == 0) * (np.take(_TZ4, g3) + (g3 == 0) * (
+        np.take(_TZ4, g2) + (g2 == 0) * np.take(_TZ4, g1)))
+    frac = np.maximum(16 - tz - k, 0)                 # fraction digits printed
+    neg = np.signbit(x)
+    dot = neg + np.maximum(k, 0) + 1                  # the '.' follows the integer part
+    end = dot + (frac > 0) * (1 + frac)
+    shift = (8 * (7 + np.minimum(k, 0) - neg)).astype(np.uint64)   # in bits: 16..56
+    text = np.empty((x.size, 3), np.uint64)
+    for i, w in enumerate(words):
+        whole, rest = w >> shift, w >> (shift - np.uint64(8))
+        if i < 2:
+            whole |= words[i + 1] << (np.uint64(64) - shift)
+            rest |= words[i + 1] << (np.uint64(72) - shift)
+        below, upto = np.take(_LOW[i], dot), np.take(_LOW[i], dot + 1)
+        text[:, i] = (((whole & below) | (rest & ~upto) | (_DOTS & (upto ^ below)))
+                      & np.take(_LOW[i], end))
+    text[:, 0] ^= (text[:, 0] ^ _MINUS) & (neg * np.uint64(255))
+    text = text.view(np.uint8)
+    if not fast.all():
+        text[~fast] = _fallback_text(x[~fast])
+    return text
+
+
+def _fallback_text(x):
+    """Text rows of values outside the kernel's range: nan (of either sign),
+    infinities and zeros from a table, the rest in one '%.17g' pass."""
+    neg = np.signbit(x)
+    kind = np.select([np.isnan(x), np.isinf(x), x == 0], [0, 1 + neg, 3 + neg], -1)
+    text = _NAMED[kind]
+    other = kind < 0
+    if other.any():
+        v = x[other].tolist()
+        text[other] = np.array(("%.17g " * len(v) % tuple(v)).split(),
+                               "S24").view(np.uint8).reshape(-1, 24)
+    return text
+
+
+def _int_text(v):
+    """Text rows of '%d' % i for the non-negative integers of v, 4 bytes per
+    4-digit group, leading zeros as pad bytes."""
+    places = [10**(4 * g) for g in range((len(str(int(v.max(initial=0)))) + 3) // 4)][::-1]
+    text = np.empty((v.size, len(places)), np.uint32)
+    for g, place in enumerate(places):
+        q = v // place % 10000
+        lead = _LEAD4[q] * ((v >= place) | (place == 1))
+        text[:, g] = lead + (_DIGITS4[q] - _LEAD4[q]) * (v >= 10000 * place)
+    return text.view(np.uint8)
+
+
+def _lines(head: bytes, text, sep: bytes) -> bytes:
+    """The bytes of n lines from (n, k, w) text rows: `head` when given, the
+    k rows, each followed by `sep` but the last by a newline; pads dropped."""
+    n, k, w = text.shape
+    h = 1 if head else 0
+    cells = np.zeros((n, h + k, w + 1), np.uint8)
+    if head:
+        cells[:, 0, :len(head)] = np.frombuffer(head, np.uint8)
+    cells[:, h:, :w] = text
+    cells[..., w] = ord(sep)
+    cells[:, -1, w] = ord("\n")
+    return cells.tobytes().translate(None, b"\0")
+
+
+def _vertex_blocks(head: bytes, cols, sep: bytes):
+    """Lines of per-vertex columns, each (n_e, n_s), row-major, in blocks of
+    whole eps rows.  A column whose bits are constant along a grid axis is
+    converted once per distinct value, and its text rows broadcast."""
     n_e, n_s = np.shape(cols[0])
-    values = np.empty((n_e, n_s, len(cols)), dtype=object)
-    convs = []
-    for k, col in enumerate(cols):
-        col = _asf(col)
-        bits = col.view(np.uint64)
-        per_row = bool(np.all(bits == bits[:, :1]))
-        per_col = bool(np.all(bits == bits[:1, :]))
+    cols = [_asf(c) for c in cols]
+    fixed = []
+    for c in cols:
+        bits = c.view(np.uint64)
+        per_row, per_col = bool(np.all(bits == bits[:, :1])), bool(np.all(bits == bits[:1, :]))
         if per_row or per_col:
-            distinct = col[:1 if per_col else n_e, :1 if per_row else n_s]
-            text = format_rows("%.17g\n", distinct.size, distinct.ravel().tolist()).splitlines()
-            values[..., k] = np.array(text, dtype=object).reshape(distinct.shape)
-            convs.append("%s")
+            distinct = c[:1 if per_col else n_e, :1 if per_row else n_s]
+            once = _float_text(distinct.ravel()).reshape(*distinct.shape, 24)
+            fixed.append(np.broadcast_to(once, (n_e, n_s, 24)))
         else:
-            values[..., k] = col
-            convs.append("%.17g")
-    return convs, values.ravel().tolist()
+            fixed.append(None)
+    step = max(1, _BLOCK_VERTICES // n_s)
+    for i in range(0, n_e, step):
+        rows = slice(i, i + step)
+        text = np.empty((min(step, n_e - i), n_s, len(cols), 24), np.uint8)
+        for k, (c, f) in enumerate(zip(cols, fixed)):
+            text[:, :, k] = f[rows] if f is not None else _float_text(
+                c[rows].ravel()).reshape(-1, n_s, 24)
+        yield _lines(head, text.reshape(-1, len(cols), 24), sep)
 
 
 def export_obj(m: SurfaceMesh, path) -> None:
     """Wavefront OBJ: v records row-major, quads split into two triangles."""
     n_e, n_s = m.shape
-    convs, values = _vertex_values([m.points[..., k] for k in range(3)])
-    vid = np.arange(1, n_e * n_s + 1).reshape(n_e, n_s)
-    a, b, c, d = vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]
-    faces = np.stack([a, b, c, a, c, d], axis=-1)    # (a, b, c), (a, c, d) per quad
-    atomic_write(path, format_rows("v " + " ".join(convs) + "\n", n_e * n_s, values)
-                 + format_rows("f %d %d %d\n", faces.size // 3, faces.ravel().tolist()))
+
+    def faces():
+        step = max(1, _BLOCK_VERTICES // (2 * n_s))
+        for i in range(0, n_e - 1, step):
+            vid = np.arange(i * n_s + 1, (min(i + step, n_e - 1) + 1) * n_s + 1).reshape(-1, n_s)
+            a, b, c, d = vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]
+            tri = np.stack([a, b, c, a, c, d], axis=-1)    # (a, b, c), (a, c, d) per quad
+            text = _int_text(tri.ravel())
+            yield _lines(b"f", text.reshape(-1, 3, text.shape[1]), b" ")
+
+    atomic_write(path, itertools.chain(
+        _vertex_blocks(b"v", [m.points[..., k] for k in range(3)], b" "), faces()))
 
 
 def export_csv(m: SurfaceMesh, path) -> None:
     """CSV with columns eps,s,x,y,t,nh_norm,h_est (row-major vertex order)."""
     n_e, n_s = m.shape
-    convs, values = _vertex_values([np.broadcast_to(m.eps[:, None], (n_e, n_s)), m.geom_s,
-                                    m.points[..., 0], m.points[..., 1], m.points[..., 2],
-                                    m.nh_norm, m.h_est])
-    atomic_write(path, "eps,s,x,y,t,nh_norm,h_est\n"
-                 + format_rows(",".join(convs) + "\n", n_e * n_s, values))
+    cols = [np.broadcast_to(m.eps[:, None], (n_e, n_s)), m.geom_s, m.points[..., 0],
+            m.points[..., 1], m.points[..., 2], m.nh_norm, m.h_est]
+    atomic_write(path, itertools.chain([b"eps,s,x,y,t,nh_norm,h_est\n"],
+                                       _vertex_blocks(b"", cols, b",")))
 
 
-def atomic_write(path, text: str) -> None:
-    """Write `text` to `path` through a temp file in the same directory and
-    `os.replace`, so a reader sees the old file or the whole new one.  The
-    file gets the mode `open(path, "w")` would give it: an existing file
-    keeps its mode, a new one gets 0o666 less the umask.  On any failure the
-    temp file is removed and `path` is left as it was."""
+def atomic_write(path, data) -> None:
+    """Write `data`, a str or an iterable of bytes blocks, to `path` through a
+    temp file in the same directory and `os.replace`, so a reader sees the
+    old file or the whole new one.  The file gets the mode `open(path, "w")`
+    would give it: an existing file keeps its mode, a new one gets 0o666 less
+    the umask.  On any failure, the block source's included, the temp file
+    is removed and `path` is left as it was."""
     import os
 
     path = os.fspath(path)
@@ -1206,10 +1341,11 @@ def atomic_write(path, text: str) -> None:
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             if mode is not None:
                 os.fchmod(fh.fileno(), mode)
-            fh.write(text)
+            for block in ([data.encode()] if isinstance(data, str) else data):
+                fh.write(block)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

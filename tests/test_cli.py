@@ -96,6 +96,17 @@ def test_mesh_requires_output(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("extra", [[], ["--with-h"]], ids=["plain", "with-h"])
+def test_mesh_checks_outputs_before_meshing(monkeypatch, capsys, extra):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("mesh built before the outputs were checked")
+
+    monkeypatch.setattr("h1geo.surfaces.mesh", no_mesh)
+    rc = main(["mesh", "--surface", "sphere", "--res", "8x8", *extra])
+    assert rc == 2
+    assert "mesh needs --out (OBJ path) and/or --csv" in capsys.readouterr().err
+
+
 def test_mesh_bad_resolution():
     rc = main(["mesh", "--surface", "sphere", "--res", "bogus", "--out", "/tmp/never.obj"])
     assert rc == 2

@@ -33,10 +33,13 @@ from h1geo.surfaces import (
     sphere_geodesic,
     sphere_graph,
     VerticalCylinder,
+    _BLOCK_VERTICES,
     _curve_data,
-    _vertex_values,
+    _float_text,
+    _int_text,
     atomic_write,
 )
+from h1geo.cli import _MAX_RES
 
 RNG = np.random.default_rng(4242)
 
@@ -681,6 +684,19 @@ def _nans_of_both_signs():
     return nans
 
 
+def multi_block_mesh():
+    """3000 x 3 vertices: more than one block of eps rows, and of faces.
+    x changes every row, t where the second block starts, y is constant
+    along eps, and nh_norm mixes values outside the kernel's range."""
+    n_e, n_s = 3000, 3
+    rows = np.arange(n_e)[:, None]
+    nh = np.arange(n_e * n_s).reshape(n_e, n_s) * 1e-6
+    nh[::7] = 0.0
+    return field_mesh(eps=np.linspace(-1.0, 1.0, n_e), n_s=n_s, x=rows / 7.0,
+                      y=[0.25, -0.0, 3e-5],
+                      t=np.where(rows < _BLOCK_VERTICES // n_s, 0.5, -1e16), nh_norm=nh)
+
+
 @pytest.mark.parametrize("make", [
     lambda: mesh(sphere_geodesic(1.0), 2, 2),
     lambda: mesh(build_sigma_lambda(helix_curve(0.8), 1.2, -1), 3, 5),
@@ -692,9 +708,10 @@ def _nans_of_both_signs():
     lambda: field_mesh(x=_one_negative_zero(), geom_s=[0.0, -0.0, 0.0, 0.0]),
     lambda: field_mesh(h_est=np.nan),
     lambda: field_mesh(h_est=_nans_of_both_signs(), y=[[np.nan], [NEG_NAN], [np.nan]]),
+    multi_block_mesh,
 ], ids=["2x2", "3x5", "sphere-with-h", "special-values", "constant-along-eps",
         "constant-along-s", "constant-along-both", "one-negative-zero", "all-nan",
-        "nan-both-signs"])
+        "nan-both-signs", "multi-block"])
 def test_export_bytes_match_per_vertex_oracle(tmp_path, make):
     m = make()
     export_obj(m, tmp_path / "m.obj")
@@ -703,16 +720,21 @@ def test_export_bytes_match_per_vertex_oracle(tmp_path, make):
     assert (tmp_path / "m.csv").read_text() == oracle_csv(m)
 
 
-def test_vertex_values_format_only_bitwise_constant_columns_once():
+def test_bitwise_constant_columns_are_converted_once(tmp_path, monkeypatch):
+    sizes = []
+
+    def recording(x):
+        sizes.append(x.size)
+        return _float_text(x)
+
+    monkeypatch.setattr("h1geo.surfaces._float_text", recording)
     m = field_mesh(x=SPECIAL[4:7, None], y=SPECIAL[:4], t=np.nan, nh_norm=_one_negative_zero(),
                    h_est=_nans_of_both_signs())
-    convs, values = _vertex_values([m.points[..., 0], m.points[..., 1], m.points[..., 2],
-                                    m.nh_norm, m.h_est])
-    assert convs == ["%s", "%s", "%s", "%.17g", "%.17g"]
-    assert len(values) == 3 * 4 * 5
-    assert values[:3] == ["nan", "-0", "nan"]
-    assert values[0] is values[5]      # x: one string per eps row
-    assert values[2] is values[-3]     # t: one string for the whole mesh
+    export_csv(m, tmp_path / "m.csv")
+    # eps and x once per eps row, y once per s column, t once; geom_s, the
+    # -0 among zeros and the nans of both signs per vertex
+    assert sizes == [3, 3, 4, 1, 12, 12, 12]
+    assert (tmp_path / "m.csv").read_text() == oracle_csv(m)
 
 
 @st.composite
@@ -740,6 +762,59 @@ def test_export_bytes_match_oracle_for_axis_constant_fields(tmp_path_factory, m)
     export_csv(m, out / "m.csv")
     assert (out / "m.obj").read_text() == oracle_obj(m)
     assert (out / "m.csv").read_text() == oracle_csv(m)
+
+
+def text_of(rows):
+    """The strings of uint8 text rows padded with 0 bytes."""
+    return [bytes(row).replace(b"\0", b"").decode() for row in rows]
+
+
+def boundary_values():
+    """Powers of ten from 1e-6 to 1e17 and their neighbours, the ends of the
+    kernel's range, a classic rounding case, the smallest subnormal, exact
+    ties at the 18th digit (the first two in the kernel's range), both
+    signs of each, and nan, inf and zeros."""
+    tens = 10.0 ** np.arange(-6, 18)
+    v = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+                        [1e-4, 1e15, 0.1 + 0.2, 5e-324, 562949953421312.125,
+                         562949953421312.375, 1125899906842624.25]])
+    return np.concatenate([v, -v, [np.nan, NEG_NAN, np.inf, -np.inf]])
+
+
+def test_float_text_matches_percent_g_at_boundaries():
+    x = boundary_values()
+    assert text_of(_float_text(x)) == ["%.17g" % v for v in x.tolist()]
+
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.floats(min_value=1e-4, max_value=1e15),
+    st.floats(min_value=-1e15, max_value=-1e-4),
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+    st.sampled_from([NEG_NAN, 0.0, -0.0, 5e-324, -5e-324]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FLOATS, min_size=1, max_size=40))
+def test_float_text_matches_percent_g(values):
+    x = np.array(values, dtype=float)
+    assert text_of(_float_text(x)) == ["%.17g" % v for v in x.tolist()]
+
+
+def test_float_text_matches_percent_g_for_decimal_roundings():
+    # values with trailing zeros among their 17 digits, and every exponent
+    rng = np.random.default_rng(7)
+    digits = 10.0 ** rng.integers(0, 17, 20000)
+    scale = 10.0 ** rng.integers(-5, 16, 20000)
+    x = np.round(rng.uniform(-1.0, 1.0, 20000) * digits) / digits * scale
+    assert text_of(_float_text(x)) == ["%.17g" % v for v in x.tolist()]
+
+
+def test_int_text_matches_percent_d():
+    tens = 10 ** np.arange(1, 10)
+    top = _MAX_RES * _MAX_RES      # the largest vertex id of a mesh
+    v = np.concatenate([[0, 1, 2, top - 1, top], tens - 1, tens, tens + 1])
+    assert text_of(_int_text(v)) == ["%d" % i for i in v.tolist()]
 
 
 def test_export_determinism(tmp_path):
@@ -773,6 +848,23 @@ def test_atomic_write_keeps_an_overwritten_file_mode(tmp_path, restore_umask):
     atomic_write(path, "new\n")    # a new file would get 0o644 under umask 0o022
     assert path.read_text() == "new\n"
     assert path.stat().st_mode & 0o7777 == 0o640
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["overwrite", "new"])
+def test_atomic_write_failing_block_source_leaves_no_trace(tmp_path, existing):
+    path = tmp_path / "out.txt"
+    if existing:
+        path.write_text("old\n")
+
+    def blocks():
+        yield b"v 1\n" * 1000
+        raise RuntimeError("block source failed")
+
+    with pytest.raises(RuntimeError, match="block source failed"):
+        atomic_write(path, blocks())
+    assert os.listdir(tmp_path) == (["out.txt"] if existing else [])
+    if existing:
+        assert path.read_text() == "old\n"
 
 
 @pytest.mark.parametrize("existing", [True, False], ids=["overwrite", "new"])

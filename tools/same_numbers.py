@@ -16,6 +16,9 @@ OUTDIR receives:
   whose singular curve crosses the rectangle's sides, of a cylinder sheet
   at a second lambda, and of sigma-zero at an odd cap, which puts its
   singular curve s = 0 inside a cell unless it is a chart edge;
+- `extra/`: 40x40 meshes whose values the text kernel does not convert
+  itself: a vertical cylinder of radius 1e-6 (values below 1e-4, and
+  zeros) and the plane t = 1e16 (values of 1e15 and more);
 - `extra/graph-pde.txt`: the `repr` of `graph_pde_residual` and
   `graph_pde_mean_curvature` of every graph family (Bernstein with a
   quadratic and a cubic g, a tilted plane, both cylinder sheets at
@@ -55,6 +58,8 @@ import workloads  # noqa: E402
 
 SEEDS = (11, 12)
 EXTRA_WITH_H = ("sigma-lambda", "helicoid-l", "sigma-zero", "bernstein", "cylinder-s")
+EXTRA_MESHES = {"vertical-cylinder-r1e-6": ["--surface", "vertical-cylinder", "--r", "1e-6"],
+                "plane-d1e16": ["--surface", "plane", "--d", "1e16"]}
 EXTRA_REPORTS = {"bernstein-3y2": ["--surface", "bernstein", "--g", "3*y^2"],
                  "cylinder-s-lam0.6": ["--surface", "cylinder-s", "--lambda", "0.6"],
                  "sigma-zero-9x9": ["--surface", "sigma-zero", "--res", "9x9"]}
@@ -156,6 +161,9 @@ def write_all(outdir):
         tag = f"{surf}-40x40-h"
         _run(["mesh", "--surface", surf, "--res", "40x40", "--with-h",
               "--out", os.path.join(extra, tag + ".obj"),
+              "--csv", os.path.join(extra, tag + ".csv")], extra, tag)
+    for tag, argv in EXTRA_MESHES.items():
+        _run(["mesh", *argv, "--res", "40x40", "--out", os.path.join(extra, tag + ".obj"),
               "--csv", os.path.join(extra, tag + ".csv")], extra, tag)
     for tag, argv in EXTRA_REPORTS.items():
         _run(["report", *argv], extra, "report-" + tag)
