@@ -1,4 +1,4 @@
-"""Mean curvature, stationarity diagnostics, and calibration fields.
+"""Mean curvature, stationarity diagnostics, and the calibration of graphs.
 
 The mean curvature of a patch at a regular point is evaluated intrinsically:
 -2H = <D_Z nu_H, Z> is a first derivative along the characteristic field
@@ -10,12 +10,14 @@ Graphs additionally support the prescribed-curvature PDE residual
     (u_y+x)^2 u_xx - 2 (u_y+x)(u_x-y) u_xy + (u_x-y)^2 u_yy
         = -2H ((u_x-y)^2 + (u_y+x)^2)^{3/2},
 
-whose H is measured with respect to the downward graph normal.
+whose H is measured with respect to the downward graph normal.  The
+calibrating field of a graph is the horizontal unit normal of its vertical
+translates, which foliate the group: it is read from the same `height`
+as the graph's partials, so any graph, curved or not, can be calibrated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -97,7 +99,7 @@ def _forward_back(seed_ndim: int):
     return np.array([1.0, -1.0]).reshape((2,) + (1,) * seed_ndim)
 
 
-def _mean_curvature(patch: ImmersedPatch, eps, s, h_fd: float, tol_singular: float):
+def _mean_curvature(patch: ImmersedPatch, eps, s, tol_singular: float):
     """(H, regular): the estimate of mean_curvature_char and the mask of the
     points where its stencil is regular.  A point is not regular when
     |N_H| < 10 * tol_singular there, or when an end of its stencil lies in
@@ -115,30 +117,29 @@ def _mean_curvature(patch: ImmersedPatch, eps, s, h_fd: float, tol_singular: flo
         nu = patch.normal_data(eps + signs * k * ve, s + signs * k * vs).nu_h
         return (nu[0] - nu[1]) / (2.0 * k), np.all(dot_c(nu, nd.nu_h) > 0, axis=0)
 
-    (half, half_ok), (full, full_ok) = slope(h_fd / 2), slope(h_fd)
+    (half, half_ok), (full, full_ok) = slope(H_CHAR_STEP / 2), slope(H_CHAR_STEP)
     regular = regular & half_ok & full_ok
     dnu = (4.0 * half - full) / 3.0
     cov = dnu + conn_c(nd.z, nd.nu_h)
     return -0.5 * dot_c(cov, nd.z), regular
 
 
-def mean_curvature_char(patch: ImmersedPatch, eps, s, h_fd: float = H_CHAR_STEP,
-                        tol_singular: float = TOL_SINGULAR):
+def mean_curvature_char(patch: ImmersedPatch, eps, s):
     """H = -(1/2) <D_Z nu_H, Z> at (eps, s).
 
     D_Z nu_H is a first derivative along Z, so nu_H is differenced along the
     straight parameter line through the point in the direction of Z's
     parameter velocity (ve, vs): central differences with ends at
-    (eps, s) +- k (ve, vs) for k = h_fd / 2 and h_fd, combined by
-    Richardson's step (4 D(h_fd / 2) - D(h_fd)) / 3.  That costs one
+    (eps, s) +- k (ve, vs) for k = h / 2 and h, h = H_CHAR_STEP, combined
+    by Richardson's step (4 D(h / 2) - D(h)) / 3.  That costs one
     `normal_data` call at the points and one for each pair of ends.  The
-    rounding is about H_ROUNDOFF eps / h_fd.
+    rounding is about H_ROUNDOFF eps / h.
 
-    Raises SingularPoint when |N_H| < 10 * tol_singular at the point, or
+    Raises SingularPoint when |N_H| < 10 * TOL_SINGULAR at the point, or
     when an end of the stencil lies in the singular band or across a
     singular curve (the horizontal normal blows up or flips there).
     """
-    H, regular = _mean_curvature(patch, eps, s, h_fd, tol_singular)
+    H, regular = _mean_curvature(patch, eps, s, TOL_SINGULAR)
     if not np.all(regular):
         raise SingularPoint("mean curvature requested too close to the singular set")
     return H
@@ -287,78 +288,53 @@ def orthogonality_defect(patch: ImmersedPatch, index: int, param):
 
 
 # ---------------------------------------------------------------------------
-# Calibration foliations (vertical translates of area-stationary graphs)
+# Calibration by vertical translates of a graph
 
 
-@dataclass(frozen=True)
-class GraphFoliation:
-    """The field nu_H of the foliation of the group by vertical translates
-    of a graph t = u(x, y); constant along vertical lines.
+LOCUS_GUARD = 1e-9   # calibration_divergence refuses probes this close to the locus
 
-    With the upward graph normal, nu_H = -(u_x - y, u_y + x, 0)/|...|.
+
+def _calibration_components(graph, q: Point):
+    """(u_x - y, u_y + x) at the vertical line through q, read from the
+    graph's `height`: minus the horizontal part of its upward normal."""
+    _, ux, uy = graph.height(q.x, q.y)
+    return ux - _asf(q.y), uy + _asf(q.x)
+
+
+def locus_distance(graph, q: Point):
+    """|(u_x - y, u_y + x)| at q: zero on the vertical lines through the
+    graph's singular set, which is where the calibrating field is undefined."""
+    return np.hypot(*_calibration_components(graph, q))
+
+
+def _calibration_field(graph, q: Point):
+    """The horizontal unit normal nu_H = -(u_x - y, u_y + x, 0) / |...| of
+    the upward normal of the vertical translate of `graph` through q, as
+    frame coefficients; the field of the foliation of the group by those
+    translates, constant along vertical lines.  NaN on the singular locus."""
+    a, b = _calibration_components(graph, q)
+    w = np.hypot(a, b)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.stack(np.broadcast_arrays(-a / w, -b / w, np.zeros_like(w)), axis=-1)
+
+
+def calibration_divergence(graph, q: Point):
+    """Riemannian divergence of the calibrating field of `graph` (anything
+    with `height`) at q, by frame differencing with hgroup's step.
+
+    It equals -2H of the translate through q, with H that of the upward
+    normal: zero on the area-stationary planes and graphs t = xy + ay + b,
+    which the field then calibrates.  A probe whose stencil straddles a
+    non-orthogonal singular locus picks up the distributional jump of nu_H
+    and reports a large value.  Raises OnSingularLocus if q itself sits
+    within LOCUS_GUARD of the locus.
     """
-
-    ux: Callable
-    uy: Callable
-    label: str = "foliation"
-
-    def components(self, p: Point):
-        x, y = _asf(p.x), _asf(p.y)
-        return self.ux(x, y) - y, self.uy(x, y) + x
-
-    def locus_distance(self, p: Point):
-        a, b = self.components(p)
-        return np.hypot(a, b)
-
-    def horizontal_normal(self, p: Point):
-        a, b = self.components(p)
-        w = np.hypot(a, b)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.stack(np.broadcast_arrays(-a / w, -b / w, np.zeros_like(w)), axis=-1)
-        return out
+    if np.any(locus_distance(graph, q) < LOCUS_GUARD):
+        raise OnSingularLocus(f"probe point on the singular locus of {graph.label}")
+    return divergence(lambda p: _calibration_field(graph, p), q)
 
 
-def plane_foliation(alpha: float = 0.0, beta: float = 0.0) -> GraphFoliation:
-    """Translates of the plane t = alpha x + beta y; singular locus is the
-    vertical line (y, x) = (alpha, -beta)."""
-    return GraphFoliation(
-        lambda x, y: alpha + 0.0 * x,
-        lambda x, y: beta + 0.0 * x,
-        label=f"plane({alpha:g},{beta:g})")
-
-
-def bernstein_foliation(dg: Callable | float, label: str = "bernstein") -> GraphFoliation:
-    """Translates of t = x y + g(y); pass g' as a callable or the constant a
-    for the stationary family g = a y + b.  Singular locus: 2x + g'(y) = 0."""
-    if not callable(dg):
-        a = float(dg)
-
-        def dgf(y):
-            return a + 0.0 * _asf(y)
-    else:
-        dgf = dg
-    return GraphFoliation(
-        lambda x, y: _asf(y) + 0.0 * _asf(x),
-        lambda x, y: _asf(x) + dgf(y),
-        label=label)
-
-
-def calibration_divergence(foliation: GraphFoliation, q: Point,
-                           h_fd: float = 1e-5, guard: float = 1e-9):
-    """Riemannian divergence of the foliation field at q by frame differencing.
-
-    Zero (to differencing accuracy) characterizes the area-minimizing
-    families; a probe whose stencil straddles a non-orthogonal singular
-    locus picks up the distributional jump of nu_H and reports a large
-    value.  Raises OnSingularLocus if q itself sits on the locus.
-    """
-    if np.any(foliation.locus_distance(q) < guard):
-        raise OnSingularLocus(f"probe point on the singular locus of {foliation.label}")
-    return divergence(foliation.horizontal_normal, q, h_fd=h_fd)
-
-
-def fill_mesh_curvature(m, h_fd: float = H_CHAR_STEP,
-                        tol_singular: float = TOL_SINGULAR) -> None:
+def fill_mesh_curvature(m, tol_singular: float = TOL_SINGULAR) -> None:
     """Populate mesh.h_est at regular vertices: NaN near the singular set,
     where mean_curvature_char would raise."""
     eps = np.broadcast_to(m.eps[:, None], m.shape)
@@ -367,6 +343,6 @@ def fill_mesh_curvature(m, h_fd: float = H_CHAR_STEP,
     if not np.any(ok):
         return
     h = np.full(m.shape, np.nan)
-    H, regular = _mean_curvature(m.patch, eps[ok], s[ok], h_fd, tol_singular)
+    H, regular = _mean_curvature(m.patch, eps[ok], s[ok], tol_singular)
     h[ok] = np.where(regular, H, np.nan)
     m.h_est = h

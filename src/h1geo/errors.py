@@ -26,7 +26,8 @@ class NoSingularCurve(GeometryError):
 
 
 class OnSingularLocus(GeometryError):
-    """Probe point lies on the singular locus of a calibration foliation."""
+    """Probe point lies on the vertical lines through a graph's singular
+    set, where its calibrating field is undefined."""
 
 
 class OrientationUnset(GeometryError):
@@ -43,10 +44,6 @@ class NonFinite(GeometryError):
 
 class UnknownSurface(GeometryError):
     """Catalog lookup failed."""
-
-
-class StepUnderflow(GeometryError):
-    """Finite-difference step below the supported minimum."""
 
 
 class StepTooSmall(GeometryError):

@@ -23,11 +23,10 @@ from typing import Callable
 import numpy as np
 
 from . import hgroup
-from .errors import StepUnderflow
 from .hgroup import Point, conn_c, curvature_tensor, dot_c, j_c
 
 SERIES_SWITCH = 1e-4  # evaluate sigma/kappa/tau by series for |2*lambda*s| below this
-H_FD2 = 2e-4          # step for finite-difference second derivatives; at 1e-5 the
+H_FD2 = 2e-4          # step of the five-point second derivatives; at 1e-5 the
                       # roundoff floor eps/h^2 would sit above the 1e-6 residual targets
 
 
@@ -131,19 +130,16 @@ def geodesic_residual(g: GeodesicSpec, s):
     return np.linalg.norm(res, axis=-1)
 
 
-def curve_geodesic_residual(position: Callable[[float], Point], lam: float, s,
-                            h_fd: float = H_FD2):
+def curve_geodesic_residual(position: Callable[[float], Point], lam: float, s):
     """Geodesic-equation residual of an arbitrary coordinate curve.
 
     `position` maps arclength to a Point; derivatives are taken by
-    five-point central differences with step `h_fd`.  Detects
+    five-point central differences with step H_FD2.  Detects
     non-geodesics (including non-horizontal curves, whose velocity picks
     up a T-coefficient).
     """
-    if abs(h_fd) < 1e-12:
-        raise StepUnderflow(f"finite-difference step {h_fd} below 1e-12")
     s = np.asarray(s, float)
-    h = h_fd
+    h = H_FD2
 
     def xyz(u):
         return position(u).as_array()
@@ -166,15 +162,19 @@ def curve_geodesic_residual(position: Callable[[float], Point], lam: float, s,
 class FieldAlongGeodesic:
     """A vector field V(s) along a geodesic, as frame coefficients.
 
-    `coeffs` maps arclength to shape (..., 3); `dcoeffs` and `ddcoeffs`,
-    when given, are its analytic s-derivatives and are preferred by the
-    differentiators.
+    `coeffs` maps arclength to shape (..., 3).  `dcoeffs` and `ddcoeffs`
+    are its first and second analytic s-derivatives, given both or neither;
+    without them `jacobi_residual` differences `coeffs`.
     """
 
     geodesic: GeodesicSpec
     coeffs: Callable
     dcoeffs: Callable | None = None
     ddcoeffs: Callable | None = None
+
+    def __post_init__(self):
+        if (self.dcoeffs is None) != (self.ddcoeffs is None):
+            raise ValueError("a field carries both analytic derivatives or neither")
 
 
 def tangent_jacobi_field(g: GeodesicSpec, a: float, b: float) -> FieldAlongGeodesic:
@@ -229,29 +229,19 @@ def second_cov_deriv(g: GeodesicSpec, s, v, vdot, vddot) -> np.ndarray:
     )
 
 
-def jacobi_residual(g: GeodesicSpec, field: FieldAlongGeodesic, s, h_fd: float = H_FD2):
+def jacobi_residual(g: GeodesicSpec, field: FieldAlongGeodesic, s):
     """Norm of V'' + R(V, gamma')gamma' + 2 lambda (J(V') - <V, gamma'> T).
 
     V'' is the second covariant derivative along the geodesic.  The plain
-    coefficient derivatives come from the field's analytic derivative when
-    available (second derivative then by one central difference of it),
-    otherwise from a five-point stencil with step `h_fd`.
+    coefficient derivatives are the field's analytic ones when it carries
+    them, otherwise five-point central differences of step H_FD2.
     """
-    if abs(h_fd) < 1e-12:
-        raise StepUnderflow(f"finite-difference step {h_fd} below 1e-12")
     s = np.asarray(s, float)
-    h = h_fd
+    h = H_FD2
     v = np.asarray(field.coeffs(s), float)
     if field.dcoeffs is not None:
         vdot = np.asarray(field.dcoeffs(s), float)
-        if field.ddcoeffs is not None:
-            vddot = np.asarray(field.ddcoeffs(s), float)
-        else:
-            d_2m = np.asarray(field.dcoeffs(s - 2 * h), float)
-            d_m = np.asarray(field.dcoeffs(s - h), float)
-            d_p = np.asarray(field.dcoeffs(s + h), float)
-            d_2p = np.asarray(field.dcoeffs(s + 2 * h), float)
-            vddot = (d_2m - 8 * d_m + 8 * d_p - d_2p) / (12 * h)
+        vddot = np.asarray(field.ddcoeffs(s), float)
     else:
         f_2m = np.asarray(field.coeffs(s - 2 * h), float)
         f_m = np.asarray(field.coeffs(s - h), float)
@@ -265,7 +255,6 @@ def jacobi_residual(g: GeodesicSpec, field: FieldAlongGeodesic, s, h_fd: float =
     lam = np.asarray(g.lam, float)
     tangential = dot_c(v, vel)
     correction = j_c(vprime)
-    correction = correction.copy()
     correction[..., 2] -= tangential
     res = vpp + curvature_tensor(v, vel, vel) + 2.0 * lam[..., None] * correction
     return np.linalg.norm(res, axis=-1)

@@ -26,9 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepUnderflow
-
-H_FD = 1e-5  # default central-difference step for first derivatives
+H_FD = 1e-5  # central-difference step of `divergence`
 
 
 @dataclass(frozen=True)
@@ -206,23 +204,21 @@ def W_field(p: Point) -> np.ndarray:
         np.asarray(p.x, float), np.asarray(p.y, float), 2.0 * np.asarray(p.t, float)), axis=-1)
 
 
-def divergence(field, p: Point, h_fd: float = H_FD):
+def divergence(field, p: Point):
     """Riemannian divergence of a vector field, by frame differencing.
 
     `field` maps a Point to frame coefficients (shape (..., 3)).  The
-    directional derivatives E_i(u_i) use central differences along the
-    Cartesian straight line through p in the direction of E_i.  The frame
+    directional derivatives E_i(u_i) use central differences of step H_FD
+    along the Cartesian straight line through p in the direction of E_i.  The frame
     fields X, Y, T are divergence-free (sum_i <D_{E_i} E_j, E_i> = 0 in the
     connection table), so no connection term enters: div = sum_i E_i(u_i).
     """
-    if abs(h_fd) < 1e-12:
-        raise StepUnderflow(f"finite-difference step {h_fd} below 1e-12")
     frame = frame_at(p)  # (..., 3, 3)
     base = p.as_array()
     div = 0.0
     for i in range(3):
-        step = h_fd * frame[..., i, :]
+        step = H_FD * frame[..., i, :]
         up = np.asarray(field(Point.from_array(base + step)), float)
         dn = np.asarray(field(Point.from_array(base - step)), float)
-        div = div + (up[..., i] - dn[..., i]) / (2.0 * h_fd)
+        div = div + (up[..., i] - dn[..., i]) / (2.0 * H_FD)
     return div

@@ -756,16 +756,6 @@ class SigmaLambdaPatch(ImmersedPatch):
         """Frame triple of the variation field V_eps at geometric s (see `_along`)."""
         return self._along(_curve_data(self.curve, eps), sgeo)[2]
 
-    def variation_dcoeffs(self, eps, sgeo):
-        """Analytic d/ds of the variation coefficients (sig' = cos z, kap' = sin z)."""
-        _, (xd, yd), (xdd, ydd), h = _curve_data(self.curve, eps)
-        z = 2.0 * self.lam * _asf(sgeo)
-        cz, sz = np.cos(z), np.sin(z)
-        da = self.side * (-ydd * cz + xdd * sz)
-        db = self.side * (ydd * sz + xdd * cz)
-        dc = h * sz / self.lam - 2.0 * self.side * cz
-        return np.stack(np.broadcast_arrays(da, db, dc), axis=-1)
-
     def partials(self, eps, s):
         sig = _asf(s)
         data = _curve_data(self.curve, eps)
@@ -781,18 +771,6 @@ class SigmaLambdaPatch(ImmersedPatch):
         xd, yd = self.curve.planar.d1(float(eps))
         theta = float(np.arctan2(self.side * xd, -self.side * yd))
         return GeodesicSpec(self.curve.position(float(eps)), theta, self.lam)
-
-    def variation_field(self, eps):
-        """The variation field along the generating geodesic at eps, with
-        analytic first derivative (a FieldAlongGeodesic)."""
-        from .geodesics import FieldAlongGeodesic
-
-        e = float(eps)
-        return FieldAlongGeodesic(
-            self.generating_geodesic(e),
-            lambda s: self.variation_coeffs(e, s),
-            lambda s: self.variation_dcoeffs(e, s),
-        )
 
     def singular_curves(self):
         """The base curve sigma = 0 and the far curve sigma = 1, whose tangent

@@ -32,19 +32,29 @@ from .surfaces import (
     build_sigma_zero,
     cylinder_S,
     helicoid_L,
+    plane_patch,
     sphere_geodesic,
     sphere_graph,
 )
 
 SEED = 20240915
 
+
+def _g_affine(a: float, b: float):
+    """(g, g', g'') of g = a y + b."""
+    return (lambda y: a * np.asarray(y, float) + b,
+            lambda y: a + 0.0 * np.asarray(y, float),
+            lambda y: 0.0 * np.asarray(y, float))
+
+
 # (g, g', g'') of the Bernstein graphs t = xy + g(y) the suites build
 G_SQUARE = (lambda y: np.asarray(y, float) ** 2,
             lambda y: 2 * np.asarray(y, float),
             lambda y: 2.0 + 0 * np.asarray(y, float))
-G_AFFINE = (lambda y: 3 * np.asarray(y, float) + 7,
-            lambda y: 3.0 + 0 * np.asarray(y, float),
-            lambda y: 0.0 * np.asarray(y, float))
+G_AFFINE = _g_affine(3.0, 7.0)
+G_CUBIC = (lambda y: np.asarray(y, float) ** 3,
+           lambda y: 3.0 * np.asarray(y, float) ** 2,
+           lambda y: 6.0 * np.asarray(y, float))
 
 
 @dataclass(frozen=True)
@@ -197,10 +207,10 @@ def suite_jacobi(tols=None) -> list[Check]:
     for curve in (line_curve(eps_min=-2, eps_max=2), helix_curve(1.0, eps_min=-2, eps_max=2)):
         patch = build_sigma_lambda(curve, 1.0, +1)
         for eps in rng.uniform(-1.5, 1.5, 5):
-            field = patch.variation_field(float(eps))
+            e = float(eps)
             s = rng.uniform(0.05, np.pi - 0.05, 40)
-            worst = max(worst, float(np.max(np.abs(
-                conserved_quantity(field.geodesic, field, s)))))
+            worst = max(worst, float(np.max(np.abs(conserved_quantity(
+                patch.generating_geodesic(e), lambda u: patch.variation_coeffs(e, u), s)))))
     checks.append(Check("conserved-orthogonal", worst, 0.0,
                         _tol(tols, "conserved-orthogonal"),
                         "orthogonal-family conserved quantity vanishes"))
@@ -212,9 +222,9 @@ def suite_jacobi(tols=None) -> list[Check]:
                       helix_curve(1.0, eps_min=-2, eps_max=2)):
             patch = build_sigma_lambda(curve, lam, +1)
             for eps in rng.uniform(-1.5, 1.5, 6):
-                g = patch.generating_geodesic(float(eps))
-                coeffs = patch.variation_field(float(eps)).coeffs
-                fd_field = FieldAlongGeodesic(g, coeffs)  # no analytic derivative
+                e = float(eps)
+                g = patch.generating_geodesic(e)
+                fd_field = FieldAlongGeodesic(g, lambda u: patch.variation_coeffs(e, u))
                 s = rng.uniform(0.05, np.pi / lam - 0.05, 28)
                 count += s.size
                 worst = max(worst, float(np.max(jacobi_residual(g, fd_field, s))))
@@ -424,18 +434,18 @@ def suite_bernstein(tols=None, g_data=None) -> list[Check]:
                             f"defect equals -g''/2 ({verdict})"))
 
     tol_cal = _tol(tols, "calibration-zero")
-    for label, fol in (("planes", crv.plane_foliation(0.7, -0.4)),
-                       ("t=xy", crv.bernstein_foliation(0.0)),
-                       ("t=xy+2y+1", crv.bernstein_foliation(2.0))):
+    for label, graph in (("planes", plane_patch((-0.7, 0.4, 1.0))),
+                         ("t=xy", BernsteinGraph(*_g_affine(0.0, 0.0))),
+                         ("t=xy+2y+1", BernsteinGraph(*_g_affine(2.0, 1.0)))):
         pts = rng.uniform(-2, 2, size=(100, 3))
         q = Point(pts[:, 0], pts[:, 1], pts[:, 2])
-        keep = fol.locus_distance(q) > 0.05
+        keep = crv.locus_distance(graph, q) > 0.05
         q = Point(pts[keep, 0], pts[keep, 1], pts[keep, 2])
-        div = crv.calibration_divergence(fol, q)
+        div = crv.calibration_divergence(graph, q)
         checks.append(Check(f"calibration-zero[{label}]", float(np.max(np.abs(div))), 0.0,
                             tol_cal, "foliation field is divergence-free"))
 
-    cubic = crv.bernstein_foliation(lambda y: 3.0 * np.asarray(y, float) ** 2, label="cubic")
+    cubic = BernsteinGraph(*G_CUBIC)
     worst = 0.0
     for y0 in (0.4, 0.7, -0.9):
         x0 = -3.0 * y0**2 / 2.0

@@ -28,9 +28,11 @@ from h1geo.surfaces import (
     build_sigma_lambda,
     cylinder_S,
     helicoid_L,
+    plane_patch,
     sphere_geodesic,
     sphere_graph,
 )
+from h1geo.verify import G_CUBIC, _g_affine
 
 LAMBDAS = (0.5, 1.0, 2.0)
 
@@ -121,8 +123,9 @@ def test_criterion_06_conserved_quantity():
     patch = build_sigma_lambda(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, +1)
     worst_orth = 0.0
     for eps in rng.uniform(-1.5, 1.5, 10):
-        field = patch.variation_field(float(eps))
-        vals = conserved_quantity(field.geodesic, field,
+        e = float(eps)
+        vals = conserved_quantity(patch.generating_geodesic(e),
+                                  lambda u: patch.variation_coeffs(e, u),
                                   rng.uniform(0.0, np.pi, 100))
         worst_orth = max(worst_orth, float(np.max(np.abs(vals))))
     report(6, worst_std < 1e-10 and worst_orth < 1e-10,
@@ -138,8 +141,9 @@ def test_criterion_07_jacobi_residual():
                       helix_curve(1.0, eps_min=-2, eps_max=2)):
             patch = build_sigma_lambda(curve, lam, +1)
             for eps in rng.uniform(-1.5, 1.5, 6):
-                g = patch.generating_geodesic(float(eps))
-                field = FieldAlongGeodesic(g, patch.variation_field(float(eps)).coeffs)
+                e = float(eps)
+                g = patch.generating_geodesic(e)
+                field = FieldAlongGeodesic(g, lambda u: patch.variation_coeffs(e, u))
                 s = rng.uniform(0.05, np.pi / lam - 0.05, 28)
                 count += s.size
                 worst = max(worst, float(np.max(jacobi_residual(g, field, s))))
@@ -243,14 +247,14 @@ def test_criterion_10_orthogonality():
 def test_criterion_11_calibration():
     rng = np.random.default_rng(11)
     worst = 0.0
-    for fol in (crv.plane_foliation(0.0, 0.0), crv.plane_foliation(0.7, -0.4),
-                crv.bernstein_foliation(0.0), crv.bernstein_foliation(2.0)):
+    for graph in (plane_patch((0.0, 0.0, 1.0)), plane_patch((-0.7, 0.4, 1.0)),
+                  BernsteinGraph(*_g_affine(0.0, 0.0)), BernsteinGraph(*_g_affine(2.0, 1.0))):
         pts = rng.uniform(-2, 2, size=(100, 3))
         q = Point(pts[:, 0], pts[:, 1], pts[:, 2])
-        keep = fol.locus_distance(q) > 0.05
-        div = crv.calibration_divergence(fol, Point(pts[keep, 0], pts[keep, 1], pts[keep, 2]))
+        keep = crv.locus_distance(graph, q) > 0.05
+        div = crv.calibration_divergence(graph, Point(pts[keep, 0], pts[keep, 1], pts[keep, 2]))
         worst = max(worst, float(np.max(np.abs(div))))
-    cubic = crv.bernstein_foliation(lambda y: 3.0 * np.asarray(y, float) ** 2)
+    cubic = BernsteinGraph(*G_CUBIC)
     control = max(abs(float(crv.calibration_divergence(
         cubic, Point(-3.0 * 0.7**2 / 2.0 + d, 0.7, 0.1)))) for d in (-2e-6, 2e-6, 5e-6))
     report(11, worst < 1e-6 and control > 1e-2,

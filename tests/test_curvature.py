@@ -4,15 +4,14 @@ import pytest
 import h1geo.curvature as crv
 from h1geo.curvature import (
     _char_velocity,
-    bernstein_foliation,
     calibration_divergence,
     characteristic_deviation,
     fill_mesh_curvature,
     graph_pde_mean_curvature,
     graph_pde_residual,
+    locus_distance,
     mean_curvature_char,
     orthogonality_defect,
-    plane_foliation,
     trace_characteristic,
 )
 from h1geo.errors import NoSingularCurve, OnSingularLocus, SingularPoint
@@ -35,6 +34,7 @@ from h1geo.surfaces import (
     sphere_geodesic,
     sphere_graph,
 )
+from h1geo.verify import G_CUBIC, _g_affine
 
 RNG = np.random.default_rng(1234)
 
@@ -555,49 +555,80 @@ def test_defect_requires_singular_curve():
 # calibration divergence
 
 
+def _calibration_gap(graph, x, y, t):
+    """max |div X - 2 H| at the probes, X the calibrating field of `graph`
+    and H its graph equation's (downward-normal) mean curvature, a closed
+    form in its `hessian`: div X = -2H of the upward normal."""
+    div = calibration_divergence(graph, Point(x, y, t))
+    return np.max(np.abs(div - 2.0 * graph_pde_mean_curvature(graph, x, y)))
+
+
+def _off_locus(graph, pts):
+    """The rows of pts (x, y, t) at least 0.05 from the graph's locus."""
+    return pts[locus_distance(graph, Point(pts[:, 0], pts[:, 1], pts[:, 2])) > 0.05].T
+
+
 def test_calibration_plane_families():
-    for alpha, beta in ((0.0, 0.0), (0.7, -0.4)):
-        fol = plane_foliation(alpha, beta)
-        pts = RNG.uniform(-2, 2, size=(100, 3))
-        keep = fol.locus_distance(Point(pts[:, 0], pts[:, 1], pts[:, 2])) > 0.05
-        div = calibration_divergence(fol, Point(pts[keep, 0], pts[keep, 1], pts[keep, 2]))
-        assert np.max(np.abs(div)) < 1e-6
+    for normal in ((0.0, 0.0, 1.0), (-0.7, 0.4, 1.0)):     # t = 0 and t = 0.7x - 0.4y
+        plane = plane_patch(normal)
+        assert _calibration_gap(plane, *_off_locus(plane, RNG.uniform(-2, 2, size=(100, 3)))) < 1e-6
 
 
 def test_calibration_stationary_bernstein_families():
     for a in (0.0, 2.0):
-        fol = bernstein_foliation(a)
-        pts = RNG.uniform(-2, 2, size=(100, 3))
-        keep = fol.locus_distance(Point(pts[:, 0], pts[:, 1], pts[:, 2])) > 0.05
-        div = calibration_divergence(fol, Point(pts[keep, 0], pts[keep, 1], pts[keep, 2]))
-        assert np.max(np.abs(div)) < 1e-6
+        graph = BernsteinGraph(*_g_affine(a, 0.0))
+        assert _calibration_gap(graph, *_off_locus(graph, RNG.uniform(-2, 2, size=(100, 3)))) < 1e-6
 
 
 def test_calibration_stationary_family_clean_even_near_locus():
     # the jump of nu_H across the locus is invisible to the divergence when
     # the characteristic lines meet the singular curve orthogonally
-    fol = bernstein_foliation(0.0)
     q = Point(2e-6, 0.7, 0.1)
-    assert abs(calibration_divergence(fol, q)) < 1e-6
+    assert abs(calibration_divergence(BernsteinGraph(*_g_affine(0.0, 0.0)), q)) < 1e-6
 
 
 def test_calibration_cubic_control_detects_nonstationarity():
-    fol = bernstein_foliation(lambda y: 3.0 * np.asarray(y, float) ** 2, label="cubic")
+    cubic = BernsteinGraph(*G_CUBIC)     # t = xy + y^3, not area-stationary
     # probe a short segment straddling the locus 2x + 3y^2 = 0 at y = 0.7
     y0 = 0.7
     x0 = -3.0 * y0**2 / 2.0
     probes = [Point(x0 + d, y0, 0.0) for d in (-2e-5, -2e-6, 2e-6, 2e-5)]
-    vals = [abs(calibration_divergence(fol, q)) for q in probes]
+    vals = [abs(calibration_divergence(cubic, q)) for q in probes]
     assert max(vals) > 1e-2
     # far from the locus the field is still divergence-free
-    far = calibration_divergence(fol, Point(1.5, 0.7, 0.0))
+    far = calibration_divergence(cubic, Point(1.5, 0.7, 0.0))
     assert abs(far) < 1e-6
 
 
 def test_calibration_rejects_on_locus():
-    fol = bernstein_foliation(0.0)
     with pytest.raises(OnSingularLocus):
-        calibration_divergence(fol, Point(0.0, 0.3, 0.0))
+        calibration_divergence(BernsteinGraph(*_g_affine(0.0, 0.0)), Point(0.0, 0.3, 0.0))
+
+
+def _sphere_sheet_probes(sheet, rng):
+    phi = rng.uniform(0, 2 * np.pi, 100)
+    rho = rng.uniform(0.1, 0.9, 100) / sheet.lam
+    return rho * np.cos(phi), rho * np.sin(phi), rng.uniform(-2, 2, 100)
+
+
+def _cylinder_sheet_probes(sheet, rng):
+    y = rng.uniform(0.1, 0.9, 100) * sheet.s_hi * rng.choice([-1, 1], 100)   # s_hi: the half-strip
+    return rng.uniform(sheet.eps_lo, sheet.eps_hi, 100), y, rng.uniform(-2, 2, 100)
+
+
+@pytest.mark.parametrize("sheets, probes", [
+    (sphere_graph(1.0), _sphere_sheet_probes),
+    (sphere_graph(0.5), _sphere_sheet_probes),
+    (cylinder_S(1.0), _cylinder_sheet_probes),
+    (cylinder_S(-1.0), _cylinder_sheet_probes),
+    (cylinder_S(0.6), _cylinder_sheet_probes),
+], ids=["sphere-1", "sphere-0.5", "cylinder-1", "cylinder--1", "cylinder-0.6"])
+def test_calibration_of_curved_cmc_graphs(sheets, probes):
+    # the translates of a CMC sheet all have curvature H, so its calibrating
+    # field has divergence -2H everywhere off the locus, not 0
+    rng = np.random.default_rng(19)
+    for sheet in sheets:
+        assert _calibration_gap(sheet, *probes(sheet, rng)) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,15 @@ def test_jacobi_residual_orthogonal_family_closed_form():
     assert np.max(np.abs(conserved_quantity(g, field, s))) < 1e-14
 
 
+def test_field_along_geodesic_takes_both_derivatives_or_neither():
+    g = GeodesicSpec(ORIGIN, 0.9, 1.1)
+    full = tangent_jacobi_field(g, 0.0, 0.7)
+    with pytest.raises(ValueError):
+        FieldAlongGeodesic(g, full.coeffs, full.dcoeffs)
+    with pytest.raises(ValueError):
+        FieldAlongGeodesic(g, full.coeffs, ddcoeffs=full.ddcoeffs)
+
+
 # ---------------------------------------------------------------------------
 # cut time
 

@@ -24,6 +24,9 @@ OUTDIR receives:
   quadratic and a cubic g, a tilted plane, both cylinder sheets at
   lambda = 1, 0.6 and -1, both sphere sheets at lambda = 1 and 0.5) on a
   fixed 4x4 grid of regular points of each;
+- `extra/calibration.txt`: the `repr` of `calibration_divergence` of each of
+  those graphs at the points of the same grid on it, so a change to the
+  calibrating field or to the frame differencing shows which graph moved;
 - `extra/mean-curvature.txt`: the `repr` of `mean_curvature_char` on the
   same 4x4 grid of every catalog surface (at its default parameters) and of
   every graph above, so a change to the estimator shows which H moved;
@@ -122,6 +125,13 @@ def write_graph_pde(path):
         fh.write("".join(lines))
 
 
+def write_calibration(path):
+    lines = [f"{name} {crv.calibration_divergence(graph, graph.point(*_grid(graph))).tolist()!r}\n"
+             for name, graph, _H in _graphs()]
+    with open(path, "w") as fh:
+        fh.write("".join(lines))
+
+
 def write_mean_curvature(path):
     cases = [(name, srf.build_surface(name)) for name in sorted(srf.catalog())]
     cases += [(name, graph) for name, graph, _H in _graphs()]
@@ -168,6 +178,7 @@ def write_all(outdir):
     for tag, argv in EXTRA_REPORTS.items():
         _run(["report", *argv], extra, "report-" + tag)
     write_graph_pde(os.path.join(extra, "graph-pde.txt"))
+    write_calibration(os.path.join(extra, "calibration.txt"))
     write_mean_curvature(os.path.join(extra, "mean-curvature.txt"))
     write_ruling(os.path.join(extra, "ruling.txt"))
 
