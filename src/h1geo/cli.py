@@ -95,6 +95,9 @@ class _PolyParser:
         return result
 
     def factor(self):
+        if self.peek() == "-":   # a unary minus negates the power: 2*-y^2 is -2y^2
+            self.take()
+            return -self.factor()
         base = self.atom()
         if self.peek() == "^":
             self.take()
@@ -115,8 +118,6 @@ class _PolyParser:
             if self.take() != ")":
                 raise ConfigError("unbalanced parentheses in polynomial")
             return inner
-        if tok == "-":
-            return -self.atom()
         raise ConfigError(f"unexpected token {tok!r} in polynomial")
 
 
@@ -172,9 +173,16 @@ def _parse_res(text: str):
     return na, nb
 
 
+def _nonblank(key: str, value):
+    """value, unless a blank string: an empty value is an error, not an absent flag."""
+    if isinstance(value, str) and not value.strip():
+        raise ConfigError(f"--{key.replace('_', '-')} must not be empty (got {value!r})")
+    return value
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     cfg = {}
-    if getattr(args, "config", None):
+    if _nonblank("config", getattr(args, "config", None)):
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
@@ -187,14 +195,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 cfg.setdefault("tols", {})[key[4:]] = value
             elif key in _KEY_TYPES:
                 _check_config_type(key, value)
-                cfg["lam" if key == "lambda" else key.replace("-", "_")] = value
+                cfg["lam" if key == "lambda" else key.replace("-", "_")] = _nonblank(key, value)
             else:
                 raise ConfigError(f"unknown config key {key!r}")
     for key, value in vars(args).items():
         if key in ("config", "command", "tol"):
             continue
         # flags win; argparse leaves unset flags at None (with_h at False)
-        if value is not None and value is not False:
+        if _nonblank(key, value) is not None and value is not False:
             cfg[key] = value
         else:
             cfg.setdefault(key, value)

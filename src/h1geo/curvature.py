@@ -40,6 +40,7 @@ H_CHAR_STEP = 1e-4
 # (lambda = 0.5, 1, 2, and S_1 dilated, translated and flipped) the error
 # measures 2.5 to 4.2 eps / h.
 H_ROUNDOFF = 6.0
+GRAPH_FD_STEP = 1e-3   # step of _fd_bundle's fourth-order differences
 
 
 def _asf(x):
@@ -179,10 +180,11 @@ def characteristic_deviation(patch: ImmersedPatch, eps0, s0, arclen: float = 1.0
 # Graph PDE
 
 
-def _fd_bundle(u: Callable, h: float = 1e-3):
+def _fd_bundle(u: Callable):
     """(u, u_x, u_y, u_xx, u_xy, u_yy) callables of a bare graph u(x, y) by
-    fourth-order central differences; the oracle for graphs' own
-    `height` and `hessian`."""
+    fourth-order central differences of step GRAPH_FD_STEP; the oracle for
+    graphs' own `height` and `hessian`."""
+    h = GRAPH_FD_STEP
 
     def d1(f, axis):
         def g(x, y):
@@ -209,9 +211,9 @@ def _fd_bundle(u: Callable, h: float = 1e-3):
     return u, ux, uy, d2(u, 0), d1(ux, 1), d2(u, 1)
 
 
-def _graph_lhs(source, x, y, tol_singular: float, what: str):
+def _graph_lhs(source, x, y, what: str):
     """(LHS, w^2) of the graph equation at (x, y), with w^2 = (u_x-y)^2 +
-    (u_y+x)^2; raises SingularPoint naming `what` where w < tol_singular."""
+    (u_y+x)^2; raises SingularPoint naming `what` where w < TOL_SINGULAR."""
     x, y = _asf(x), _asf(y)
     if callable(source):
         ux, uy, uxx, uxy, uyy = (d(x, y) for d in _fd_bundle(source)[1:])
@@ -220,12 +222,12 @@ def _graph_lhs(source, x, y, tol_singular: float, what: str):
     p = ux - y
     q = uy + x
     w2 = p * p + q * q
-    if np.any(w2 < tol_singular**2):
+    if np.any(w2 < TOL_SINGULAR**2):
         raise SingularPoint(f"{what} at a singular graph point")
     return q * q * uxx - 2.0 * q * p * uxy + p * p * uyy, w2
 
 
-def graph_pde_residual(source, x, y, H, tol_singular: float = TOL_SINGULAR):
+def graph_pde_residual(source, x, y, H):
     """LHS - RHS of the prescribed-curvature graph equation at (x, y).
 
     `source` is a graph, whose `height` and `hessian` give the derivatives
@@ -233,14 +235,14 @@ def graph_pde_residual(source, x, y, H, tol_singular: float = TOL_SINGULAR):
     fourth-order differences.  H is measured with respect to the downward
     graph normal; for a sheet whose inner normal points upward, pass -H.
     """
-    lhs, w2 = _graph_lhs(source, x, y, tol_singular, "graph PDE residual")
+    lhs, w2 = _graph_lhs(source, x, y, "graph PDE residual")
     rhs = -2.0 * np.asarray(H, float) * w2**1.5
     return lhs - rhs
 
 
-def graph_pde_mean_curvature(source, x, y, tol_singular: float = TOL_SINGULAR):
+def graph_pde_mean_curvature(source, x, y):
     """The H solving the graph equation pointwise (downward-normal sign)."""
-    lhs, w2 = _graph_lhs(source, x, y, tol_singular, "graph mean curvature")
+    lhs, w2 = _graph_lhs(source, x, y, "graph mean curvature")
     return -lhs / (2.0 * w2**1.5)
 
 

@@ -26,6 +26,8 @@ TOL_ARCLENGTH = 1e-6
 VALIDATION_GRID = 1024
 _LIFT_TOL = 1e-14    # per-cell lift error target, relative to max|(x, y)| * length
 _LIFT_MAX_CELLS = 64 * VALIDATION_GRID
+RATE_STEP = 1e-5           # central-difference step of curvature_rate
+ARCLENGTH_NODES = 4096     # grid of reparameterize_arclength's length function
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
@@ -98,9 +100,10 @@ class HorizontalCurve:
         xdd, ydd = self.planar.d2(eps)
         return xd * ydd - xdd * yd
 
-    def curvature_rate(self, eps, h_fd: float = 1e-5):
-        """dh/deps by central differences (zero for the constant-h catalog)."""
-        return (self.planar_curvature(eps + h_fd) - self.planar_curvature(eps - h_fd)) / (2 * h_fd)
+    def curvature_rate(self, eps):
+        """dh/deps by central differences of step RATE_STEP."""
+        h = RATE_STEP
+        return (self.planar_curvature(eps + h) - self.planar_curvature(eps - h)) / (2 * h)
 
 
 def _planar_from_callables(fx, fy, dfx, dfy, ddfx, ddfy, eps_min, eps_max) -> PlanarCurve:
@@ -177,16 +180,16 @@ def horizontal_lift(planar: PlanarCurve, t0: float = 0.0, label: str = "lift") -
     return HorizontalCurve(planar, t_of, label=label)
 
 
-def reparameterize_arclength(planar: PlanarCurve, n: int = 4096) -> PlanarCurve:
+def reparameterize_arclength(planar: PlanarCurve) -> PlanarCurve:
     """Arclength reparameterization by cumulative-length inversion.
 
-    The length function is sampled on a fine grid, inverted with monotone
+    The length function is sampled on ARCLENGTH_NODES points, inverted with monotone
     PCHIP interpolation, and derivatives are chained analytically through
     the inverse.
     """
     from scipy.interpolate import PchipInterpolator
 
-    u = np.linspace(planar.eps_min, planar.eps_max, n)
+    u = np.linspace(planar.eps_min, planar.eps_max, ARCLENGTH_NODES)
     speed = planar.speed(u)
     if np.any(speed < 1e-12):
         raise DegenerateCurve("planar speed vanishes on the grid")
@@ -294,7 +297,7 @@ def curve_from_samples(eps: np.ndarray, x: np.ndarray, y: np.ndarray,
     return horizontal_lift(arc, t0=t0, label=label)
 
 
-def load_curve_csv(path, t0: float = 0.0) -> HorizontalCurve:
+def load_curve_csv(path) -> HorizontalCurve:
     """Read the curve CSV format: header `eps,x,y`, strictly increasing eps.
 
     Raises ConfigError when the file cannot be read and DegenerateCurve when
@@ -317,4 +320,4 @@ def load_curve_csv(path, t0: float = 0.0) -> HorizontalCurve:
         raise DegenerateCurve(f"every curve CSV row needs three numbers: {exc}") from exc
     if not np.all(np.isfinite(data)):
         raise DegenerateCurve("curve CSV holds a value that is not finite")
-    return curve_from_samples(data[:, 0], data[:, 1], data[:, 2], t0=t0, label="csv")
+    return curve_from_samples(data[:, 0], data[:, 1], data[:, 2], label="csv")

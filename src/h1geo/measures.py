@@ -18,7 +18,8 @@ roundoff floor of the sum.  Next to the built-in integrands it takes named
 integrand functions of the sample, as `first_variation` does: A'(0) and
 V'(0) of a closed patch under a normal variation u N, from one ladder over
 the base patch, with the mean curvature read pointwise from `curvature`.
-`first_variation_check` is the finite-difference oracle for it.
+`first_variation_check` is its finite-difference oracle: fixed-n sweeps of
+the vertical variation p + tau u T, whose normal speed is u N_T.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     StepTooSmall,
 )
 from .hgroup import W_field, dot_c
-from .surfaces import ImmersedPatch, PerturbedPatch
+from .surfaces import ImmersedPatch, VerticalVariation
 
 GAUSS_ORDER = 8
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
@@ -288,30 +289,27 @@ def first_variation(patch: ImmersedPatch, u) -> dict:
 class FirstVariationResult:
     a_prime: float
     v_prime: float
-    defect: float            # |A'(0) - 2 H V'(0)|
+    defect: float            # |A'(0) - 2 lam V'(0)|
 
 
 def first_variation_check(patch: ImmersedPatch, u, dt: float = 1e-4,
-                          n: int = 128, H: float | None = None) -> FirstVariationResult:
-    """Central-difference first variation under the normal perturbation u*N:
-    the finite-difference oracle for `first_variation`.
-
-    Displaces by t*u*N for t = +-dt, integrates area and volume of each
-    displaced patch in one sweep, and reports A'(0), V'(0) and the
-    stationarity defect |A'(0) - 2 H V'(0)|.
-    """
+                          n: int = 128) -> FirstVariationResult:
+    """A'(0), V'(0) and |A'(0) - 2 lam V'(0)| under the vertical variation
+    p + tau u T, u(eps, s) -> (u, u_eps, u_s): the oracle for `first_variation`
+    with normal speed u N_T.  One sweep at the same n for each tau = +-dt,
+    +-dt/2, and Richardson's step (4 D(dt/2) - D(dt)) / 3 over the two central
+    differences of area and volume."""
     if dt < 1e-7:
         raise StepTooSmall(f"variation step {dt} below 1e-7")
-    if H is None:
-        if patch.lam is None:
-            raise ValueError("patch has no nominal curvature; pass H")
-        H = patch.lam
-    # both sides at the same fixed n: the difference needs identical nodes
-    lo, hi = (integrate(PerturbedPatch(patch, u, t), n, ("area", "volume"))
-              for t in (-dt, dt))
-    a_prime = (hi["area"] - lo["area"]) / (2 * dt)
-    v_prime = (hi["volume"] - lo["volume"]) / (2 * dt)
-    return FirstVariationResult(a_prime, v_prime, abs(a_prime - 2.0 * H * v_prime))
+    if patch.lam is None:
+        raise ValueError("patch has no nominal curvature")
+    diffs = []
+    for h in (dt, 0.5 * dt):
+        lo, hi = (integrate(VerticalVariation(patch, u, tau), n, ("area", "volume"))
+                  for tau in (-h, h))
+        diffs.append({k: (hi[k] - lo[k]) / (2 * h) for k in hi})
+    a_prime, v_prime = ((4.0 * diffs[1][k] - diffs[0][k]) / 3.0 for k in ("area", "volume"))
+    return FirstVariationResult(a_prime, v_prime, abs(a_prime - 2.0 * patch.lam * v_prime))
 
 
 def measures_report(patch: ImmersedPatch, surface: str, lam: float | None,
@@ -323,8 +321,7 @@ def measures_report(patch: ImmersedPatch, surface: str, lam: float | None,
     kinds = ("area", "volume") if patch.closed else ("area",)
     res = quad_many(patch, n, kinds)
     a = res["area"]
-    if H is None:
-        H = patch.lam
+    H = patch.lam if H is None else H
     report = {
         "surface": surface,
         "lambda": lam,

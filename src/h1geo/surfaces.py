@@ -23,8 +23,8 @@ which `GraphPatch.partials` reads, and `hessian` for the graph equation.
 integrands read, and `normal_data` normalizes it and carries the partials
 on, so Z's parameter velocity, which the mean curvature and the
 characteristic traces read, never evaluates a sample twice.
-`fd_partials` is the finite-difference reference for `partials`; the tests
-hold every patch to it, and `PerturbedPatch`, with no closed form, uses it.
+`fd_partials`, differences of `point`, is the tests' reference for every
+patch's `partials`, the vertical variation `VerticalVariation` p + tau u T's too.
 A patch states its singular set in its parameters: `quadrature_charts`,
 `Chart` maps on which |N_H| is smooth, read only by the quadrature, and
 `singular_curves`, `SingularCurveRef`s.  A group motion moves points, not
@@ -33,7 +33,7 @@ A `SurfaceMesh` keeps the grid, the points, |N_H|, the geometric s and the
 mean-curvature estimate.  An orthogonal-geodesic patch reads its curve's
 `position`, `planar.d1` and `planar.d2` once per call, on eps as given, and
 forms h = x'y'' - x''y' from them; a sigma-lambda call also reads d1 and d2
-at eps +- h_fd, for `curvature_rate`.
+at eps +- RATE_STEP, for `curvature_rate`.
 """
 
 from __future__ import annotations
@@ -53,12 +53,14 @@ from .hgroup import (
     cartesian_to_frame,
     cross_c,
     dilate,
-    frame_to_cartesian,
     group_mul,
     j_c,
 )
 
 TOL_SINGULAR = 1e-6
+_ROOT_SAMPLES = 1024         # cells of each pass of _roots
+HELICOID_EPS = (-2.5, 2.5)   # eps range of every helicoid piece
+HELICOID_CHECKS = 33         # landing points matched per piece
 
 
 def _asf(x):
@@ -287,30 +289,27 @@ class _MappedPatch(ImmersedPatch):
         return self._base.quadrature_charts()
 
 
-class PerturbedPatch(ImmersedPatch):
-    """Normal perturbation exp-map style: q = p + amp * u(eps,s) * N(p).
+class VerticalVariation(ImmersedPatch):
+    """The vertical variation p + tau u T of a base patch, u(eps, s) ->
+    (u, u_eps, u_s).  T = d/dt has frame coefficients (0, 0, 1) and x, y
+    stay put, so the partials are exactly F_eps + tau u_eps T and
+    F_s + tau u_s T, from one base `partials` call.  The normal speed is
+    u N_T.  The variation moves the singular set, so it declares no charts,
+    no singular curves and no nominal curvature."""
 
-    The displacement is a straight line in frame coefficients re-expressed
-    at the base point (first-order exponential map); partials are
-    `fd_partials` of the displaced immersion.
-    """
-
-    def __init__(self, base: ImmersedPatch, u: Callable, amp: float):
+    def __init__(self, base: ImmersedPatch, u: Callable, tau: float):
         super().__init__(base.eps_lo, base.eps_hi, base.s_lo, base.s_hi,
                          orientation=base.orientation)
-        self._base = base
-        self.label = base.label + "+perturbed"
+        self._base, self._u, self._tau = base, u, float(tau)
+        self.label = base.label + "+varied"
         self.closed = base.closed
         self.open_s_ends = base.open_s_ends
-        self._u = u
-        self._amp = float(amp)
 
-    partials = fd_partials
-
-    def point(self, eps, s):
-        p, _, _, raw = self._base.frame(eps, s)
-        disp = self._amp * _asf(self._u(eps, s))[..., None] * _unit_normal(raw)
-        return Point.from_array(p.as_array() + frame_to_cartesian(p, disp))
+    def partials(self, eps, s):
+        fe, fs, p = self._base.partials(eps, s)
+        u, ue, us = (self._tau * _asf(v) for v in self._u(eps, s))
+        lift = np.array([0.0, 0.0, 1.0])
+        return fe + ue[..., None] * lift, fs + us[..., None] * lift, Point(p.x, p.y, p.t + u)
 
 
 # ---------------------------------------------------------------------------
@@ -542,17 +541,17 @@ class BernsteinGraph(GraphPatch):
         return charts if split else []
 
 
-def _roots(f, lo: float, hi: float, samples: int = 1024) -> list:
+def _roots(f, lo: float, hi: float) -> list:
     """Interior zeros of f on [lo, hi] where it changes sign: f sampled at
-    samples + 1 points, and each bracket resampled the same way until it is
-    below rounding."""
-    y = np.linspace(lo, hi, samples + 1)
+    _ROOT_SAMPLES + 1 points, and each bracket resampled the same way until
+    it is below rounding."""
+    y = np.linspace(lo, hi, _ROOT_SAMPLES + 1)
     v = _asf(f(y))
     roots = list(y[1:-1][v[1:-1] == 0.0])
     i = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
     a, b = y[i], y[i + 1]
     for _ in range(6 if i.size else 0):   # each pass narrows a bracket 1024-fold
-        yy = np.linspace(a, b, samples + 1, axis=-1)
+        yy = np.linspace(a, b, _ROOT_SAMPLES + 1, axis=-1)
         vv = _asf(f(yy))
         j = np.argmax(vv[:, :-1] * vv[:, 1:] <= 0.0, axis=1)
         k = np.arange(j.size)
@@ -645,13 +644,13 @@ class _VerticalPlane(ImmersedPatch):
 class VerticalCylinder(ImmersedPatch):
     """The right circular cylinder x^2 + y^2 = rho^2, parameterized (phi, t).
 
-    Vertical surface: empty singular set, constant mean curvature.
+    Vertical surface: empty singular set, constant mean curvature; t in [-2, 2].
     """
 
-    def __init__(self, rho: float, t_range=(-2.0, 2.0)):
+    def __init__(self, rho: float):
         if not rho > 0:
             raise ValueError("cylinder radius must be positive")
-        super().__init__(0.0, 2 * np.pi, t_range[0], t_range[1])
+        super().__init__(0.0, 2 * np.pi, -2.0, 2.0)
         self.rho = float(rho)
         self.label = f"vertical-cylinder(rho={rho:g})"
 
@@ -804,9 +803,8 @@ class SigmaZeroPatch(ImmersedPatch):
 
     lam = 0.0
 
-    def __init__(self, curve: HorizontalCurve, s_range=(-2.0, 2.0), eps_range=None):
-        lo, hi = eps_range if eps_range is not None else (curve.eps_min, curve.eps_max)
-        super().__init__(lo, hi, s_range[0], s_range[1], orientation=1)
+    def __init__(self, curve: HorizontalCurve, s_range=(-2.0, 2.0)):
+        super().__init__(curve.eps_min, curve.eps_max, s_range[0], s_range[1], orientation=1)
         self.curve = curve
         self.label = f"sigma-zero({curve.label})"
 
@@ -835,9 +833,8 @@ class SigmaZeroPatch(ImmersedPatch):
                 _box_chart((self.eps_lo, self.eps_hi, 0.0, self.s_hi))]
 
 
-def build_sigma_zero(curve: HorizontalCurve, s_range=(-2.0, 2.0),
-                     eps_range=None) -> SigmaZeroPatch:
-    return SigmaZeroPatch(curve, s_range, eps_range)
+def build_sigma_zero(curve: HorizontalCurve, s_range=(-2.0, 2.0)) -> SigmaZeroPatch:
+    return SigmaZeroPatch(curve, s_range)
 
 
 # ---------------------------------------------------------------------------
@@ -988,8 +985,7 @@ class HelicoidFamily:
         return {key: val[1] % self.pitch for key, val in self.offsets.items()}
 
 
-def helicoid_L(lam: float, r: float, k_max: int = 2,
-               eps_range=(-2.5, 2.5), n_check: int = 33) -> HelicoidFamily:
+def helicoid_L(lam: float, r: float, k_max: int = 2) -> HelicoidFamily:
     """Build 2*k_max helicoid pieces by alternating orthogonal-geodesic sweeps.
 
     Branch 1 starts with side +J, branch 2 with side -J; each next level
@@ -1001,7 +997,8 @@ def helicoid_L(lam: float, r: float, k_max: int = 2,
     """
     if lam == 0 or r <= 0:
         raise ValueError("helicoid requires lam != 0 and r > 0")
-    eps = np.linspace(eps_range[0], eps_range[1], n_check)
+    lo, hi = HELICOID_EPS
+    eps = np.linspace(lo, hi, HELICOID_CHECKS)
     pieces = []
     offsets = {}
     worst = 0.0
@@ -1010,8 +1007,8 @@ def helicoid_L(lam: float, r: float, k_max: int = 2,
         side, mu = side0, lam
         for k in range(1, k_max + 1):
             gen = helix_curve(r, eps_shift=shift, t_shift=lift,
-                              eps_min=eps_range[0] - 1.0, eps_max=eps_range[1] + 1.0)
-            patch = SigmaLambdaPatch(gen, mu, side, eps_range=eps_range,
+                              eps_min=lo - 1.0, eps_max=hi + 1.0)
+            patch = SigmaLambdaPatch(gen, mu, side, eps_range=HELICOID_EPS,
                                      label=f"helicoid(branch={branch},k={k})")
             if mu != lam:
                 patch = patch.flipped()

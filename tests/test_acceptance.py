@@ -22,7 +22,7 @@ from h1geo.geodesics import (
     tangent_jacobi_field,
 )
 from h1geo.hcurves import helix_curve, line_curve
-from h1geo.hgroup import ORIGIN, Point
+from h1geo.hgroup import ORIGIN, Point, frame_to_cartesian
 from h1geo.surfaces import (
     BernsteinGraph,
     build_sigma_lambda,
@@ -292,12 +292,18 @@ def test_criterion_13_dilation_homogeneity():
 
 
 def test_criterion_14_first_variation():
+    # vertical variations p + tau u T: the stretch u = t, and u = cos eps
     sp = sphere_geodesic(1.0)
-    fv = msr.first_variation_check(sp, lambda e, s: 1.0 + 0.0 * np.asarray(e),
-                                   dt=1e-4, n=16)
+
+    def stretch(e, s):
+        fe, fs, p = sp.partials(e, s)
+        return p.t, frame_to_cartesian(p, fe)[..., 2], frame_to_cartesian(p, fs)[..., 2]
+
+    fv = msr.first_variation_check(sp, stretch, dt=1e-4, n=16)
     rel = fv.defect / abs(fv.a_prime)
     fv0 = msr.first_variation_check(
-        sp, lambda e, s: np.cos(np.asarray(e, float)) + 0.0 * np.asarray(s),
+        sp, lambda e, s: (np.cos(np.asarray(e, float)) + 0.0 * np.asarray(s),
+                          -np.sin(np.asarray(e, float)) + 0.0 * np.asarray(s), 0.0),
         dt=1e-4, n=16)
     a = msr.area(sp, 96).value
     rel0 = abs(fv0.a_prime) / a

@@ -51,6 +51,14 @@ def test_parse_poly_negative_leading():
     assert g(2.0) == -7.0
 
 
+@pytest.mark.parametrize("text, expect", [
+    ("2*-y^2", (0.0, 0.0, -2.0)), ("1--y^2", (1.0, 0.0, 1.0)), ("1+-y^2", (1.0, 0.0, -1.0)),
+    ("3*-2^2", (-12.0,)), ("(-y)^2", (0.0, 0.0, 1.0)), ("-y^2", (0.0, 0.0, -1.0)),
+])
+def test_parse_poly_unary_minus_negates_the_power(text, expect):
+    assert tuple(parse_poly(text)[0].coef) == expect
+
+
 def test_parse_poly_rejects_junk():
     with pytest.raises(ConfigError):
         parse_poly("sin(y)")
@@ -266,6 +274,31 @@ def test_config_file_merging(tmp_path, capsys):
     rc = main(["report", "--config", str(cfg), "--lambda", "1"])
     rep = json.loads(capsys.readouterr().out)
     assert rep["lambda"] == 1.0
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["report", "--surface", "sphere", "--res="], "res"),
+    (["report", "--surface", "sigma-lambda", "--curve=", "--res", "4x4"], "curve"),
+    (["report", "--surface", "sphere", "--curve="], "curve"),
+    (["report", "--surface", "sphere", "--g="], "g"),
+    (["report", "--surface", "bernstein", "--g= "], "g"),
+    (["verify", "--suite="], "suite"),
+    (["report", "--surface", "sphere", "--out="], "out"),
+    (["report", "--surface", "sphere", "--config="], "config"),
+    (["report", "--surface="], "surface"),
+    (["mesh", "--surface", "sphere", "--res", "4x4", "--csv=\t"], "csv"),
+    ({"surface": "sphere", "res": ""}, "res"),
+    ({"surface": "bernstein", "g": "  "}, "g"),
+], ids=["res", "curve", "curve-on-sphere", "g-on-sphere", "g-blank", "suite", "out",
+        "config", "surface", "csv-tab", "config-res", "config-g-blank"])
+def test_empty_values_exit_2_naming_the_flag(tmp_path, capsys, argv, key):
+    if isinstance(argv, dict):   # the same values from a config file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(argv))
+        argv = ["report", "--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--{key} must not be empty" in err and "Traceback" not in err
 
 
 def test_config_file_unknown_key(tmp_path):

@@ -10,7 +10,7 @@ from h1geo import curvature
 from h1geo.cli import main
 from h1geo.errors import NotClosedSurface, StepTooSmall
 from h1geo.hcurves import line_curve
-from h1geo.hgroup import Point
+from h1geo.hgroup import Point, frame_to_cartesian
 from h1geo import measures, verify
 from h1geo.measures import (
     area,
@@ -26,8 +26,8 @@ from h1geo.measures import (
 )
 from h1geo.surfaces import (
     ImmersedPatch,
-    PerturbedPatch,
     SpherePatch,
+    VerticalVariation,
     build_sigma_lambda,
     build_surface,
     cylinder_S,
@@ -119,11 +119,9 @@ def test_quadrature_convergence_estimate():
 
 
 def test_first_variation_sweeps_each_perturbed_patch_once(monkeypatch):
+    # four varied patches, t = +-dt and +-dt/2, one area-and-volume sweep each
     sp = sphere_geodesic(1.0)
-
-    def u(e, s):
-        return np.cos(np.asarray(e, float)) + 0.5 + 0.0 * np.asarray(s)
-
+    u = _MODES["cos"]
     calls = []
     sweep = measures.integrate
 
@@ -132,12 +130,15 @@ def test_first_variation_sweeps_each_perturbed_patch_once(monkeypatch):
         return sweep(patch, n, kinds)
 
     monkeypatch.setattr(measures, "integrate", counting)
-    fv = first_variation_check(sp, u, dt=1e-4, n=16)
-    assert len(calls) == 2
-    a = {t: sweep(PerturbedPatch(sp, u, t), 16, ("area",))["area"] for t in (-1e-4, 1e-4)}
-    v = {t: sweep(PerturbedPatch(sp, u, t), 16, ("volume",))["volume"] for t in (-1e-4, 1e-4)}
-    assert fv.a_prime == (a[1e-4] - a[-1e-4]) / (2 * 1e-4)
-    assert fv.v_prime == (v[1e-4] - v[-1e-4]) / (2 * 1e-4)
+    dt = 1e-3
+    fv = first_variation_check(sp, u, dt=dt, n=16)
+    assert calls == [("area", "volume")] * 4
+    for kind, got in (("area", fv.a_prime), ("volume", fv.v_prime)):
+        val = {t: sweep(VerticalVariation(sp, u, t), 16, (kind,))[kind]
+               for t in (-dt, -dt / 2, dt / 2, dt)}
+        d_full = (val[dt] - val[-dt]) / (2 * dt)
+        d_half = (val[dt / 2] - val[-dt / 2]) / dt
+        assert got == (4.0 * d_half - d_full) / 3.0
 
 
 def test_left_translation_invariance():
@@ -210,18 +211,27 @@ def test_euclidean_sphere_is_not_optimal():
 
 
 def test_first_variation_unit_speed():
+    # u = 1 is a left translation, so A'(0) = V'(0) = 0 to rounding
     sp = sphere_geodesic(1.0)
-    fv = first_variation_check(sp, lambda e, s: 1.0 + 0.0 * np.asarray(e), dt=1e-4, n=16)
-    assert fv.defect < 1e-3 * abs(fv.a_prime)
-    # V'(0) = -Riemannian area for u = 1
-    ra = riemannian_area(sp, 96).value
-    assert abs(fv.v_prime + ra) / ra < 1e-3
+    fv = first_variation_check(sp, _MODES["unit"], n=16)
+    assert abs(fv.a_prime) < 1e-12 * area(sp, 96).value
+    assert abs(fv.v_prime) < 1e-12 * volume_enclosed(sp, 96).value
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_first_variation_of_the_stretch_is_the_volume(lam):
+    # u = t maps (x, y, t) to (x, y, (1 + tau) t), which scales Lebesgue
+    # volume by 1 + tau: V'(0) = V, and A'(0) = 2 lam V'(0) on S_lam
+    sp = sphere_geodesic(lam)
+    fv = first_variation_check(sp, _stretch(sp), dt=1e-3, n=16)
+    V = 3 * np.pi**2 / (8 * lam**4)
+    assert abs(fv.v_prime - V) <= 1e-12 * V
+    assert fv.defect <= 1e-11 * abs(fv.a_prime)
 
 
 def test_first_variation_volume_preserving_mode():
     sp = sphere_geodesic(1.0)
-    fv = first_variation_check(sp, lambda e, s: np.cos(np.asarray(e, float)) + 0.0 * np.asarray(s),
-                               dt=1e-4, n=16)
+    fv = first_variation_check(sp, _MODES["cos"], dt=1e-4, n=16)
     a = area(sp, 96).value
     assert abs(fv.v_prime) < 1e-6
     assert abs(fv.a_prime) < 1e-3 * a
@@ -230,7 +240,17 @@ def test_first_variation_volume_preserving_mode():
 def test_first_variation_step_guard():
     sp = sphere_geodesic(1.0)
     with pytest.raises(StepTooSmall):
-        first_variation_check(sp, lambda e, s: 1.0, dt=1e-9, n=16)
+        first_variation_check(sp, _MODES["unit"], dt=1e-9, n=16)
+
+
+def test_vertical_translation_keeps_area_and_volume():
+    sp = sphere_geodesic(1.0)
+    base = measures.integrate(sp, 16, ("area", "volume"))
+    for tau in (-0.37, 1e-3, 2.5):
+        moved = measures.integrate(VerticalVariation(sp, _MODES["unit"], tau), 16,
+                                   ("area", "volume"))
+        for kind in base:
+            assert abs(moved[kind] - base[kind]) <= 1e-14 * abs(base[kind])
 
 
 def test_quad_many_matches_single():
@@ -274,14 +294,14 @@ def test_quadrature_is_bitwise_independent_of_the_block_size(monkeypatch, patch)
 
 
 def _record_sweeps(monkeypatch):
-    """Record the n of every sweep, of every PerturbedPatch sweep and of
+    """Record the n of every sweep, of every VerticalVariation sweep and of
     every quad_many call."""
     sweeps, perturbed, estimates = [], [], []
     sweep, quad = measures._sweep, measures.quad_many
 
     def counting_sweep(patch, n, kinds):
         sweeps.append(n)
-        if isinstance(patch, PerturbedPatch):
+        if isinstance(patch, VerticalVariation):
             perturbed.append(n)
         return sweep(patch, n, kinds)
 
@@ -307,7 +327,7 @@ def test_suites_sweep_only_at_their_pinned_resolutions(monkeypatch, suite, pinne
     suite(n=32)
     assert set(sweeps) == pinned
     assert set(estimates) <= {32, 96}
-    # only the finite-difference oracle integrates perturbed patches, at n = 16
+    # only the finite-difference oracle integrates varied patches, at n = 16
     assert set(perturbed) == ({16} if suite is verify.suite_minkowski else set())
 
 
@@ -368,30 +388,43 @@ def test_degenerate_domain_reports_null_ratios():
     assert rep["minkowski_defect"] is None and rep["iso_ratio"] is None
 
 
-def test_perturbed_patch_sweep_keeps_its_bits():
-    # area and volume of both displaced spheres at n = 16, as computed when
-    # PerturbedPatch.point still built the full NormalData of its base
-    sp = sphere_geodesic(1.0)
-
-    def u(e, s):
-        return np.cos(np.asarray(e, float)) + 0.5 + 0.0 * np.asarray(s)
-
-    expect = {-1e-4: ("0x1.3bde252919348p+3", "0x1.d9d24a8fe1183p+1"),
-              1e-4: ("0x1.3bc98e715332cp+3", "0x1.d9a91d2051f66p+1")}
-    for t, (a_hex, v_hex) in expect.items():
-        res = measures.integrate(PerturbedPatch(sp, u, t), 16, ("area", "volume"))
-        assert res["area"] == float.fromhex(a_hex)
-        assert res["volume"] == float.fromhex(v_hex)
-
-
 # ---------------------------------------------------------------------------
 # first variation of area: the formula against the finite-difference oracle
 
+def _bump(e, s):
+    e, s = np.asarray(e, float), np.asarray(s, float)
+    ring, wave = np.sin(1.3 * s) ** 2, 1 + 0.5 * np.cos(2 * e)
+    return ring * wave, -ring * np.sin(2 * e), 1.3 * np.sin(2.6 * s) * wave
+
+
+# vertical speeds u(eps, s) -> (u, u_eps, u_s) for VerticalVariation
 _MODES = {
-    "unit": lambda e, s: 1.0 + 0.0 * np.asarray(e),
-    "cos": lambda e, s: np.cos(np.asarray(e, float)) + 0.0 * np.asarray(s),
-    "bump": lambda e, s: np.sin(1.3 * np.asarray(s)) ** 2 * (1 + 0.5 * np.cos(2 * np.asarray(e))),
+    "unit": lambda e, s: (1.0 + 0.0 * np.asarray(e), 0.0, 0.0),
+    "cos": lambda e, s: (np.cos(np.asarray(e, float)) + 0.0 * np.asarray(s),
+                         -np.sin(np.asarray(e, float)) + 0.0 * np.asarray(s), 0.0),
+    "bump": _bump,
 }
+
+
+def _speed(mode):
+    """The mode's u alone, a normal speed for first_variation."""
+    return lambda e, s: _MODES[mode](e, s)[0]
+
+
+def _stretch(patch):
+    """The vertical speed u = t of the patch's points, with its partials."""
+    def u(e, s):
+        fe, fs, p = patch.partials(e, s)
+        return p.t, frame_to_cartesian(p, fe)[..., 2], frame_to_cartesian(p, fs)[..., 2]
+    return u
+
+
+def _normal_speed(patch, u):
+    """u N_T, the normal speed of the vertical variation p + tau u T."""
+    def w(e, s):
+        p, _, _, raw = patch.frame(e, s)
+        return u(e, s)[0] * raw[..., 2] / np.linalg.norm(raw, axis=-1)
+    return w
 _SPHERES = {
     "S_0.5": lambda: sphere_geodesic(0.5),
     "S_1": lambda: sphere_geodesic(1.0),
@@ -405,7 +438,7 @@ def test_estimate_fields_have_one_type():
     # the floor is a float like the Richardson difference, so neither the
     # error nor converged depends on which of the two is larger
     res = quad_many(sphere_geodesic(1.0), 96, ("area", "rarea", "volume"))
-    res.update(first_variation(sphere_geodesic(1.0), _MODES["cos"]))
+    res.update(first_variation(sphere_geodesic(1.0), _speed("cos")))
     for est in res.values():
         assert type(est.error) is float and type(est.converged) is bool
 
@@ -414,7 +447,7 @@ def test_estimate_fields_have_one_type():
 @pytest.mark.parametrize("which", sorted(_SPHERES))
 def test_first_variation_matches_the_finite_difference_oracle(which, mode):
     sp, u = _SPHERES[which](), _MODES[mode]
-    fv = first_variation(sp, u)
+    fv = first_variation(sp, _normal_speed(sp, u))
     fd = first_variation_check(sp, u, dt=1e-4, n=16)
     # the mean-zero mode has A'(0) = V'(0) = 0, so each side is compared at
     # the scale of the unit mode: 2 |H| and 1 times the Riemannian area
@@ -427,14 +460,14 @@ def test_first_variation_matches_the_finite_difference_oracle(which, mode):
 @pytest.mark.parametrize("mode", sorted(_MODES))
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_first_variation_errors_bound_the_stationarity_defect(lam, mode):
-    fv = first_variation(sphere_geodesic(lam), _MODES[mode])
+    fv = first_variation(sphere_geodesic(lam), _speed(mode))
     a, v = fv["a_prime"], fv["v_prime"]
     assert abs(a.value - 2 * lam * v.value) <= a.error + 2 * lam * v.error
 
 
 @pytest.mark.parametrize("mode", ["unit", "cos"])
 def test_first_variation_stops_at_twelve_cells(mode):
-    for est in first_variation(sphere_geodesic(1.0), _MODES[mode]).values():
+    for est in first_variation(sphere_geodesic(1.0), _speed(mode)).values():
         assert est.converged
         assert est.samples <= (measures.GAUSS_ORDER * 12) ** 2
 
@@ -452,7 +485,7 @@ def test_first_variation_richardson_h_is_within_its_rounding():
 
 
 def test_first_variation_rejects_open_patches():
-    u = _MODES["unit"]
+    u = _speed("unit")
     for patch in (plane_patch(), build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)):
         with pytest.raises(NotClosedSurface):
             first_variation(patch, u)

@@ -38,6 +38,7 @@ from h1geo.surfaces import (
     sphere_geodesic,
     sphere_graph,
     VerticalCylinder,
+    VerticalVariation,
     _BLOCK_VERTICES,
     _curve_data,
     _float_text,
@@ -927,7 +928,18 @@ _FORMS = {"base": lambda p: p, "flipped": lambda p: p.flipped(),
           "dilated": lambda p: p.dilated(0.3)}
 
 
-@pytest.mark.parametrize("form", sorted(_FORMS))
+def _wave(e, s):
+    """An analytic vertical speed (u, u_eps, u_s)."""
+    e, s = np.asarray(e, float), np.asarray(s, float)
+    return (np.sin(e) * np.cos(s) + 0.5, np.cos(e) * np.cos(s), -np.sin(e) * np.sin(s))
+
+
+# the forms whose partials are held to fd_partials: the moves, and a vertical
+# variation p + tau u T, whose partials are exact too
+_FD_FORMS = {**_FORMS, "varied": lambda p: VerticalVariation(p, _wave, 0.3)}
+
+
+@pytest.mark.parametrize("form", sorted(_FD_FORMS))
 @pytest.mark.parametrize("params", [{}, {"lam": 1.3, "r": 0.7, "d": 0.4}],
                          ids=["defaults", "non-unit"])   # a unit value hides rho^2 vs rho
 @pytest.mark.parametrize("name", sorted(catalog()) + ["vertical-plane"])
@@ -937,7 +949,7 @@ def test_partials_match_fd_across_catalog(name, params, form):
     else:   # each builder takes only the parameters it declares
         declared = inspect.signature(catalog()[name]).parameters
         base = build_surface(name, **{k: v for k, v in params.items() if k in declared})
-    patch = _FORMS[form](base)
+    patch = _FD_FORMS[form](base)
     # its own generator, so the module RNG draws of later tests stay as they were
     rng = np.random.default_rng(97)
     eps = patch.eps_lo + (patch.eps_hi - patch.eps_lo) * rng.uniform(0.1, 0.9, 8)
