@@ -5,8 +5,12 @@ Subcommands:
     verify  run a named identity suite, write a JSON report, exit 1 on failure
     report  area/volume/curvature summary for one surface as JSON
 
-Exit codes: 0 success, 1 failed verification checks, 2 configuration error,
-3 numerical failure.  Flags win over the optional --config JSON file.
+mesh and report take the surface flags; verify takes only --suite, --tol,
+--g, --out and --config.  --g is passed as text to the catalog (mesh,
+report) or to the bernstein suite (verify), which read it with
+`surfaces.parse_g`.  Exit codes: 0 success, 1 failed verification checks,
+2 configuration error, 3 numerical failure.  Flags win over the optional
+--config JSON file, which may hold keys of the other commands.
 Reports carry no timestamps and all randomness is seeded, so identical
 configurations produce byte-identical outputs.
 """
@@ -26,116 +30,6 @@ from . import surfaces as srf
 from . import verify as vfy
 from .errors import ConfigError, DegenerateCurve, GeometryError, UnknownSurface
 from .hcurves import load_curve_csv
-
-
-# ---------------------------------------------------------------------------
-# polynomial parser for --g (grammar: +, -, *, ^, y, constants, parentheses;
-# the unicode variants of minus and the times dot are accepted)
-
-
-class _PolyParser:
-    def __init__(self, text: str):
-        self.tokens = self._tokenize(text)
-        self.pos = 0
-
-    @staticmethod
-    def _tokenize(text: str):
-        text = text.replace("−", "-").replace("·", "*").replace("⋅", "*")
-        tokens = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "+-*^()y":
-                tokens.append(ch)
-                i += 1
-            elif ch.isdigit() or ch == ".":
-                j = i
-                while j < len(text) and (text[j].isdigit() or text[j] in ".eE"
-                                         or (text[j] in "+-" and text[j - 1] in "eE")):
-                    j += 1
-                tokens.append(float(text[i:j]))
-                i = j
-            else:
-                raise ConfigError(f"unexpected character {ch!r} in polynomial")
-        return tokens
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self) -> np.polynomial.Polynomial:
-        poly = self.expr()
-        if self.peek() is not None:
-            raise ConfigError(f"trailing tokens in polynomial: {self.tokens[self.pos:]}")
-        return poly
-
-    def expr(self):
-        sign = 1.0
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        result = sign * self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            term = self.term()
-            result = result + term if op == "+" else result - term
-        return result
-
-    def term(self):
-        result = self.factor()
-        while self.peek() == "*":
-            self.take()
-            result = result * self.factor()
-        return result
-
-    def factor(self):
-        if self.peek() == "-":   # a unary minus negates the power: 2*-y^2 is -2y^2
-            self.take()
-            return -self.factor()
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            exp = self.take()
-            if not (isinstance(exp, float) and exp.is_integer() and exp >= 0):
-                raise ConfigError("exponent must be a nonnegative integer")
-            return base ** int(exp)
-        return base
-
-    def atom(self):
-        tok = self.take()
-        if tok == "y":
-            return np.polynomial.Polynomial([0.0, 1.0])
-        if isinstance(tok, float):
-            return np.polynomial.Polynomial([tok])
-        if tok == "(":
-            inner = self.expr()
-            if self.take() != ")":
-                raise ConfigError("unbalanced parentheses in polynomial")
-            return inner
-        raise ConfigError(f"unexpected token {tok!r} in polynomial")
-
-
-def parse_poly(text: str):
-    """Parse a polynomial in y; returns (g, g', g'') as callables.
-
-    Malformed literals, nesting deeper than the interpreter's recursion
-    limit, degrees numpy refuses and non-finite coefficients raise
-    ConfigError.
-    """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            poly = _PolyParser(text).parse()
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"cannot parse polynomial: {exc}") from exc
-    if not np.all(np.isfinite(poly.coef)):
-        raise ConfigError("polynomial coefficients must be finite")
-    return poly, poly.deriv(), poly.deriv(2)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +129,7 @@ def _build_patch(cfg: dict):
         value = cfg.get(key)
         if isinstance(value, (int, float)) and not math.isfinite(value):
             raise ConfigError(f"--{flag} must be finite (got {value!r})")
-    params = {k: cfg[k] for k in ("lam", "r", "side", "sheet", "d") if cfg.get(k) is not None}
-    if cfg.get("g"):
-        params["g_coeffs"] = tuple(parse_poly(cfg["g"])[0].coef)
+    params = {k: cfg[k] for k in ("lam", "r", "side", "sheet", "d", "g") if cfg.get(k) is not None}
     if cfg.get("curve"):
         try:
             params["curve"] = load_curve_csv(cfg["curve"])
@@ -280,12 +172,13 @@ def _format_check(c) -> str:
             f"tol={c.tol:g} ({c.mode}) -- {c.source}")
 
 
-def cmd_verify(cfg: dict) -> int:
+def cmd_verify(cfg: dict, g_flag: bool) -> int:
     suite = cfg.get("suite") or "all"
     if suite != "all" and suite not in vfy.SUITES:
         raise ConfigError(f"unknown suite {suite!r}; known: {sorted(vfy.SUITES)} or 'all'")
-    g_data = (cfg["g"], parse_poly(cfg["g"])) if cfg.get("g") else None
-    checks = vfy.run_suite(suite, cfg.get("tols"), g_data)
+    if g_flag and suite not in ("bernstein", "all"):   # a config file's g may serve report
+        raise ConfigError(f"--g is read only by --suite bernstein or all (got {suite!r})")
+    checks = vfy.run_suite(suite, cfg.get("tols"), cfg.get("g"))
     for c in checks:
         print(_format_check(c))
     n_fail = sum(not c.passed for c in checks)
@@ -337,34 +230,29 @@ def _make_parser() -> argparse.ArgumentParser:
         description="Heisenberg-group geometry: surfaces, meshes, identity suites")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    p_mesh = sub.add_parser("mesh", help="sample a surface to OBJ/CSV")
+    p_verify = sub.add_parser("verify", help="run an identity suite")
+    p_report = sub.add_parser("report", help="measures summary for one surface")
+    for p in (p_mesh, p_report):
         p.add_argument("--surface", help="catalog name (see docs)")
         p.add_argument("--lambda", dest="lam", type=float, help="curvature parameter")
         p.add_argument("--r", type=float, help="helix/cylinder radius")
-        p.add_argument("--g", help="polynomial g(y) for bernstein graphs, e.g. 'y^2'")
         p.add_argument("--curve", help="CSV curve file (header eps,x,y)")
         p.add_argument("--side", type=int, choices=(1, -1), help="orthogonal family side")
         p.add_argument("--sheet", choices=("lower", "upper"), help="cylinder sheet")
         p.add_argument("--d", type=float, help="plane offset")
         p.add_argument("--res", help="grid resolution NxM")
+    for p in (p_mesh, p_verify, p_report):
+        p.add_argument("--g", help="polynomial g(y) for bernstein graphs, e.g. 'y^2'")
         p.add_argument("--out", help="output path")
         p.add_argument("--config", help="JSON config file (flags win)")
-
-    p_mesh = sub.add_parser("mesh", help="sample a surface to OBJ/CSV")
-    common(p_mesh)
     p_mesh.add_argument("--csv", help="also write the vertex CSV here")
     p_mesh.add_argument("--with-h", dest="with_h", action="store_true",
                         help="fill per-vertex mean curvature (slower)")
-
-    p_verify = sub.add_parser("verify", help="run an identity suite")
-    common(p_verify)
     p_verify.add_argument("--suite",
                           help="geodesics|jacobi|curvature|minkowski|bernstein|iso|all")
     p_verify.add_argument("--tol", nargs=2, action="append", metavar=("NAME", "VALUE"),
                           help="override a named tolerance (repeatable)")
-
-    p_report = sub.add_parser("report", help="measures summary for one surface")
-    common(p_report)
     return parser
 
 
@@ -395,7 +283,7 @@ def main(argv=None) -> int:
             if args.command == "mesh":
                 return cmd_mesh(cfg)
             if args.command == "verify":
-                return cmd_verify(cfg)
+                return cmd_verify(cfg, g_flag=args.g is not None)
             return cmd_report(cfg)
     except (ConfigError, UnknownSurface) as exc:
         print(f"error: {exc}", file=sys.stderr)

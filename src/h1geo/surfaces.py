@@ -23,6 +23,8 @@ which `GraphPatch.partials` reads, and `hessian` for the graph equation.
 integrands read, and `normal_data` normalizes it and carries the partials
 on, so Z's parameter velocity, which the mean curvature and the
 characteristic traces read, never evaluates a sample twice.
+The Bernstein graph t = xy + g(y) takes (g, g', g''); `parse_g` makes
+them from a text such as "(y+1)^100", evaluated exactly by jets.
 `fd_partials`, differences of `point`, is the tests' reference for every
 patch's `partials`, the vertical variation `VerticalVariation` p + tau u T's too.
 A patch states its singular set in its parameters: `quadrature_charts`,
@@ -40,12 +42,13 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegeneratePoint, NonFinite, UnknownSurface
+from .errors import ConfigError, DegeneratePoint, NonFinite, UnknownSurface
 from .geodesics import GeodesicSpec, cut_time, stable_ratios
 from .hcurves import HorizontalCurve, helix_curve, line_curve
 from .hgroup import (
@@ -477,9 +480,123 @@ def _along_eps(param):
     return 1.0, 0.0
 
 
+G_MAX_TOKENS = 1000     # a longer g text is refused
+G_MAX_EXPONENT = 1000   # and so is a larger power
+
+
+def _g_program(text: str) -> list:
+    """`text` as a postfix list of (op, arg) pairs.  Grammar: numbers, y, +,
+    -, *, ^ with a nonnegative integer literal, and parentheses; − and ·
+    stand for - and *.  A sign negates the power that follows it: 2*-y^2
+    and -y^2 are -2y^2 and -(y^2)."""
+    text = text.replace("−", "-").replace("·", "*").replace("⋅", "*")
+    tokens = re.findall(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|\S", text)
+    if len(tokens) > G_MAX_TOKENS:
+        raise ConfigError(f"g is longer than the cap of {G_MAX_TOKENS} tokens")
+    for i, tok in enumerate(tokens):   # any other token is refused where it stands
+        if tok[0].isdigit() or tok[0] == ".":
+            tokens[i] = np.float64(tok)   # a power of it overflows to inf, not an error
+            if not np.isfinite(tokens[i]):
+                raise ConfigError(f"literal {tok!r} in g is not finite")
+    tokens = [None] + tokens[::-1]   # pop() takes the next token; None ends the text
+    program = []
+
+    def expr():
+        term()
+        while tokens[-1] in ("+", "-"):
+            op = tokens.pop()
+            term()
+            program.append((op, None))
+
+    def term():
+        factor()
+        while tokens[-1] == "*":
+            tokens.pop()
+            factor()
+            program.append(("*", None))
+
+    def factor():
+        if tokens[-1] in ("+", "-"):   # a sign, the only unary operator
+            negate = tokens.pop() == "-"
+            factor()
+            program.extend([("neg", None)] * negate)
+            return
+        tok = tokens.pop()
+        if tok == "(":
+            expr()
+            if tokens.pop() != ")":
+                raise ConfigError("unbalanced parentheses in g")
+        elif tok == "y" or isinstance(tok, float):
+            program.append(("y", None) if tok == "y" else ("const", tok))
+        else:
+            raise ConfigError(f"unexpected token {tok!r} in g")
+        if tokens[-1] == "^":
+            tokens.pop()
+            exp = tokens.pop()
+            if not (isinstance(exp, float) and exp.is_integer() and 0 <= exp <= G_MAX_EXPONENT):
+                raise ConfigError(f"exponent {exp} is not an integer from 0 to the cap of "
+                                  f"{G_MAX_EXPONENT}")
+            program.append(("^", int(exp)))
+
+    expr()
+    if len(tokens) > 1:
+        raise ConfigError(f"trailing tokens in g: {' '.join(map(str, tokens[:0:-1]))}")
+    return program
+
+
+_JET_OPS = {
+    "+": lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
+    "-": lambda a, b: (a[0] - b[0], a[1] - b[1], a[2] - b[2]),
+    "*": lambda a, b: (a[0] * b[0], a[1] * b[0] + a[0] * b[1],
+                       a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2]),
+}
+
+
+def _jet(program: list, y):
+    """(g, g', g'') at y: the postfix program run over (value, first, second)
+    triples.  Constants and y carry the scalar derivatives 0 and 1."""
+    stack = []
+    for op, n in program:
+        if op in _JET_OPS:
+            b = stack.pop()
+            stack.append(_JET_OPS[op](stack.pop(), b))
+        elif op == "^":   # the exponents max(k, 0) keep n = 0 and 1 finite at v = 0
+            v, d1, d2 = stack.pop()
+            q = v ** max(n - 1, 0)
+            stack.append((v**n, n * q * d1,
+                          n * (n - 1) * v ** max(n - 2, 0) * d1 * d1 + n * q * d2))
+        elif op == "neg":
+            stack.append(tuple(-part for part in stack.pop()))
+        else:
+            stack.append((y, 1.0, 0.0) if op == "y" else (n, 0.0, 0.0))
+    return stack[0]
+
+
+def parse_g(text: str):
+    """(g, g', g'') of the polynomial `text` in y, as functions of y: parsed
+    once, evaluated exactly by forward-mode (jet) arithmetic, never through
+    power-basis coefficients, which cancel ((y+1)^100 expanded gives -8.8e10
+    at y = -0.9).  ConfigError for a malformed text, a non-finite literal,
+    more than G_MAX_TOKENS tokens, an exponent above G_MAX_EXPONENT, nesting
+    beyond the recursion limit, and g, g' or g'' not finite at y = -1 or 1."""
+    try:
+        program = _g_program(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot parse g: {exc}") from exc
+    with np.errstate(all="ignore"):
+        if not all(np.all(np.isfinite(p)) for p in _jet(program, np.array([-1.0, 1.0]))):
+            raise ConfigError("g, g' and g'' must be finite at y = -1 and y = 1")
+
+    def part(k):   # a part that does not depend on y still takes its shape
+        return lambda y: _jet(program, _asf(y))[k] + np.zeros(np.shape(y))
+
+    return tuple(part(k) for k in range(3))
+
+
 class BernsteinGraph(GraphPatch):
     """The graph t = x y + g(y); minimal for every C^2 g, area-stationary
-    only for affine g.  Singular curve: x = -g'(y)/2.
+    only for affine g.  Singular curve: x = -g'(y)/2.  `parse_g` turns a
+    text such as "y^2" into the (g, g', g'') it takes.
 
     Orientation +1 (upward normal, <N,T> > 0) so the characteristic field
     on the side 2x + g'(y) > 0 is +X and the singular-curve pairing
@@ -1331,11 +1448,6 @@ def atomic_write(path, data) -> None:
 # Catalog
 
 
-def _poly_bundle(coeffs):
-    poly = np.polynomial.Polynomial(coeffs)
-    return poly, poly.deriv(), poly.deriv(2)
-
-
 def catalog():
     """Named surface builders with their parameter defaults; each takes only
     the parameters its surface has."""
@@ -1352,9 +1464,8 @@ def catalog():
     def make_helicoid(lam=1.0, r=1.0):
         return helicoid_L(float(lam), float(r), k_max=1).pieces[0]
 
-    def make_bernstein(g_coeffs=(0.0,)):
-        g, dg, ddg = _poly_bundle(list(g_coeffs))
-        return BernsteinGraph(g, dg, ddg)
+    def make_bernstein(g="0"):
+        return BernsteinGraph(*parse_g(g))
 
     def make_plane(normal=(0.0, 0.0, 1.0), d=0.0):
         return plane_patch(normal, float(d))

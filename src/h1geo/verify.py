@@ -3,7 +3,8 @@
 Each suite returns a list of Check records (measured vs expected with a
 tolerance and the source of the expected value); the CLI and the acceptance
 tests share these implementations.  All randomness is seeded, so reports
-are deterministic.
+are deterministic.  The Bernstein graphs t = xy + g(y) the suites build
+take g as text, read by `surfaces.parse_g`, as the CLI's --g is.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .surfaces import (
     build_sigma_zero,
     cylinder_S,
     helicoid_L,
+    parse_g,
     plane_patch,
     sphere_geodesic,
     sphere_graph,
@@ -40,21 +42,10 @@ from .surfaces import (
 SEED = 20240915
 
 
-def _g_affine(a: float, b: float):
-    """(g, g', g'') of g = a y + b."""
-    return (lambda y: a * np.asarray(y, float) + b,
-            lambda y: a + 0.0 * np.asarray(y, float),
-            lambda y: 0.0 * np.asarray(y, float))
-
-
-# (g, g', g'') of the Bernstein graphs t = xy + g(y) the suites build
-G_SQUARE = (lambda y: np.asarray(y, float) ** 2,
-            lambda y: 2 * np.asarray(y, float),
-            lambda y: 2.0 + 0 * np.asarray(y, float))
-G_AFFINE = _g_affine(3.0, 7.0)
-G_CUBIC = (lambda y: np.asarray(y, float) ** 3,
-           lambda y: 3.0 * np.asarray(y, float) ** 2,
-           lambda y: 6.0 * np.asarray(y, float))
+# g of the Bernstein graphs t = xy + g(y) the suites build, read by parse_g
+G_SQUARE = "y^2"
+G_AFFINE = "3*y + 7"
+G_CUBIC = "y^3"
 
 
 @dataclass(frozen=True)
@@ -117,6 +108,12 @@ DEFAULT_TOLERANCES = {
 
 def _tol(tols: dict | None, name: str) -> float:
     return (tols or {}).get(name, DEFAULT_TOLERANCES[name])
+
+
+def _relative(gap, scale) -> float:
+    """|gap| / |scale|, inf or nan where scale is 0, so the check fails."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.abs(gap) / np.abs(np.float64(scale)))
 
 
 def _bisect_cut(h, lam):
@@ -264,7 +261,7 @@ def ruling_cases():
              ("cylinder(sigma chart)", build_sigma_lambda(line, 1.0, -1),
               [(0.0, 0.5), (0.7, 0.6)]),
              ("helicoid", helicoid_L(1.0, 1.0, k_max=1).pieces[0], [(0.0, 0.5), (0.4, 0.55)]),
-             ("bernstein(affine)", BernsteinGraph(*G_AFFINE), [(0.5, 0.5), (1.0, -0.5)]),
+             ("bernstein(affine)", BernsteinGraph(*parse_g(G_AFFINE)), [(0.5, 0.5), (1.0, -0.5)]),
          ]),
         ("ruling[graph-sheets]", 0.3, 40,
          "characteristic traces, curved in the graph chart, follow curvature-H "
@@ -295,7 +292,7 @@ def suite_curvature(tols=None) -> list[Check]:
     fam = helicoid_L(1.0, 1.0, k_max=2)
     for i, piece in enumerate(fam.pieces[:4]):
         cases.append((f"helicoid-piece{i}", piece, 1.0, (0.2, 0.8)))
-    cases.append(("bernstein(y^2)", BernsteinGraph(*G_SQUARE), 0.0, (1.0, 2.5)))
+    cases.append(("bernstein(y^2)", BernsteinGraph(*parse_g(G_SQUARE)), 0.0, (1.0, 2.5)))
     sz = build_sigma_zero(helix_curve(1.0, eps_min=-2, eps_max=2), s_range=(-1.5, 1.5))
     cases.append(("sigma-zero(helix)", sz, 0.0, (0.3, 1.2)))
 
@@ -385,7 +382,7 @@ def suite_minkowski(tols=None, n: int = 256) -> list[Check]:
     tol = _tol(tols, "first-variation")
     fv = msr.first_variation(sp, stretch_speed)
     a1, v1 = fv["a_prime"].value, fv["v_prime"].value
-    checks.append(Check("first-variation[stretch]", abs(a1 - 2.0 * sp.lam * v1) / abs(a1), 0.0,
+    checks.append(Check("first-variation[stretch]", _relative(a1 - 2.0 * sp.lam * v1, a1), 0.0,
                         tol, "A'(0) = 2H V'(0) under the stretch u = t"))
     fd = msr.first_variation_check(sp, stretch, dt=1e-3, n=16)
     checks.append(Check("first-variation[volume-rate]", fd.v_prime, 3 * np.pi**2 / 8, tol,
@@ -394,12 +391,13 @@ def suite_minkowski(tols=None, n: int = 256) -> list[Check]:
     checks.append(Check("first-variation[mean-zero]",
                         abs(fv0["a_prime"].value) / msr.area(sp, 96).value, 0.0, tol,
                         "A'(0) = 0 for volume-preserving modes"))
-    checks.append(Check("first-variation[formula]", abs(a1 - fd.a_prime) / abs(fd.a_prime), 0.0,
+    checks.append(Check("first-variation[formula]", _relative(a1 - fd.a_prime, fd.a_prime), 0.0,
                         tol, "A'(0) = -integral 2H t N_T against the vertical variation u = t"))
     return checks
 
 
-def suite_bernstein(tols=None, g_data=None) -> list[Check]:
+def suite_bernstein(tols=None, g=None) -> list[Check]:
+    """`g`, a text for parse_g, replaces the suite's two graphs t = xy + g(y)."""
     rng = np.random.default_rng(SEED + 3)
     checks = []
     tol_orth = _tol(tols, "orthogonality")
@@ -414,13 +412,13 @@ def suite_bernstein(tols=None, g_data=None) -> list[Check]:
         checks.append(Check(f"orthogonality[sigma,{label}]", worst, 0.0, tol_orth,
                             "characteristic curves meet singular curves at right angles"))
 
-    for label, (g, dg, ddg) in [g_data] if g_data else [("ay+b", G_AFFINE), ("y^2", G_SQUARE)]:
-        patch = BernsteinGraph(g, dg, ddg)
+    for label, text in [(g, g)] if g else [("ay+b", G_AFFINE), ("y^2", G_SQUARE)]:
+        patch = BernsteinGraph(*parse_g(text))
         worst = 0.0
         for y in rng.uniform(-1.0, 1.0, 8):
             defect = float(crv.orthogonality_defect(patch, 0, float(y)))
-            worst = max(worst, abs(defect - (-float(np.asarray(ddg(y))) / 2.0)))
-        stationary = bool(np.all(np.abs(ddg(np.linspace(-2, 2, 64))) < 1e-12))
+            worst = max(worst, abs(defect - (-float(patch.ddg(y)) / 2.0)))
+        stationary = bool(np.all(np.abs(patch.ddg(np.linspace(-2, 2, 64))) < 1e-12))
         verdict = "area-stationary" if stationary else "NOT area-stationary"
         checks.append(Check(f"bernstein-defect[t=xy+{label}]", worst, 0.0,
                             _tol(tols, "bernstein-defect"),
@@ -428,8 +426,8 @@ def suite_bernstein(tols=None, g_data=None) -> list[Check]:
 
     tol_cal = _tol(tols, "calibration-zero")
     for label, graph in (("planes", plane_patch((-0.7, 0.4, 1.0))),
-                         ("t=xy", BernsteinGraph(*_g_affine(0.0, 0.0))),
-                         ("t=xy+2y+1", BernsteinGraph(*_g_affine(2.0, 1.0)))):
+                         ("t=xy", BernsteinGraph(*parse_g("0"))),
+                         ("t=xy+2y+1", BernsteinGraph(*parse_g("2*y + 1")))):
         pts = rng.uniform(-2, 2, size=(100, 3))
         q = Point(pts[:, 0], pts[:, 1], pts[:, 2])
         keep = crv.locus_distance(graph, q) > 0.05
@@ -438,7 +436,7 @@ def suite_bernstein(tols=None, g_data=None) -> list[Check]:
         checks.append(Check(f"calibration-zero[{label}]", float(np.max(np.abs(div))), 0.0,
                             tol_cal, "foliation field is divergence-free"))
 
-    cubic = BernsteinGraph(*G_CUBIC)
+    cubic = BernsteinGraph(*parse_g(G_CUBIC))
     worst = 0.0
     for y0 in (0.4, 0.7, -0.9):
         x0 = -3.0 * y0**2 / 2.0
@@ -473,10 +471,12 @@ SUITES = {
 }
 
 
-def run_suite(name: str, tols=None, g_data=None) -> list[Check]:
+def run_suite(name: str, tols=None, g=None) -> list[Check]:
     """Checks of one named suite, or of every suite in order for 'all';
-    `g_data` = (label, (g, g', g'')) replaces the bernstein suite's graphs."""
+    `g`, a text for parse_g, replaces the bernstein suite's graphs."""
     if name != "all" and name not in SUITES:
         raise KeyError(name)
-    suites = dict(SUITES, bernstein=lambda t: suite_bernstein(t, g_data))
+    if g:
+        parse_g(g)   # a malformed g fails before any suite runs
+    suites = dict(SUITES, bernstein=lambda t: suite_bernstein(t, g))
     return [c for key in (SUITES if name == "all" else (name,)) for c in suites[key](tols)]

@@ -28,11 +28,12 @@ from h1geo.surfaces import (
     build_sigma_lambda,
     cylinder_S,
     helicoid_L,
+    parse_g,
     plane_patch,
     sphere_geodesic,
     sphere_graph,
 )
-from h1geo.verify import G_CUBIC, _g_affine
+from h1geo.verify import G_CUBIC
 
 LAMBDAS = (0.5, 1.0, 2.0)
 
@@ -248,13 +249,13 @@ def test_criterion_11_calibration():
     rng = np.random.default_rng(11)
     worst = 0.0
     for graph in (plane_patch((0.0, 0.0, 1.0)), plane_patch((-0.7, 0.4, 1.0)),
-                  BernsteinGraph(*_g_affine(0.0, 0.0)), BernsteinGraph(*_g_affine(2.0, 1.0))):
+                  BernsteinGraph(*parse_g("0")), BernsteinGraph(*parse_g("2*y + 1"))):
         pts = rng.uniform(-2, 2, size=(100, 3))
         q = Point(pts[:, 0], pts[:, 1], pts[:, 2])
         keep = crv.locus_distance(graph, q) > 0.05
         div = crv.calibration_divergence(graph, Point(pts[keep, 0], pts[keep, 1], pts[keep, 2]))
         worst = max(worst, float(np.max(np.abs(div))))
-    cubic = BernsteinGraph(*G_CUBIC)
+    cubic = BernsteinGraph(*parse_g(G_CUBIC))
     control = max(abs(float(crv.calibration_divergence(
         cubic, Point(-3.0 * 0.7**2 / 2.0 + d, 0.7, 0.1)))) for d in (-2e-6, 2e-6, 5e-6))
     report(11, worst < 1e-6 and control > 1e-2,

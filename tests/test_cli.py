@@ -7,15 +7,16 @@ import subprocess
 import sys
 import tempfile
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import h1geo
-from h1geo.cli import _parse_res, main, parse_poly
+from h1geo.cli import _parse_res, main
 from h1geo.errors import ConfigError
-from h1geo.surfaces import catalog
+from h1geo.surfaces import G_MAX_EXPONENT, G_MAX_TOKENS, catalog, parse_g
 from h1geo.verify import Check, run_suite
 
 
@@ -32,22 +33,22 @@ def write_helix_csv(path, r=1.0, n=200, span=3.0):
 
 
 def test_parse_poly_basic():
-    g, dg, ddg = parse_poly("y^2")
+    g, dg, ddg = parse_g("y^2")
     assert g(3.0) == 9.0 and dg(3.0) == 6.0 and ddg(3.0) == 2.0
 
 
 def test_parse_poly_affine_and_spaces():
-    g, dg, _ = parse_poly("3*y + 7")
+    g, dg, _ = parse_g("3*y + 7")
     assert g(2.0) == 13.0 and dg(0.0) == 3.0
 
 
 def test_parse_poly_unicode_and_parens():
-    g, _, _ = parse_poly("2·(y − 1)^2")
+    g, _, _ = parse_g("2·(y − 1)^2")
     assert g(3.0) == 8.0
 
 
 def test_parse_poly_negative_leading():
-    g, _, _ = parse_poly("-y^3+1")
+    g, _, _ = parse_g("-y^3+1")
     assert g(2.0) == -7.0
 
 
@@ -56,16 +57,22 @@ def test_parse_poly_negative_leading():
     ("3*-2^2", (-12.0,)), ("(-y)^2", (0.0, 0.0, 1.0)), ("-y^2", (0.0, 0.0, -1.0)),
 ])
 def test_parse_poly_unary_minus_negates_the_power(text, expect):
-    assert tuple(parse_poly(text)[0].coef) == expect
+    # expect holds the power-basis coefficients of g
+    y = np.array([-1.5, -0.25, 0.5, 2.0])
+    want = [sum(c * y**k for k, c in enumerate(expect)),
+            sum(k * c * y ** (k - 1) for k, c in enumerate(expect) if k >= 1),
+            sum(k * (k - 1) * c * y ** (k - 2) for k, c in enumerate(expect) if k >= 2)]
+    for got, exact in zip(parse_g(text), want):
+        assert np.array_equal(got(y), exact + 0.0 * y)
 
 
 def test_parse_poly_rejects_junk():
     with pytest.raises(ConfigError):
-        parse_poly("sin(y)")
+        parse_g("sin(y)")
     with pytest.raises(ConfigError):
-        parse_poly("y^-1")
+        parse_g("y^-1")
     with pytest.raises(ConfigError):
-        parse_poly("y y")
+        parse_g("y y")
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +177,32 @@ def test_verify_negative_tolerance():
     assert main(["verify", "--suite", "iso", "--tol-iso-ratio", "-1"]) == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--suite", "geodesics", "--surface", "sphere"], "--surface"),
+    (["--suite", "geodesics", "--lambda", "1"], "--lambda"),
+    (["--suite", "geodesics", "--r", "1"], "--r"),
+    (["--suite", "geodesics", "--curve", "/nonexistent.csv"], "--curve"),
+    (["--suite", "geodesics", "--side", "1"], "--side"),
+    (["--suite", "geodesics", "--sheet", "lower"], "--sheet"),
+    (["--suite", "geodesics", "--d", "0"], "--d"),
+    (["--suite", "geodesics", "--res", "4x4"], "--res"),
+    (["--suite", "iso", "--g", "y^2"], "--g"),
+    (["--g", "y^2", "--suite", "geodesics"], "--g"),
+], ids=["surface", "lambda", "r", "curve", "side", "sheet", "d", "res", "g-iso", "g-geodesics"])
+def test_verify_refuses_flags_it_does_not_read(capsys, argv, flag):
+    assert main(["verify", *argv]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+
+
+def test_verify_config_may_hold_other_commands_keys(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": "bernstein", "g": "y^2", "res": "4x4",
+                               "lambda": 2.0, "suite": "iso"}))
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert "3/3 checks passed" in capsys.readouterr().out
+
+
 def test_verify_bernstein_custom_g(capsys):
     rc = main(["verify", "--suite", "bernstein", "--g", "y^2"])
     assert rc == 0
@@ -182,15 +215,33 @@ _G_ARGV = {"report": ["report", "--surface", "bernstein", "--res", "4x4"],
            "verify": ["verify", "--suite", "bernstein"]}
 
 
-@pytest.mark.parametrize("g", ["1.2.3", "1e", "(" * 1200 + "y" + ")" * 1200, "y^101",
+@pytest.mark.parametrize("g", ["1.2.3", "1e", "(" * 1200 + "y" + ")" * 1200,
                                "1e400*y", "1e300*y*1e300", "y^1e400"],
-                         ids=["two-points", "bare-exponent", "deep-nesting", "degree-101",
+                         ids=["two-points", "bare-exponent", "deep-nesting",
                               "inf-literal", "inf-product", "inf-exponent"])
 @pytest.mark.parametrize("command", sorted(_G_ARGV))
 def test_malformed_g_exits_2(capsys, command, g):
     assert main(_G_ARGV[command] + [f"--g={g}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("g, cap", [
+    ("y^9e99", f"cap of {G_MAX_EXPONENT}"), (f"y^{G_MAX_EXPONENT + 1}", f"cap of {G_MAX_EXPONENT}"),
+    ("+".join(["y"] * (G_MAX_TOKENS // 2 + 1)), f"cap of {G_MAX_TOKENS} tokens"),
+], ids=["exponent-9e99", "exponent-above-cap", "long-expression"])
+@pytest.mark.parametrize("command", sorted(_G_ARGV))
+def test_g_beyond_a_cap_exits_2_naming_it(capsys, command, g, cap):
+    assert main(_G_ARGV[command] + [f"--g={g}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and cap in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("g", ["y^101", "(y+1)^100"])
+def test_high_degree_g_is_accepted(capsys, g):
+    # numpy's degree limit of 100 bound the power basis; the jets have none
+    assert main(["report", "--surface", "bernstein", "--res", "4x4", f"--g={g}"]) == 0
+    assert json.loads(capsys.readouterr().out)["surface"] == "bernstein"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow on extreme inputs
@@ -214,6 +265,21 @@ def test_bernstein_probe_failure_names_the_lost_offset(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "probe offset 1e-05 from bernstein-singular of bernstein at parameter" in err
     assert "the offset is lost to rounding there" in err
+
+
+def test_mesh_heights_of_a_high_power_g_match_mpmath(tmp_path):
+    # the power basis of (y+1)^100 wrote t = 6.7e20 at (-3, -1.4), where t = 4.2
+    csv = tmp_path / "m.csv"
+    assert main(["mesh", "--surface", "bernstein", "--g", "(y+1)^100", "--res", "61x61",
+                 "--csv", str(csv)]) == 0
+    rows = np.loadtxt(csv, delimiter=",", skiprows=1, usecols=(2, 3, 4))
+    assert rows.shape == (61 * 61, 3)
+    with mpmath.workdps(60):
+        worst = 0.0
+        for x, y, t in rows:
+            exact = mpmath.mpf(x) * mpmath.mpf(y) + (mpmath.mpf(y) + 1) ** 100
+            worst = max(worst, abs(mpmath.mpf(t) - exact) / abs(exact) if exact else abs(t))
+    assert worst <= 1e-14, float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +568,7 @@ def test_flag_a_surface_does_not_take_exits_2(tmp_path, capsys, surface, flag):
     assert main(argv + _flag_argv({flag}, curve)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid surface parameters") and err.count("\n") == 1
-    assert {"lambda": "lam", "g": "g_coeffs"}.get(flag, flag) in err   # the builder's name
+    assert {"lambda": "lam"}.get(flag, flag) in err   # the builder's name
     assert not out.exists()
 
 
@@ -610,7 +676,7 @@ def test_cli_never_raises_on_config_values(command, surface, file_cfg):
             argv += ["--suite", "iso"]
         elif "surface" not in file_cfg:
             argv += ["--surface", surface]
-        if "res" not in file_cfg:
+        if "res" not in file_cfg and command != "verify":
             argv += ["--res", "3x3"]
         if command == "mesh":
             argv += ["--csv", os.path.join(tmp, "m.csv")]

@@ -30,11 +30,12 @@ from h1geo.surfaces import (
     cylinder_S,
     helicoid_L,
     mesh,
+    parse_g,
     plane_patch,
     sphere_geodesic,
     sphere_graph,
 )
-from h1geo.verify import G_CUBIC, _g_affine
+from h1geo.verify import G_CUBIC
 
 RNG = np.random.default_rng(1234)
 
@@ -576,7 +577,7 @@ def test_calibration_plane_families():
 
 def test_calibration_stationary_bernstein_families():
     for a in (0.0, 2.0):
-        graph = BernsteinGraph(*_g_affine(a, 0.0))
+        graph = BernsteinGraph(*parse_g(f"{a}*y"))
         assert _calibration_gap(graph, *_off_locus(graph, RNG.uniform(-2, 2, size=(100, 3)))) < 1e-6
 
 
@@ -584,11 +585,11 @@ def test_calibration_stationary_family_clean_even_near_locus():
     # the jump of nu_H across the locus is invisible to the divergence when
     # the characteristic lines meet the singular curve orthogonally
     q = Point(2e-6, 0.7, 0.1)
-    assert abs(calibration_divergence(BernsteinGraph(*_g_affine(0.0, 0.0)), q)) < 1e-6
+    assert abs(calibration_divergence(BernsteinGraph(*parse_g("0")), q)) < 1e-6
 
 
 def test_calibration_cubic_control_detects_nonstationarity():
-    cubic = BernsteinGraph(*G_CUBIC)     # t = xy + y^3, not area-stationary
+    cubic = BernsteinGraph(*parse_g(G_CUBIC))   # t = xy + y^3, not area-stationary
     # probe a short segment straddling the locus 2x + 3y^2 = 0 at y = 0.7
     y0 = 0.7
     x0 = -3.0 * y0**2 / 2.0
@@ -602,7 +603,7 @@ def test_calibration_cubic_control_detects_nonstationarity():
 
 def test_calibration_rejects_on_locus():
     with pytest.raises(OnSingularLocus):
-        calibration_divergence(BernsteinGraph(*_g_affine(0.0, 0.0)), Point(0.0, 0.3, 0.0))
+        calibration_divergence(BernsteinGraph(*parse_g("0")), Point(0.0, 0.3, 0.0))
 
 
 def _sphere_sheet_probes(sheet, rng):

@@ -361,7 +361,7 @@ def _undeclared(patch):
 
 @pytest.mark.parametrize("patch", [
     _undeclared(cylinder_S(1.0)[0]),
-    _undeclared(build_surface("bernstein", g_coeffs=(0.0, 0.0, 1.0))),
+    _undeclared(build_surface("bernstein", g="y^2")),
 ], ids=["cylinder-lower", "bernstein-y^2"])
 def test_unconverged_patch_ends_on_the_capped_pair(patch):
     est = quad_many(patch, 128, ("area",))["area"]
@@ -534,15 +534,16 @@ def _plane_area_mp(point, rect=(-2.0, 2.0, -2.0, 2.0)):
 
 
 _SEED_1_G = (1.795, -0.753, -0.307)
+_SEED_1_TEXT = "1.795 - 0.753*y - 0.307*y^2"   # the same g, as the benchmark writes it
 _CHART_CASES = {
     # name: (patch, exact area)
-    "bernstein-3y^2": (lambda: build_surface("bernstein", g_coeffs=(0.0, 0.0, 3.0)),
+    "bernstein-3y^2": (lambda: build_surface("bernstein", g="3*y^2"),
                        lambda: _bernstein_area_mp((0.0, 0.0, 3.0))),
-    "bernstein-0.3y^3": (lambda: build_surface("bernstein", g_coeffs=(0.0, 0.0, 0.0, 0.3)),
+    "bernstein-0.3y^3": (lambda: build_surface("bernstein", g="0.3*y^3"),
                          lambda: _bernstein_area_mp((0.0, 0.0, 0.0, 0.3))),
-    "bernstein-curve-outside": (lambda: build_surface("bernstein", g_coeffs=(1.0, 10.0)),
+    "bernstein-curve-outside": (lambda: build_surface("bernstein", g="1 + 10*y"),
                                 lambda: _bernstein_area_mp((1.0, 10.0))),
-    "bernstein-seed-1": (lambda: build_surface("bernstein", g_coeffs=_SEED_1_G),
+    "bernstein-seed-1": (lambda: build_surface("bernstein", g=_SEED_1_TEXT),
                          lambda: _bernstein_area_mp(_SEED_1_G)),
     "plane-tilted": (lambda: plane_patch((0.3, -0.2, 1.0), 0.4),
                      lambda: _plane_area_mp((-0.2, -0.3))),
@@ -594,8 +595,8 @@ def test_moved_charts_converge_with_the_base_and_scale_by_e_3s(name):
 
 @pytest.mark.parametrize("patch", [
     cylinder_S(0.8)[0], cylinder_S(-1.3)[1],
-    build_surface("bernstein", g_coeffs=(0.0, 0.0, 3.0)),
-    build_surface("bernstein", g_coeffs=_SEED_1_G).dilated(0.2),
+    build_surface("bernstein", g="3*y^2"),
+    build_surface("bernstein", g=_SEED_1_TEXT).dilated(0.2),
     plane_patch((0.3, -0.2, 1.0), 0.4), plane_patch((2.0, 0.0, 1.0)).flipped(),
 ], ids=["cylinder-lower", "cylinder-upper", "bernstein-3y^2", "bernstein-dilated",
         "plane-tilted", "plane-point-on-side-flipped"])
@@ -619,7 +620,7 @@ def test_charts_tile_the_rectangle_and_integrands_see_base_parameters(patch):
 def test_samples_count_every_chart():
     plane = plane_patch()
     assert area(plane, 128).samples == 4 * (measures.GAUSS_ORDER * 8) ** 2
-    bg = build_surface("bernstein", g_coeffs=(0.0, 0.0, 3.0))
+    bg = build_surface("bernstein", g="3*y^2")
     _, _, samples = measures._sweep(bg, 8, ("area",))
     assert samples == 4 * (measures.GAUSS_ORDER * 8) ** 2
 
@@ -655,7 +656,7 @@ _REPORT_PARAMS = {
     "sphere": {"--lambda": "1.1339"},
     "cylinder-s": {"--lambda": "1.1339"},
     "helicoid-l": {"--lambda": "1.1339", "--r": "1.4628"},
-    "bernstein": {"--g": "1.795 - 0.753*y - 0.307*y^2"},
+    "bernstein": {"--g": _SEED_1_TEXT},
     "plane": {"--d": "-0.7117"},
     "vertical-cylinder": {"--r": "1.4628"},
     "sigma-lambda": {"--lambda": "1.1339"},

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import os
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from h1geo.surfaces import (
     fd_partials,
     helicoid_L,
     mesh,
+    parse_g,
     plane_patch,
     singular_components,
     sphere_geodesic,
@@ -459,6 +461,39 @@ def test_cylinder_singular_lines():
 
 # ---------------------------------------------------------------------------
 # bernstein graphs
+
+
+def _taylor_parts(f, y):
+    """(g, g', g'') of f at the float y by mpmath's Taylor coefficients."""
+    c = mpmath.taylor(f, mpmath.mpf(float(y)), 2)
+    return c[0], c[1], 2 * c[2]
+
+
+@pytest.mark.parametrize("text, f, floor, rtol", [
+    ("(y+1)^100", lambda t: (t + 1) ** 100, 0.0, 1e-15),
+    ("(y-0.3)^7*(y+2)^5", lambda t: (t - mpmath.mpf(0.3)) ** 7 * (t + 2) ** 5, 1e-6, 1e-14),
+], ids=["(y+1)^100", "(y-0.3)^7(y+2)^5"])
+def test_parse_g_jets_match_mpmath_taylor(text, f, floor, rtol):
+    # the jets are exact where the power basis cancels: (y+1)^100 expanded
+    # evaluates to -8.8e10 at y = -0.9, whose true value is 1e-100.  The
+    # second case is checked where each part is at least `floor` of its maximum
+    y = np.linspace(-3.0, 3.0, 601)
+    with mpmath.workdps(60):
+        exact = [_taylor_parts(f, yi) for yi in y]
+        for k, part in enumerate(parse_g(text)):
+            ref = [e[k] for e in exact]
+            scale = floor * max(abs(e) for e in ref)
+            worst = max(abs(mpmath.mpf(float(a)) - e) / abs(e) if e else abs(a)
+                        for a, e in zip(part(y), ref) if abs(e) >= scale)
+            assert worst <= rtol, (text, k, float(worst))
+
+
+def test_parse_g_parts_take_the_shape_of_y():
+    g, dg, ddg = parse_g("3*y + 7")
+    y = np.zeros((2, 3))
+    assert g(y).shape == dg(y).shape == ddg(y).shape == (2, 3)
+    assert np.all(dg(y) == 3.0) and np.all(ddg(y) == 0.0)
+    assert float(g(2.0)) == 13.0
 
 
 def _bernstein_y2():
@@ -966,8 +1001,8 @@ _DECLARED = {
     "cylinder-upper-lam-1": lambda: cylinder_S(-1.0)[1],
     "sphere-sheet-lower": lambda: sphere_graph(0.7)[0],
     "sphere-sheet-upper": lambda: sphere_graph(0.7)[1],
-    "bernstein-y^2": lambda: build_surface("bernstein", g_coeffs=(0.0, 0.0, 1.0)),
-    "bernstein-3y^2": lambda: build_surface("bernstein", g_coeffs=(0.0, 0.0, 3.0)),
+    "bernstein-y^2": lambda: build_surface("bernstein", g="y^2"),
+    "bernstein-3y^2": lambda: build_surface("bernstein", g="3*y^2"),
     "plane-tilted": lambda: plane_patch((0.3, -0.2, 1.0), 0.4),
     "sigma-zero-helix": lambda: build_sigma_zero(helix_curve(0.8, eps_min=-1, eps_max=1),
                                                  s_range=(-0.5, 1.5)),
@@ -1027,7 +1062,7 @@ def test_patches_that_declare_nothing_are_their_own_chart(form):
                VerticalCylinder(1.5),
                plane_patch((1.0, 0.5, 0.0), 0.3),
                plane_patch((3.0, 0.5, 1.0), 0.1),          # cone point (0.5, -3) outside
-               build_surface("bernstein", g_coeffs=(0.0, 10.0))]   # curve x = -5 outside
+               build_surface("bernstein", g="10*y")]   # curve x = -5 outside
     for base in patches:
         patch = _FORMS[form](base)
         assert patch.quadrature_charts() == [], base.label
@@ -1039,7 +1074,7 @@ def test_charts_split_where_the_singular_set_lies():
     assert len(plane_patch((2.0, 2.0, 1.0)).quadrature_charts()) == 2
     # for g = 3y^2 the curve x = -g'(y)/2 = -3y leaves [-3, 3]^2 at y = +-1:
     # one whole-row chart on each outer piece, two split charts on the middle
-    charts = build_surface("bernstein", g_coeffs=(0.0, 0.0, 3.0)).quadrature_charts()
+    charts = build_surface("bernstein", g="3*y^2").quadrature_charts()
     cuts = [(-3.0, -1.0), (-1.0, 1.0), (-1.0, 1.0), (1.0, 3.0)]
     assert [c.rect[2:] for c in charts] == [pytest.approx(c, abs=1e-15) for c in cuts]
     assert [c.rect[:2] for c in charts] == [(-3.0, 3.0), (0.0, 1.0), (0.0, 1.0), (-3.0, 3.0)]
@@ -1059,7 +1094,7 @@ def test_moved_patches_keep_their_singular_curves():
     sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
     assert sl.flipped().lam == -1.0 and sl.dilated(0.2).lam == np.exp(-0.2)
     p0, s0 = Point(0.4, -0.3, 1.2), 0.3
-    bg = build_surface("bernstein", g_coeffs=(0.0, 0.0, 1.0))
+    bg = build_surface("bernstein", g="y^2")
     y = np.linspace(-0.8, 0.8, 5)
     base = orthogonality_defect(bg, 0, y)
     assert np.allclose(base, -1.0, atol=1e-6)   # -g''/2
@@ -1113,7 +1148,7 @@ def test_catalog_roundtrip():
                         "plane", "vertical-cylinder", "sigma-lambda", "sigma-zero"}
     sp = build_surface("sphere", lam=1.0)
     assert isinstance(sp, SpherePatch)
-    bg = build_surface("bernstein", g_coeffs=(7.0, 3.0))
+    bg = build_surface("bernstein", g="7 + 3*y")
     assert isinstance(bg, BernsteinGraph)
 
 

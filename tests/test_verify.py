@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from h1geo import measures
+from h1geo.cli import main
 from h1geo.curvature import characteristic_deviation
 from h1geo.verify import DEFAULT_TOLERANCES, SUITES, ruling_cases, run_suite
 
@@ -54,10 +58,7 @@ def test_suites_are_deterministic():
 
 
 def test_custom_g_data_roundtrip():
-    g_data = ("y^3", (lambda y: np.asarray(y, float) ** 3,
-                      lambda y: 3 * np.asarray(y, float) ** 2,
-                      lambda y: 6 * np.asarray(y, float)))
-    checks = run_suite("bernstein", g_data=g_data)
+    checks = run_suite("bernstein", g="y^3")
     byname = {c.name: c for c in checks}
     defect = byname["bernstein-defect[t=xy+y^3]"]
     assert defect.passed  # measured defect equals -g''/2 even off-stationary
@@ -68,3 +69,20 @@ def test_every_suite_name_has_defaults():
     assert set(SUITES) == {"geodesics", "jacobi", "curvature", "minkowski",
                            "bernstein", "iso"}
     assert all(v > 0 for v in DEFAULT_TOLERANCES.values() if v != 0)
+
+
+def test_minkowski_suite_fails_a_zero_first_variation(monkeypatch, capsys):
+    # A'(0) = 0 makes the relative gaps of [stretch] and [formula] divide by
+    # zero or lose their scale: both checks fail, nothing raises
+    real = measures.first_variation
+
+    def zero_a_prime(patch, u):
+        res = real(patch, u)
+        return dict(res, a_prime=dataclasses.replace(res["a_prime"], value=0.0))
+
+    monkeypatch.setattr(measures, "first_variation", zero_a_prime)
+    assert main(["verify", "--suite", "minkowski"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  first-variation[stretch]: measured=inf" in out
+    assert "FAIL  first-variation[formula]" in out
+    assert "PASS  first-variation[volume-rate]" in out

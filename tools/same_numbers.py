@@ -19,6 +19,9 @@ OUTDIR receives:
 - `extra/`: 40x40 meshes whose values the text kernel does not convert
   itself: a vertical cylinder of radius 1e-6 (values below 1e-4, and
   zeros) and the plane t = 1e16 (values of 1e15 and more);
+- `extra/`: a 61x61 mesh and the report of the Bernstein graph with
+  g = (y+1)^100, whose power-basis expansion cancels: a change to how
+  `--g` is evaluated shows in its heights;
 - `extra/graph-pde.txt`: the `repr` of `graph_pde_residual` and
   `graph_pde_mean_curvature` of every graph family (Bernstein with a
   quadratic and a cubic g, a tilted plane, both cylinder sheets at
@@ -61,9 +64,12 @@ import workloads  # noqa: E402
 
 SEEDS = (11, 12)
 EXTRA_WITH_H = ("sigma-lambda", "helicoid-l", "sigma-zero", "bernstein", "cylinder-s")
-EXTRA_MESHES = {"vertical-cylinder-r1e-6": ["--surface", "vertical-cylinder", "--r", "1e-6"],
-                "plane-d1e16": ["--surface", "plane", "--d", "1e16"]}
+EXTRA_MESHES = {"vertical-cylinder-r1e-6": (["--surface", "vertical-cylinder", "--r", "1e-6"],
+                                            "40x40"),
+                "plane-d1e16": (["--surface", "plane", "--d", "1e16"], "40x40"),
+                "bernstein-pow100": (["--surface", "bernstein", "--g", "(y+1)^100"], "61x61")}
 EXTRA_REPORTS = {"bernstein-3y2": ["--surface", "bernstein", "--g", "3*y^2"],
+                 "bernstein-pow100": ["--surface", "bernstein", "--g", "(y+1)^100"],
                  "cylinder-s-lam0.6": ["--surface", "cylinder-s", "--lambda", "0.6"],
                  "sigma-zero-9x9": ["--surface", "sigma-zero", "--res", "9x9"]}
 
@@ -99,9 +105,8 @@ def _grid(patch):
 def _graphs():
     """(name, graph, H): each graph with the downward-normal H of its
     graph equation (-lam on a sheet whose inner normal points up)."""
-    cases = [("bernstein-y^2", srf.build_surface("bernstein", g_coeffs=(0.0, 0.0, 1.0)), 0.0),
-             ("bernstein-cubic", srf.build_surface("bernstein", g_coeffs=(0.5, -1.0, 0.0, 0.4)),
-              0.0),
+    cases = [("bernstein-y^2", srf.build_surface("bernstein", g="y^2"), 0.0),
+             ("bernstein-cubic", srf.build_surface("bernstein", g="0.5 - y + 0.4*y^3"), 0.0),
              ("plane-tilted", srf.plane_patch((0.3, -0.2, 1.0), 0.5), 0.0)]
     for lam in (1.0, 0.6, -1.0):
         lower, upper = srf.cylinder_S(lam)
@@ -172,8 +177,8 @@ def write_all(outdir):
         _run(["mesh", "--surface", surf, "--res", "40x40", "--with-h",
               "--out", os.path.join(extra, tag + ".obj"),
               "--csv", os.path.join(extra, tag + ".csv")], extra, tag)
-    for tag, argv in EXTRA_MESHES.items():
-        _run(["mesh", *argv, "--res", "40x40", "--out", os.path.join(extra, tag + ".obj"),
+    for tag, (argv, res) in EXTRA_MESHES.items():
+        _run(["mesh", *argv, "--res", res, "--out", os.path.join(extra, tag + ".obj"),
               "--csv", os.path.join(extra, tag + ".csv")], extra, tag)
     for tag, argv in EXTRA_REPORTS.items():
         _run(["report", *argv], extra, "report-" + tag)
