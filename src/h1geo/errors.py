@@ -5,12 +5,9 @@ class GeometryError(Exception):
     """Base class for all h1geo errors."""
 
 
-class NotArclength(GeometryError):
-    """Curve is not parameterized by arclength within tolerance."""
-
-
-class DegenerateCurve(NotArclength):
-    """Planar curve speed vanishes somewhere on the evaluation grid."""
+class DegenerateCurve(GeometryError):
+    """A planar curve's speed vanishes at an edge of its lift table, or its
+    samples cannot make a curve."""
 
 
 class DegeneratePoint(GeometryError):

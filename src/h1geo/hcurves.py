@@ -1,14 +1,19 @@
-"""Horizontal curves: lifts of planar arclength curves and the generator catalog.
+"""Horizontal curves: lifts of planar curves and the generator catalog.
 
 A horizontal curve (x, y, t) satisfies t' = x'y - xy'; the lift of a planar
-arclength curve is unique up to a vertical translation.  The planar geodesic
-curvature h = x'y'' - x''y' (normal convention (-y', x')) drives the cut
-function of the orthogonal-geodesic surface builders.
+curve is unique up to a vertical translation.  On an arclength curve the
+planar geodesic curvature h = x'y'' - x''y' (normal convention (-y', x')) and
+its rate h' = x'y''' - x'''y' drive the cut function of the
+orthogonal-geodesic surface builders.
 
-A generic lift (every CSV curve) tabulates t once per curve, exact to
-rounding on analytic curves and to ~1e-13 relative on splines, and answers a
-batch of queries in one vectorized step; `t_of` is pure, so curves are safe
-to share between threads.  Only the spline builders import scipy.
+`horizontal_lift` is the one place a planar curve, in any regular parameter
+u, becomes an arclength horizontal curve.  It tabulates the arclength L(u)
+and the lift T(u) once per curve, on the same Gauss-Legendre cells in u, and
+maps a query eps to u by Newton's method on L(u) = eps - eps_min, so the
+position, the derivatives, h' and t of a query are all read at one u.  A CSV
+curve is a not-a-knot cubic spline built in numpy, whose knot intervals are
+the lift's first cells.  Every function here is pure, so curves are safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -18,51 +23,50 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateCurve, NotArclength
+from .errors import ConfigError, DegenerateCurve
 from .geodesics import GeodesicSpec, geodesic_point
 from .hgroup import Point
 
-TOL_ARCLENGTH = 1e-6
-VALIDATION_GRID = 1024
-_LIFT_TOL = 1e-14    # per-cell lift error target, relative to max|(x, y)| * length
-_LIFT_MAX_CELLS = 64 * VALIDATION_GRID
-RATE_STEP = 1e-5           # central-difference step of curvature_rate
-ARCLENGTH_NODES = 4096     # grid of reparameterize_arclength's length function
+_LIFT_CELLS = 1024   # first cells of a lift over a curve without breaks
+_LIFT_TOL = 1e-14    # per-cell error target, relative to the length (times max|(x, y)| for t)
+_LIFT_MAX_CELLS = 64 * _LIFT_CELLS
+_NEWTON_MAX = 64     # enough for bisection alone to reach rounding
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
 class PlanarCurve:
-    """A planar curve with two derivatives, as vectorized callables."""
+    """A planar curve with three derivatives in its parameter, as vectorized
+    callables.  `breaks` are the parameters, ends included, where a
+    derivative may jump (a spline's knots); the lift starts its cells there."""
 
     xy: Callable        # eps -> (x, y) arrays
     d1: Callable        # eps -> (x', y')
     d2: Callable        # eps -> (x'', y'')
+    d3: Callable        # eps -> (x''', y''')
     eps_min: float
     eps_max: float
+    breaks: tuple = ()
 
     def speed(self, eps):
         xd, yd = self.d1(eps)
         return np.hypot(xd, yd)
 
 
-def _check_arclength(planar: PlanarCurve) -> None:
-    speed = planar.speed(np.linspace(planar.eps_min, planar.eps_max, VALIDATION_GRID))
-    if np.any(speed < 1e-12):
-        raise DegenerateCurve("planar speed vanishes on the validation grid")
-    err = np.max(np.abs(speed - 1.0))
-    if err > TOL_ARCLENGTH:
-        raise NotArclength(f"speed deviates from 1 by {err:.3e} (tol {TOL_ARCLENGTH:.1e})")
-
-
-def _lift_rule(planar: PlanarCurve, a, b):
-    """Integral of t' = x'y - xy' over each [a, b] by the 8-point Gauss-Legendre
-    rule of `measures`.  With 1-D a and b each sum runs in one fixed order."""
+def _gauss(f, a, b):
+    """Integral of f over each [a, b] by the 8-point Gauss-Legendre rule of
+    `measures`.  Each sum runs in one fixed order, so a value does not depend
+    on the batch or the shape it is computed in."""
     half = 0.5 * (b - a)
-    e = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
-    x, y = planar.xy(e)
-    xd, yd = planar.d1(e)
-    return half * np.sum((xd * y - x * yd) * _GL_WEIGHTS, axis=-1)
+    u = (0.5 * (a + b))[..., None] + half[..., None] * _GL_NODES
+    return half * np.sum(f(u) * _GL_WEIGHTS, axis=-1)
+
+
+def _densities(planar: PlanarCurve, u):
+    """(|P'|, x'y - xy') at u, stacked: the arclength and the lift densities."""
+    x, y = planar.xy(u)
+    xd, yd = planar.d1(u)
+    return np.stack([np.hypot(xd, yd), xd * y - x * yd])
 
 
 @dataclass(frozen=True)
@@ -71,11 +75,13 @@ class HorizontalCurve:
 
     `t_of` is a closed form or the table of :func:`horizontal_lift`, a pure
     function of eps either way, so a curve may be shared between threads.
+    `jet_of`, when set, reads everything `jet` returns in one evaluation.
     """
 
     planar: PlanarCurve
     t_of: Callable                       # eps -> t
     label: str = "curve"
+    jet_of: Callable | None = None
 
     @property
     def eps_min(self):
@@ -89,6 +95,12 @@ class HorizontalCurve:
         x, y = self.planar.xy(eps)
         return Point(x, y, self.t_of(eps))
 
+    def jet(self, eps):
+        """(position, (x', y'), (x'', y''), (x''', y''')) at eps."""
+        if self.jet_of is not None:
+            return self.jet_of(eps)
+        return self.position(eps), self.planar.d1(eps), self.planar.d2(eps), self.planar.d3(eps)
+
     def velocity(self, eps) -> np.ndarray:
         """Unit horizontal velocity in frame coefficients; the T-coefficient
         is zero by lifting, so `t_of` is not evaluated."""
@@ -101,125 +113,133 @@ class HorizontalCurve:
         return xd * ydd - xdd * yd
 
     def curvature_rate(self, eps):
-        """dh/deps by central differences of step RATE_STEP."""
-        h = RATE_STEP
-        return (self.planar_curvature(eps + h) - self.planar_curvature(eps - h)) / (2 * h)
+        """dh/deps = x'y''' - x'''y', the derivative of h on an arclength curve."""
+        xd, yd = self.planar.d1(eps)
+        x3, y3 = self.planar.d3(eps)
+        return xd * y3 - x3 * yd
 
 
-def _planar_from_callables(fx, fy, dfx, dfy, ddfx, ddfy, eps_min, eps_max) -> PlanarCurve:
-    def xy(e):
-        e = np.asarray(e, float)
-        return fx(e), fy(e)
-
-    def d1(e):
-        e = np.asarray(e, float)
-        return dfx(e), dfy(e)
-
-    def d2(e):
-        e = np.asarray(e, float)
-        return ddfx(e), ddfy(e)
-
-    return PlanarCurve(xy, d1, d2, float(eps_min), float(eps_max))
+def _running_sum(start: float, increments) -> np.ndarray:
+    """start, then start plus each prefix sum of `increments`, compensated
+    (Neumaier): a plain cumsum drifts by ~1e3 ulps."""
+    total, comp, out = start, 0.0, [start]
+    for d in increments.tolist():
+        total, old = total + d, total
+        comp += (old - total) + d if abs(old) >= abs(d) else (d - total) + old
+        out.append(total + comp)
+    return np.array(out)
 
 
 def _lift_table(planar: PlanarCurve, t0: float):
-    """Cell edges and the lift t at each edge.  Cells start as VALIDATION_GRID
-    equal ones and are halved while their rule differs from the sum over their
-    halves by more than _LIFT_TOL * max|(x, y)| * length, which rounding never
-    reaches, so the depth is bounded; _LIFT_MAX_CELLS bounds the count.  The
-    running sum is compensated (Neumaier): a plain cumsum drifts by ~1e3 ulps.
+    """Cell edges in u, with the arclength and the lift t at each edge.
+
+    Cells start at the curve's breaks, or as _LIFT_CELLS equal ones, and are
+    halved while the rule for either integral differs from the sum over the
+    halves by more than _LIFT_TOL times the length (times max|(x, y)| for
+    the lift), which rounding never reaches, so the depth is bounded;
+    _LIFT_MAX_CELLS bounds the count.  DegenerateCurve when the planar speed
+    is below 1e-12 at an edge, the two ends among them.
     """
-    grid = np.linspace(planar.eps_min, planar.eps_max, VALIDATION_GRID + 1)
-    tol = _LIFT_TOL * np.max(np.hypot(*planar.xy(grid))) * (grid[-1] - grid[0])
+    grid = (np.array(planar.breaks, float) if planar.breaks
+            else np.linspace(planar.eps_min, planar.eps_max, _LIFT_CELLS + 1))
+
+    def rule(a, b):   # (2, cells): the arclength and the lift over each cell
+        return _gauss(lambda u: _densities(planar, u), a, b)
+
     lo, hi = grid[:-1], grid[1:]
-    whole = _lift_rule(planar, lo, hi)
+    whole = rule(lo, hi)
+    tol = _LIFT_TOL * np.sum(whole[0]) * np.array([[1.0], [np.max(np.hypot(*planar.xy(grid)))]])
     done = []    # (left edges, increments) of the cells that met the target
     while lo.size:
         mid = 0.5 * (lo + hi)
-        left, right = _lift_rule(planar, lo, mid), _lift_rule(planar, mid, hi)
-        split = np.abs(whole - (left + right)) > tol
+        left, right = rule(lo, mid), rule(mid, hi)
+        split = np.any(np.abs(whole - (left + right)) > tol, axis=0)
         if sum(c.size for c, _ in done) + lo.size + np.count_nonzero(split) > _LIFT_MAX_CELLS:
             split[:] = False
-        done.append((lo[~split], whole[~split]))
+        done.append((lo[~split], whole[:, ~split]))
         lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
-        whole = np.concatenate([left[split], right[split]])
-    cells, increments = map(np.concatenate, zip(*done))
+        whole = np.concatenate([left[:, split], right[:, split]], axis=1)
+    cells = np.concatenate([c for c, _ in done])
     order = np.argsort(cells)
-    t, comp, t_edges = t0, 0.0, [t0]
-    for d in increments[order].tolist():
-        t, old = t + d, t
-        comp += (old - t) + d if abs(old) >= abs(d) else (d - t) + old
-        t_edges.append(t + comp)
-    return np.append(cells[order], planar.eps_max), np.array(t_edges)
+    increments = np.concatenate([w for _, w in done], axis=1)[:, order]
+    edges = np.append(cells[order], grid[-1])
+    if not np.min(planar.speed(edges)) >= 1e-12:
+        raise DegenerateCurve("planar speed vanishes on the curve")
+    return edges, _running_sum(0.0, increments[0]), _running_sum(t0, increments[1])
 
 
 def horizontal_lift(planar: PlanarCurve, t0: float = 0.0, label: str = "lift") -> HorizontalCurve:
-    """Lift a planar arclength curve: t(eps) = t0 + integral of (x'y - xy').
+    """Lift a planar curve in any regular parameter u to an arclength
+    horizontal curve: eps = eps_min + L(u), t = t0 + integral of (x'y - xy').
 
-    The integral is tabulated once, per Gauss-Legendre cell (see
-    :func:`_lift_table`); a query adds one 8-point rule from the edge left of
-    it, 8 planar evaluations per point for a whole batch.  Analytic curves
-    come out exact to rounding (helix and line ~1e-15), spline curves within
-    ~1e-13 of t's size.  The table is immutable: `t_of` is pure, the same for
-    any batch, query order or thread.
+    Both integrals are tabulated once over u, per Gauss-Legendre cell (see
+    :func:`_lift_table`).  A query eps takes its cell from the length table
+    and solves L(u) = eps - eps_min there by Newton's method, with L' = |P'|
+    exact and the cell as the bracket (a step that leaves it bisects); L(u)
+    is the edge's length plus one 8-point rule.  Position, derivatives (by
+    the chain rule with du/deps = 1/|P'|) and t (one more rule) are then
+    read at that u, all of them at once by `jet`.  Newton stops, for each
+    query on its own, at a step or an arclength residual of 4 ulps, so
+    every value is pure: the same for any batch, query order or thread.  An
+    arclength curve keeps its parameter to rounding, and analytic curves
+    lift exact to rounding (helix and line ~1e-15).
 
-    Raises NotArclength when the planar speed is off unit; callers may
-    reparameterize first with :func:`reparameterize_arclength`.
+    Raises DegenerateCurve when the planar speed vanishes at a table edge.
     """
-    _check_arclength(planar)
-    edges, t_edges = _lift_table(planar, float(t0))
-    edges.flags.writeable = t_edges.flags.writeable = False
+    edges, lengths, lifts = _lift_table(planar, float(t0))
+    for table in (edges, lengths, lifts):
+        table.flags.writeable = False
+    inner, total = lengths[1:-1], float(lengths[-1])
 
-    def t_of(e):
-        e_in = np.asarray(e, float)
-        e = e_in.ravel()
-        k = np.clip(np.searchsorted(edges, e, side="right") - 1, 0, edges.size - 2)
-        t = (t_edges[k] + _lift_rule(planar, edges[k], e)).reshape(e_in.shape)
-        return float(t) if e_in.ndim == 0 else t
+    def solve(e):
+        """(u, cell) of each query.  A query beyond an end extrapolates the
+        end piece, unbracketed on the outer side."""
+        s = np.asarray(e, float) - planar.eps_min
+        k = np.searchsorted(inner, s, side="right")
+        a, b, la = edges[k], edges[k + 1], lengths[k]
+        lo, hi = np.where(s < 0.0, -np.inf, a), np.where(s > total, np.inf, b)
+        u = a + (b - a) * ((s - la) / (lengths[k + 1] - la))
+        u_tol, s_tol = 4.0 * np.spacing(np.maximum(abs(a), abs(b))), 4.0 * np.spacing(total)
+        live = np.ones(u.shape, bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_MAX):
+                half = 0.5 * (u - a)
+                nodes = (0.5 * (a + u))[..., None] + half[..., None] * _GL_NODES
+                speed = planar.speed(np.concatenate([nodes, u[..., None]], axis=-1))
+                f = la + half * np.sum(speed[..., :-1] * _GL_WEIGHTS, axis=-1) - s
+                lo, hi = np.where(f < 0.0, u, lo), np.where(f > 0.0, u, hi)
+                done = abs(f) <= s_tol   # u stays, whatever the speed there
+                new = np.where(done, u, u - f / speed[..., -1])
+                bisect = ~((lo <= new) & (new <= hi)) & np.isfinite(lo + hi)
+                new = np.where(bisect, 0.5 * (lo + hi), new)
+                u, live = np.where(live, new, u), live & ~done & (abs(new - u) > u_tol)
+                if not live.any():
+                    break
+        return u, k
 
-    return HorizontalCurve(planar, t_of, label=label)
+    def derivs(u):
+        """The first three eps-derivatives of (x, y) at u."""
+        (xd, yd), (xdd, ydd), (x3, y3) = planar.d1(u), planar.d2(u), planar.d3(u)
+        v, w = xd * xd + yd * yd, xd * xdd + yd * ydd
+        z, sp = xdd * xdd + ydd * ydd + xd * x3 + yd * y3, np.sqrt(v)
+        c1, c2 = (4.0 * w * w / v - z) / (v * v), -3.0 * w / (v * v)
+        return ((xd / sp, yd / sp),
+                ((xdd * v - xd * w) / (v * v), (ydd * v - yd * w) / (v * v)),
+                ((x3 / v + c2 * xdd + c1 * xd) / sp, (y3 / v + c2 * ydd + c1 * yd) / sp))
 
+    def lift(u, k):
+        t = lifts[k] + _gauss(lambda v: _densities(planar, v)[1], edges[k], u)
+        return float(t) if t.ndim == 0 else t
 
-def reparameterize_arclength(planar: PlanarCurve) -> PlanarCurve:
-    """Arclength reparameterization by cumulative-length inversion.
+    def jet(e):
+        u, k = solve(e)
+        x, y = planar.xy(u)
+        return (Point(x, y, lift(u, k)), *derivs(u))
 
-    The length function is sampled on ARCLENGTH_NODES points, inverted with monotone
-    PCHIP interpolation, and derivatives are chained analytically through
-    the inverse.
-    """
-    from scipy.interpolate import PchipInterpolator
-
-    u = np.linspace(planar.eps_min, planar.eps_max, ARCLENGTH_NODES)
-    speed = planar.speed(u)
-    if np.any(speed < 1e-12):
-        raise DegenerateCurve("planar speed vanishes on the grid")
-    # composite Simpson cumulative length on the refined grid
-    mid = 0.5 * (u[:-1] + u[1:])
-    smid = planar.speed(mid)
-    seg = (u[1:] - u[:-1]) / 6.0 * (speed[:-1] + 4.0 * smid + speed[1:])
-    length = np.concatenate([[0.0], np.cumsum(seg)])
-    u_of_eps = PchipInterpolator(length, u)
-    total = length[-1]
-
-    def xy(e):
-        return planar.xy(u_of_eps(np.asarray(e, float)))
-
-    def d1(e):
-        uu = u_of_eps(np.asarray(e, float))
-        xd, yd = planar.d1(uu)
-        sp = np.hypot(xd, yd)
-        return xd / sp, yd / sp
-
-    def d2(e):
-        uu = u_of_eps(np.asarray(e, float))
-        xd, yd = planar.d1(uu)
-        xdd, ydd = planar.d2(uu)
-        sp2 = xd * xd + yd * yd
-        sp = np.sqrt(sp2)
-        dot = xd * xdd + yd * ydd
-        return (xdd * sp2 - xd * dot) / (sp2 * sp2), (ydd * sp2 - yd * dot) / (sp2 * sp2)
-
-    return PlanarCurve(xy, d1, d2, 0.0, float(total))
+    arc = PlanarCurve(lambda e: planar.xy(solve(e)[0]),
+                      *(lambda e, n=n: derivs(solve(e)[0])[n] for n in range(3)),
+                      planar.eps_min, planar.eps_min + total)
+    return HorizontalCurve(arc, lambda e: lift(*solve(e)), label=label, jet_of=jet)
 
 
 def line_curve(theta: float = 0.0, base: Point = Point(0.0, 0.0, 0.0),
@@ -232,11 +252,20 @@ def line_curve(theta: float = 0.0, base: Point = Point(0.0, 0.0, 0.0),
 
     ct, st = np.cos(theta), np.sin(theta)
     x0, y0 = float(base.x), float(base.y)
-    planar = _planar_from_callables(
-        lambda e: x0 + ct * e, lambda e: y0 + st * e,
-        lambda e: ct * np.ones_like(e), lambda e: st * np.ones_like(e),
-        lambda e: np.zeros_like(e), lambda e: np.zeros_like(e),
-        eps_min, eps_max)
+
+    def xy(e):
+        e = np.asarray(e, float)
+        return x0 + ct * e, y0 + st * e
+
+    def d1(e):
+        one = np.ones_like(np.asarray(e, float))
+        return ct * one, st * one
+
+    def zeros(e):
+        z = np.zeros_like(np.asarray(e, float))
+        return z, z
+
+    planar = PlanarCurve(xy, d1, zeros, zeros, float(eps_min), float(eps_max))
     return HorizontalCurve(planar, t_of, label="line")
 
 
@@ -264,37 +293,86 @@ def helix_curve(r: float, eps_shift: float = 0.0, t_shift: float = 0.0,
         u = np.asarray(e, float) + eps_shift
         return -2 * r * np.sin(2 * r * u), -2 * r * np.cos(2 * r * u)
 
+    def d3(e):
+        u = np.asarray(e, float) + eps_shift
+        return -4 * r * r * np.cos(2 * r * u), 4 * r * r * np.sin(2 * r * u)
+
     def t_of(e):
         u = np.asarray(e, float) + eps_shift
         return (u - np.sin(2 * r * u) / (2 * r)) / (2 * r) + t_shift
 
-    planar = PlanarCurve(xy, d1, d2, float(eps_min), float(eps_max))
+    planar = PlanarCurve(xy, d1, d2, d3, float(eps_min), float(eps_max))
     return HorizontalCurve(planar, t_of, label="helix")
+
+
+def _not_a_knot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Coefficients (4, n - 1, 2), highest power first, of the not-a-knot
+    cubic spline through the n rows of v over the knots u, as in scipy's
+    `CubicSpline(u, v).c`: the slopes at the knots solve one tridiagonal
+    system, by elimination without pivoting (the Thomas algorithm)."""
+    n, dx = u.size, np.diff(u)
+    slope = np.diff(v, axis=0) / dx[:, None]
+    lower, diag, upper, rhs = np.empty(n), np.empty(n), np.empty(n), np.empty_like(v)
+    lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    # not-a-knot: the third derivative is continuous at the second and the
+    # second-to-last knots
+    d = u[2] - u[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = u[-1] - u[-3]
+    lower[-1], diag[-1] = d, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = np.empty_like(rhs)
+    s[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx[:, None]
+    return np.stack([t / dx[:, None], (slope - s[:-1]) / dx[:, None] - t, s[:-1], v[:-1]])
+
+
+def _spline_curve(u: np.ndarray, x: np.ndarray, y: np.ndarray) -> PlanarCurve:
+    """The not-a-knot cubic spline through (x, y) over the knots u, and its
+    derivatives, each by Horner's rule on the piece left of the query (the
+    first or last piece beyond the ends).  Its knots are its breaks; its
+    third derivative is constant on each piece."""
+    c = _not_a_knot(u, np.stack([x, y], axis=-1))
+    polys = [c, c[:3] * np.array([3.0, 2.0, 1.0])[:, None, None],
+             c[:2] * np.array([6.0, 2.0])[:, None, None], 6.0 * c[:1]]
+
+    def derivative(poly):
+        def f(e):
+            e = np.asarray(e, float)
+            k = np.searchsorted(u[1:-1], e, side="right")
+            d, v = (e - u[k])[..., None], poly[0, k]
+            for coef in poly[1:, k]:
+                v = v * d + coef
+            return v[..., 0], v[..., 1]
+        return f
+
+    return PlanarCurve(*map(derivative, polys), float(u[0]), float(u[-1]),
+                       breaks=tuple(u.tolist()))
 
 
 def curve_from_samples(eps: np.ndarray, x: np.ndarray, y: np.ndarray,
                        t0: float = 0.0, label: str = "csv") -> HorizontalCurve:
-    """Build a lifted curve from planar samples via cubic splines.
+    """Build a lifted curve from planar samples: the not-a-knot cubic spline
+    through them, lifted by :func:`horizontal_lift`.
 
-    Samples need not be arclength; the spline curve is reparameterized
-    first.  `eps` must be strictly increasing.
+    Samples need not be arclength.  `eps` must be strictly increasing; the
+    spline's parameter is eps - eps[0], so the arclength runs from 0.
     """
-    from scipy.interpolate import CubicSpline
-
     eps = np.asarray(eps, float)
     if eps.ndim != 1 or eps.size < 4:
         raise DegenerateCurve("need at least 4 samples")
     if np.any(np.diff(eps) <= 0):
         raise DegenerateCurve("eps column must be strictly increasing")
-    sx = CubicSpline(eps, np.asarray(x, float))
-    sy = CubicSpline(eps, np.asarray(y, float))
-    planar = PlanarCurve(
-        lambda e: (sx(e), sy(e)),
-        lambda e: (sx(e, 1), sy(e, 1)),
-        lambda e: (sx(e, 2), sy(e, 2)),
-        float(eps[0]), float(eps[-1]))
-    arc = reparameterize_arclength(planar)
-    return horizontal_lift(arc, t0=t0, label=label)
+    planar = _spline_curve(eps - eps[0], np.asarray(x, float), np.asarray(y, float))
+    return horizontal_lift(planar, t0=t0, label=label)
 
 
 def load_curve_csv(path) -> HorizontalCurve:

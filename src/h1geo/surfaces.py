@@ -33,9 +33,9 @@ A patch states its singular set in its parameters: `quadrature_charts`,
 parameters, so a moved patch keeps both.
 A `SurfaceMesh` keeps the grid, the points, |N_H|, the geometric s and the
 mean-curvature estimate.  An orthogonal-geodesic patch reads its curve's
-`position`, `planar.d1` and `planar.d2` once per call, on eps as given, and
-forms h = x'y'' - x''y' from them; a sigma-lambda call also reads d1 and d2
-at eps +- RATE_STEP, for `curvature_rate`.
+`jet` (the position and three derivatives) once per call, on eps as given,
+and forms h = x'y'' - x''y' and the rate h' = x'y''' - x'''y' from it; a
+lifted curve reads them all at one parameter.
 """
 
 from __future__ import annotations
@@ -578,7 +578,9 @@ def parse_g(text: str):
     power-basis coefficients, which cancel ((y+1)^100 expanded gives -8.8e10
     at y = -0.9).  ConfigError for a malformed text, a non-finite literal,
     more than G_MAX_TOKENS tokens, an exponent above G_MAX_EXPONENT, nesting
-    beyond the recursion limit, and g, g' or g'' not finite at y = -1 or 1."""
+    beyond the recursion limit, and g, g' or g'' not finite at y = -1 or 1.
+    Each function carries `jet`, y -> (g, g', g''), one run of the program
+    for all three, which `BernsteinGraph` reads."""
     try:
         program = _g_program(text)
     except (ValueError, RecursionError) as exc:
@@ -587,8 +589,13 @@ def parse_g(text: str):
         if not all(np.all(np.isfinite(p)) for p in _jet(program, np.array([-1.0, 1.0]))):
             raise ConfigError("g, g' and g'' must be finite at y = -1 and y = 1")
 
-    def part(k):   # a part that does not depend on y still takes its shape
-        return lambda y: _jet(program, _asf(y))[k] + np.zeros(np.shape(y))
+    def jet(y):   # a part that does not depend on y still takes its shape
+        return tuple(p + np.zeros(np.shape(y)) for p in _jet(program, _asf(y)))
+
+    def part(k):
+        f = lambda y: jet(y)[k]   # noqa: E731
+        f.jet = jet
+        return f
 
     return tuple(part(k) for k in range(3))
 
@@ -609,13 +616,16 @@ class BernsteinGraph(GraphPatch):
     def __init__(self, g, dg, ddg, rect=(-3.0, 3.0, -3.0, 3.0)):
         super().__init__(*rect)
         self.g, self.dg, self.ddg = g, dg, ddg
+        # (g, g', g'') at y from one evaluation where g comes from parse_g
+        self.jet = getattr(g, "jet", None) or (lambda y: (g(y), dg(y), ddg(y)))
 
     def height(self, x, y):
-        return x * y + self.g(y), _asf(y) + 0.0 * _asf(x), _asf(x) + self.dg(y)
+        g, dg, _ = self.jet(y)
+        return x * y + g, _asf(y) + 0.0 * _asf(x), _asf(x) + dg
 
     def hessian(self, x, y):
         shape = np.broadcast_shapes(_asf(x).shape, _asf(y).shape)
-        return np.zeros(shape), np.ones(shape), self.ddg(y) + 0.0 * _asf(x)
+        return np.zeros(shape), np.ones(shape), self.jet(y)[2] + 0.0 * _asf(x)
 
     def singular_curves(self):
         def inward(y, offset):
@@ -785,15 +795,15 @@ class VerticalCylinder(ImmersedPatch):
 
 
 def _curve_data(curve: HorizontalCurve, eps):
-    """(position, (x', y'), (x'', y''), h) of the curve on `eps` as given.
+    """(position, (x', y'), (x'', y''), h, h') of the curve on `eps` as given,
+    from one `jet` read.
 
     The orthogonal-geodesic patches derive every per-eps quantity from
     these, so one patch call fetches its curve once on the eps axis and
     never on the broadcast (eps, s) grid.
     """
-    eps = _asf(eps)
-    (xd, yd), (xdd, ydd) = curve.planar.d1(eps), curve.planar.d2(eps)
-    return curve.position(eps), (xd, yd), (xdd, ydd), xd * ydd - xdd * yd
+    p, (xd, yd), (xdd, ydd), (x3, y3) = curve.jet(_asf(eps))
+    return p, (xd, yd), (xdd, ydd), xd * ydd - xdd * yd, xd * y3 - x3 * yd
 
 
 class SigmaLambdaPatch(ImmersedPatch):
@@ -829,11 +839,13 @@ class SigmaLambdaPatch(ImmersedPatch):
             h = self.curve.planar_curvature(eps)
         return cut_time(self.side * h, self.lam)
 
-    def s_cut_rate(self, eps, h=None):
-        """d s_cut / d eps = -2 side h'(eps) / (4 lam^2 + h^2)."""
+    def s_cut_rate(self, eps, h=None, hdot=None):
+        """d s_cut / d eps = -2 side h'(eps) / (4 lam^2 + h^2); `h` and `hdot`
+        are h and h' at eps, passed by callers that already hold them."""
         if h is None:
             h = self.curve.planar_curvature(eps)
-        hdot = self.curve.curvature_rate(eps)
+        if hdot is None:
+            hdot = self.curve.curvature_rate(eps)
         return -2.0 * self.side * hdot / (4.0 * self.lam**2 + h * h)
 
     def geometric_s(self, eps, s):
@@ -850,7 +862,7 @@ class SigmaLambdaPatch(ImmersedPatch):
             b = y' + side y'' kap + side x'' sig
             c = h kap / lam - 2 side sig
         """
-        p, (xd, yd), (xdd, ydd), h = data
+        p, (xd, yd), (xdd, ydd), h, _ = data
         sgeo = _asf(sgeo)
         sig, kap, tau = stable_ratios(self.lam, sgeo)
         A = -self.side * yd
@@ -878,7 +890,7 @@ class SigmaLambdaPatch(ImmersedPatch):
         h = data[3]
         scut = self.s_cut(eps, h)
         p, gdot, v = self._along(data, sig * scut)
-        fe = v + (sig * self.s_cut_rate(eps, h))[..., None] * gdot
+        fe = v + (sig * self.s_cut_rate(eps, h, data[4]))[..., None] * gdot
         fs = scut[..., None] * gdot
         return fe, fs, p
 
@@ -927,7 +939,7 @@ class SigmaZeroPatch(ImmersedPatch):
 
     def partials(self, eps, s):
         """F_s is broadcast to the sample shape."""
-        p, (xd, yd), (xdd, ydd), h = _curve_data(self.curve, eps)
+        p, (xd, yd), (xdd, ydd), h, _ = _curve_data(self.curve, eps)
         s = _asf(s)
         x0, y0, t0 = _asf(p.x), _asf(p.y), _asf(p.t)
         fe = np.stack([xd - s * ydd, yd + s * xdd, s * s * h - 2.0 * s], axis=-1)

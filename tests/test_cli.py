@@ -394,17 +394,28 @@ def test_run_suite_unknown_name():
 # exit-code contract at the input and output boundaries
 
 
-def test_import_cli_leaves_scipy_unloaded():
+def test_import_cli_leaves_scipy_unloaded(tmp_path):
+    # neither the import nor a command over a CSV curve loads scipy
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(h1geo.__file__)))
     code = ("import sys, h1geo.cli; "
-            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+            "rc = h1geo.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "sys.exit(rc or 10 * any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    curve = tmp_path / "curve.csv"
+    curve.write_text("eps,x,y\n" + "".join(f"{e / 39!r},{e / 39!r},{0.2 * math.sin(e / 13)!r}\n"
+                                            for e in range(40)))
+    src = ["--surface", "sigma-lambda", "--curve", str(curve)]
+    for argv in ([], ["report", *src, "--res", "4x4"],
+                 ["mesh", *src, "--res", "8x8", "--out", str(tmp_path / "m.obj")]):
+        run = subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=120,
+                             capture_output=True)
+        assert run.returncode == 0, (argv, run.returncode)
 
 
 @pytest.mark.parametrize("text, code", [
     (None, 2), ("", 2), ("eps,x,y\n", 2), ("eps,x,y\n0,0\n1,1\n2,2\n3,3\n", 2),
     ("eps,x,y\n0,0,0\n1,a,0\n2,2,0\n3,3,0\n", 2), ("eps,x,y\n0,0,0\n1,nan,0\n2,2,0\n3,3,0\n", 2),
-], ids=["missing", "empty", "header-only", "short-rows", "non-numeric", "nan"])
+    ("eps,x,y\n0,1,2\n1,1,2\n2,1,2\n3,1,2\n4,1,2\n", 2),
+], ids=["missing", "empty", "header-only", "short-rows", "non-numeric", "nan", "constant"])
 def test_bad_curve_csv_exit_codes(tmp_path, capsys, text, code):
     curve = tmp_path / "curve.csv"
     if text is not None:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import h1geo.hcurves as hc
-from h1geo.errors import ConfigError, DegenerateCurve, NotArclength
+from h1geo.errors import ConfigError, DegenerateCurve
 from h1geo.geodesics import GeodesicSpec, geodesic_point
 from h1geo.hcurves import (
     PlanarCurve,
@@ -16,7 +16,6 @@ from h1geo.hcurves import (
     horizontal_lift,
     line_curve,
     load_curve_csv,
-    reparameterize_arclength,
 )
 from h1geo.hgroup import ORIGIN, Point
 
@@ -38,6 +37,7 @@ def test_lift_of_x_axis_is_x_axis():
     planar = PlanarCurve(
         lambda e: (np.asarray(e, float), np.zeros_like(np.asarray(e, float))),
         lambda e: (np.ones_like(np.asarray(e, float)), np.zeros_like(np.asarray(e, float))),
+        lambda e: (np.zeros_like(np.asarray(e, float)), np.zeros_like(np.asarray(e, float))),
         lambda e: (np.zeros_like(np.asarray(e, float)), np.zeros_like(np.asarray(e, float))),
         -2.0, 2.0)
     c = horizontal_lift(planar, 0.0)
@@ -63,7 +63,11 @@ def test_lift_of_planar_circle_is_helix():
         e = np.asarray(e, float)
         return -2 * r * np.sin(2 * r * e), -2 * r * np.cos(2 * r * e)
 
-    planar = PlanarCurve(xy, d1, d2, -1.5, 1.5)
+    def d3(e):
+        e = np.asarray(e, float)
+        return -4 * r * r * np.cos(2 * r * e), 4 * r * r * np.sin(2 * r * e)
+
+    planar = PlanarCurve(xy, d1, d2, d3, -1.5, 1.5)
     lifted = horizontal_lift(planar, 0.0)
     eps = np.linspace(-1.4, 1.4, 31)
     t_expect = (eps - np.sin(2 * r * eps) / (2 * r)) / (2 * r)
@@ -77,21 +81,9 @@ def test_lift_rejects_constant_point():
         lambda e: (np.ones_like(np.asarray(e, float)), np.ones_like(np.asarray(e, float))),
         lambda e: (np.zeros_like(np.asarray(e, float)), np.zeros_like(np.asarray(e, float))),
         lambda e: (np.zeros_like(np.asarray(e, float)), np.zeros_like(np.asarray(e, float))),
-        0.0, 1.0)
-    # zero speed is both degenerate and a (vacuous) arclength failure
-    with pytest.raises(NotArclength):
-        horizontal_lift(planar, 0.0)
-    with pytest.raises(DegenerateCurve):
-        horizontal_lift(planar, 0.0)
-
-
-def test_lift_rejects_non_arclength():
-    planar = PlanarCurve(
-        lambda e: (2.0 * np.asarray(e, float), np.zeros_like(np.asarray(e, float))),
-        lambda e: (2.0 * np.ones_like(np.asarray(e, float)), np.zeros_like(np.asarray(e, float))),
         lambda e: (np.zeros_like(np.asarray(e, float)), np.zeros_like(np.asarray(e, float))),
         0.0, 1.0)
-    with pytest.raises(NotArclength):
+    with pytest.raises(DegenerateCurve):
         horizontal_lift(planar, 0.0)
 
 
@@ -124,16 +116,21 @@ def test_planar_curvature_unit_circle():
         lambda e: (np.cos(e), np.sin(e)),
         lambda e: (-np.sin(e), np.cos(e)),
         lambda e: (-np.cos(e), -np.sin(e)),
+        lambda e: (np.sin(e), -np.cos(e)),
         0.0, 2 * np.pi)
     c = horizontal_lift(planar, 0.0)
     assert np.allclose(c.planar_curvature(np.linspace(0.2, 6.0, 12)), 1.0, atol=1e-14)
 
 
 def test_reparameterize_identity_on_arclength_input():
+    # horizontal_lift measures arclength from eps_min, so an arclength
+    # curve keeps its parameter
     helix = helix_curve(1.1)
-    out = reparameterize_arclength(helix.planar)
-    eps = np.linspace(0.0, out.eps_max, 40)
-    x0, y0 = helix.planar.xy(eps + helix.eps_min)
+    out = horizontal_lift(helix.planar).planar
+    assert out.eps_min == helix.eps_min
+    assert out.eps_max == pytest.approx(helix.eps_max, abs=1e-14)
+    eps = np.linspace(out.eps_min, out.eps_max, 40)
+    x0, y0 = helix.planar.xy(eps)
     x1, y1 = out.xy(eps)
     assert np.max(np.hypot(x1 - x0, y1 - y0)) < 1e-10
 
@@ -143,8 +140,9 @@ def test_reparameterize_constant_speed():
         lambda e: (2.0 * np.asarray(e, float), np.zeros_like(np.asarray(e, float))),
         lambda e: (2.0 * np.ones_like(np.asarray(e, float)), np.zeros_like(np.asarray(e, float))),
         lambda e: (np.zeros_like(np.asarray(e, float)), np.zeros_like(np.asarray(e, float))),
+        lambda e: (np.zeros_like(np.asarray(e, float)), np.zeros_like(np.asarray(e, float))),
         0.0, 1.0)
-    out = reparameterize_arclength(planar)
+    out = horizontal_lift(planar).planar
     assert out.eps_max == pytest.approx(2.0, abs=1e-12)
     eps = np.linspace(0, 2, 21)
     x, _ = out.xy(eps)
@@ -156,8 +154,9 @@ def test_reparameterize_ellipse_speed():
         lambda e: (2.0 * np.cos(e), np.sin(e)),
         lambda e: (-2.0 * np.sin(e), np.cos(e)),
         lambda e: (-2.0 * np.cos(e), -np.sin(e)),
+        lambda e: (2.0 * np.sin(e), -np.cos(e)),
         0.0, 2 * np.pi)
-    out = reparameterize_arclength(planar)
+    out = horizontal_lift(planar).planar
     eps = np.linspace(0, out.eps_max, 1000)
     assert np.max(np.abs(out.speed(eps) - 1.0)) < 1e-8
 
@@ -234,9 +233,10 @@ def test_reparameterize_rejects_vanishing_speed():
         lambda e: (np.asarray(e, float) ** 2, np.zeros_like(np.asarray(e, float))),
         lambda e: (2.0 * np.asarray(e, float), np.zeros_like(np.asarray(e, float))),
         lambda e: (2.0 * np.ones_like(np.asarray(e, float)), np.zeros_like(np.asarray(e, float))),
-        0.0, 1.0)  # speed vanishes at the eps = 0 grid endpoint
+        lambda e: (np.zeros_like(np.asarray(e, float)), np.zeros_like(np.asarray(e, float))),
+        0.0, 1.0)  # speed vanishes at the eps = 0 end
     with pytest.raises(DegenerateCurve):
-        reparameterize_arclength(planar)
+        horizontal_lift(planar)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +306,15 @@ def test_generic_lift_matches_closed_form(closed):
     assert np.max(np.abs(lifted.t_of(eps) - closed.t_of(eps))) < 1e-13
 
 
+def test_generic_lift_extrapolates_beyond_the_ends():
+    # a query outside the curve takes Newton's method out of the end cell,
+    # unbracketed on the outer side; the helix is analytic there
+    helix = helix_curve(0.9)
+    lifted = horizontal_lift(helix.planar, float(helix.t_of(helix.eps_min)))
+    eps = np.array([helix.eps_min - 0.05, helix.eps_max + 0.05])
+    assert np.max(np.abs(lifted.position(eps).as_array() - helix.position(eps).as_array())) < 1e-13
+
+
 def gl16(f, a, b):
     half = 0.5 * (b - a)
     e = (0.5 * (a + b))[:, None] + half[:, None] * GL16_NODES
@@ -313,28 +322,64 @@ def gl16(f, a, b):
 
 
 def test_csv_lift_matches_knot_aligned_oracle():
-    # reparameterize_arclength inverts the spline's arclength with PCHIP on a
-    # 4096-point grid, so the integrand is smooth between those knots; the
-    # oracle is a 16-point Gauss-Legendre rule on each knot interval
+    # scipy's spline, integrated over its own parameter u by a 16-point
+    # Gauss-Legendre rule on each knot interval cut in 4 (one rule per
+    # interval is 8.6e-9 off in length at the speed dip; four have
+    # converged to the last digit), is the oracle for both the arclength
+    # eps(u) and the lift t(u)
     u, x, y = CSV_SAMPLES
     sx, sy = CubicSpline(u, x), CubicSpline(u, y)
-    ugrid = np.linspace(u[0], u[-1], 4096)
-    knots = np.concatenate([[0.0], np.cumsum(gl16(
-        lambda e: np.hypot(sx(e, 1), sy(e, 1)), ugrid[:-1], ugrid[1:]))])
-    # the curve's knots come from composite Simpson, which is 2e-11 off here;
-    # a knot that far from a cell edge costs the oracle nothing
-    assert knots[-1] == pytest.approx(CSV_CURVE.eps_max, abs=1e-10)
+    grid = np.concatenate([np.linspace(a, b, 4, endpoint=False) for a, b in zip(u[:-1], u[1:])]
+                          + [u[-1:]])
+
+    def speed(e):
+        return np.hypot(sx(e, 1), sy(e, 1))
 
     def tdot(e):
-        xx, yy = CSV_CURVE.planar.xy(e)
-        xd, yd = CSV_CURVE.planar.d1(e)
-        return xd * yy - xx * yd
+        return sx(e, 1) * sy(e) - sx(e) * sy(e, 1)
 
-    at_knots = np.concatenate([[0.0], np.cumsum(gl16(tdot, knots[:-1], knots[1:]))])
-    eps = np.linspace(0.0, CSV_CURVE.eps_max, 3001)[1:-1]
-    k = np.searchsorted(knots, eps) - 1
-    oracle = at_knots[k] + gl16(tdot, knots[k], eps)
-    assert np.max(np.abs(CSV_CURVE.t_of(eps) - oracle)) < 1e-12
+    def integral(f, q):
+        at_grid = np.concatenate([[0.0], np.cumsum(gl16(f, grid[:-1], grid[1:]))])
+        k = np.clip(np.searchsorted(grid, q) - 1, 0, grid.size - 2)
+        return at_grid[k] + gl16(f, grid[k], q)
+
+    assert integral(speed, u[-1:])[0] == pytest.approx(CSV_CURVE.eps_max, rel=1e-14, abs=0)
+    q = np.linspace(u[0], u[-1], 3001)[1:-1]
+    eps = integral(speed, q)
+    assert np.max(np.abs(CSV_CURVE.t_of(eps) - integral(tdot, q))) < 1e-12
+    x1, y1 = CSV_CURVE.planar.xy(eps)
+    assert np.max(np.hypot(x1 - sx(q), y1 - sy(q))) < 1e-12
+
+
+def test_spline_matches_scipy():
+    for u, x, y in (CSV_SAMPLES, (np.cumsum(RNG.uniform(0.1, 1.0, 30)),
+                                  RNG.normal(size=30), RNG.normal(size=30)),
+                    (np.array([0.0, 0.3, 1.1, 1.5]), RNG.normal(size=4), RNG.normal(size=4))):
+        c = hc._not_a_knot(u, np.stack([x, y], axis=-1))
+        planar = hc._spline_curve(u, x, y)
+        e = np.linspace(u[0] - 0.1, u[-1] + 0.1, 997)
+        for k, s in enumerate((CubicSpline(u, x), CubicSpline(u, y))):
+            assert np.max(np.abs(c[..., k] - s.c) / np.max(np.abs(s.c), axis=1)[:, None]) < 1e-13
+            for nu, f in enumerate((planar.xy, planar.d1, planar.d2, planar.d3)):
+                want = s(e, nu)
+                assert np.max(np.abs(f(e)[k] - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_csv_curve_is_one_arclength_curve():
+    # xy, d1 and d2 are read at the one u that Newton finds for eps, so the
+    # central differences of xy and of d1 converge to d1 and d2 like the
+    # step squared (a PCHIP-inverted parameter stalled at 1.5e-5 and 1e-4),
+    # and |d1| = 1 to rounding
+    eps = np.linspace(0.01, CSV_CURVE.eps_max - 0.01, 401)
+    derivs = [CSV_CURVE.planar.xy, CSV_CURVE.planar.d1, CSV_CURVE.planar.d2]
+    assert np.max(np.abs(np.hypot(*derivs[1](eps)) - 1.0)) < 1e-15
+    for f, df in zip(derivs[:-1], derivs[1:]):
+        xd, yd = df(eps)
+        errs = []
+        for h in (1e-5, 1e-6):
+            (xp, yp), (xm, ym) = f(eps + h), f(eps - h)
+            errs.append(np.max(np.hypot((xp - xm) / (2 * h) - xd, (yp - ym) / (2 * h) - yd)))
+        assert errs[1] < errs[0] / 50
 
 
 def test_load_curve_csv_unreadable_file(tmp_path):
@@ -365,8 +410,10 @@ def test_lift_refinement_stops_at_the_cell_budget(monkeypatch):
         phase = 2.0 * np.floor(np.asarray(e, float) * 1e5)
         return np.cos(phase), np.sin(phase)
 
-    planar = PlanarCurve(lambda e: (np.asarray(e, float), np.zeros_like(e)), d1, zeros, 0.0, 1.0)
-    monkeypatch.setattr(hc, "_LIFT_MAX_CELLS", 2 * hc.VALIDATION_GRID)
-    edges, t_edges = hc._lift_table(planar, 0.0)
-    assert edges.size - 1 <= 2 * hc.VALIDATION_GRID and edges.size == t_edges.size
+    planar = PlanarCurve(lambda e: (np.asarray(e, float), np.zeros_like(e)), d1, zeros, zeros,
+                         0.0, 1.0)
+    monkeypatch.setattr(hc, "_LIFT_MAX_CELLS", 2 * hc._LIFT_CELLS)
+    edges, lengths, t_edges = hc._lift_table(planar, 0.0)
+    assert edges.size - 1 <= 2 * hc._LIFT_CELLS and edges.size == lengths.size == t_edges.size
     assert np.all(np.diff(edges) > 0) and np.all(np.isfinite(t_edges))
+    assert lengths[-1] == pytest.approx(1.0, rel=1e-14)

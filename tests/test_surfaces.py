@@ -252,7 +252,19 @@ def clothoid_curve():
         e = np.asarray(e, float)
         return -e * np.sin(e * e / 2), e * np.cos(e * e / 2)
 
-    return horizontal_lift(PlanarCurve(xy, d1, d2, -1.0, 1.0), label="clothoid")
+    def d3(e):
+        e = np.asarray(e, float)
+        c, s = np.cos(e * e / 2), np.sin(e * e / 2)
+        return -s - e * e * c, c - e * e * s
+
+    return horizontal_lift(PlanarCurve(xy, d1, d2, d3, -1.0, 1.0), label="clothoid")
+
+
+def test_clothoid_curvature_and_rate_are_exact():
+    clothoid = clothoid_curve()
+    eps = np.linspace(-1.0, 1.0, 41)
+    assert np.max(np.abs(clothoid.planar_curvature(eps) - eps)) < 1e-14
+    assert np.max(np.abs(clothoid.curvature_rate(eps) - 1.0)) < 1e-14
 
 
 @pytest.mark.parametrize("side", [1, -1])
@@ -269,9 +281,9 @@ def test_sigma_lambda_partials_evaluate_curvature_once_on_eps(side):
     eps = np.linspace(-0.8, 0.8, 7)[:, None]
     s = np.linspace(0.1, 0.9, 5)[None, :]
     fe, fs, p = sl.partials(eps, s)
-    # none on eps itself; curvature_rate makes two, at eps +- h_fd
-    assert sum(np.array_equal(e, eps) for e in calls) == 0
-    assert len(calls) == 2
+    # none at all: s_cut and s_cut_rate take h from the curve data, and
+    # curvature_rate reads d1 and d3
+    assert calls == []
     # the same bits as the expressions that fetched h for s_cut and s_cut_rate
     ref = build_sigma_lambda(base, 1.3, side)
     scut = ref.s_cut(eps)
@@ -494,6 +506,24 @@ def test_parse_g_parts_take_the_shape_of_y():
     assert g(y).shape == dg(y).shape == ddg(y).shape == (2, 3)
     assert np.all(dg(y) == 3.0) and np.all(ddg(y) == 0.0)
     assert float(g(2.0)) == 13.0
+
+
+def test_bernstein_runs_the_jet_program_once_per_call(monkeypatch):
+    import h1geo.surfaces as srf
+
+    runs, jet = [], srf._jet
+    monkeypatch.setattr(srf, "_jet", lambda program, y: runs.append(np.size(y)) or jet(program, y))
+    graph = BernsteinGraph(*parse_g("(y-0.3)^7*(y+2)^5"))
+    x, y = np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-2, 2, 4))
+    for call in (graph.partials, graph.height, graph.hessian, graph.normal_data):
+        runs.clear()
+        call(x, y)
+        assert runs == [20], call.__name__
+    # the same numbers as the three parts read one at a time
+    g, dg, ddg = parse_g("(y-0.3)^7*(y+2)^5")
+    u, _, uy = graph.height(x, y)
+    assert np.array_equal(u, x * y + g(y)) and np.array_equal(uy, x + dg(y))
+    assert np.array_equal(graph.hessian(x, y)[2], ddg(y))
 
 
 def _bernstein_y2():
