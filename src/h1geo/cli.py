@@ -53,7 +53,10 @@ def _check_config_type(key: str, value) -> None:
         raise ConfigError(f"config key {key!r} must be {_TYPE_NAMES[want]} (got {value!r})")
 
 
-_MAX_RES = 2048   # per side; a 1024x1024 helicoid OBJ+CSV mesh peaks near 180 MB
+# The largest mesh side.  A mesh holds 48 bytes per vertex plus one block of
+# rows, so a helicoid OBJ+CSV mesh peaks near 86 MB at 1024x1024 and near
+# 235 MB at 2048x2048.
+_MAX_RES = 2048
 
 
 def _parse_res(text: str):

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import NoSingularCurve, OnSingularLocus, SingularPoint
 from .geodesics import GeodesicSpec, geodesic_point
 from .hgroup import Point, conn_c, divergence, dot_c
-from .surfaces import ImmersedPatch, NormalData, TOL_SINGULAR
+from .surfaces import _BLOCK_VERTICES, ImmersedPatch, NormalData, TOL_SINGULAR
 
 # The difference step h of mean_curvature_char: its ends sit at parameter
 # offsets +-h/2 and +-h along Z's velocity, that is at arclength about h/2
@@ -338,13 +338,19 @@ def calibration_divergence(graph, q: Point):
 
 def fill_mesh_curvature(m, tol_singular: float = TOL_SINGULAR) -> None:
     """Populate mesh.h_est at regular vertices: NaN near the singular set,
-    where mean_curvature_char would raise."""
-    eps = np.broadcast_to(m.eps[:, None], m.shape)
-    s = np.broadcast_to(m.s[None, :], m.shape)
-    ok = m.nh_norm >= 10 * tol_singular
-    if not np.any(ok):
-        return
-    h = np.full(m.shape, np.nan)
-    H, regular = _mean_curvature(m.patch, eps[ok], s[ok], tol_singular)
-    h[ok] = np.where(regular, H, np.nan)
-    m.h_est = h
+    where mean_curvature_char would raise.  The grid is filled in place, in
+    blocks of whole eps rows: each vertex carries the four ends of its
+    stencil, so a block holds a quarter of _BLOCK_VERTICES vertices.  When an
+    end raises, the rows before its block are already filled."""
+    n_e, n_s = m.shape
+    step = max(1, _BLOCK_VERTICES // (4 * n_s))
+    for i in range(0, n_e, step):
+        rows = slice(i, i + step)
+        ok = m.nh_norm[rows] >= 10 * tol_singular
+        h = np.full(ok.shape, np.nan)
+        if np.any(ok):
+            eps = np.broadcast_to(m.eps[rows, None], ok.shape)[ok]
+            s = np.broadcast_to(m.s[None, :], ok.shape)[ok]
+            H, regular = _mean_curvature(m.patch, eps, s, tol_singular)
+            h[ok] = np.where(regular, H, np.nan)
+        m.h_est[rows] = h

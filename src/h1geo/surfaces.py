@@ -1158,6 +1158,8 @@ def helicoid_L(lam: float, r: float, k_max: int = 2) -> HelicoidFamily:
 # ---------------------------------------------------------------------------
 # Meshing and export
 
+_BLOCK_VERTICES = 8192       # vertices, or faces, evaluated and written at a time
+
 
 @dataclass
 class SurfaceMesh:
@@ -1180,8 +1182,10 @@ def mesh(patch: ImmersedPatch, n_eps: int, n_s: int) -> SurfaceMesh:
     """Sample the patch on an (n_eps x n_s) tensor grid.
 
     Rows flagged `open_s_ends` (degenerate parameterizations such as sphere
-    poles) are inset by half a grid step.  Raises NonFinite when a point or
-    |N_H| is not finite, so no such mesh is ever written.
+    poles) are inset by half a grid step.  The grid is evaluated in blocks of
+    whole eps rows, about _BLOCK_VERTICES vertices each, straight into the
+    mesh's arrays, so no whole-grid temporary is built.  Raises NonFinite
+    when a point or |N_H| is not finite, so no such mesh is ever written.
     """
     if n_eps < 2 or n_s < 2:
         raise ValueError("mesh needs at least 2 samples per axis")
@@ -1193,13 +1197,23 @@ def mesh(patch: ImmersedPatch, n_eps: int, n_s: int) -> SurfaceMesh:
     if patch.open_s_ends[1]:
         hi -= half
     s = np.linspace(lo, hi, n_s)
-    p, _, _, raw = patch.frame(eps[:, None], s[None, :])
-    n = _unit_normal(raw)
-    nh = np.hypot(n[..., 0], n[..., 1])
-    points = p.as_array()
-    if not (np.all(np.isfinite(points)) and np.all(np.isfinite(nh))):
+    points = np.empty((n_eps, n_s, 3))
+    nh = np.empty((n_eps, n_s))
+    geom = np.empty((n_eps, n_s))
+    finite = True
+    step = max(1, _BLOCK_VERTICES // n_s)
+    for i in range(0, n_eps, step):
+        rows, e = slice(i, i + step), eps[i:i + step, None]
+        p, _, _, raw = patch.frame(e, s[None, :])
+        n = _unit_normal(raw)
+        nh[rows] = np.hypot(n[..., 0], n[..., 1])
+        for k, c in enumerate((p.x, p.y, p.t)):
+            points[rows, :, k] = c
+        geom[rows] = patch.geometric_s(e, s[None, :])
+        finite = finite and bool(np.isfinite(points[rows]).all() and np.isfinite(nh[rows]).all())
+        del p, raw, n, _      # so the next block is evaluated without this one's
+    if not finite:
         raise NonFinite(f"{patch.label}: a mesh point or |N_H| is not finite")
-    geom = np.broadcast_to(patch.geometric_s(eps[:, None], s[None, :]), nh.shape).copy()
     return SurfaceMesh(patch=patch, eps=eps, s=s, points=points, nh_norm=nh,
                        geom_s=geom, h_est=np.full(nh.shape, np.nan))
 
@@ -1243,8 +1257,6 @@ def singular_components(m: SurfaceMesh, tol_singular: float = TOL_SINGULAR):
 # joins the text rows of a block of lines and their separators into one
 # matrix and drops the pad bytes, so a file is built and written as bytes,
 # a block of whole eps rows at a time, and never held whole.
-
-_BLOCK_VERTICES = 8192       # vertices, or faces, built and written at a time
 
 
 def _digit_tables():
@@ -1305,6 +1317,7 @@ def _float_text(x):
         k += move
         p, e = _two_product(a, _POW10[16 - k])
     d = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    del a, p, e, move       # a block's text is built beside its cells: hold few temporaries
     hi = d // 10**8                                   # the first 9 digits
     lo = (d - hi * 10**8).astype(np.int32)            # the last 8; int32 divides faster
     hi = hi.astype(np.int32)
@@ -1315,6 +1328,7 @@ def _float_text(x):
              np.take(_DIGITS4, g3) | np.take(_DIGITS4, g4) << np.uint64(32)]
     tz = np.take(_TZ4, g4) + (g4 == 0) * (np.take(_TZ4, g3) + (g3 == 0) * (
         np.take(_TZ4, g2) + (g2 == 0) * np.take(_TZ4, g1)))
+    del d, hi, lo, g1, g2, g3, g4
     frac = np.maximum(16 - tz - k, 0)                 # fraction digits printed
     neg = np.signbit(x)
     dot = neg + np.maximum(k, 0) + 1                  # the '.' follows the integer part
@@ -1362,18 +1376,35 @@ def _int_text(v):
     return text.view(np.uint8)
 
 
-def _lines(head: bytes, text, sep: bytes) -> bytes:
-    """The bytes of n lines from (n, k, w) text rows: `head` when given, the
-    k rows, each followed by `sep` but the last by a newline; pads dropped."""
-    n, k, w = text.shape
+def _lines(head: bytes, shape, sep: bytes, texts) -> bytes:
+    """The bytes of the lines of a (..., k, w) block of text rows: `head` when
+    given, then the k rows of each line, each followed by `sep` but the last
+    by a newline; pads dropped.  `texts` yields the k columns' (..., w) rows
+    one at a time, each written straight into the cell matrix, and the matrix
+    is released before its bytes are squeezed."""
+    *lead, k, w = shape
     h = 1 if head else 0
-    cells = np.zeros((n, h + k, w + 1), np.uint8)
+    cells = np.zeros((*lead, h + k, w + 1), np.uint8)
     if head:
-        cells[:, 0, :len(head)] = np.frombuffer(head, np.uint8)
-    cells[:, h:, :w] = text
+        cells[..., 0, :len(head)] = np.frombuffer(head, np.uint8)
+    for j, text in enumerate(texts, h):
+        cells[..., j, :w] = text
+        del text        # before the next column's text is built
     cells[..., w] = ord(sep)
-    cells[:, -1, w] = ord("\n")
-    return cells.tobytes().translate(None, b"\0")
+    cells[..., -1, w] = ord("\n")
+    data = cells.tobytes()
+    del cells
+    return data.translate(None, b"\0")
+
+
+def _fixed_axes(c, step: int):
+    """(per_row, per_col): whether the bits of c, (n_e, n_s), are constant
+    along each eps row and along each s column; compared a block of `step`
+    rows at a time."""
+    bits = c.view(np.uint64)
+    blocks = [bits[i:i + step] for i in range(0, len(bits), step)]
+    return (all(np.all(b == b[:, :1]) for b in blocks),
+            all(np.all(b == bits[:1]) for b in blocks))
 
 
 def _vertex_blocks(head: bytes, cols, sep: bytes):
@@ -1382,41 +1413,42 @@ def _vertex_blocks(head: bytes, cols, sep: bytes):
     converted once per distinct value, and its text rows broadcast."""
     n_e, n_s = np.shape(cols[0])
     cols = [_asf(c) for c in cols]
+    step = max(1, _BLOCK_VERTICES // n_s)
     fixed = []
     for c in cols:
-        bits = c.view(np.uint64)
-        per_row, per_col = bool(np.all(bits == bits[:, :1])), bool(np.all(bits == bits[:1, :]))
+        per_row, per_col = _fixed_axes(c, step)
         if per_row or per_col:
             distinct = c[:1 if per_col else n_e, :1 if per_row else n_s]
             once = _float_text(distinct.ravel()).reshape(*distinct.shape, 24)
             fixed.append(np.broadcast_to(once, (n_e, n_s, 24)))
         else:
             fixed.append(None)
-    step = max(1, _BLOCK_VERTICES // n_s)
+
     for i in range(0, n_e, step):
         rows = slice(i, i + step)
-        text = np.empty((min(step, n_e - i), n_s, len(cols), 24), np.uint8)
-        for k, (c, f) in enumerate(zip(cols, fixed)):
-            text[:, :, k] = f[rows] if f is not None else _float_text(
-                c[rows].ravel()).reshape(-1, n_s, 24)
-        yield _lines(head, text.reshape(-1, len(cols), 24), sep)
+        yield _lines(head, (min(step, n_e - i), n_s, len(cols), 24), sep,
+                     (f[rows] if f is not None else
+                      _float_text(c[rows].ravel()).reshape(-1, n_s, 24)
+                      for c, f in zip(cols, fixed)))
+
+
+def _face_lines(n_s: int, i: int, j: int) -> bytes:
+    """The f lines of the quads between eps rows i and j of an n_s-column grid."""
+    vid = np.arange(i * n_s + 1, (j + 1) * n_s + 1).reshape(-1, n_s)
+    a, b, c, d = vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]
+    tri = np.stack([a, b, c, a, c, d], axis=-1)    # (a, b, c), (a, c, d) per quad
+    text = _int_text(tri.ravel())
+    text = text.reshape(-1, 3, text.shape[1])
+    return _lines(b"f", text.shape, b" ", text.transpose(1, 0, 2))
 
 
 def export_obj(m: SurfaceMesh, path) -> None:
     """Wavefront OBJ: v records row-major, quads split into two triangles."""
     n_e, n_s = m.shape
-
-    def faces():
-        step = max(1, _BLOCK_VERTICES // (2 * n_s))
-        for i in range(0, n_e - 1, step):
-            vid = np.arange(i * n_s + 1, (min(i + step, n_e - 1) + 1) * n_s + 1).reshape(-1, n_s)
-            a, b, c, d = vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]
-            tri = np.stack([a, b, c, a, c, d], axis=-1)    # (a, b, c), (a, c, d) per quad
-            text = _int_text(tri.ravel())
-            yield _lines(b"f", text.reshape(-1, 3, text.shape[1]), b" ")
-
+    step = max(1, _BLOCK_VERTICES // (2 * n_s))
+    faces = (_face_lines(n_s, i, min(i + step, n_e - 1)) for i in range(0, n_e - 1, step))
     atomic_write(path, itertools.chain(
-        _vertex_blocks(b"v", [m.points[..., k] for k in range(3)], b" "), faces()))
+        _vertex_blocks(b"v", [m.points[..., k] for k in range(3)], b" "), faces))
 
 
 def export_csv(m: SurfaceMesh, path) -> None:
@@ -1450,6 +1482,7 @@ def atomic_write(path, data) -> None:
                 os.fchmod(fh.fileno(), mode)
             for block in ([data.encode()] if isinstance(data, str) else data):
                 fh.write(block)
+                del block       # so the next block is built without this one
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -25,8 +25,10 @@ from h1geo.surfaces import (
     SurfaceMesh,
     TOL_SINGULAR,
     VerticalCylinder,
+    _BLOCK_VERTICES,
     build_sigma_lambda,
     build_sigma_zero,
+    build_surface,
     cylinder_S,
     helicoid_L,
     mesh,
@@ -634,6 +636,19 @@ def test_calibration_of_curved_cmc_graphs(sheets, probes):
 
 # ---------------------------------------------------------------------------
 # mesh curvature fill
+
+
+def test_blocked_fill_matches_one_whole_grid_call():
+    m = mesh(build_surface("helicoid-l"), 256, 256)
+    assert 256 > _BLOCK_VERTICES // (4 * 256)    # block edges fall inside the grid
+    fill_mesh_curvature(m)
+    ok = m.nh_norm >= 10 * TOL_SINGULAR
+    H, regular = crv._mean_curvature(m.patch, np.broadcast_to(m.eps[:, None], m.shape)[ok],
+                                     np.broadcast_to(m.s[None, :], m.shape)[ok], TOL_SINGULAR)
+    want = np.full(m.shape, np.nan)
+    want[ok] = np.where(regular, H, np.nan)
+    assert np.isnan(want).any() and np.isfinite(want).any()
+    assert m.h_est.tobytes() == want.tobytes()
 
 
 def test_fill_mesh_curvature():

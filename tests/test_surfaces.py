@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import os
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,18 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from h1geo.curvature import fill_mesh_curvature, orthogonality_defect
-from h1geo.errors import DegeneratePoint, UnknownSurface
+from h1geo.errors import DegeneratePoint, NonFinite, UnknownSurface
 from h1geo.geodesics import (
     FieldAlongGeodesic,
     conserved_quantity,
     geodesic_velocity,
     jacobi_residual,
 )
-from h1geo.hcurves import HorizontalCurve, PlanarCurve, helix_curve, horizontal_lift, line_curve
+from h1geo.hcurves import (
+    HorizontalCurve,
+    PlanarCurve,
+    helix_curve,
+    horizontal_lift,
+    line_curve,
+    load_curve_csv,
+)
 from h1geo.hgroup import Point, cartesian_to_frame, cross_c, j_c, dot_c
 from h1geo.surfaces import (
     BernsteinGraph,
     Chart,
+    ImmersedPatch,
     SpherePatch,
     SurfaceMesh,
     build_sigma_lambda,
@@ -645,6 +654,81 @@ def test_mesh_geometric_s_rectified():
     m = mesh(sl, 8, 9)
     assert np.allclose(m.geom_s[:, -1], np.pi / 2, atol=1e-14)
     assert np.allclose(m.geom_s[:, 0], 0.0, atol=0)
+
+
+def _whole_grid(patch, eps, s):
+    """Points, |N_H| and geometric s of the grid from one `frame` call."""
+    p, _, _, raw = patch.frame(eps[:, None], s[None, :])
+    n = raw / np.linalg.norm(raw, axis=-1)[..., None]
+    nh = np.hypot(n[..., 0], n[..., 1])
+    return p.as_array(), nh, np.broadcast_to(patch.geometric_s(eps[:, None], s[None, :]), nh.shape)
+
+
+def _csv_curve_sigma_lambda(tmp_path):
+    eps = np.linspace(0.0, 1.0, 60)
+    path = tmp_path / "curve.csv"
+    path.write_text("eps,x,y\n" + "".join(
+        f"{e:.17g},{e + 0.1 * e * e:.17g},{0.2 * np.sin(3.0 * e):.17g}\n" for e in eps))
+    return build_sigma_lambda(load_curve_csv(path), 1.0, +1)
+
+
+@pytest.mark.parametrize("make, n_eps, n_s", [
+    (lambda tmp_path: sphere_geodesic(1.0), 37, 301),
+    (lambda tmp_path: build_surface("helicoid-l"), 256, 256),
+    (_csv_curve_sigma_lambda, 100, 150),
+], ids=["sphere-37x301", "helicoid-l-256x256", "sigma-lambda-csv-100x150"])
+def test_blocked_mesh_matches_one_whole_grid_evaluation(tmp_path, make, n_eps, n_s):
+    patch = make(tmp_path)
+    assert n_eps > _BLOCK_VERTICES // n_s      # a block edge falls inside the grid
+    m = mesh(patch, n_eps, n_s)
+    assert (m.s[0] > patch.s_lo, m.s[-1] < patch.s_hi) == patch.open_s_ends
+    for got, want in zip((m.points, m.nh_norm, m.geom_s), _whole_grid(patch, m.eps, m.s)):
+        assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class _LastRowNaN(ImmersedPatch):
+    """The unit sphere with t = NaN on its last eps row only."""
+
+    def __init__(self):
+        self.base = sphere_geodesic(1.0)
+        super().__init__(self.base.eps_lo, self.base.eps_hi, self.base.s_lo, self.base.s_hi)
+        self.open_s_ends = self.base.open_s_ends
+
+    def partials(self, eps, s):
+        fe, fs, p = self.base.partials(eps, s)
+        return fe, fs, Point(p.x, p.y, np.where(eps == self.eps_hi, np.nan, p.t))
+
+
+def test_mesh_raises_when_only_the_last_block_is_not_finite():
+    assert 37 - 1 >= _BLOCK_VERTICES // 301    # the last row is not in the first block
+    with pytest.raises(NonFinite):
+        mesh(_LastRowNaN(), 37, 301)
+
+
+def _transient_peak(patch, n_eps, n_s, out):
+    """Traced peak of mesh, H fill, OBJ and CSV export, less the mesh's arrays."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        m = mesh(patch, n_eps, n_s)
+        fill_mesh_curvature(m)
+        export_obj(m, out / "m.obj")
+        export_csv(m, out / "m.csv")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    return peak - sum(a.nbytes for a in (m.eps, m.s, m.points, m.nh_norm, m.geom_s, m.h_est))
+
+
+def test_mesh_memory_does_not_grow_with_eps_rows(tmp_path):
+    patch = build_surface("helicoid-l")
+    small = _transient_peak(patch, 128, 128, tmp_path)
+    large = _transient_peak(patch, 512, 128, tmp_path)
+    assert large - small < 64 * 1024
 
 
 def test_export_obj_and_csv(tmp_path):

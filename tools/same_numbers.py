@@ -22,6 +22,10 @@ OUTDIR receives:
 - `extra/`: a 61x61 mesh and the report of the Bernstein graph with
   g = (y+1)^100, whose power-basis expansion cancels: a change to how
   `--g` is evaluated shows in its heights;
+- `extra/`: a 256x256 `--with-h` mesh of helicoid-l, which spans several
+  blocks of rows of the mesh evaluation, the mean curvature fill and the
+  export, and whose singular vertices put NaN into `h_est` next to the
+  fill's block edges;
 - `extra/graph-pde.txt`: the `repr` of `graph_pde_residual` and
   `graph_pde_mean_curvature` of every graph family (Bernstein with a
   quadratic and a cubic g, a tilted plane, both cylinder sheets at
@@ -67,7 +71,8 @@ EXTRA_WITH_H = ("sigma-lambda", "helicoid-l", "sigma-zero", "bernstein", "cylind
 EXTRA_MESHES = {"vertical-cylinder-r1e-6": (["--surface", "vertical-cylinder", "--r", "1e-6"],
                                             "40x40"),
                 "plane-d1e16": (["--surface", "plane", "--d", "1e16"], "40x40"),
-                "bernstein-pow100": (["--surface", "bernstein", "--g", "(y+1)^100"], "61x61")}
+                "bernstein-pow100": (["--surface", "bernstein", "--g", "(y+1)^100"], "61x61"),
+                "helicoid-l-256x256-h": (["--surface", "helicoid-l", "--with-h"], "256x256")}
 EXTRA_REPORTS = {"bernstein-3y2": ["--surface", "bernstein", "--g", "3*y^2"],
                  "bernstein-pow100": ["--surface", "bernstein", "--g", "(y+1)^100"],
                  "cylinder-s-lam0.6": ["--surface", "cylinder-s", "--lambda", "0.6"],
