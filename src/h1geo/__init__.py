@@ -17,9 +17,9 @@ from .surfaces import (  # noqa: F401
     build_surface,
     cylinder_S,
     helicoid_L,
-    mesh,
     sphere_geodesic,
     sphere_graph,
+    write_mesh,
 )
 from .curvature import graph_pde_residual, mean_curvature_char, orthogonality_defect  # noqa: F401
 from .measures import area, iso_ratio, minkowski_check, volume_enclosed  # noqa: F401

@@ -53,9 +53,9 @@ def _check_config_type(key: str, value) -> None:
         raise ConfigError(f"config key {key!r} must be {_TYPE_NAMES[want]} (got {value!r})")
 
 
-# The largest mesh side.  A mesh holds 48 bytes per vertex plus one block of
-# rows, so a helicoid OBJ+CSV mesh peaks near 86 MB at 1024x1024 and near
-# 235 MB at 2048x2048.
+# The largest mesh side.  A mesh holds its 1-byte singular mask plus one
+# block of rows, so a helicoid OBJ+CSV mesh peaks near 37 MB at 1024x1024 and
+# near 43 MB at 2048x2048, 34 MB of it the interpreter and its imports.
 _MAX_RES = 2048
 
 
@@ -154,17 +154,14 @@ def cmd_mesh(cfg: dict) -> int:
         raise ConfigError("mesh needs --out (OBJ path) and/or --csv")
     patch = _build_patch(cfg)
     n_eps, n_s = _parse_res(cfg.get("res") or "64x64")
-    m = srf.mesh(patch, n_eps, n_s)
-    if cfg.get("with_h"):
-        crv.fill_mesh_curvature(m)
+    singular = srf.write_mesh(patch, n_eps, n_s, obj=out, csv=cfg.get("csv"),
+                              h_est=crv.mesh_curvature if cfg.get("with_h") else None)
     if out:
-        srf.export_obj(m, out)
         print(f"wrote {out} ({n_eps * n_s} vertices)")
     if cfg.get("csv"):
-        srf.export_csv(m, cfg["csv"])
         print(f"wrote {cfg['csv']}")
-    flagged = srf.detect_singular(m)
-    comps = srf.singular_components(m)
+    flagged = srf.detect_singular(singular)
+    comps = srf.singular_components(singular)
     print(f"singular vertices: {len(flagged)} in {len(comps)} component(s)")
     return 0
 

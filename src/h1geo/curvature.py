@@ -336,21 +336,20 @@ def calibration_divergence(graph, q: Point):
     return divergence(lambda p: _calibration_field(graph, p), q)
 
 
-def fill_mesh_curvature(m, tol_singular: float = TOL_SINGULAR) -> None:
-    """Populate mesh.h_est at regular vertices: NaN near the singular set,
-    where mean_curvature_char would raise.  The grid is filled in place, in
-    blocks of whole eps rows: each vertex carries the four ends of its
-    stencil, so a block holds a quarter of _BLOCK_VERTICES vertices.  When an
-    end raises, the rows before its block are already filled."""
-    n_e, n_s = m.shape
-    step = max(1, _BLOCK_VERTICES // (4 * n_s))
-    for i in range(0, n_e, step):
+def mesh_curvature(patch: ImmersedPatch, eps, s, nh_norm,
+                   tol_singular: float = TOL_SINGULAR) -> np.ndarray:
+    """H at the vertices of the grid of eps rows and s columns, whose |N_H|
+    is nh_norm, (len(eps), len(s)): NaN near the singular set, where
+    mean_curvature_char would raise.  The grid is taken in blocks of whole
+    eps rows: each vertex carries the four ends of its stencil, so a block
+    holds a quarter of _BLOCK_VERTICES vertices."""
+    h = np.full(np.shape(nh_norm), np.nan)
+    step = max(1, _BLOCK_VERTICES // (4 * len(s)))
+    for i in range(0, len(eps), step):
         rows = slice(i, i + step)
-        ok = m.nh_norm[rows] >= 10 * tol_singular
-        h = np.full(ok.shape, np.nan)
+        ok = nh_norm[rows] >= 10 * tol_singular
         if np.any(ok):
-            eps = np.broadcast_to(m.eps[rows, None], ok.shape)[ok]
-            s = np.broadcast_to(m.s[None, :], ok.shape)[ok]
-            H, regular = _mean_curvature(m.patch, eps, s, tol_singular)
-            h[ok] = np.where(regular, H, np.nan)
-        m.h_est[rows] = h
+            e = np.broadcast_to(eps[rows, None], ok.shape)[ok]
+            H, regular = _mean_curvature(patch, e, np.broadcast_to(s, ok.shape)[ok], tol_singular)
+            h[rows][ok] = np.where(regular, H, np.nan)
+    return h

@@ -36,7 +36,7 @@ from .errors import (
     StepTooSmall,
 )
 from .hgroup import W_field, dot_c
-from .surfaces import ImmersedPatch, VerticalVariation
+from .surfaces import _BLOCK_VERTICES, ImmersedPatch, VerticalVariation
 
 GAUSS_ORDER = 8
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
@@ -264,17 +264,24 @@ def first_variation(patch: ImmersedPatch, u) -> dict:
     2 |u| |raw|.  An open patch's variation has a boundary term, so it raises
     NotClosedSurface.  The term along singular curves is not evaluated, so
     the result is A'(0) only for closed patches whose singular set is
-    isolated points, as on the spheres, where it adds no term.
+    isolated points, as on the spheres, where it adds no term.  H is taken
+    at most a quarter of _BLOCK_VERTICES samples at a time, as each sample
+    carries the four ends of its stencil.
     """
     if not patch.closed:
         raise NotClosedSurface("first variation formula applies to closed surfaces")
     h = crv.H_CHAR_STEP
+    step = _BLOCK_VERTICES // 4
 
     def u_da(eps, s, raw):
         return np.asarray(u(eps, s), float) * np.linalg.norm(raw, axis=-1)
 
     def a_prime(eps, s, p, raw):
-        H = crv.mean_curvature_char(patch, eps, s)
+        e, t = np.broadcast_arrays(eps, s)
+        H = np.empty(e.shape)
+        flat, e, t = H.reshape(-1), e.ravel(), t.ravel()
+        for i in range(0, flat.size, step):
+            flat[i:i + step] = crv.mean_curvature_char(patch, e[i:i + step], t[i:i + step])
         ud = u_da(eps, s, raw)
         return -2.0 * H * ud, 2.0 * crv.H_ROUNDOFF * np.finfo(float).eps / h * np.abs(ud)
 

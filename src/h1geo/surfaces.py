@@ -31,8 +31,8 @@ A patch states its singular set in its parameters: `quadrature_charts`,
 `Chart` maps on which |N_H| is smooth, read only by the quadrature, and
 `singular_curves`, `SingularCurveRef`s.  A group motion moves points, not
 parameters, so a moved patch keeps both.
-A `SurfaceMesh` keeps the grid, the points, |N_H|, the geometric s and the
-mean-curvature estimate.  An orthogonal-geodesic patch reads its curve's
+`write_mesh` streams a tensor grid of the patch into OBJ and CSV files and
+keeps only its singular mask.  An orthogonal-geodesic patch reads its curve's
 `jet` (the position and three derivatives) once per call, on eps as given,
 and forms h = x'y'' - x''y' and the rate h' = x'y''' - x'''y' from it; a
 lifted curve reads them all at one parameter.
@@ -40,8 +40,9 @@ lifted curve reads them all at one parameter.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
-import itertools
+import os
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -1158,77 +1159,92 @@ def helicoid_L(lam: float, r: float, k_max: int = 2) -> HelicoidFamily:
 # ---------------------------------------------------------------------------
 # Meshing and export
 
-_BLOCK_VERTICES = 8192       # vertices, or faces, evaluated and written at a time
+_BLOCK_VERTICES = 4096       # vertices, or faces, evaluated and written at a time
+_SQUEEZE_LINES = 1024        # lines of a block squeezed into bytes at a time
 
 
-@dataclass
-class SurfaceMesh:
-    """Tensor-grid samples of a patch with |N_H| per vertex."""
-
-    patch: ImmersedPatch
-    eps: np.ndarray          # (n_e,)
-    s: np.ndarray            # (n_s,) parameter values (sigma for rectified patches)
-    points: np.ndarray       # (n_e, n_s, 3) Cartesian
-    nh_norm: np.ndarray      # (n_e, n_s)
-    geom_s: np.ndarray       # (n_e, n_s) geometric s values
-    h_est: np.ndarray        # (n_e, n_s), NaN until filled
-
-    @property
-    def shape(self):
-        return self.points.shape[:2]
-
-
-def mesh(patch: ImmersedPatch, n_eps: int, n_s: int) -> SurfaceMesh:
-    """Sample the patch on an (n_eps x n_s) tensor grid.
-
+def _grid(patch: ImmersedPatch, n_eps: int, n_s: int):
+    """(eps, s): the axes of an (n_eps x n_s) tensor grid over the patch.
     Rows flagged `open_s_ends` (degenerate parameterizations such as sphere
-    poles) are inset by half a grid step.  The grid is evaluated in blocks of
-    whole eps rows, about _BLOCK_VERTICES vertices each, straight into the
-    mesh's arrays, so no whole-grid temporary is built.  Raises NonFinite
-    when a point or |N_H| is not finite, so no such mesh is ever written.
-    """
+    poles) are inset by half a grid step."""
     if n_eps < 2 or n_s < 2:
         raise ValueError("mesh needs at least 2 samples per axis")
-    eps = np.linspace(patch.eps_lo, patch.eps_hi, n_eps)
     lo, hi = patch.s_lo, patch.s_hi
     half = (hi - lo) / (2.0 * (n_s - 1))
     if patch.open_s_ends[0]:
         lo += half
     if patch.open_s_ends[1]:
         hi -= half
-    s = np.linspace(lo, hi, n_s)
-    points = np.empty((n_eps, n_s, 3))
-    nh = np.empty((n_eps, n_s))
-    geom = np.empty((n_eps, n_s))
-    finite = True
+    return np.linspace(patch.eps_lo, patch.eps_hi, n_eps), np.linspace(lo, hi, n_s)
+
+
+def write_mesh(patch: ImmersedPatch, n_eps: int, n_s: int, obj=None, csv=None,
+               h_est: Callable | None = None, tol_singular: float = TOL_SINGULAR) -> np.ndarray:
+    """Sample the patch on the (n_eps x n_s) tensor grid `_grid`, write it to
+    the paths `obj` and `csv` (either may be None), and return its singular
+    mask |N_H| < tol_singular, (n_eps, n_s) bool.
+
+    The OBJ holds the v records row-major and each quad (a, b, c, d) as the
+    triangles (a, b, c), (a, c, d); the CSV the columns eps, s (geometric),
+    x, y, t, nh_norm and h_est, row-major.  h_est(patch, eps, s, nh_norm,
+    tol_singular) gives the mean curvature of a block's vertices; without it
+    the column reads nan, and it is called only when the CSV is written.
+
+    The grid is streamed in blocks of whole eps rows, about _BLOCK_VERTICES
+    vertices each: a block is evaluated by one `frame` call, checked, and
+    its lines are appended to both files before the next block is
+    evaluated, so only the mask outlives it.  The faces follow the last
+    block.  Each file is written to a temp file in its directory and
+    replaces its path only once both are complete, the OBJ first; an
+    existing file keeps its mode, a new one gets 0o666 less the umask.  On
+    any failure both temp files are removed and the old files stay as they
+    were.  A degenerate point anywhere raises DegeneratePoint; otherwise a
+    point or |N_H| that is not finite raises NonFinite once the whole grid
+    is evaluated, so no such mesh is ever written.
+    """
+    eps, s = _grid(patch, n_eps, n_s)
+    singular = np.empty((n_eps, n_s), bool)
     step = max(1, _BLOCK_VERTICES // n_s)
-    for i in range(0, n_eps, step):
-        rows, e = slice(i, i + step), eps[i:i + step, None]
-        p, _, _, raw = patch.frame(e, s[None, :])
-        n = _unit_normal(raw)
-        nh[rows] = np.hypot(n[..., 0], n[..., 1])
-        for k, c in enumerate((p.x, p.y, p.t)):
-            points[rows, :, k] = c
-        geom[rows] = patch.geometric_s(e, s[None, :])
-        finite = finite and bool(np.isfinite(points[rows]).all() and np.isfinite(nh[rows]).all())
-        del p, raw, n, _      # so the next block is evaluated without this one's
-    if not finite:
-        raise NonFinite(f"{patch.label}: a mesh point or |N_H| is not finite")
-    return SurfaceMesh(patch=patch, eps=eps, s=s, points=points, nh_norm=nh,
-                       geom_s=geom, h_est=np.full(nh.shape, np.nan))
+    finite = True
+    with contextlib.ExitStack() as files:
+        # entered last, so replaced first, as the OBJ was written first
+        csv_fh = files.enter_context(_replacing(csv)) if csv else None
+        obj_fh = files.enter_context(_replacing(obj)) if obj else None
+        if csv_fh:
+            csv_fh.write(b"eps,s,x,y,t,nh_norm,h_est\n")
+        for i in range(0, n_eps, step):
+            rows, e = slice(i, i + step), eps[i:i + step, None]
+            p, _, _, raw = patch.frame(e, s[None, :])
+            n = _unit_normal(raw)
+            nh = np.hypot(n[..., 0], n[..., 1])
+            del raw, n, _         # so what follows holds only this block's fields
+            singular[rows] = nh < tol_singular
+            finite = finite and all(np.isfinite(c).all() for c in (p.x, p.y, p.t, nh))
+            if not finite:
+                continue          # the rest is evaluated, for a DegeneratePoint, not written
+            geom_s = h = None
+            if csv_fh:
+                geom_s = patch.geometric_s(e, s[None, :])
+                h = np.nan if h_est is None else h_est(patch, eps[rows], s, nh, tol_singular)
+            _write_vertices(obj_fh, csv_fh, eps[rows], p.x, p.y, p.t, geom_s, nh, h)
+        if not finite:
+            raise NonFinite(f"{patch.label}: a mesh point or |N_H| is not finite")
+        if obj_fh:
+            _write_faces(obj_fh, n_eps, n_s)
+    return singular
 
 
-def detect_singular(m: SurfaceMesh, tol_singular: float = TOL_SINGULAR) -> np.ndarray:
-    """Indices (i, j) of mesh vertices with |N_H| < tol."""
-    return np.argwhere(m.nh_norm < tol_singular)
+def detect_singular(singular: np.ndarray) -> np.ndarray:
+    """Indices (i, j) of the vertices flagged in a `write_mesh` mask."""
+    return np.argwhere(singular)
 
 
-def singular_components(m: SurfaceMesh, tol_singular: float = TOL_SINGULAR):
-    """Connected components (4-neighbor) of flagged vertices, largest first.
+def singular_components(mask: np.ndarray):
+    """Connected components (4-neighbor) of the vertices flagged in a
+    `write_mesh` mask, largest first.
 
     Reports component sizes without asserting any point/curve dichotomy.
     """
-    mask = m.nh_norm < tol_singular
     seen = np.zeros_like(mask, dtype=bool)
     comps = []
     n_e, n_s = mask.shape
@@ -1253,10 +1269,11 @@ def singular_components(m: SurfaceMesh, tol_singular: float = TOL_SINGULAR):
 
 # Text export.  `_float_text` turns a float64 array into the bytes of
 # '%.17g' % v for each value, `_int_text` an integer array into those of
-# '%d' % i: one uint8 text row per value, padded with 0 bytes.  `_lines`
-# joins the text rows of a block of lines and their separators into one
-# matrix and drops the pad bytes, so a file is built and written as bytes,
-# a block of whole eps rows at a time, and never held whole.
+# '%d' % i: one uint8 text row per value, padded with 0 bytes.
+# `_write_lines` lays the text rows of a block of lines and their separators
+# into one matrix and writes it with the pad bytes dropped, so a file is
+# built and written as bytes, a block of whole eps rows at a time, and never
+# held whole.
 
 
 def _digit_tables():
@@ -1376,99 +1393,84 @@ def _int_text(v):
     return text.view(np.uint8)
 
 
-def _lines(head: bytes, shape, sep: bytes, texts) -> bytes:
-    """The bytes of the lines of a (..., k, w) block of text rows: `head` when
-    given, then the k rows of each line, each followed by `sep` but the last
-    by a newline; pads dropped.  `texts` yields the k columns' (..., w) rows
-    one at a time, each written straight into the cell matrix, and the matrix
-    is released before its bytes are squeezed."""
+def _field_text(c, shape):
+    """(n, n_s, 24) text rows of the values of c broadcast to shape (n, n_s):
+    converted once per eps row when their bits are constant along each row,
+    once per s column when constant along each column, once when both, and
+    otherwise once per vertex; the rows are broadcast back to the grid."""
+    c = np.broadcast_to(np.asarray(c, float), shape)
+    bits = c.view(np.uint64)
+    distinct = c[:1 if np.all(bits == bits[:1]) else None,
+                 :1 if np.all(bits == bits[:, :1]) else None]
+    text = _float_text(distinct.ravel()).reshape(*distinct.shape, 24)
+    return np.broadcast_to(text, (*shape, 24))
+
+
+def _write_lines(write, head: bytes, sep: bytes, shape, texts) -> None:
+    """Write the lines of a (..., k) block of text cells: `head` when given,
+    then the k cells of each line, each followed by `sep` but the last by a
+    newline; pad bytes dropped.  `texts` yields (j, rows), the (..., w) text
+    rows of cell j in any order, each laid straight into the cell matrix
+    before the next is built; the matrix is squeezed into bytes and written
+    _SQUEEZE_LINES lines at a time."""
     *lead, k, w = shape
     h = 1 if head else 0
     cells = np.zeros((*lead, h + k, w + 1), np.uint8)
     if head:
         cells[..., 0, :len(head)] = np.frombuffer(head, np.uint8)
-    for j, text in enumerate(texts, h):
-        cells[..., j, :w] = text
-        del text        # before the next column's text is built
+    for j, text in texts:
+        cells[..., h + j, :w] = text
+        del text        # before the next cell's text is built
     cells[..., w] = ord(sep)
     cells[..., -1, w] = ord("\n")
-    data = cells.tobytes()
-    del cells
-    return data.translate(None, b"\0")
+    lines = cells.reshape(-1, (h + k) * (w + 1))
+    for i in range(0, len(lines), _SQUEEZE_LINES):
+        write(lines[i:i + _SQUEEZE_LINES].tobytes().translate(None, b"\0"))
 
 
-def _fixed_axes(c, step: int):
-    """(per_row, per_col): whether the bits of c, (n_e, n_s), are constant
-    along each eps row and along each s column; compared a block of `step`
-    rows at a time."""
-    bits = c.view(np.uint64)
-    blocks = [bits[i:i + step] for i in range(0, len(bits), step)]
-    return (all(np.all(b == b[:, :1]) for b in blocks),
-            all(np.all(b == bits[:1]) for b in blocks))
+def _write_vertices(obj, csv, eps, x, y, t, geom_s=None, nh_norm=None, h_est=None) -> None:
+    """Append the lines of a block of whole eps rows to the binary files
+    `obj` (v records) and `csv` (rows), either None.  eps is (n,), and the
+    per-vertex fields broadcast together to (n, n_s); geom_s, nh_norm and
+    h_est are printed only in the CSV.  x, y and t are converted once for
+    both files, and their text is dropped as soon as both have it."""
+    shape = np.broadcast_shapes(*map(np.shape, (eps[:, None], x, y, t, geom_s, nh_norm, h_est)))
+    xyt = [_field_text(c, shape) for c in (x, y, t)]
+    if obj:
+        _write_lines(obj.write, b"v", b" ", (*shape, 3, 24), enumerate(xyt))
+    if csv:
+        def cells():
+            for j in (2, 3, 4):
+                yield j, xyt.pop(0)
+            for j, c in ((0, eps[:, None]), (1, geom_s), (5, nh_norm), (6, h_est)):
+                yield j, _field_text(c, shape)
+
+        _write_lines(csv.write, b"", b",", (*shape, 7, 24), cells())
 
 
-def _vertex_blocks(head: bytes, cols, sep: bytes):
-    """Lines of per-vertex columns, each (n_e, n_s), row-major, in blocks of
-    whole eps rows.  A column whose bits are constant along a grid axis is
-    converted once per distinct value, and its text rows broadcast."""
-    n_e, n_s = np.shape(cols[0])
-    cols = [_asf(c) for c in cols]
-    step = max(1, _BLOCK_VERTICES // n_s)
-    fixed = []
-    for c in cols:
-        per_row, per_col = _fixed_axes(c, step)
-        if per_row or per_col:
-            distinct = c[:1 if per_col else n_e, :1 if per_row else n_s]
-            once = _float_text(distinct.ravel()).reshape(*distinct.shape, 24)
-            fixed.append(np.broadcast_to(once, (n_e, n_s, 24)))
-        else:
-            fixed.append(None)
-
-    for i in range(0, n_e, step):
-        rows = slice(i, i + step)
-        yield _lines(head, (min(step, n_e - i), n_s, len(cols), 24), sep,
-                     (f[rows] if f is not None else
-                      _float_text(c[rows].ravel()).reshape(-1, n_s, 24)
-                      for c, f in zip(cols, fixed)))
-
-
-def _face_lines(n_s: int, i: int, j: int) -> bytes:
-    """The f lines of the quads between eps rows i and j of an n_s-column grid."""
-    vid = np.arange(i * n_s + 1, (j + 1) * n_s + 1).reshape(-1, n_s)
-    a, b, c, d = vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]
-    tri = np.stack([a, b, c, a, c, d], axis=-1)    # (a, b, c), (a, c, d) per quad
-    text = _int_text(tri.ravel())
-    text = text.reshape(-1, 3, text.shape[1])
-    return _lines(b"f", text.shape, b" ", text.transpose(1, 0, 2))
-
-
-def export_obj(m: SurfaceMesh, path) -> None:
-    """Wavefront OBJ: v records row-major, quads split into two triangles."""
-    n_e, n_s = m.shape
+def _write_faces(obj, n_e: int, n_s: int) -> None:
+    """Append the f lines of an (n_e x n_s) grid's quads to `obj`, a block
+    of eps rows at a time: each vertex id of the block is converted to text
+    once, and each triangle's corners are gathered from those rows."""
     step = max(1, _BLOCK_VERTICES // (2 * n_s))
-    faces = (_face_lines(n_s, i, min(i + step, n_e - 1)) for i in range(0, n_e - 1, step))
-    atomic_write(path, itertools.chain(
-        _vertex_blocks(b"v", [m.points[..., k] for k in range(3)], b" "), faces))
+    for i in range(0, n_e - 1, step):
+        j = min(i + step, n_e - 1)
+        ids = _int_text(np.arange(i * n_s + 1, (j + 1) * n_s + 1))     # rows i..j
+        local = np.arange((j - i + 1) * n_s).reshape(-1, n_s)
+        a, b, c, d = local[:-1, :-1], local[1:, :-1], local[1:, 1:], local[:-1, 1:]
+        corners = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+        _write_lines(obj.write, b"f", b" ", (len(corners), 3, ids.shape[1]),
+                     ((k, ids[corners[:, k]]) for k in range(3)))
 
 
-def export_csv(m: SurfaceMesh, path) -> None:
-    """CSV with columns eps,s,x,y,t,nh_norm,h_est (row-major vertex order)."""
-    n_e, n_s = m.shape
-    cols = [np.broadcast_to(m.eps[:, None], (n_e, n_s)), m.geom_s, m.points[..., 0],
-            m.points[..., 1], m.points[..., 2], m.nh_norm, m.h_est]
-    atomic_write(path, itertools.chain([b"eps,s,x,y,t,nh_norm,h_est\n"],
-                                       _vertex_blocks(b"", cols, b",")))
-
-
-def atomic_write(path, data) -> None:
-    """Write `data`, a str or an iterable of bytes blocks, to `path` through a
-    temp file in the same directory and `os.replace`, so a reader sees the
-    old file or the whole new one.  The file gets the mode `open(path, "w")`
-    would give it: an existing file keeps its mode, a new one gets 0o666 less
-    the umask.  On any failure, the block source's included, the temp file
-    is removed and `path` is left as it was."""
-    import os
-
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file on a temp file in the directory of `path`, which
+    replaces `path` by `os.replace` when the block exits normally, so a
+    reader sees the old file or the whole new one.  The file gets the mode
+    `open(path, "w")` would give it: an existing file keeps its mode, a new
+    one gets 0o666 less the umask.  When the block raises, the temp file is
+    removed and `path` is left as it was."""
     path = os.fspath(path)
     try:
         mode = os.stat(path).st_mode & 0o7777
@@ -1480,13 +1482,21 @@ def atomic_write(path, data) -> None:
         with os.fdopen(fd, "wb") as fh:
             if mode is not None:
                 os.fchmod(fh.fileno(), mode)
-            for block in ([data.encode()] if isinstance(data, str) else data):
-                fh.write(block)
-                del block       # so the next block is built without this one
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def atomic_write(path, data) -> None:
+    """Write `data`, a str or an iterable of bytes blocks, to `path` through
+    `_replacing`.  On any failure, the block source's included, the temp file
+    is removed and `path` is left as it was."""
+    with _replacing(path) as fh:
+        for block in ([data.encode()] if isinstance(data, str) else data):
+            fh.write(block)
+            del block       # so the next block is built without this one
 
 
 # ---------------------------------------------------------------------------

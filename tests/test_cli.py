@@ -116,7 +116,7 @@ def test_mesh_checks_outputs_before_meshing(monkeypatch, capsys, extra):
     def no_mesh(*args, **kwargs):
         raise AssertionError("mesh built before the outputs were checked")
 
-    monkeypatch.setattr("h1geo.surfaces.mesh", no_mesh)
+    monkeypatch.setattr("h1geo.surfaces.write_mesh", no_mesh)
     rc = main(["mesh", "--surface", "sphere", "--res", "8x8", *extra])
     assert rc == 2
     assert "mesh needs --out (OBJ path) and/or --csv" in capsys.readouterr().err

@@ -6,11 +6,11 @@ from h1geo.curvature import (
     _char_velocity,
     calibration_divergence,
     characteristic_deviation,
-    fill_mesh_curvature,
     graph_pde_mean_curvature,
     graph_pde_residual,
     locus_distance,
     mean_curvature_char,
+    mesh_curvature,
     orthogonality_defect,
     trace_characteristic,
 )
@@ -22,16 +22,15 @@ from h1geo.surfaces import (
     ImmersedPatch,
     SingularCurveRef,
     SpherePatch,
-    SurfaceMesh,
     TOL_SINGULAR,
     VerticalCylinder,
     _BLOCK_VERTICES,
+    _grid,
     build_sigma_lambda,
     build_sigma_zero,
     build_surface,
     cylinder_S,
     helicoid_L,
-    mesh,
     parse_g,
     plane_patch,
     sphere_geodesic,
@@ -353,13 +352,10 @@ def test_fill_mesh_curvature_writes_nan_where_the_stencil_straddles():
     eps = np.array([-0.5, 0.3])
     s = np.array(STRADDLING_Y + CLEAR_Y)
     nd = upper.normal_data(eps[:, None], s[None, :])
-    m = SurfaceMesh(patch=upper, eps=eps, s=s, points=nd.base.as_array(),
-                    nh_norm=nd.nh_norm, geom_s=np.broadcast_to(s, nd.nh_norm.shape),
-                    h_est=np.full(nd.nh_norm.shape, np.nan))
-    fill_mesh_curvature(m)
+    h = mesh_curvature(upper, eps, s, nd.nh_norm)
     straddling = np.arange(len(s)) < len(STRADDLING_Y)
-    assert np.all(np.isnan(m.h_est[:, straddling]))
-    assert np.max(np.abs(m.h_est[:, ~straddling] - 1.0)) < 1e-9
+    assert np.all(np.isnan(h[:, straddling]))
+    assert np.max(np.abs(h[:, ~straddling] - 1.0)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -638,24 +634,30 @@ def test_calibration_of_curved_cmc_graphs(sheets, probes):
 # mesh curvature fill
 
 
+def _grid_nh(patch, n_eps, n_s):
+    """The axes of the mesh grid and its |N_H|, from one `normal_data` call."""
+    eps, s = _grid(patch, n_eps, n_s)
+    return eps, s, patch.normal_data(eps[:, None], s[None, :]).nh_norm
+
+
 def test_blocked_fill_matches_one_whole_grid_call():
-    m = mesh(build_surface("helicoid-l"), 256, 256)
+    patch = build_surface("helicoid-l")
+    eps, s, nh = _grid_nh(patch, 256, 256)
     assert 256 > _BLOCK_VERTICES // (4 * 256)    # block edges fall inside the grid
-    fill_mesh_curvature(m)
-    ok = m.nh_norm >= 10 * TOL_SINGULAR
-    H, regular = crv._mean_curvature(m.patch, np.broadcast_to(m.eps[:, None], m.shape)[ok],
-                                     np.broadcast_to(m.s[None, :], m.shape)[ok], TOL_SINGULAR)
-    want = np.full(m.shape, np.nan)
+    h = mesh_curvature(patch, eps, s, nh)
+    ok = nh >= 10 * TOL_SINGULAR
+    H, regular = crv._mean_curvature(patch, np.broadcast_to(eps[:, None], nh.shape)[ok],
+                                     np.broadcast_to(s[None, :], nh.shape)[ok], TOL_SINGULAR)
+    want = np.full(nh.shape, np.nan)
     want[ok] = np.where(regular, H, np.nan)
     assert np.isnan(want).any() and np.isfinite(want).any()
-    assert m.h_est.tobytes() == want.tobytes()
+    assert h.tobytes() == want.tobytes()
 
 
 def test_fill_mesh_curvature():
     sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
-    m = mesh(sl, 8, 9)
-    fill_mesh_curvature(m)
-    interior = m.h_est[:, 2:-2]
+    h = mesh_curvature(sl, *_grid_nh(sl, 8, 9))
+    interior = h[:, 2:-2]
     assert np.all(np.isfinite(interior))
     assert np.max(np.abs(interior - 1.0)) < 1e-4
-    assert np.all(np.isnan(m.h_est[:, 0])) and np.all(np.isnan(m.h_est[:, -1]))
+    assert np.all(np.isnan(h[:, 0])) and np.all(np.isnan(h[:, -1]))

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import inspect
 import os
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from h1geo.curvature import fill_mesh_curvature, orthogonality_defect
+from h1geo.curvature import mesh_curvature, orthogonality_defect
 from h1geo.errors import DegeneratePoint, NonFinite, UnknownSurface
 from h1geo.geodesics import (
     FieldAlongGeodesic,
@@ -31,18 +32,15 @@ from h1geo.surfaces import (
     Chart,
     ImmersedPatch,
     SpherePatch,
-    SurfaceMesh,
+    TOL_SINGULAR,
     build_sigma_lambda,
     build_sigma_zero,
     build_surface,
     catalog,
     cylinder_S,
     detect_singular,
-    export_csv,
-    export_obj,
     fd_partials,
     helicoid_L,
-    mesh,
     parse_g,
     plane_patch,
     singular_components,
@@ -53,8 +51,12 @@ from h1geo.surfaces import (
     _BLOCK_VERTICES,
     _curve_data,
     _float_text,
+    _grid,
     _int_text,
+    _write_faces,
+    _write_vertices,
     atomic_write,
+    write_mesh,
 )
 from h1geo.cli import _MAX_RES
 
@@ -623,37 +625,44 @@ def test_helicoid_curves_pairwise_distinct():
 
 def test_mesh_sphere_singular_clusters_at_poles():
     sp = sphere_geodesic(1.0)
-    m = mesh(sp, 128, 128)
-    flagged = detect_singular(m, tol_singular=0.08)
+    singular = write_mesh(sp, 128, 128, tol_singular=0.08)
+    flagged = detect_singular(singular)
     assert len(flagged) > 0
     # flagged rows are only near the first/last s rows (the poles)
     js = flagged[:, 1]
-    n_s = m.shape[1]
+    n_s = singular.shape[1]
     assert np.all((js < n_s // 8) | (js > 7 * n_s // 8))
 
 
 def test_mesh_sigma_lambda_singular_rows():
     sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
-    m = mesh(sl, 24, 33)
-    flagged = detect_singular(m)
+    singular = write_mesh(sl, 24, 33)
+    flagged = detect_singular(singular)
     assert len(flagged) == 2 * 24
     assert set(flagged[:, 1]) == {0, 32}
-    comps = singular_components(m)
+    comps = singular_components(singular)
     assert len(comps) == 2
     assert all(len(c) == 24 for c in comps)
 
 
 def test_mesh_vertical_plane_no_singular():
     vp = plane_patch((1.0, 0.0, 0.0), 0.5)
-    m = mesh(vp, 16, 16)
-    assert len(detect_singular(m)) == 0
+    assert len(detect_singular(write_mesh(vp, 16, 16))) == 0
 
 
-def test_mesh_geometric_s_rectified():
+def read_csv(path, n_e, n_s):
+    """The (n_e, n_s, 7) values of a mesh CSV, each parsed by `float`."""
+    head, body = path.read_text().split("\n", 1)
+    assert head == "eps,s,x,y,t,nh_norm,h_est"
+    return np.array([float(v) for v in body.replace(",", "\n").split()]).reshape(n_e, n_s, 7)
+
+
+def test_mesh_geometric_s_rectified(tmp_path):
     sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
-    m = mesh(sl, 8, 9)
-    assert np.allclose(m.geom_s[:, -1], np.pi / 2, atol=1e-14)
-    assert np.allclose(m.geom_s[:, 0], 0.0, atol=0)
+    write_mesh(sl, 8, 9, csv=tmp_path / "m.csv")
+    geom_s = read_csv(tmp_path / "m.csv", 8, 9)[..., 1]
+    assert np.allclose(geom_s[:, -1], np.pi / 2, atol=1e-14)
+    assert np.allclose(geom_s[:, 0], 0.0, atol=0)
 
 
 def _whole_grid(patch, eps, s):
@@ -680,64 +689,95 @@ def _csv_curve_sigma_lambda(tmp_path):
 def test_blocked_mesh_matches_one_whole_grid_evaluation(tmp_path, make, n_eps, n_s):
     patch = make(tmp_path)
     assert n_eps > _BLOCK_VERTICES // n_s      # a block edge falls inside the grid
-    m = mesh(patch, n_eps, n_s)
-    assert (m.s[0] > patch.s_lo, m.s[-1] < patch.s_hi) == patch.open_s_ends
-    for got, want in zip((m.points, m.nh_norm, m.geom_s), _whole_grid(patch, m.eps, m.s)):
-        assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+    singular = write_mesh(patch, n_eps, n_s, csv=tmp_path / "m.csv")
+    eps, s = _grid(patch, n_eps, n_s)
+    assert (s[0] > patch.s_lo, s[-1] < patch.s_hi) == patch.open_s_ends
+    points, nh, geom_s = _whole_grid(patch, eps, s)
+    got = read_csv(tmp_path / "m.csv", n_eps, n_s)
+    for k, want in enumerate((np.broadcast_to(eps[:, None], nh.shape), geom_s, *np.moveaxis(points, -1, 0), nh)):
+        assert got[..., k].tobytes() == np.ascontiguousarray(want).tobytes()
+    assert np.isnan(got[..., 6]).all()
+    assert np.array_equal(singular, nh < TOL_SINGULAR)
 
 
-class _LastRowNaN(ImmersedPatch):
-    """The unit sphere with t = NaN on its last eps row only."""
+class _RowNaN(ImmersedPatch):
+    """The unit sphere with t = NaN on the eps rows `nan_rows`, and dependent
+    partials (a zero F_eps) on the rows `degenerate_rows`, of a 37-row grid."""
 
-    def __init__(self):
+    def __init__(self, nan_rows=(), degenerate_rows=()):
         self.base = sphere_geodesic(1.0)
         super().__init__(self.base.eps_lo, self.base.eps_hi, self.base.s_lo, self.base.s_hi)
         self.open_s_ends = self.base.open_s_ends
+        eps = _grid(self, 37, 2)[0]
+        self.nan_eps, self.degenerate_eps = eps[list(nan_rows)], eps[list(degenerate_rows)]
 
     def partials(self, eps, s):
         fe, fs, p = self.base.partials(eps, s)
-        return fe, fs, Point(p.x, p.y, np.where(eps == self.eps_hi, np.nan, p.t))
+        fe = np.where(np.isin(eps, self.degenerate_eps)[..., None], 0.0, fe)
+        return fe, fs, Point(p.x, p.y, np.where(np.isin(eps, self.nan_eps), np.nan, p.t))
 
 
 def test_mesh_raises_when_only_the_last_block_is_not_finite():
     assert 37 - 1 >= _BLOCK_VERTICES // 301    # the last row is not in the first block
     with pytest.raises(NonFinite):
-        mesh(_LastRowNaN(), 37, 301)
+        write_mesh(_RowNaN(nan_rows=[36]), 37, 301)
 
 
-def _transient_peak(patch, n_eps, n_s, out):
-    """Traced peak of mesh, H fill, OBJ and CSV export, less the mesh's arrays."""
+@pytest.mark.parametrize("paths", [("m.obj", "m.csv"), ("m.obj", None), (None, "m.csv")],
+                         ids=["obj-csv", "obj", "csv"])
+def test_mesh_not_finite_in_a_middle_block_keeps_the_old_files(tmp_path, paths):
+    step = _BLOCK_VERTICES // 301
+    assert 2 * step < 37                       # row step + 1 is in a middle block
+    old = {}
+    for name in filter(None, paths):
+        (tmp_path / name).write_text(f"old {name}\n")
+        (tmp_path / name).chmod(0o640)
+        old[name] = (tmp_path / name).read_bytes()
+    obj, csv = (tmp_path / name if name else None for name in paths)
+    with pytest.raises(NonFinite):
+        write_mesh(_RowNaN(nan_rows=[step + 1]), 37, 301, obj, csv, h_est=mesh_curvature)
+    assert sorted(os.listdir(tmp_path)) == sorted(old)
+    for name, data in old.items():
+        assert (tmp_path / name).read_bytes() == data
+        assert (tmp_path / name).stat().st_mode & 0o7777 == 0o640
+
+
+def test_mesh_degenerate_point_after_a_non_finite_block_raises_degenerate(tmp_path):
+    step = _BLOCK_VERTICES // 301
+    with pytest.raises(DegeneratePoint):
+        write_mesh(_RowNaN(nan_rows=[1], degenerate_rows=[36]), 37, 301,
+                   tmp_path / "m.obj", tmp_path / "m.csv")
+    assert 36 >= step and os.listdir(tmp_path) == []
+
+
+def _traced_peak(patch, n_eps, n_s, out):
+    """Traced peak of a whole OBJ+CSV `write_mesh` with the H fill."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        m = mesh(patch, n_eps, n_s)
-        fill_mesh_curvature(m)
-        export_obj(m, out / "m.obj")
-        export_csv(m, out / "m.csv")
-        peak = tracemalloc.get_traced_memory()[1] - base
+        write_mesh(patch, n_eps, n_s, out / "m.obj", out / "m.csv", h_est=mesh_curvature)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
             tracemalloc.stop()
-    return peak - sum(a.nbytes for a in (m.eps, m.s, m.points, m.nh_norm, m.geom_s, m.h_est))
 
 
 def test_mesh_memory_does_not_grow_with_eps_rows(tmp_path):
+    # only the 1-byte singular mask grows with the rows: 48 KB here
     patch = build_surface("helicoid-l")
-    small = _transient_peak(patch, 128, 128, tmp_path)
-    large = _transient_peak(patch, 512, 128, tmp_path)
+    small = _traced_peak(patch, 128, 128, tmp_path)
+    large = _traced_peak(patch, 512, 128, tmp_path)
     assert large - small < 64 * 1024
 
 
 def test_export_obj_and_csv(tmp_path):
     sp = sphere_geodesic(1.0)
-    m = mesh(sp, 6, 7)
     obj = tmp_path / "s.obj"
     csv = tmp_path / "s.csv"
-    export_obj(m, obj)
-    export_csv(m, csv)
+    write_mesh(sp, 6, 7, obj, csv)
     lines = obj.read_text().strip().splitlines()
     nv = sum(1 for ln in lines if ln.startswith("v "))
     nf = sum(1 for ln in lines if ln.startswith("f "))
@@ -746,6 +786,21 @@ def test_export_obj_and_csv(tmp_path):
     header = csv.read_text().splitlines()[0]
     assert header == "eps,s,x,y,t,nh_norm,h_est"
     assert len(csv.read_text().strip().splitlines()) == 1 + 6 * 7
+
+
+@dataclasses.dataclass
+class Fields:
+    """The per-vertex fields of an (n_e, n_s) grid, as the exports print them."""
+
+    eps: np.ndarray          # (n_e,)
+    points: np.ndarray       # (n_e, n_s, 3)
+    nh_norm: np.ndarray      # (n_e, n_s)
+    geom_s: np.ndarray
+    h_est: np.ndarray
+
+    @property
+    def shape(self):
+        return self.nh_norm.shape
 
 
 def oracle_obj(m):
@@ -781,12 +836,76 @@ def oracle_csv(m):
     return "\n".join(rows) + "\n"
 
 
+def write_fields(m, obj, csv):
+    """Write hand-built fields to the paths obj and csv (either None) through
+    the mesh writer's line functions, in blocks of rows as `write_mesh`
+    takes them."""
+    n_e, n_s = m.shape
+    step = max(1, _BLOCK_VERTICES // n_s)
+    with contextlib.ExitStack() as files:
+        obj_fh, csv_fh = (files.enter_context(open(p, "wb")) if p else None for p in (obj, csv))
+        if csv_fh:
+            csv_fh.write(b"eps,s,x,y,t,nh_norm,h_est\n")
+        for i in range(0, n_e, step):
+            rows = slice(i, i + step)
+            _write_vertices(obj_fh, csv_fh, m.eps[rows], *np.moveaxis(m.points[rows], -1, 0),
+                            geom_s=m.geom_s[rows], nh_norm=m.nh_norm[rows], h_est=m.h_est[rows])
+        if obj_fh:
+            _write_faces(obj_fh, n_e, n_s)
+
+
+@dataclasses.dataclass
+class Grid:
+    """A `write_mesh` call, and its fields from one whole-grid evaluation."""
+
+    patch: ImmersedPatch
+    n_eps: int
+    n_s: int
+    with_h: bool = False
+    tol_singular: float = TOL_SINGULAR
+
+    def fields(self):
+        eps, s = _grid(self.patch, self.n_eps, self.n_s)
+        points, nh, geom_s = _whole_grid(self.patch, eps, s)
+        h = (mesh_curvature(self.patch, eps, s, nh, self.tol_singular) if self.with_h
+             else np.full(nh.shape, np.nan))
+        return Fields(eps, points, nh, geom_s, h)
+
+    def write(self, obj, csv):
+        write_mesh(self.patch, self.n_eps, self.n_s, obj, csv,
+                   h_est=mesh_curvature if self.with_h else None,
+                   tol_singular=self.tol_singular)
+
+
+def assert_matches_oracle(case, out, files=("m.obj", "m.csv")):
+    """Write `case`, a Grid or hand-built Fields, to the files named in
+    `files` (either None) under `out` and compare them with the oracles."""
+    obj, csv = (out / name if name else None for name in files)
+    if isinstance(case, Grid):
+        case.write(obj, csv)
+        m = case.fields()
+    else:
+        write_fields(case, obj, csv)
+        m = case
+    if obj:
+        assert obj.read_text() == oracle_obj(m)
+    if csv:
+        assert csv.read_text() == oracle_csv(m)
+
+
+def sphere_mesh_with_h():
+    grid = Grid(sphere_geodesic(1.0), 9, 8, with_h=True, tol_singular=0.05)
+    h = grid.fields().h_est    # the tolerance masks the columns next to the poles
+    assert np.isnan(h).any() and np.isfinite(h).any()
+    return grid
+
+
 SPECIAL = np.array([-0.0, 5e-324, 1e300, np.inf, np.nan, -np.inf, 0.1, -2.5e-17,
                     1.0 / 3.0, 2.0**53 + 2.0, -1e-300, 123456789.0])
 
 
 def special_mesh():
-    """A hand-built 3x4 mesh whose every column holds -0, subnormals, huge,
+    """Hand-built 3x4 fields whose every column holds -0, subnormals, huge,
     inf and nan values."""
     n_e, n_s = 3, 4
 
@@ -795,20 +914,13 @@ def special_mesh():
 
     # the unused picks stand for fields meshes no longer keep, so every kept
     # field draws the values it drew before and later tests see the same RNG
-    eps, s, points = pick(n_e), pick(n_s), pick(n_e, n_s, 3)
+    eps, _s, points = pick(n_e), pick(n_s), pick(n_e, n_s, 3)
     pick(n_e, n_s, 3)
     nh_norm = pick(n_e, n_s)
     for _ in range(3):
         pick(n_e, n_s, 3)
-    return SurfaceMesh(patch=sphere_geodesic(1.0), eps=eps, s=s, points=points,
-                       nh_norm=nh_norm, geom_s=pick(n_e, n_s), h_est=pick(n_e, n_s))
-
-
-def sphere_mesh_with_h():
-    m = mesh(sphere_geodesic(1.0), 9, 8)
-    fill_mesh_curvature(m, tol_singular=0.05)    # masks the columns next to the poles
-    assert np.isnan(m.h_est).any() and np.isfinite(m.h_est).any()
-    return m
+    return Fields(eps=eps, points=points, nh_norm=nh_norm, geom_s=pick(n_e, n_s),
+                  h_est=pick(n_e, n_s))
 
 
 VERTEX_FIELDS = ("x", "y", "t", "nh_norm", "geom_s", "h_est")
@@ -816,17 +928,15 @@ NEG_NAN = np.copysign(np.nan, -1.0)
 
 
 def field_mesh(eps=(0.1, -0.0, 1e300), n_s=4, **fields):
-    """A hand-built mesh over `eps`: each given field is broadcast to
+    """Hand-built fields over `eps`: each given field is broadcast to
     (n_e, n_s), a row vector making it constant along eps and a column
     vector constant along s; every other field differs at every vertex."""
     n_e = len(eps)
     ramp = np.arange(n_e * n_s).reshape(n_e, n_s) / 7.0
     f = {name: np.broadcast_to(np.asarray(fields.get(name, ramp + k), float), (n_e, n_s)).copy()
          for k, name in enumerate(VERTEX_FIELDS)}
-    return SurfaceMesh(patch=sphere_geodesic(1.0), eps=np.array(eps, float),
-                       s=np.arange(n_s, dtype=float),
-                       points=np.stack([f["x"], f["y"], f["t"]], axis=-1),
-                       nh_norm=f["nh_norm"], geom_s=f["geom_s"], h_est=f["h_est"])
+    return Fields(eps=np.array(eps, float), points=np.stack([f["x"], f["y"], f["t"]], axis=-1),
+                  nh_norm=f["nh_norm"], geom_s=f["geom_s"], h_est=f["h_est"])
 
 
 def _one_negative_zero():
@@ -855,8 +965,8 @@ def multi_block_mesh():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: mesh(sphere_geodesic(1.0), 2, 2),
-    lambda: mesh(build_sigma_lambda(helix_curve(0.8), 1.2, -1), 3, 5),
+    lambda: Grid(sphere_geodesic(1.0), 2, 2),
+    lambda: Grid(build_sigma_lambda(helix_curve(0.8), 1.2, -1), 3, 5),
     sphere_mesh_with_h,
     special_mesh,
     lambda: field_mesh(y=SPECIAL[:4], geom_s=[0.0, 0.5, 1.0, 1.5]),
@@ -870,11 +980,21 @@ def multi_block_mesh():
         "constant-along-s", "constant-along-both", "one-negative-zero", "all-nan",
         "nan-both-signs", "multi-block"])
 def test_export_bytes_match_per_vertex_oracle(tmp_path, make):
-    m = make()
-    export_obj(m, tmp_path / "m.obj")
-    export_csv(m, tmp_path / "m.csv")
-    assert (tmp_path / "m.obj").read_text() == oracle_obj(m)
-    assert (tmp_path / "m.csv").read_text() == oracle_csv(m)
+    assert_matches_oracle(make(), tmp_path)
+
+
+@pytest.mark.parametrize("case, files", [
+    (Grid(sphere_geodesic(1.0), 37, 301), ("m.obj", "m.csv")),
+    (Grid(sphere_geodesic(1.0), 37, 301), ("m.obj", None)),
+    (Grid(sphere_geodesic(1.0), 37, 301), (None, "m.csv")),
+    (Grid(build_surface("helicoid-l"), 37, 301, with_h=True), ("m.obj", "m.csv")),
+], ids=["sphere-37x301", "sphere-37x301-obj-only", "sphere-37x301-csv-only",
+        "helicoid-l-37x301-h"])
+def test_streamed_bytes_match_per_vertex_oracle(tmp_path, case, files):
+    # 301 columns divide no block of rows, and the helicoid's singular
+    # columns put NaN into h_est on every row, next to every block edge
+    assert 37 > _BLOCK_VERTICES // 301 and _BLOCK_VERTICES % 301
+    assert_matches_oracle(case, tmp_path, files)
 
 
 def test_bitwise_constant_columns_are_converted_once(tmp_path, monkeypatch):
@@ -887,17 +1007,17 @@ def test_bitwise_constant_columns_are_converted_once(tmp_path, monkeypatch):
     monkeypatch.setattr("h1geo.surfaces._float_text", recording)
     m = field_mesh(x=SPECIAL[4:7, None], y=SPECIAL[:4], t=np.nan, nh_norm=_one_negative_zero(),
                    h_est=_nans_of_both_signs())
-    export_csv(m, tmp_path / "m.csv")
-    # eps and x once per eps row, y once per s column, t once; geom_s, the
-    # -0 among zeros and the nans of both signs per vertex
-    assert sizes == [3, 3, 4, 1, 12, 12, 12]
-    assert (tmp_path / "m.csv").read_text() == oracle_csv(m)
+    assert_matches_oracle(m, tmp_path)
+    # x once per eps row, y once per s column and t once, for both files;
+    # then eps once per row, and geom_s, the -0 among zeros and the nans of
+    # both signs per vertex
+    assert sizes == [3, 4, 1, 3, 12, 12, 12]
 
 
 @st.composite
 def axis_constant_meshes(draw):
-    """Small meshes whose fields are drawn from SPECIAL, 0.0 and a negative
-    nan, each constant along eps, along s, along both or neither."""
+    """Small fields drawn from SPECIAL, 0.0 and a negative nan, each
+    constant along eps, along s, along both or neither."""
     value = st.sampled_from([*SPECIAL.tolist(), 0.0, NEG_NAN])
     n_e, n_s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
 
@@ -915,10 +1035,7 @@ def axis_constant_meshes(draw):
 def test_export_bytes_match_oracle_for_axis_constant_fields(tmp_path_factory, m):
     out = tmp_path_factory.getbasetemp() / "axis-constant"
     out.mkdir(exist_ok=True)
-    export_obj(m, out / "m.obj")
-    export_csv(m, out / "m.csv")
-    assert (out / "m.obj").read_text() == oracle_obj(m)
-    assert (out / "m.csv").read_text() == oracle_csv(m)
+    assert_matches_oracle(m, out)
 
 
 def text_of(rows):
@@ -976,10 +1093,9 @@ def test_int_text_matches_percent_d():
 
 def test_export_determinism(tmp_path):
     sp = sphere_geodesic(1.0)
-    m = mesh(sp, 5, 5)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    export_csv(m, p1)
-    export_csv(m, p2)
+    write_mesh(sp, 5, 5, csv=p1)
+    write_mesh(sp, 5, 5, csv=p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -1246,8 +1362,7 @@ def test_frame_is_the_single_evaluation_path():
 
 def test_vertical_cylinder_regular_everywhere():
     vc = VerticalCylinder(1.5)
-    m = mesh(vc, 16, 8)
-    assert len(detect_singular(m)) == 0
+    assert len(detect_singular(write_mesh(vc, 16, 8))) == 0
     nd = vc.normal_data(0.3, 0.1)
     assert abs(nd.nh_norm - 1.0) < 1e-14
 
@@ -1273,7 +1388,7 @@ def test_catalog_unknown_surface():
 
 def test_plane_has_one_isolated_singular_vertex():
     pl = plane_patch(rect=(-2.0, 2.0, -2.0, 2.0))
-    m = mesh(pl, 33, 33)  # odd grid puts a vertex exactly at the origin
-    comps = singular_components(m, tol_singular=0.05)
+    # an odd grid puts a vertex exactly at the origin
+    comps = singular_components(write_mesh(pl, 33, 33, tol_singular=0.05))
     assert len(comps) == 1
     assert len(comps[0]) == 1

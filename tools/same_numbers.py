@@ -26,6 +26,10 @@ OUTDIR receives:
   blocks of rows of the mesh evaluation, the mean curvature fill and the
   export, and whose singular vertices put NaN into `h_est` next to the
   fill's block edges;
+- `extra/`: a 37x301 OBJ-only mesh and a 37x301 CSV-only `--with-h` mesh
+  of the sphere, whose 301 columns divide no block of rows: the mesh writer
+  serves both files in one pass, so each single-file path has its own
+  output;
 - `extra/graph-pde.txt`: the `repr` of `graph_pde_residual` and
   `graph_pde_mean_curvature` of every graph family (Bernstein with a
   quadratic and a cubic g, a tilted plane, both cylinder sheets at
@@ -73,6 +77,8 @@ EXTRA_MESHES = {"vertical-cylinder-r1e-6": (["--surface", "vertical-cylinder", "
                 "plane-d1e16": (["--surface", "plane", "--d", "1e16"], "40x40"),
                 "bernstein-pow100": (["--surface", "bernstein", "--g", "(y+1)^100"], "61x61"),
                 "helicoid-l-256x256-h": (["--surface", "helicoid-l", "--with-h"], "256x256")}
+EXTRA_SINGLE_FILE = {"sphere-37x301-obj-only": ["--out", ".obj"],
+                     "sphere-37x301-h-csv-only": ["--with-h", "--csv", ".csv"]}
 EXTRA_REPORTS = {"bernstein-3y2": ["--surface", "bernstein", "--g", "3*y^2"],
                  "bernstein-pow100": ["--surface", "bernstein", "--g", "(y+1)^100"],
                  "cylinder-s-lam0.6": ["--surface", "cylinder-s", "--lambda", "0.6"],
@@ -185,6 +191,9 @@ def write_all(outdir):
     for tag, (argv, res) in EXTRA_MESHES.items():
         _run(["mesh", *argv, "--res", res, "--out", os.path.join(extra, tag + ".obj"),
               "--csv", os.path.join(extra, tag + ".csv")], extra, tag)
+    for tag, (*flags, ext) in EXTRA_SINGLE_FILE.items():
+        _run(["mesh", "--surface", "sphere", "--res", "37x301", *flags,
+              os.path.join(extra, tag + ext)], extra, tag)
     for tag, argv in EXTRA_REPORTS.items():
         _run(["report", *argv], extra, "report-" + tag)
     write_graph_pde(os.path.join(extra, "graph-pde.txt"))
