@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NoSingularCurve, OnSingularLocus, SingularPoint
 from .geodesics import GeodesicSpec, geodesic_point
-from .hgroup import Point, conn_c, divergence, dot_c
+from .hgroup import Point, conn_c, cross_c, divergence, dot_c
 from .surfaces import _BLOCK_VERTICES, ImmersedPatch, NormalData, TOL_SINGULAR
 
 # The difference step h of mean_curvature_char: its ends sit at parameter
@@ -49,15 +49,18 @@ def _asf(x):
 
 def _z_velocity(nd: NormalData):
     """Parameter-space velocity (deps, ds) of the unit characteristic field
-    at the points of `nd`: the solution of deps F_eps + ds F_s = Z."""
-    fe, fs = nd.fe, nd.fs
-    g11 = dot_c(fe, fe)
-    g12 = dot_c(fe, fs)
-    g22 = dot_c(fs, fs)
-    b1 = dot_c(nd.z, fe)
-    b2 = dot_c(nd.z, fs)
-    det = g11 * g22 - g12 * g12
-    return (g22 * b1 - g12 * b2) / det, (g11 * b2 - g12 * b1) / det
+    at the points of `nd`: the solution of deps F_eps + ds F_s = Z, by
+    Cramer's rule on the frame (F_eps, F_s, N) with N the unit normal, in
+    which the tangent Z has no N part:
+    deps = [Z, F_s, N] / [F_eps, F_s, N] and ds = [F_eps, Z, N] / [F_eps, F_s, N],
+    [a, b, c] = <a, b x c> the triple product.  Where F_eps and F_s are
+    nearly parallel, at an angle theta, these lose digits as 1 / sin(theta),
+    while the determinant |F_eps|^2 |F_s|^2 - <F_eps, F_s>^2 of their Gram
+    system loses them as 1 / sin(theta)^2."""
+    ws = cross_c(nd.fs, nd.normal)     # [a, F_s, N] = <a, ws>
+    we = cross_c(nd.normal, nd.fe)     # [F_eps, a, N] = <a, we>
+    det = dot_c(nd.fe, ws)
+    return dot_c(nd.z, ws) / det, dot_c(nd.z, we) / det
 
 
 def _char_velocity(patch: ImmersedPatch, eps, s):

@@ -515,6 +515,38 @@ def test_report_sigma_lambda_over_csv_curve(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+# Fourier modes k = 1, 2, 3 (x amplitude, x phase, y amplitude, y phase) of
+# the benchmark's seeded CSV curve
+CURVE_MODES = ((0.10, 0.4, 0.30, 1.9), (0.05, 2.2, 0.15, 4.1), (0.033, 5.0, 0.10, 0.7))
+
+
+def write_seeded_curve_csv(path, seed):
+    """The benchmark's CSV curve at `seed`: a drift plus three Fourier modes
+    over 200 samples, rescaled to polygonal length 0.1 and turned about the
+    origin by an angle drawn from the seed."""
+    u = np.linspace(0.0, 1.0, 200)
+    x, y = u.copy(), np.zeros_like(u)
+    for k, (ax, px, ay, py) in enumerate(CURVE_MODES, start=1):
+        x += ax * np.sin(2 * np.pi * k * u + px)
+        y += ay * np.sin(2 * np.pi * k * u + py)
+    x, y = x - x[0], y - y[0]
+    scale = 0.1 / float(np.sum(np.hypot(np.diff(x), np.diff(y))))
+    turn = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi)
+    c, s = np.cos(turn) * scale, np.sin(turn) * scale
+    rows = zip(u.tolist(), (c * x - s * y).tolist(), (s * x + c * y).tolist())
+    path.write_text("eps,x,y\n" + "".join(f"{e!r},{a!r},{b!r}\n" for e, a, b in rows))
+
+
+def test_report_H_over_the_turned_benchmark_curve(tmp_path, capsys):
+    # at the curvature peak of the seed-11 curve F_eps and F_s are parallel
+    # to 3e-8, where the Gram system for Z's velocity read H = 1 + 8.5e-8
+    curve = tmp_path / "curve.csv"
+    write_seeded_curve_csv(curve, 11)
+    assert main(["report", "--surface", "sigma-lambda", "--curve", str(curve),
+                 "--res", "2x2"]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["H"] - 1.0) < 1e-9
+
+
 @pytest.mark.parametrize("argv", [
     ["report", "--surface", "sphere", "--lambda", "1e-80"],
     ["mesh", "--surface", "sigma-lambda", "--lambda", "1e300"],

@@ -16,7 +16,7 @@ from h1geo.curvature import (
 )
 from h1geo.errors import NoSingularCurve, OnSingularLocus, SingularPoint
 from h1geo.hcurves import helix_curve, line_curve
-from h1geo.hgroup import Point
+from h1geo.hgroup import Point, dot_c
 from h1geo.surfaces import (
     BernsteinGraph,
     ImmersedPatch,
@@ -29,6 +29,7 @@ from h1geo.surfaces import (
     build_sigma_lambda,
     build_sigma_zero,
     build_surface,
+    catalog,
     cylinder_S,
     helicoid_L,
     parse_g,
@@ -628,6 +629,30 @@ def test_calibration_of_curved_cmc_graphs(sheets, probes):
     rng = np.random.default_rng(19)
     for sheet in sheets:
         assert _calibration_gap(sheet, *probes(sheet, rng)) < 1e-6
+
+
+def _gram_velocity(nd):
+    """(deps, ds) from the 2x2 Gram system of F_eps and F_s: the reference
+    for `_z_velocity` where the partials are far from parallel."""
+    fe, fs = nd.fe, nd.fs
+    g11, g12, g22 = dot_c(fe, fe), dot_c(fe, fs), dot_c(fs, fs)
+    b1, b2 = dot_c(nd.z, fe), dot_c(nd.z, fs)
+    det = g11 * g22 - g12 * g12
+    return (g22 * b1 - g12 * b2) / det, (g11 * b2 - g12 * b1) / det
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_z_velocity_agrees_with_the_gram_system_away_from_parallel_partials(name):
+    patch = build_surface(name)
+    eps = np.linspace(patch.eps_lo, patch.eps_hi, 41)[1:-1, None]
+    s = np.linspace(patch.s_lo, patch.s_hi, 41)[None, 1:-1]
+    nd = patch.normal_data(eps, s)
+    fe, fs = nd.fe, nd.fs
+    cos = np.abs(dot_c(fe, fs)) / np.sqrt(dot_c(fe, fe) * dot_c(fs, fs))
+    keep = ~nd.singular & (np.arccos(np.minimum(cos, 1.0)) > 0.1)
+    assert keep.sum() > 100
+    for got, want in zip(crv._z_velocity(nd), _gram_velocity(nd)):
+        assert np.max(np.abs(got[keep] - want[keep])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
