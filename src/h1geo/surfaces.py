@@ -1207,7 +1207,8 @@ def write_mesh(patch: ImmersedPatch, n_eps: int, n_s: int, obj=None, csv=None,
     step = max(1, _BLOCK_VERTICES // n_s)
     finite = True
     with contextlib.ExitStack() as files:
-        # entered last, so replaced first, as the OBJ was written first
+        # the OBJ is entered last, so it replaces its path first; when that
+        # fails, the CSV's old file stays too
         csv_fh = files.enter_context(_replacing(csv)) if csv else None
         obj_fh = files.enter_context(_replacing(obj)) if obj else None
         if csv_fh:

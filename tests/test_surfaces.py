@@ -694,7 +694,8 @@ def test_blocked_mesh_matches_one_whole_grid_evaluation(tmp_path, make, n_eps, n
     assert (s[0] > patch.s_lo, s[-1] < patch.s_hi) == patch.open_s_ends
     points, nh, geom_s = _whole_grid(patch, eps, s)
     got = read_csv(tmp_path / "m.csv", n_eps, n_s)
-    for k, want in enumerate((np.broadcast_to(eps[:, None], nh.shape), geom_s, *np.moveaxis(points, -1, 0), nh)):
+    columns = (np.broadcast_to(eps[:, None], nh.shape), geom_s, *np.moveaxis(points, -1, 0), nh)
+    for k, want in enumerate(columns):
         assert got[..., k].tobytes() == np.ascontiguousarray(want).tobytes()
     assert np.isnan(got[..., 6]).all()
     assert np.array_equal(singular, nh < TOL_SINGULAR)
@@ -743,11 +744,11 @@ def test_mesh_not_finite_in_a_middle_block_keeps_the_old_files(tmp_path, paths):
 
 
 def test_mesh_degenerate_point_after_a_non_finite_block_raises_degenerate(tmp_path):
-    step = _BLOCK_VERTICES // 301
+    assert 36 >= _BLOCK_VERTICES // 301        # row 36 is not in row 1's block
     with pytest.raises(DegeneratePoint):
         write_mesh(_RowNaN(nan_rows=[1], degenerate_rows=[36]), 37, 301,
                    tmp_path / "m.obj", tmp_path / "m.csv")
-    assert 36 >= step and os.listdir(tmp_path) == []
+    assert os.listdir(tmp_path) == []
 
 
 def _traced_peak(patch, n_eps, n_s, out):
