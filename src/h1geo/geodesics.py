@@ -177,8 +177,13 @@ class FieldAlongGeodesic:
             raise ValueError("a field carries both analytic derivatives or neither")
 
 
-def tangent_jacobi_field(g: GeodesicSpec, a: float, b: float) -> FieldAlongGeodesic:
-    """V = (a s + b) gamma', the tangent Jacobi candidates."""
+def tangent_jacobi_field(g: GeodesicSpec, a, b) -> FieldAlongGeodesic:
+    """V = (a s + b) gamma', the tangent Jacobi candidates.
+
+    a, b and the geodesic's theta and lam broadcast against s, so one field
+    can carry a batch of geodesics, each with its own a and b."""
+    a = np.asarray(a, float)
+    lam = np.asarray(g.lam, float)[..., None]
 
     def coeffs(s):
         s = np.asarray(s, float)
@@ -190,16 +195,15 @@ def tangent_jacobi_field(g: GeodesicSpec, a: float, b: float) -> FieldAlongGeode
         f = a * s + b
         vc = geodesic_velocity(g, s)
         dvc = geodesic_velocity_dcoeffs(g, s)
-        return a * vc + f[..., None] * dvc
+        return a[..., None] * vc + f[..., None] * dvc
 
     def ddcoeffs(s):
         # gamma''' coefficients: d/ds(-2 lam J(gamma')) = -4 lam^2 gamma'
         s = np.asarray(s, float)
-        lam = float(np.asarray(g.lam, float))
         f = a * s + b
         vc = geodesic_velocity(g, s)
         dvc = geodesic_velocity_dcoeffs(g, s)
-        return 2 * a * dvc - 4 * lam * lam * f[..., None] * vc
+        return 2 * a[..., None] * dvc - 4 * lam * lam * f[..., None] * vc
 
     return FieldAlongGeodesic(g, coeffs, dcoeffs, ddcoeffs)
 

@@ -16,8 +16,11 @@ ladder of resolutions from coarse to fine, with n as a cap, and stops once
 the Richardson difference of two neighbouring levels meets RTOL or the
 roundoff floor of the sum.  Next to the built-in integrands it takes named
 integrand functions of the sample, as `first_variation` does: A'(0) and
-V'(0) of a closed patch under a normal variation u N, from one ladder over
-the base patch, with the mean curvature read pointwise from `curvature`.
+V'(0) of a closed patch under a normal variation u N, or under each of
+several speeds, from one ladder over the base patch, with the mean
+curvature read pointwise from `curvature` once per sample.
+`dilation_homogeneity` takes one dilation parameter or several, and sweeps
+the base patch's ladder once for all of them.
 `first_variation_check` is its finite-difference oracle: fixed-n sweeps of
 the vertical variation p + tau u T, whose normal speed is u N_T.
 """
@@ -80,7 +83,7 @@ def _volume(eps, s, p, raw):
 # roundoff): f the integrand values, roundoff None or a per-sample bound on
 # the rounding error f carries from its own evaluation.
 _INTEGRANDS = {"area": _area, "rarea": _rarea, "volume": _volume}
-_NONNEGATIVE = (_area, _rarea)   # sum |f| w is sum f w for these
+_NONNEGATIVE = ("area", "rarea")   # sum |f| w is sum f w for these
 
 
 def _sweep(patch: ImmersedPatch, n: int, kinds: tuple):
@@ -89,8 +92,10 @@ def _sweep(patch: ImmersedPatch, n: int, kinds: tuple):
     rectangle when it declares none, shared between the integrands and
     summed over the charts in order.
 
-    A kind is a built-in name ('area', 'rarea', 'volume') or a (name, fn)
-    pair with fn a named integrand (see _INTEGRANDS); results are keyed by
+    A kind is a built-in name ('area', 'rarea', 'volume'), a (name, fn)
+    pair with fn a named integrand (see _INTEGRANDS), or a (names, fn) pair
+    with names a tuple and fn returning one (f, roundoff) per name, so that
+    integrands that share work do it once per sample; results are keyed by
     name.  An integrand sees the base parameters (eps, s) of its samples and
     the chart's raw normal, which carries the map's Jacobian.  The floor of a
     kind is FLOOR_ULPS ulps of sum |f| w, plus sum roundoff w when its
@@ -102,17 +107,27 @@ def _sweep(patch: ImmersedPatch, n: int, kinds: tuple):
     the eps weights once at the end, so the values do not depend on the
     block size.
     """
-    funcs = dict((k, _INTEGRANDS[k]) if isinstance(k, str) else k for k in kinds)
-    parts = [_sweep_chart(patch, chart, n, funcs)
+    groups = [_group(k) for k in kinds]
+    nonnegative = {k for k in kinds if k in _NONNEGATIVE}
+    parts = [_sweep_chart(patch, chart, n, groups, nonnegative)
              for chart in patch.quadrature_charts() or [None]]
     values, floors = {}, {}
-    for k in funcs:
+    for k in (name for names, _ in groups for name in names):
         value, mag, rounding = (_total([part[k][i] for part in parts]) for i in range(3))
         values[k] = value
         floors[k] = float(FLOOR_ULPS * np.finfo(float).eps * mag)
         if rounding is not None:
             floors[k] += rounding
     return values, floors, len(parts) * (GAUSS_ORDER * n) ** 2
+
+
+def _group(kind):
+    """(names, fn) of a kind, with fn returning one (f, roundoff) per name;
+    a single name's integrand is wrapped to return its one pair."""
+    names, fn = (kind, _INTEGRANDS[kind]) if isinstance(kind, str) else kind
+    if isinstance(names, str):
+        return (names,), lambda *sample: (fn(*sample),)
+    return tuple(names), fn
 
 
 def _total(terms: list):
@@ -122,14 +137,16 @@ def _total(terms: list):
     return sum(terms[1:], terms[0]) if terms else None
 
 
-def _sweep_chart(patch: ImmersedPatch, chart, n: int, funcs: dict) -> dict:
+def _sweep_chart(patch: ImmersedPatch, chart, n: int, groups: list, nonnegative: set) -> dict:
     """{kind: (sum f w, sum |f| w, sum roundoff w or None)} over one `Chart`
-    of the patch, or over the patch's own rectangle for chart None."""
+    of the patch, or over the patch's own rectangle for chart None; sum |f| w
+    is sum f w for the kinds in `nonnegative`."""
     rect = chart.rect if chart is not None else (patch.eps_lo, patch.eps_hi, patch.s_lo, patch.s_hi)
     eps_pts, eps_wts = _axis_rule(*rect[:2], n)
     s_pts, s_wts = _axis_rule(*rect[2:], n)
-    rows = {k: np.empty(eps_pts.size) for k in funcs}
-    abs_rows = {k: np.empty(eps_pts.size) for k, fn in funcs.items() if fn not in _NONNEGATIVE}
+    names = [name for names, _ in groups for name in names]
+    rows = {k: np.empty(eps_pts.size) for k in names}
+    abs_rows = {k: np.empty(eps_pts.size) for k in names if k not in nonnegative}
     round_rows = {}
     block = max(1, _BLOCK_SAMPLES // s_pts.size)
     for start in range(0, eps_pts.size, block):
@@ -140,21 +157,21 @@ def _sweep_chart(patch: ImmersedPatch, chart, n: int, funcs: dict) -> dict:
         else:
             eps, s, p, raw = chart.samples(patch, a, b)
             rel = None if chart.roundoff is None else chart.roundoff(a, b)
-        for kind, fn in funcs.items():
-            f, roundoff = fn(eps, s, p, raw)
-            if not np.all(np.isfinite(f)):
-                raise NonFinite(f"{kind} integrand produced non-finite samples")
-            if rel is not None:
-                roundoff = rel * np.abs(f) + (0.0 if roundoff is None else roundoff)
-            rows[kind][start:start + block] = (f * s_wts).sum(axis=1)
-            if kind in abs_rows:
-                abs_rows[kind][start:start + block] = (np.abs(f) * s_wts).sum(axis=1)
-            if roundoff is not None:
-                if kind not in round_rows:
-                    round_rows[kind] = np.empty(eps_pts.size)
-                round_rows[kind][start:start + block] = (roundoff * s_wts).sum(axis=1)
+        for kinds, fn in groups:
+            for kind, (f, roundoff) in zip(kinds, fn(eps, s, p, raw)):
+                if not np.all(np.isfinite(f)):
+                    raise NonFinite(f"{kind} integrand produced non-finite samples")
+                if rel is not None:
+                    roundoff = rel * np.abs(f) + (0.0 if roundoff is None else roundoff)
+                rows[kind][start:start + block] = (f * s_wts).sum(axis=1)
+                if kind in abs_rows:
+                    abs_rows[kind][start:start + block] = (np.abs(f) * s_wts).sum(axis=1)
+                if roundoff is not None:
+                    if kind not in round_rows:
+                        round_rows[kind] = np.empty(eps_pts.size)
+                    round_rows[kind][start:start + block] = (roundoff * s_wts).sum(axis=1)
     out = {}
-    for k in funcs:
+    for k in names:
         value = float((rows[k] * eps_wts).sum())
         mag = float((abs_rows[k] * eps_wts).sum()) if k in abs_rows else value
         out[k] = (value, mag,
@@ -235,12 +252,16 @@ def minkowski_check(patch: ImmersedPatch, H: float, n: int = 256) -> float:
     return abs(3.0 * a - 8.0 * H * v) / (3.0 * a)
 
 
-def dilation_homogeneity(patch: ImmersedPatch, s: float, n: int = 128):
+def dilation_homogeneity(patch: ImmersedPatch, s, n: int = 128):
     """(A(phi_s patch)/A(patch), V(phi_s patch)/V(patch)); expected
-    (e^{3s}, e^{4s})."""
+    (e^{3s}, e^{4s}).  With a sequence of s, one such pair per s, in order,
+    over one ladder of the base patch."""
     a0, v0 = _values(patch, n, ("area", "volume"))
-    a1, v1 = _values(patch.dilated(s), n, ("area", "volume"))
-    return a1 / a0, v1 / v0
+    out = []
+    for si in [s] if np.ndim(s) == 0 else s:
+        a1, v1 = _values(patch.dilated(si), n, ("area", "volume"))
+        out.append((a1 / a0, v1 / v0))
+    return out[0] if np.ndim(s) == 0 else out
 
 
 def iso_ratio(patch: ImmersedPatch, n: int = 256) -> float:
@@ -252,10 +273,13 @@ def iso_ratio(patch: ImmersedPatch, n: int = 256) -> float:
 FIRST_VARIATION_CELLS = 96   # cap of first_variation's ladder; S_lambda stops at 12
 
 
-def first_variation(patch: ImmersedPatch, u) -> dict:
+def first_variation(patch: ImmersedPatch, u):
     """{'a_prime': Estimate, 'v_prime': Estimate}: A'(0) and V'(0) of a closed
     patch under the normal variation u N, from one quad_many ladder over the
-    base patch with FIRST_VARIATION_CELLS cells per side as the cap.
+    base patch with FIRST_VARIATION_CELLS cells per side as the cap.  With a
+    sequence of speeds for u, one such dict per speed, in order, from one
+    ladder: H is taken once per sample for all of them, and the ladder
+    refines until every speed has converged.
 
     On the regular set A'(0) = -integral 2 H u dSigma and V'(0) = -integral
     u dSigma, dSigma = |raw| d eps ds the Riemannian area element.  H is
@@ -266,30 +290,33 @@ def first_variation(patch: ImmersedPatch, u) -> dict:
     the result is A'(0) only for closed patches whose singular set is
     isolated points, as on the spheres, where it adds no term.  H is taken
     at most a quarter of _BLOCK_VERTICES samples at a time, as each sample
-    carries the four ends of its stencil.
+    carries the four ends of its stencil.  Each speed is evaluated once per
+    sample.
     """
     if not patch.closed:
         raise NotClosedSurface("first variation formula applies to closed surfaces")
+    speeds = [u] if callable(u) else list(u)
     h = crv.H_CHAR_STEP
     step = _BLOCK_VERTICES // 4
 
-    def u_da(eps, s, raw):
-        return np.asarray(u(eps, s), float) * np.linalg.norm(raw, axis=-1)
-
-    def a_prime(eps, s, p, raw):
+    def integrands(eps, s, p, raw):
         e, t = np.broadcast_arrays(eps, s)
         H = np.empty(e.shape)
         flat, e, t = H.reshape(-1), e.ravel(), t.ravel()
         for i in range(0, flat.size, step):
             flat[i:i + step] = crv.mean_curvature_char(patch, e[i:i + step], t[i:i + step])
-        ud = u_da(eps, s, raw)
-        return -2.0 * H * ud, 2.0 * crv.H_ROUNDOFF * np.finfo(float).eps / h * np.abs(ud)
+        da = np.linalg.norm(raw, axis=-1)
+        out = []
+        for w in speeds:
+            ud = np.asarray(w(eps, s), float) * da
+            out += [(-2.0 * H * ud, 2.0 * crv.H_ROUNDOFF * np.finfo(float).eps / h * np.abs(ud)),
+                    (-ud, None)]
+        return out
 
-    def v_prime(eps, s, p, raw):
-        return -u_da(eps, s, raw), None
-
-    return quad_many(patch, FIRST_VARIATION_CELLS,
-                     (("a_prime", a_prime), ("v_prime", v_prime)))
+    names = [(f"a_prime[{i}]", f"v_prime[{i}]") for i in range(len(speeds))]
+    res = quad_many(patch, FIRST_VARIATION_CELLS, ((sum(names, ()), integrands),))
+    out = [{"a_prime": res[a], "v_prime": res[v]} for a, v in names]
+    return out[0] if callable(u) else out
 
 
 @dataclass(frozen=True)

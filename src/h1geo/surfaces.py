@@ -897,9 +897,11 @@ class SigmaLambdaPatch(ImmersedPatch):
 
     # -- structure -------------------------------------------------------------
     def generating_geodesic(self, eps) -> GeodesicSpec:
-        xd, yd = self.curve.planar.d1(float(eps))
-        theta = float(np.arctan2(self.side * xd, -self.side * yd))
-        return GeodesicSpec(self.curve.position(float(eps)), theta, self.lam)
+        """The geodesic leaving the base curve at eps; an array of eps gives
+        one spec whose base and theta carry its shape."""
+        xd, yd = self.curve.planar.d1(_asf(eps))
+        theta = np.arctan2(self.side * xd, -self.side * yd)
+        return GeodesicSpec(self.curve.position(_asf(eps)), theta, self.lam)
 
     def singular_curves(self):
         """The base curve sigma = 0 and the far curve sigma = 1, whose tangent

@@ -177,27 +177,31 @@ def suite_geodesics(tols=None) -> list[Check]:
 
 
 def suite_jacobi(tols=None) -> list[Check]:
+    """Each check draws its cases one by one, in the order of the seeded
+    draws, and evaluates them in one batch: cases along the first axis,
+    samples along the last."""
     rng = np.random.default_rng(SEED + 1)
     checks = []
 
-    worst_std = 0.0
-    for _ in range(100):
-        g = GeodesicSpec(ORIGIN, rng.uniform(0, 2 * np.pi), rng.uniform(-2, 2))
-        field = tangent_jacobi_field(g, 0.0, rng.uniform(-2, 2))
-        span = np.pi / max(abs(float(np.asarray(g.lam))), 0.3)
-        vals = conserved_quantity(g, field, np.linspace(0, span, 100))
-        worst_std = max(worst_std, float(np.std(vals)))
-    checks.append(Check("conserved-std", worst_std, 0.0, _tol(tols, "conserved-std"),
+    draws = np.array([[rng.uniform(0, 2 * np.pi), rng.uniform(-2, 2), rng.uniform(-2, 2)]
+                      for _ in range(100)])
+    theta, lam, b = draws.T[..., None]
+    g = GeodesicSpec(ORIGIN, theta, lam)
+    span = np.pi / np.maximum(np.abs(lam), 0.3)
+    # C order, so that each row's std sums in the order of a single geodesic's
+    s = np.ascontiguousarray(np.linspace(0, span[:, 0], 100, axis=-1))
+    vals = conserved_quantity(g, tangent_jacobi_field(g, 0.0, b), s)
+    checks.append(Check("conserved-std", float(np.max(np.std(vals, axis=-1))), 0.0,
+                        _tol(tols, "conserved-std"),
                         "lambda<V,T> + <V,gamma'> is constant along geodesics"))
 
     worst = 0.0
     for curve in (line_curve(eps_min=-2, eps_max=2), helix_curve(1.0, eps_min=-2, eps_max=2)):
         patch = build_sigma_lambda(curve, 1.0, +1)
-        for eps in rng.uniform(-1.5, 1.5, 5):
-            e = float(eps)
-            s = rng.uniform(0.05, np.pi - 0.05, 40)
-            worst = max(worst, float(np.max(np.abs(conserved_quantity(
-                patch.generating_geodesic(e), lambda u: patch.variation_coeffs(e, u), s)))))
+        eps = rng.uniform(-1.5, 1.5, 5)[:, None]
+        s = np.array([rng.uniform(0.05, np.pi - 0.05, 40) for _ in range(eps.size)])
+        worst = max(worst, float(np.max(np.abs(conserved_quantity(
+            patch.generating_geodesic(eps), lambda u: patch.variation_coeffs(eps, u), s)))))
     checks.append(Check("conserved-orthogonal", worst, 0.0,
                         _tol(tols, "conserved-orthogonal"),
                         "orthogonal-family conserved quantity vanishes"))
@@ -208,26 +212,28 @@ def suite_jacobi(tols=None) -> list[Check]:
         for curve in (line_curve(eps_min=-2, eps_max=2),
                       helix_curve(1.0, eps_min=-2, eps_max=2)):
             patch = build_sigma_lambda(curve, lam, +1)
-            for eps in rng.uniform(-1.5, 1.5, 6):
-                e = float(eps)
-                g = patch.generating_geodesic(e)
-                fd_field = FieldAlongGeodesic(g, lambda u: patch.variation_coeffs(e, u))
-                s = rng.uniform(0.05, np.pi / lam - 0.05, 28)
-                count += s.size
-                worst = max(worst, float(np.max(jacobi_residual(g, fd_field, s))))
+            eps = rng.uniform(-1.5, 1.5, 6)[:, None]
+            s = np.array([rng.uniform(0.05, np.pi / lam - 0.05, 28) for _ in range(eps.size)])
+            g = patch.generating_geodesic(eps)
+            fd_field = FieldAlongGeodesic(g, lambda u: patch.variation_coeffs(eps, u))
+            count += s.size
+            worst = max(worst, float(np.max(jacobi_residual(g, fd_field, s))))
     checks.append(Check("jacobi-orthogonal", worst, 0.0, _tol(tols, "jacobi-orthogonal"),
                         f"orthogonal variation fields solve the Jacobi equation "
                         f"({count} finite-difference samples)"))
 
-    worst = 0.0
-    for _ in range(20):
-        lam = rng.uniform(0.3, 2.0)
-        g = GeodesicSpec(ORIGIN, rng.uniform(0, 2 * np.pi), lam)
-        field = tangent_jacobi_field(g, 0.0, rng.uniform(-2, 2))
-        worst = max(worst, float(np.max(jacobi_residual(g, field, rng.uniform(0.1, 2.0, 10)))))
-        g0 = GeodesicSpec(ORIGIN, rng.uniform(0, 2 * np.pi), 0.0)
-        field0 = tangent_jacobi_field(g0, rng.uniform(-1, 1), rng.uniform(-1, 1))
-        worst = max(worst, float(np.max(jacobi_residual(g0, field0, rng.uniform(-2, 2, 10)))))
+    # per case: lam, theta, b, 10 s; then theta, a, b, 10 s of a lambda = 0 line
+    draws = np.array([[rng.uniform(0.3, 2.0), rng.uniform(0, 2 * np.pi), rng.uniform(-2, 2),
+                       *rng.uniform(0.1, 2.0, 10), rng.uniform(0, 2 * np.pi),
+                       rng.uniform(-1, 1), rng.uniform(-1, 1), *rng.uniform(-2, 2, 10)]
+                      for _ in range(20)])
+    lam, theta, b = draws[:, :3].T[..., None]
+    g = GeodesicSpec(ORIGIN, theta, lam)
+    worst = float(np.max(jacobi_residual(g, tangent_jacobi_field(g, 0.0, b), draws[:, 3:13])))
+    theta0, a0, b0 = draws[:, 13:16].T[..., None]
+    g0 = GeodesicSpec(ORIGIN, theta0, 0.0)
+    worst = max(worst, float(np.max(jacobi_residual(g0, tangent_jacobi_field(g0, a0, b0),
+                                                    draws[:, 16:]))))
     checks.append(Check("jacobi-tangent", worst, 0.0, _tol(tols, "jacobi-tangent"),
                         "tangent fields b gamma' (and (as+b) gamma' when lambda = 0)"))
     return checks
@@ -359,13 +365,13 @@ def suite_minkowski(tols=None, n: int = 256) -> list[Check]:
 
     sp = sphere_geodesic(1.0)
     sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
-    for s0 in (-0.5, np.log(2.0)):
-        ra, rv = msr.dilation_homogeneity(sp, s0, 96)
+    dilations = (-0.5, np.log(2.0))
+    for s0, (ra, rv), (ra2, _) in zip(dilations, msr.dilation_homogeneity(sp, dilations, 96),
+                                      msr.dilation_homogeneity(sl, dilations, 96)):
         checks.append(Check(f"dilation-area[sphere,s={s0:.3f}]", ra, np.exp(3 * s0),
                             _tol(tols, "dilation"), "area scales by e^{3s}", mode="rel"))
         checks.append(Check(f"dilation-volume[sphere,s={s0:.3f}]", rv, np.exp(4 * s0),
                             _tol(tols, "dilation"), "volume scales by e^{4s}", mode="rel"))
-        ra2, _ = msr.dilation_homogeneity(sl, s0, 96)
         checks.append(Check(f"dilation-area[sigma,s={s0:.3f}]", ra2, np.exp(3 * s0),
                             _tol(tols, "dilation"), "area scales by e^{3s}", mode="rel"))
 
@@ -379,15 +385,17 @@ def suite_minkowski(tols=None, n: int = 256) -> list[Check]:
         p, _, _, raw = sp.frame(e, s)
         return p.t * raw[..., 2] / np.linalg.norm(raw, axis=-1)
 
+    def mean_zero(e, s):
+        return np.cos(np.asarray(e, float)) + 0.0 * np.asarray(s)
+
     tol = _tol(tols, "first-variation")
-    fv = msr.first_variation(sp, stretch_speed)
+    fv, fv0 = msr.first_variation(sp, (stretch_speed, mean_zero))
     a1, v1 = fv["a_prime"].value, fv["v_prime"].value
     checks.append(Check("first-variation[stretch]", _relative(a1 - 2.0 * sp.lam * v1, a1), 0.0,
                         tol, "A'(0) = 2H V'(0) under the stretch u = t"))
     fd = msr.first_variation_check(sp, stretch, dt=1e-3, n=16)
     checks.append(Check("first-variation[volume-rate]", fd.v_prime, 3 * np.pi**2 / 8, tol,
                         "V'(0) = V = 3 pi^2/8 under the stretch u = t", mode="rel"))
-    fv0 = msr.first_variation(sp, lambda e, s: np.cos(np.asarray(e, float)) + 0.0 * np.asarray(s))
     checks.append(Check("first-variation[mean-zero]",
                         abs(fv0["a_prime"].value) / msr.area(sp, 96).value, 0.0, tol,
                         "A'(0) = 0 for volume-preserving modes"))
@@ -405,19 +413,15 @@ def suite_bernstein(tols=None, g=None) -> list[Check]:
     for label, curve in (("x-axis", line_curve(eps_min=-2, eps_max=2)),
                          ("helix", helix_curve(1.0, eps_min=-2, eps_max=2))):
         patch = build_sigma_lambda(curve, 1.0, +1)
-        worst = 0.0
-        for idx in (0, 1):
-            for eps in rng.uniform(-1.0, 1.0, 8):
-                worst = max(worst, abs(float(crv.orthogonality_defect(patch, idx, float(eps)))))
+        worst = max(float(np.max(np.abs(crv.orthogonality_defect(
+            patch, idx, rng.uniform(-1.0, 1.0, 8))))) for idx in (0, 1))
         checks.append(Check(f"orthogonality[sigma,{label}]", worst, 0.0, tol_orth,
                             "characteristic curves meet singular curves at right angles"))
 
     for label, text in [(g, g)] if g else [("ay+b", G_AFFINE), ("y^2", G_SQUARE)]:
         patch = BernsteinGraph(*parse_g(text))
-        worst = 0.0
-        for y in rng.uniform(-1.0, 1.0, 8):
-            defect = float(crv.orthogonality_defect(patch, 0, float(y)))
-            worst = max(worst, abs(defect - (-float(patch.ddg(y)) / 2.0)))
+        y = rng.uniform(-1.0, 1.0, 8)
+        worst = float(np.max(np.abs(crv.orthogonality_defect(patch, 0, y) - (-patch.ddg(y) / 2.0))))
         stationary = bool(np.all(np.abs(patch.ddg(np.linspace(-2, 2, 64))) < 1e-12))
         verdict = "area-stationary" if stationary else "NOT area-stationary"
         checks.append(Check(f"bernstein-defect[t=xy+{label}]", worst, 0.0,
@@ -437,12 +441,10 @@ def suite_bernstein(tols=None, g=None) -> list[Check]:
                             tol_cal, "foliation field is divergence-free"))
 
     cubic = BernsteinGraph(*parse_g(G_CUBIC))
-    worst = 0.0
-    for y0 in (0.4, 0.7, -0.9):
-        x0 = -3.0 * y0**2 / 2.0
-        for d in (-2e-6, 2e-6, 5e-6):
-            worst = max(worst, abs(float(crv.calibration_divergence(
-                cubic, Point(x0 + d, y0, 0.1)))))
+    y0 = np.array([[0.4], [0.7], [-0.9]])
+    x0 = -3.0 * y0**2 / 2.0
+    q = Point(x0 + [-2e-6, 2e-6, 5e-6], y0, 0.1)
+    worst = float(np.max(np.abs(crv.calibration_divergence(cubic, q))))
     checks.append(Check("calibration-control[t=xy+y^3]", worst,
                         _tol(tols, "calibration-control"), 0.0,
                         "non-stationary family shows a divergence jump at the locus",

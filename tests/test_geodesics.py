@@ -296,6 +296,27 @@ def test_jacobi_residual_orthogonal_family_closed_form():
     assert np.max(np.abs(conserved_quantity(g, field, s))) < 1e-14
 
 
+@pytest.mark.parametrize("zero_lam", [False, True], ids=["lam", "lam=0"])
+def test_batched_tangent_field_matches_single_geodesics_bitwise(zero_lam):
+    # a batch of 20 geodesics, one per row with its own a and b, gives the
+    # bits of the 20 single-geodesic calls
+    rng = np.random.default_rng(4711)
+    theta, a, b = rng.uniform(0, 2 * np.pi, 20), rng.uniform(-1, 1, 20), rng.uniform(-2, 2, 20)
+    lam = np.zeros(20) if zero_lam else rng.uniform(-2, 2, 20)
+    s = rng.uniform(-2, 2, (20, 10))
+    g = GeodesicSpec(ORIGIN, theta[:, None], lam[:, None])
+    field = tangent_jacobi_field(g, a[:, None], b[:, None])
+    batched = [field.coeffs(s), field.dcoeffs(s), field.ddcoeffs(s),
+               conserved_quantity(g, field, s), jacobi_residual(g, field, s)]
+    for i in range(20):
+        gi = GeodesicSpec(ORIGIN, theta[i], lam[i])
+        fi = tangent_jacobi_field(gi, a[i], b[i])
+        single = [fi.coeffs(s[i]), fi.dcoeffs(s[i]), fi.ddcoeffs(s[i]),
+                  conserved_quantity(gi, fi, s[i]), jacobi_residual(gi, fi, s[i])]
+        for got, want in zip(batched, single):
+            assert np.array_equal(got[i], want)
+
+
 def test_field_along_geodesic_takes_both_derivatives_or_neither():
     g = GeodesicSpec(ORIGIN, 0.9, 1.1)
     full = tangent_jacobi_field(g, 0.0, 0.7)

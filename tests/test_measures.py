@@ -186,6 +186,18 @@ def test_dilation_homogeneity_sigma_patch():
         assert abs(ra - np.exp(3 * s)) / np.exp(3 * s) < 1e-4
 
 
+def test_dilation_homogeneity_takes_several_s_over_one_base_ladder(monkeypatch):
+    sp = sphere_geodesic(1.0)
+    dilations = (-0.5, np.log(2.0), 0.0)
+    singles = [dilation_homogeneity(sp, s0, 32) for s0 in dilations]
+    calls = []
+    real = measures.quad_many
+    monkeypatch.setattr(measures, "quad_many",
+                        lambda patch, *args: calls.append(patch) or real(patch, *args))
+    assert dilation_homogeneity(sp, dilations, 32) == singles
+    assert len(calls) == 1 + len(dilations) and calls.count(sp) == 1
+
+
 def test_iso_ratio_lambda_independent():
     expect = (8.0 / 3.0) ** 3 * np.pi**2
     for lam in (0.5, 1.0, 2.0):
@@ -470,6 +482,31 @@ def test_first_variation_stops_at_twelve_cells(mode):
     for est in first_variation(sphere_geodesic(1.0), _speed(mode)).values():
         assert est.converged
         assert est.samples <= (measures.GAUSS_ORDER * 12) ** 2
+
+
+def test_first_variation_evaluates_each_speed_once_per_sample():
+    points = []
+
+    def u(e, s):
+        e, s = np.broadcast_arrays(e, s)
+        points.append(e.size)
+        return np.ones(e.shape)
+
+    # the ladder sweeps 6 and then 12 cells per side: 48^2 + 96^2 samples
+    fv = first_variation(sphere_geodesic(1.0), u)
+    assert fv["a_prime"].samples == (measures.GAUSS_ORDER * 12) ** 2
+    assert sum(points) == 11_520
+
+
+def test_first_variation_of_two_speeds_equals_two_single_calls():
+    # the minkowski suite's stretch t N_T and mean-zero cos(eps) on S_1, whose
+    # ladders both stop at 12 cells, so the joint ladder keeps every bit
+    sp = sphere_geodesic(1.0)
+    speeds = (_normal_speed(sp, _stretch(sp)), _speed("cos"))
+    joint = first_variation(sp, speeds)
+    assert len(joint) == 2
+    for got, speed in zip(joint, speeds):
+        assert got == first_variation(sp, speed)
 
 
 def test_first_variation_richardson_h_is_within_its_rounding():

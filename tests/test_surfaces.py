@@ -379,6 +379,20 @@ def test_sigma_lambda_vjg_identity():
         assert abs(vcut - side) < 1e-12
 
 
+@pytest.mark.parametrize("curve", [line_curve(eps_min=-2, eps_max=2),
+                                   helix_curve(0.7, eps_min=-2, eps_max=2)],
+                         ids=["line", "helix"])
+def test_generating_geodesic_of_an_eps_array_matches_each_eps_bitwise(curve):
+    sl = build_sigma_lambda(curve, 1.2, +1)
+    eps = np.linspace(-1.5, 1.5, 7)[:, None]
+    g = sl.generating_geodesic(eps)
+    assert np.shape(g.theta) == eps.shape and g.lam == sl.lam
+    for i, e in enumerate(eps[:, 0]):
+        gi = sl.generating_geodesic(float(e))
+        assert g.theta[i, 0] == gi.theta
+        assert np.array_equal(g.base.as_array()[i, 0], gi.base.as_array())
+
+
 def test_sigma_lambda_generating_geodesics_residual():
     sl = build_sigma_lambda(helix_curve(0.7, eps_min=-2, eps_max=2), 1.2, +1)
     from h1geo.geodesics import geodesic_residual

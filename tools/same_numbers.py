@@ -45,6 +45,14 @@ OUTDIR receives:
   case of both ruling checks (`verify.ruling_cases`), at the steps and
   arclength the curvature suite pins, one line per case, so a change to the
   traces or the partials shows which case moved and not only the maximum;
+- `extra/suite-cases.txt`: the `repr` of every per-case value behind the
+  maxima of the jacobi and bernstein suites, one line per case: the std of
+  each geodesic of `conserved-std`, the largest |value| or residual of each
+  geodesic of `conserved-orthogonal`, `jacobi-orthogonal` and
+  `jacobi-tangent`, and each defect and divergence of the bernstein suite.
+  They are recorded from the library calls the suites make, whether a call
+  takes one case or a batch of them (cases along the first axes, samples
+  along the last), so the file reads the same for both;
 - for every operation, `<name>.stdout`: its exit code, then its standard
   output without the `wrote PATH` lines (those name OUTDIR); a report's
   JSON is there, because `report` without `--out` prints it.
@@ -60,13 +68,14 @@ import contextlib
 import io
 import os
 import sys
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import numpy as np  # noqa: E402
 
-from h1geo import curvature as crv, surfaces as srf, verify  # noqa: E402
+from h1geo import curvature as crv, geodesics as geo, surfaces as srf, verify  # noqa: E402
 from h1geo.cli import main  # noqa: E402
 import workloads  # noqa: E402
 
@@ -168,6 +177,65 @@ def write_ruling(path):
         fh.write("".join(lines))
 
 
+def _per_row(reduce, out):
+    """reduce(out, axis=-1) for each case of a call's result, with cases
+    along the first axes and samples along the last.  The result is reduced
+    as the call returned it, in its own memory order, as the suite does."""
+    return np.ravel(reduce(np.asarray(out), axis=-1)).tolist()
+
+
+def _conserved_cases(g, field, s, out):
+    # conserved-std passes the tangent field and checks each geodesic's std;
+    # conserved-orthogonal passes the family's coefficients and checks |value|
+    if isinstance(field, geo.FieldAlongGeodesic):
+        return [("conserved-std", v) for v in _per_row(np.std, out)]
+    return [("conserved-orthogonal", v) for v in _per_row(np.max, np.abs(out))]
+
+
+def _jacobi_cases(g, field, s, out):
+    if field.dcoeffs is None:
+        label = "jacobi-orthogonal"
+    else:
+        label = "jacobi-tangent[lam=0]" if np.all(np.asarray(g.lam) == 0) else "jacobi-tangent"
+    return [(label, v) for v in _per_row(np.max, out)]
+
+
+def _defect_cases(patch, index, param, out):
+    return [(f"orthogonality-defect {patch.label} {index}", float(v))
+            for v in np.ravel(out)]
+
+
+def _divergence_cases(graph, q, out):
+    return [(f"calibration-divergence {graph.label}", float(v)) for v in np.ravel(out)]
+
+
+def write_suite_cases(path):
+    lines = []
+
+    def record(module, name, cases):
+        """Patch module.name so that each call appends its cases' lines."""
+        fn = getattr(module, name)
+
+        def wrapped(*args):
+            out = fn(*args)
+            lines.extend(f"{label} {value!r}\n" for label, value in cases(*args, out))
+            return out
+        return mock.patch.object(module, name, wrapped)
+
+    with contextlib.ExitStack() as stack:
+        for patch in (record(verify, "conserved_quantity", _conserved_cases),
+                      record(verify, "jacobi_residual", _jacobi_cases),
+                      record(crv, "orthogonality_defect", _defect_cases),
+                      record(crv, "calibration_divergence", _divergence_cases)):
+            stack.enter_context(patch)
+        verify.suite_jacobi()
+        verify.suite_bernstein()
+    # grouped by check, in call order within each: a loop may interleave
+    # the cases of two checks (jacobi-tangent's two kinds) that a batch splits
+    with open(path, "w") as fh:
+        fh.write("".join(sorted(lines, key=lambda line: line.split(" ")[0])))
+
+
 def write_all(outdir):
     os.makedirs(outdir, exist_ok=True)
     _run(["verify", "--suite", "all", "--out", os.path.join(outdir, "verify-all.json")],
@@ -200,6 +268,7 @@ def write_all(outdir):
     write_calibration(os.path.join(extra, "calibration.txt"))
     write_mean_curvature(os.path.join(extra, "mean-curvature.txt"))
     write_ruling(os.path.join(extra, "ruling.txt"))
+    write_suite_cases(os.path.join(extra, "suite-cases.txt"))
 
 
 if __name__ == "__main__":
