@@ -21,7 +21,12 @@ from .surfaces import (  # noqa: F401
     sphere_graph,
     write_mesh,
 )
-from .curvature import graph_pde_residual, mean_curvature_char, orthogonality_defect  # noqa: F401
-from .measures import area, iso_ratio, minkowski_check, volume_enclosed  # noqa: F401
+from .curvature import (  # noqa: F401
+    graph_pde_mean_curvature,
+    graph_pde_residual,
+    mean_curvature_char,
+    orthogonality_defect,
+)
+from .measures import area, iso_ratio, volume_enclosed  # noqa: F401
 
 __version__ = "0.1.0"

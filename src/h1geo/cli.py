@@ -160,9 +160,8 @@ def cmd_mesh(cfg: dict) -> int:
         print(f"wrote {out} ({n_eps * n_s} vertices)")
     if cfg.get("csv"):
         print(f"wrote {cfg['csv']}")
-    flagged = srf.detect_singular(singular)
     comps = srf.singular_components(singular)
-    print(f"singular vertices: {len(flagged)} in {len(comps)} component(s)")
+    print(f"singular vertices: {np.count_nonzero(singular)} in {len(comps)} component(s)")
     return 0
 
 

@@ -18,8 +18,6 @@ as the graph's partials, so any graph, curved or not, can be calibrated.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .errors import NoSingularCurve, OnSingularLocus, SingularPoint
@@ -40,7 +38,6 @@ H_CHAR_STEP = 1e-4
 # (lambda = 0.5, 1, 2, and S_1 dilated, translated and flipped) the error
 # measures 2.5 to 4.2 eps / h.
 H_ROUNDOFF = 6.0
-GRAPH_FD_STEP = 1e-3   # step of _fd_bundle's fourth-order differences
 
 
 def _asf(x):
@@ -183,45 +180,11 @@ def characteristic_deviation(patch: ImmersedPatch, eps0, s0, arclen: float = 1.0
 # Graph PDE
 
 
-def _fd_bundle(u: Callable):
-    """(u, u_x, u_y, u_xx, u_xy, u_yy) callables of a bare graph u(x, y) by
-    fourth-order central differences of step GRAPH_FD_STEP; the oracle for
-    graphs' own `height` and `hessian`."""
-    h = GRAPH_FD_STEP
-
-    def d1(f, axis):
-        def g(x, y):
-            x, y = _asf(x), _asf(y)
-            if axis == 0:
-                vals = [f(x + k * h, y) for k in (-2, -1, 1, 2)]
-            else:
-                vals = [f(x, y + k * h) for k in (-2, -1, 1, 2)]
-            return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
-        return g
-
-    def d2(f, axis):
-        def g(x, y):
-            x, y = _asf(x), _asf(y)
-            if axis == 0:
-                vals = [f(x + k * h, y) for k in (-2, -1, 0, 1, 2)]
-            else:
-                vals = [f(x, y + k * h) for k in (-2, -1, 0, 1, 2)]
-            return (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h * h)
-        return g
-
-    ux = d1(u, 0)
-    uy = d1(u, 1)
-    return u, ux, uy, d2(u, 0), d1(ux, 1), d2(u, 1)
-
-
-def _graph_lhs(source, x, y, what: str):
+def _graph_lhs(graph, x, y, what: str):
     """(LHS, w^2) of the graph equation at (x, y), with w^2 = (u_x-y)^2 +
     (u_y+x)^2; raises SingularPoint naming `what` where w < TOL_SINGULAR."""
     x, y = _asf(x), _asf(y)
-    if callable(source):
-        ux, uy, uxx, uxy, uyy = (d(x, y) for d in _fd_bundle(source)[1:])
-    else:
-        (_, ux, uy), (uxx, uxy, uyy) = source.height(x, y), source.hessian(x, y)
+    (_, ux, uy), (uxx, uxy, uyy) = graph.height(x, y), graph.hessian(x, y)
     p = ux - y
     q = uy + x
     w2 = p * p + q * q
@@ -230,22 +193,23 @@ def _graph_lhs(source, x, y, what: str):
     return q * q * uxx - 2.0 * q * p * uxy + p * p * uyy, w2
 
 
-def graph_pde_residual(source, x, y, H):
+def graph_pde_residual(graph, x, y, H):
     """LHS - RHS of the prescribed-curvature graph equation at (x, y).
 
-    `source` is a graph, whose `height` and `hessian` give the derivatives
-    in Cartesian (x, y), or a bare u(x, y), whose derivatives come from
-    fourth-order differences.  H is measured with respect to the downward
-    graph normal; for a sheet whose inner normal points upward, pass -H.
+    `graph`'s `height` and `hessian` give the derivatives in Cartesian
+    (x, y).  H is measured with respect to the downward graph normal; for a
+    sheet whose inner normal points upward, pass -H.
     """
-    lhs, w2 = _graph_lhs(source, x, y, "graph PDE residual")
+    lhs, w2 = _graph_lhs(graph, x, y, "graph PDE residual")
     rhs = -2.0 * np.asarray(H, float) * w2**1.5
     return lhs - rhs
 
 
-def graph_pde_mean_curvature(source, x, y):
-    """The H solving the graph equation pointwise (downward-normal sign)."""
-    lhs, w2 = _graph_lhs(source, x, y, "graph mean curvature")
+def graph_pde_mean_curvature(graph, x, y):
+    """The H solving the graph equation pointwise (downward-normal sign),
+    from `graph`'s `height` and `hessian`: an estimate independent of
+    mean_curvature_char's differences along Z."""
+    lhs, w2 = _graph_lhs(graph, x, y, "graph mean curvature")
     return -lhs / (2.0 * w2**1.5)
 
 

@@ -64,8 +64,10 @@ class GeodesicSpec:
     lam: float | np.ndarray
 
 
-def _point_ab(base: Point, A, B, lam, s) -> Point:
-    sigma, kappa, tau = stable_ratios(lam, s)
+def _point_ab(base: Point, A, B, ratios) -> Point:
+    """The point of the closed form from base, direction (A, B) and the
+    `stable_ratios` triple (sigma, kappa, tau) at its lambda and s."""
+    sigma, kappa, tau = ratios
     x0 = np.asarray(base.x, float)
     y0 = np.asarray(base.y, float)
     t0 = np.asarray(base.t, float)
@@ -78,7 +80,7 @@ def _point_ab(base: Point, A, B, lam, s) -> Point:
 def geodesic_point(g: GeodesicSpec, s) -> Point:
     """Point at arclength s along the geodesic."""
     th = np.asarray(g.theta, float)
-    return _point_ab(g.base, np.cos(th), np.sin(th), g.lam, s)
+    return _point_ab(g.base, np.cos(th), np.sin(th), stable_ratios(g.lam, s))
 
 
 def geodesic_velocity(g: GeodesicSpec, s) -> np.ndarray:
@@ -127,34 +129,6 @@ def geodesic_residual(g: GeodesicSpec, s):
     dvel = np.stack(np.broadcast_arrays(xdd, ydd, dc), axis=-1)
     cov = dvel + conn_c(vel, vel)
     res = cov + 2.0 * lam[..., None] * j_c(vel)
-    return np.linalg.norm(res, axis=-1)
-
-
-def curve_geodesic_residual(position: Callable[[float], Point], lam: float, s):
-    """Geodesic-equation residual of an arbitrary coordinate curve.
-
-    `position` maps arclength to a Point; derivatives are taken by
-    five-point central differences with step H_FD2.  Detects
-    non-geodesics (including non-horizontal curves, whose velocity picks
-    up a T-coefficient).
-    """
-    s = np.asarray(s, float)
-    h = H_FD2
-
-    def xyz(u):
-        return position(u).as_array()
-
-    f_2m, f_m, f_0, f_p, f_2p = (xyz(s - 2 * h), xyz(s - h), xyz(s), xyz(s + h), xyz(s + 2 * h))
-    d1 = (f_2m - 8 * f_m + 8 * f_p - f_2p) / (12 * h)
-    d2 = (-f_2m + 16 * f_m - 30 * f_0 + 16 * f_p - f_2p) / (12 * h * h)
-    p = Point.from_array(f_0)
-    vel = hgroup.cartesian_to_frame(p, d1)
-    # plain derivative of the frame coefficients of the velocity:
-    # (x'', y'', t'' - x''y + xy'')
-    dc = d2[..., 2] - d2[..., 0] * np.asarray(p.y, float) + np.asarray(p.x, float) * d2[..., 1]
-    dvel = np.stack([d2[..., 0], d2[..., 1], dc], axis=-1)
-    cov = dvel + conn_c(vel, vel)
-    res = cov + 2.0 * lam * j_c(vel)
     return np.linalg.norm(res, axis=-1)
 
 

@@ -57,10 +57,6 @@ def group_mul(p: Point, q: Point) -> Point:
     return Point(p.x + q.x, p.y + q.y, p.t + q.t + q.x * p.y - p.x * q.y)
 
 
-def group_inv(p: Point) -> Point:
-    return Point(-p.x, -p.y, -p.t)
-
-
 def dilate(s: float, p: Point) -> Point:
     """Intrinsic dilation (x, y, t) -> (e^s x, e^s y, e^{2s} t)."""
     es = np.exp(s)

@@ -39,7 +39,7 @@ from .errors import (
     StepTooSmall,
 )
 from .hgroup import W_field, dot_c
-from .surfaces import _BLOCK_VERTICES, ImmersedPatch, VerticalVariation
+from .surfaces import _BLOCK_VERTICES, ImmersedPatch, VerticalVariation, _box_chart
 
 GAUSS_ORDER = 8
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
@@ -71,10 +71,6 @@ def _area(eps, s, p, raw):
     return np.hypot(raw[..., 0], raw[..., 1]), None
 
 
-def _rarea(eps, s, p, raw):
-    return np.linalg.norm(raw, axis=-1), None
-
-
 def _volume(eps, s, p, raw):
     return -0.25 * dot_c(W_field(p), raw), None
 
@@ -82,17 +78,17 @@ def _volume(eps, s, p, raw):
 # A named integrand maps the samples (eps, s, p, raw) of one block to (f,
 # roundoff): f the integrand values, roundoff None or a per-sample bound on
 # the rounding error f carries from its own evaluation.
-_INTEGRANDS = {"area": _area, "rarea": _rarea, "volume": _volume}
-_NONNEGATIVE = ("area", "rarea")   # sum |f| w is sum f w for these
+_INTEGRANDS = {"area": _area, "volume": _volume}
+_NONNEGATIVE = ("area",)   # sum |f| w is sum f w for these
 
 
 def _sweep(patch: ImmersedPatch, n: int, kinds: tuple):
     """({kind: sum f w}, {kind: roundoff floor}, samples) from one sweep of
     n x n cells over each of the patch's quadrature charts, or over its own
-    rectangle when it declares none, shared between the integrands and
-    summed over the charts in order.
+    rectangle as one `_box_chart` when it declares none, shared between the
+    integrands and summed over the charts in order.
 
-    A kind is a built-in name ('area', 'rarea', 'volume'), a (name, fn)
+    A kind is a built-in name ('area', 'volume'), a (name, fn)
     pair with fn a named integrand (see _INTEGRANDS), or a (names, fn) pair
     with names a tuple and fn returning one (f, roundoff) per name, so that
     integrands that share work do it once per sample; results are keyed by
@@ -109,8 +105,9 @@ def _sweep(patch: ImmersedPatch, n: int, kinds: tuple):
     """
     groups = [_group(k) for k in kinds]
     nonnegative = {k for k in kinds if k in _NONNEGATIVE}
-    parts = [_sweep_chart(patch, chart, n, groups, nonnegative)
-             for chart in patch.quadrature_charts() or [None]]
+    charts = (patch.quadrature_charts()
+              or [_box_chart((patch.eps_lo, patch.eps_hi, patch.s_lo, patch.s_hi))])
+    parts = [_sweep_chart(patch, chart, n, groups, nonnegative) for chart in charts]
     values, floors = {}, {}
     for k in (name for names, _ in groups for name in names):
         value, mag, rounding = (_total([part[k][i] for part in parts]) for i in range(3))
@@ -139,11 +136,9 @@ def _total(terms: list):
 
 def _sweep_chart(patch: ImmersedPatch, chart, n: int, groups: list, nonnegative: set) -> dict:
     """{kind: (sum f w, sum |f| w, sum roundoff w or None)} over one `Chart`
-    of the patch, or over the patch's own rectangle for chart None; sum |f| w
-    is sum f w for the kinds in `nonnegative`."""
-    rect = chart.rect if chart is not None else (patch.eps_lo, patch.eps_hi, patch.s_lo, patch.s_hi)
-    eps_pts, eps_wts = _axis_rule(*rect[:2], n)
-    s_pts, s_wts = _axis_rule(*rect[2:], n)
+    of the patch; sum |f| w is sum f w for the kinds in `nonnegative`."""
+    eps_pts, eps_wts = _axis_rule(*chart.rect[:2], n)
+    s_pts, s_wts = _axis_rule(*chart.rect[2:], n)
     names = [name for names, _ in groups for name in names]
     rows = {k: np.empty(eps_pts.size) for k in names}
     abs_rows = {k: np.empty(eps_pts.size) for k in names if k not in nonnegative}
@@ -151,12 +146,8 @@ def _sweep_chart(patch: ImmersedPatch, chart, n: int, groups: list, nonnegative:
     block = max(1, _BLOCK_SAMPLES // s_pts.size)
     for start in range(0, eps_pts.size, block):
         a, b = eps_pts[start:start + block, None], s_pts[None, :]
-        if chart is None:
-            eps, s, rel = a, b, None
-            p, _, _, raw = patch.frame(a, b)
-        else:
-            eps, s, p, raw = chart.samples(patch, a, b)
-            rel = None if chart.roundoff is None else chart.roundoff(a, b)
+        eps, s, p, raw = chart.samples(patch, a, b)
+        rel = None if chart.roundoff is None else chart.roundoff(a, b)
         for kinds, fn in groups:
             for kind, (f, roundoff) in zip(kinds, fn(eps, s, p, raw)):
                 if not np.all(np.isfinite(f)):
@@ -231,25 +222,12 @@ def area(patch: ImmersedPatch, n: int = 256) -> Estimate:
     return quad_many(patch, n, ("area",))["area"]
 
 
-def riemannian_area(patch: ImmersedPatch, n: int = 128) -> Estimate:
-    """Riemannian area of the patch (no |N_H| weight)."""
-    return quad_many(patch, n, ("rarea",))["rarea"]
-
-
 def volume_enclosed(patch: ImmersedPatch, n: int = 256) -> Estimate:
     """-(1/4) flux of W through the patch; the enclosed volume for closed
     patches oriented by the inner normal."""
     if patch.orientation not in (1, -1):
         raise OrientationUnset("volume needs an oriented patch")
     return quad_many(patch, n, ("volume",))["volume"]
-
-
-def minkowski_check(patch: ImmersedPatch, H: float, n: int = 256) -> float:
-    """|3A - 8 H V| / (3A) for a closed CMC patch."""
-    if not patch.closed:
-        raise NotClosedSurface("Minkowski identity applies to closed surfaces")
-    a, v = _values(patch, n, ("area", "volume"))
-    return abs(3.0 * a - 8.0 * H * v) / (3.0 * a)
 
 
 def dilation_homogeneity(patch: ImmersedPatch, s, n: int = 128):

@@ -23,10 +23,8 @@ which `GraphPatch.partials` reads, and `hessian` for the graph equation.
 integrands read, and `normal_data` normalizes it and carries the partials
 on, so Z's parameter velocity, which the mean curvature and the
 characteristic traces read, never evaluates a sample twice.
-The Bernstein graph t = xy + g(y) takes (g, g', g''); `parse_g` makes
-them from a text such as "(y+1)^100", evaluated exactly by jets.
-`fd_partials`, differences of `point`, is the tests' reference for every
-patch's `partials`, the vertical variation `VerticalVariation` p + tau u T's too.
+The Bernstein graph t = xy + g(y) takes (g, g', g'') from `parse_g`,
+which reads a text such as "(y+1)^100" and evaluates it exactly by jets.
 A patch states its singular set in its parameters: `quadrature_charts`,
 `Chart` maps on which |N_H| is smooth, read only by the quadrature, and
 `singular_curves`, `SingularCurveRef`s.  A group motion moves points, not
@@ -50,16 +48,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DegeneratePoint, NonFinite, UnknownSurface
-from .geodesics import GeodesicSpec, cut_time, stable_ratios
+from .geodesics import GeodesicSpec, _point_ab, cut_time, geodesic_velocity, stable_ratios
 from .hcurves import HorizontalCurve, helix_curve, line_curve
-from .hgroup import (
-    Point,
-    cartesian_to_frame,
-    cross_c,
-    dilate,
-    group_mul,
-    j_c,
-)
+from .hgroup import ORIGIN, Point, cross_c, dilate, group_mul, j_c
 
 TOL_SINGULAR = 1e-6
 _ROOT_SAMPLES = 1024         # cells of each pass of _roots
@@ -98,19 +89,6 @@ def _unit_normal(raw):
     if np.any(nrm < 1e-12):
         raise DegeneratePoint("immersion partials are dependent at a requested point")
     return raw / nrm[..., None]
-
-
-def fd_partials(patch, eps, s):
-    """(F_eps, F_s, p) by central differences of `patch.point`, steps 1e-6
-    of each parameter range (at least 1e-6); the reference for `partials`."""
-    he = 1e-6 * max(patch.eps_hi - patch.eps_lo, 1.0)
-    hs = 1e-6 * max(patch.s_hi - patch.s_lo, 1.0)
-    eps = _asf(eps)
-    s = _asf(s)
-    p = patch.point(eps, s)
-    de = (patch.point(eps + he, s).as_array() - patch.point(eps - he, s).as_array()) / (2 * he)
-    ds = (patch.point(eps, s + hs).as_array() - patch.point(eps, s - hs).as_array()) / (2 * hs)
-    return cartesian_to_frame(p, de), cartesian_to_frame(p, ds), p
 
 
 class ImmersedPatch:
@@ -344,17 +322,14 @@ class SpherePatch(ImmersedPatch):
     def partials(self, eps, s):
         th = _asf(eps)
         s = _asf(s)
-        sig, kap, tau = stable_ratios(self.lam, s)
+        sig, kap, _ = ratios = stable_ratios(self.lam, s)
         A, B = np.cos(th), np.sin(th)
-        p = Point(A * sig + B * kap, -A * kap + B * sig, tau + 0.0 * A)
+        p = _point_ab(ORIGIN, A, B, ratios)
         dx_th = -B * sig + A * kap
         dy_th = B * kap + A * sig
         c_th = -dx_th * _asf(p.y) + dy_th * _asf(p.x)
         fe = np.stack(np.broadcast_arrays(dx_th, dy_th, c_th), axis=-1)
-        phase = th - 2.0 * self.lam * s
-        fs = np.stack(np.broadcast_arrays(
-            np.cos(phase), np.sin(phase), np.zeros_like(phase)), axis=-1)
-        return fe, fs, p
+        return fe, geodesic_velocity(GeodesicSpec(ORIGIN, th, self.lam), s), p
 
 
 def sphere_geodesic(lam: float) -> SpherePatch:
@@ -617,8 +592,7 @@ class BernsteinGraph(GraphPatch):
     def __init__(self, g, dg, ddg, rect=(-3.0, 3.0, -3.0, 3.0)):
         super().__init__(*rect)
         self.g, self.dg, self.ddg = g, dg, ddg
-        # (g, g', g'') at y from one evaluation where g comes from parse_g
-        self.jet = getattr(g, "jet", None) or (lambda y: (g(y), dg(y), ddg(y)))
+        self.jet = g.jet      # (g, g', g'') at y from one evaluation
 
     def height(self, x, y):
         g, dg, _ = self.jet(y)
@@ -856,8 +830,9 @@ class SigmaLambdaPatch(ImmersedPatch):
         """(point, geodesic velocity, variation coefficients) at geometric s.
 
         `data` is the curve data of `_curve_data` on the eps axis and `sgeo`
-        broadcasts against it; stable_ratios runs once for all three.  The
-        variation field is
+        broadcasts against it.  The point and velocity are the generating
+        geodesic's, from `geodesics._point_ab` and `geodesic_velocity`;
+        stable_ratios runs once for the point and the variation field, which is
 
             a = x' - side y'' sig + side x'' kap
             b = y' + side y'' kap + side x'' sig
@@ -865,21 +840,14 @@ class SigmaLambdaPatch(ImmersedPatch):
         """
         p, (xd, yd), (xdd, ydd), h, _ = data
         sgeo = _asf(sgeo)
-        sig, kap, tau = stable_ratios(self.lam, sgeo)
-        A = -self.side * yd
-        B = self.side * xd
-        x0, y0, t0 = _asf(p.x), _asf(p.y), _asf(p.t)
-        x = x0 + A * sig + B * kap
-        y = y0 - A * kap + B * sig
-        t = t0 + tau + (A * x0 + B * y0) * kap - (B * x0 - A * y0) * sig
+        sig, kap, _ = ratios = stable_ratios(self.lam, sgeo)
         theta = np.arctan2(self.side * xd, -self.side * yd)
-        phase = theta - 2.0 * self.lam * sgeo
-        gdot = np.stack(np.broadcast_arrays(np.cos(phase), np.sin(phase),
-                                            np.zeros_like(phase)), axis=-1)
+        gdot = geodesic_velocity(GeodesicSpec(p, theta, self.lam), sgeo)
         a = xd - self.side * ydd * sig + self.side * xdd * kap
         b = yd + self.side * ydd * kap + self.side * xdd * sig
         cv = h * kap / self.lam - 2.0 * self.side * sig
-        return Point(x, y, t), gdot, np.stack(np.broadcast_arrays(a, b, cv), axis=-1)
+        return (_point_ab(p, -self.side * yd, self.side * xd, ratios), gdot,
+                np.stack(np.broadcast_arrays(a, b, cv), axis=-1))
 
     def variation_coeffs(self, eps, sgeo):
         """Frame triple of the variation field V_eps at geometric s (see `_along`)."""
@@ -1237,11 +1205,6 @@ def write_mesh(patch: ImmersedPatch, n_eps: int, n_s: int, obj=None, csv=None,
     return singular
 
 
-def detect_singular(singular: np.ndarray) -> np.ndarray:
-    """Indices (i, j) of the vertices flagged in a `write_mesh` mask."""
-    return np.argwhere(singular)
-
-
 def singular_components(mask: np.ndarray):
     """Connected components (4-neighbor) of the vertices flagged in a
     `write_mesh` mask, largest first.
@@ -1492,14 +1455,12 @@ def _replacing(path):
         raise
 
 
-def atomic_write(path, data) -> None:
-    """Write `data`, a str or an iterable of bytes blocks, to `path` through
-    `_replacing`.  On any failure, the block source's included, the temp file
-    is removed and `path` is left as it was."""
+def atomic_write(path, text: str) -> None:
+    """Write `text` to `path` through `_replacing`.  On any failure, an
+    encoding error included, the temp file is removed and `path` is left as
+    it was."""
     with _replacing(path) as fh:
-        for block in ([data.encode()] if isinstance(data, str) else data):
-            fh.write(block)
-            del block       # so the next block is built without this one
+        fh.write(text.encode())
 
 
 # ---------------------------------------------------------------------------

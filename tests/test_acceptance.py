@@ -33,7 +33,7 @@ from h1geo.surfaces import (
     sphere_geodesic,
     sphere_graph,
 )
-from h1geo.verify import G_CUBIC
+from h1geo.verify import G_AFFINE, G_CUBIC, G_SQUARE
 
 LAMBDAS = (0.5, 1.0, 2.0)
 
@@ -53,15 +53,11 @@ def sphere_quads():
 
 
 def quadratic_g():
-    return (lambda y: np.asarray(y, float) ** 2,
-            lambda y: 2 * np.asarray(y, float),
-            lambda y: 2.0 + 0 * np.asarray(y, float))
+    return parse_g(G_SQUARE)
 
 
 def affine_g():
-    return (lambda y: 3 * np.asarray(y, float) + 7,
-            lambda y: 3.0 + 0 * np.asarray(y, float),
-            lambda y: 0.0 * np.asarray(y, float))
+    return parse_g(G_AFFINE)
 
 
 def test_criterion_01_sphere_area(sphere_quads):

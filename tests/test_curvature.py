@@ -37,19 +37,15 @@ from h1geo.surfaces import (
     sphere_geodesic,
     sphere_graph,
 )
-from h1geo.verify import G_CUBIC
+from h1geo.verify import G_AFFINE, G_CUBIC, G_SQUARE
+
+from oracles import fd_bundle
 
 RNG = np.random.default_rng(1234)
 
 
 def make_bernstein(kind):
-    if kind == "quadratic":
-        return BernsteinGraph(lambda y: np.asarray(y, float) ** 2,
-                              lambda y: 2 * np.asarray(y, float),
-                              lambda y: 2.0 + 0 * np.asarray(y, float))
-    return BernsteinGraph(lambda y: 3 * np.asarray(y, float) + 7.0,
-                          lambda y: 3.0 + 0 * np.asarray(y, float),
-                          lambda y: 0.0 * np.asarray(y, float))
+    return BernsteinGraph(*parse_g(G_SQUARE if kind == "quadratic" else G_AFFINE))
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +187,6 @@ def test_pde_rejects_singular_graph_point():
         graph_pde_residual(bg, -0.5, 0.5, 0.0)  # on 2x + 2y = 0
 
 
-def test_pde_fd_fallback_matches_analytic():
-    lower, _ = sphere_graph(1.0)
-    x, y = 0.31, 0.22
-    r_analytic = graph_pde_residual(lower, x, y, -1.0)
-    r_fd = graph_pde_residual(lambda x, y: lower.height(x, y)[0], x, y, -1.0)  # bare u callable
-    assert abs(r_analytic - r_fd) < 1e-7
-
-
 # how far the test points lie from a graph's singular set toward its edges:
 # at least 10% of the way in from both; the fourth-order differences of a
 # cylinder sheet are off by 9e-8 relative at 90% of the way to the rim
@@ -239,10 +227,10 @@ def _disc_points(sheet):
     return (rho * np.cos(phi)).ravel(), (rho * np.sin(phi)).ravel()
 
 
-_CUBIC = np.polynomial.Polynomial([0.5, -1.0, 0.0, 1.0 / 3.0])
 _GRAPHS = {
     "bernstein-y^2": (lambda: make_bernstein("quadratic"), _bernstein_points),
-    "bernstein-cubic": (lambda: BernsteinGraph(_CUBIC, _CUBIC.deriv(), _CUBIC.deriv(2)),
+    # g = 0.5 - y + y^3 / 3, its last coefficient the double nearest 1/3
+    "bernstein-cubic": (lambda: BernsteinGraph(*parse_g("0.5 - y + 0.3333333333333333*y^3")),
                         _bernstein_points),
     "plane-tilted": (lambda: plane_patch((0.3, -0.2, 1.0), 0.5), _plane_points),
     **{f"cylinder-{which}-lam{lam:g}": (lambda lam=lam, k=k: cylinder_S(lam)[k], _strip_points)
@@ -261,7 +249,7 @@ def test_graph_derivatives_match_differences_of_u(name):
     x, y = points(graph)
     _, ux, uy = graph.height(x, y)
     analytic = [ux, uy, *graph.hessian(x, y)]
-    fd = crv._fd_bundle(lambda xx, yy: graph.height(xx, yy)[0])
+    fd = fd_bundle(lambda xx, yy: graph.height(xx, yy)[0])
     for k, (value, d) in enumerate(zip(analytic, fd[1:])):
         value = np.broadcast_to(value, x.shape)
         gap = np.abs(value - d(x, y)) / np.maximum(1.0, np.abs(value))

@@ -6,7 +6,6 @@ from h1geo.geodesics import (
     FieldAlongGeodesic,
     GeodesicSpec,
     conserved_quantity,
-    curve_geodesic_residual,
     cut_time,
     geodesic_point,
     geodesic_residual,
@@ -16,6 +15,8 @@ from h1geo.geodesics import (
     tangent_jacobi_field,
 )
 from h1geo.hgroup import ORIGIN, Point, dilate, group_mul
+
+from oracles import curve_geodesic_residual
 
 RNG = np.random.default_rng(90125)
 

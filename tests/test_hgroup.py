@@ -14,11 +14,12 @@ from h1geo.hgroup import (
     dot_c,
     frame_at,
     frame_to_cartesian,
-    group_inv,
     group_mul,
     j_c,
     W_field,
 )
+
+from oracles import group_inv
 
 RNG = np.random.default_rng(20251)
 

@@ -19,9 +19,7 @@ from h1geo.measures import (
     first_variation_check,
     iso_ratio,
     measures_report,
-    minkowski_check,
     quad_many,
-    riemannian_area,
     volume_enclosed,
 )
 from h1geo.surfaces import (
@@ -31,11 +29,12 @@ from h1geo.surfaces import (
     build_sigma_lambda,
     build_surface,
     cylinder_S,
-    fd_partials,
     plane_patch,
     sphere_geodesic,
     sphere_graph,
 )
+
+from oracles import RAREA, fd_partials
 
 RNG = np.random.default_rng(5150)
 
@@ -163,12 +162,13 @@ def test_additivity_over_parameter_split():
 
 def test_minkowski_spheres():
     for lam in (0.5, 1.0, 2.0):
-        assert minkowski_check(sphere_geodesic(lam), lam, 128) < 1e-4
+        rep = measures_report(sphere_geodesic(lam), "sphere", lam, n=128, H=lam)
+        assert rep["minkowski_defect"] < 1e-4
 
 
 def test_minkowski_rejects_open_patch():
-    with pytest.raises(NotClosedSurface):
-        minkowski_check(plane_patch(), 0.0, 16)
+    rep = measures_report(plane_patch(), "plane", 0.0, n=16, H=0.0)
+    assert rep["minkowski_defect"] is None
 
 
 def test_dilation_homogeneity_sphere():
@@ -296,12 +296,11 @@ def test_measures_report_open_patch():
 def test_quadrature_is_bitwise_independent_of_the_block_size(monkeypatch, patch):
     n = 24
     row = 8 * n                                   # samples in one eps row
-    kinds = ("area", "volume", "rarea")
     results = []
     for block in (row, 7 * row, 100 * row * row):  # one row, 7 rows, more than all
         monkeypatch.setattr(measures, "_BLOCK_SAMPLES", block)
-        res = quad_many(patch, n, kinds)
-        results.append([(res[k].value, res[k].error) for k in kinds])
+        res = quad_many(patch, n, ("area", "volume", RAREA))
+        results.append([(res[k].value, res[k].error) for k in ("area", "volume", "rarea")])
     assert results[0] == results[1] == results[2]
 
 
@@ -449,7 +448,7 @@ _SPHERES = {
 def test_estimate_fields_have_one_type():
     # the floor is a float like the Richardson difference, so neither the
     # error nor converged depends on which of the two is larger
-    res = quad_many(sphere_geodesic(1.0), 96, ("area", "rarea", "volume"))
+    res = quad_many(sphere_geodesic(1.0), 96, ("area", RAREA, "volume"))
     res.update(first_variation(sphere_geodesic(1.0), _speed("cos")))
     for est in res.values():
         assert type(est.error) is float and type(est.converged) is bool
@@ -463,7 +462,7 @@ def test_first_variation_matches_the_finite_difference_oracle(which, mode):
     fd = first_variation_check(sp, u, dt=1e-4, n=16)
     # the mean-zero mode has A'(0) = V'(0) = 0, so each side is compared at
     # the scale of the unit mode: 2 |H| and 1 times the Riemannian area
-    ra = riemannian_area(sp, 96).value
+    ra = quad_many(sp, 96, (RAREA,))["rarea"].value
     for got, ref, scale in ((fv["a_prime"].value, fd.a_prime, 2 * abs(sp.lam) * ra),
                             (fv["v_prime"].value, fd.v_prime, ra)):
         assert abs(got - ref) <= 1e-6 * max(abs(ref), scale)

@@ -38,8 +38,6 @@ from h1geo.surfaces import (
     build_surface,
     catalog,
     cylinder_S,
-    detect_singular,
-    fd_partials,
     helicoid_L,
     parse_g,
     plane_patch,
@@ -53,12 +51,16 @@ from h1geo.surfaces import (
     _float_text,
     _grid,
     _int_text,
+    _replacing,
     _write_faces,
     _write_vertices,
     atomic_write,
     write_mesh,
 )
 from h1geo.cli import _MAX_RES
+from h1geo.verify import G_AFFINE, G_SQUARE
+
+from oracles import curve_geodesic_residual, fd_partials
 
 RNG = np.random.default_rng(4242)
 
@@ -452,8 +454,6 @@ def test_sigma_zero_vt_coefficient():
 
 def test_sigma_zero_rulings_are_lines():
     sz = build_sigma_zero(helix_curve(1.0, eps_min=-2, eps_max=2))
-    from h1geo.geodesics import curve_geodesic_residual
-
     res = curve_geodesic_residual(lambda s: sz.point(0.4, s), 0.0, 0.3)
     assert res < 1e-7
 
@@ -552,9 +552,7 @@ def test_bernstein_runs_the_jet_program_once_per_call(monkeypatch):
 
 
 def _bernstein_y2():
-    return BernsteinGraph(lambda y: np.asarray(y, float) ** 2,
-                          lambda y: 2 * np.asarray(y, float),
-                          lambda y: 2.0 + 0 * np.asarray(y, float))
+    return BernsteinGraph(*parse_g(G_SQUARE))
 
 
 def test_bernstein_singular_curve_projection():
@@ -570,9 +568,7 @@ def test_bernstein_singular_curve_projection():
 
 def test_bernstein_characteristic_lines():
     # t = xy + g(y) contains the line s -> (s, y, s y + g(y)) at each y
-    bg = BernsteinGraph(lambda y: 3 * np.asarray(y, float) + 7,
-                        lambda y: 3.0 + 0 * np.asarray(y, float),
-                        lambda y: 0.0 * np.asarray(y, float))
+    bg = BernsteinGraph(*parse_g(G_AFFINE))
     y0 = 0.8
     s = np.linspace(-2, 2, 9)
     t = np.asarray(bg.height(s, y0)[0])
@@ -640,7 +636,7 @@ def test_helicoid_curves_pairwise_distinct():
 def test_mesh_sphere_singular_clusters_at_poles():
     sp = sphere_geodesic(1.0)
     singular = write_mesh(sp, 128, 128, tol_singular=0.08)
-    flagged = detect_singular(singular)
+    flagged = np.argwhere(singular)
     assert len(flagged) > 0
     # flagged rows are only near the first/last s rows (the poles)
     js = flagged[:, 1]
@@ -651,7 +647,7 @@ def test_mesh_sphere_singular_clusters_at_poles():
 def test_mesh_sigma_lambda_singular_rows():
     sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
     singular = write_mesh(sl, 24, 33)
-    flagged = detect_singular(singular)
+    flagged = np.argwhere(singular)
     assert len(flagged) == 2 * 24
     assert set(flagged[:, 1]) == {0, 32}
     comps = singular_components(singular)
@@ -661,7 +657,7 @@ def test_mesh_sigma_lambda_singular_rows():
 
 def test_mesh_vertical_plane_no_singular():
     vp = plane_patch((1.0, 0.0, 0.0), 0.5)
-    assert len(detect_singular(write_mesh(vp, 16, 16))) == 0
+    assert not np.any(write_mesh(vp, 16, 16))
 
 
 def read_csv(path, n_e, n_s):
@@ -1140,16 +1136,14 @@ def test_atomic_write_keeps_an_overwritten_file_mode(tmp_path, restore_umask):
 
 @pytest.mark.parametrize("existing", [True, False], ids=["overwrite", "new"])
 def test_atomic_write_failing_block_source_leaves_no_trace(tmp_path, existing):
+    # the block that `_replacing` guards, as the mesh writer's, writes and then raises
     path = tmp_path / "out.txt"
     if existing:
         path.write_text("old\n")
-
-    def blocks():
-        yield b"v 1\n" * 1000
-        raise RuntimeError("block source failed")
-
     with pytest.raises(RuntimeError, match="block source failed"):
-        atomic_write(path, blocks())
+        with _replacing(path) as fh:
+            fh.write(b"v 1\n" * 1000)
+            raise RuntimeError("block source failed")
     assert os.listdir(tmp_path) == (["out.txt"] if existing else [])
     if existing:
         assert path.read_text() == "old\n"
@@ -1377,7 +1371,7 @@ def test_frame_is_the_single_evaluation_path():
 
 def test_vertical_cylinder_regular_everywhere():
     vc = VerticalCylinder(1.5)
-    assert len(detect_singular(write_mesh(vc, 16, 8))) == 0
+    assert not np.any(write_mesh(vc, 16, 8))
     nd = vc.normal_data(0.3, 0.1)
     assert abs(nd.nh_norm - 1.0) < 1e-14
 
