@@ -71,10 +71,11 @@ def test_every_public_name_is_used_or_exported():
     assert _unused() == []
 
 
-def test_the_walk_sees_definitions_and_references():
+def test_the_walk_reads_the_package():
+    # so that an empty walk cannot pass: a function, a class, two kinds of
+    # constant, and the export of the graph equation's H
     trees = _trees()
     defined = {name for tree in trees.values() for stmt in tree.body for name in _defined(stmt)}
-    # a function, a class and a constant of each kind the walk must find
     assert {"write_mesh", "BernsteinGraph", "TOL_SINGULAR", "CURVATURE"} <= defined
     assert "graph_pde_mean_curvature" in {alias.name for stmt in trees["__init__"].body
                                           if isinstance(stmt, ast.ImportFrom)
