@@ -12,12 +12,12 @@ from .geodesics import GeodesicSpec, cut_time, geodesic_point, geodesic_velocity
 from .hcurves import HorizontalCurve, helix_curve, horizontal_lift, line_curve  # noqa: F401
 from .surfaces import (  # noqa: F401
     ImmersedPatch,
-    build_sigma_lambda,
-    build_sigma_zero,
+    SigmaLambdaPatch,
+    SigmaZeroPatch,
+    SpherePatch,
     build_surface,
     cylinder_S,
     helicoid_L,
-    sphere_geodesic,
     sphere_graph,
     write_mesh,
 )

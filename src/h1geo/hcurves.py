@@ -6,11 +6,13 @@ planar geodesic curvature h = x'y'' - x''y' (normal convention (-y', x')) and
 its rate h' = x'y''' - x'''y' drive the cut function of the
 orthogonal-geodesic surface builders.
 
+A `HorizontalCurve` is read through its `jet` alone, which gives the
+position and three derivatives of (x, y) from one evaluation.
 `horizontal_lift` is the one place a planar curve, in any regular parameter
 u, becomes an arclength horizontal curve.  It tabulates the arclength L(u)
 and the lift T(u) once per curve, on the same Gauss-Legendre cells in u, and
 maps a query eps to u by Newton's method on L(u) = eps - eps_min, so the
-position, the derivatives, h' and t of a query are all read at one u.  A CSV
+position, the derivatives and t of a query are all read at one u.  A CSV
 curve is a not-a-knot cubic spline built in numpy, whose knot intervals are
 the lift's first cells.  Every function here is pure, so curves are safe to
 share between threads.
@@ -71,52 +73,21 @@ def _densities(planar: PlanarCurve, u):
 
 @dataclass(frozen=True)
 class HorizontalCurve:
-    """Arclength horizontal curve: planar data plus the vertical coordinate.
+    """Arclength horizontal curve on [eps_min, eps_max].
 
-    `t_of` is a closed form or the table of :func:`horizontal_lift`, a pure
-    function of eps either way, so a curve may be shared between threads.
-    `jet_of`, when set, reads everything `jet` returns in one evaluation.
+    `jet` maps eps to (position, (x', y'), (x'', y''), (x''', y''')) in one
+    evaluation.  It is a closed form or the table of :func:`horizontal_lift`,
+    a pure function of eps either way, so a curve may be shared between
+    threads.
     """
 
-    planar: PlanarCurve
-    t_of: Callable                       # eps -> t
+    jet: Callable
+    eps_min: float
+    eps_max: float
     label: str = "curve"
-    jet_of: Callable | None = None
-
-    @property
-    def eps_min(self):
-        return self.planar.eps_min
-
-    @property
-    def eps_max(self):
-        return self.planar.eps_max
 
     def position(self, eps) -> Point:
-        x, y = self.planar.xy(eps)
-        return Point(x, y, self.t_of(eps))
-
-    def jet(self, eps):
-        """(position, (x', y'), (x'', y''), (x''', y''')) at eps."""
-        if self.jet_of is not None:
-            return self.jet_of(eps)
-        return self.position(eps), self.planar.d1(eps), self.planar.d2(eps), self.planar.d3(eps)
-
-    def velocity(self, eps) -> np.ndarray:
-        """Unit horizontal velocity in frame coefficients; the T-coefficient
-        is zero by lifting, so `t_of` is not evaluated."""
-        xd, yd = (np.asarray(v, float) for v in self.planar.d1(eps))
-        return np.stack(np.broadcast_arrays(xd, yd, np.zeros_like(xd)), axis=-1)
-
-    def planar_curvature(self, eps):
-        xd, yd = self.planar.d1(eps)
-        xdd, ydd = self.planar.d2(eps)
-        return xd * ydd - xdd * yd
-
-    def curvature_rate(self, eps):
-        """dh/deps = x'y''' - x'''y', the derivative of h on an arclength curve."""
-        xd, yd = self.planar.d1(eps)
-        x3, y3 = self.planar.d3(eps)
-        return xd * y3 - x3 * yd
+        return self.jet(eps)[0]
 
 
 def _running_sum(start: float, increments) -> np.ndarray:
@@ -227,46 +198,29 @@ def horizontal_lift(planar: PlanarCurve, t0: float = 0.0, label: str = "lift") -
                 ((xdd * v - xd * w) / (v * v), (ydd * v - yd * w) / (v * v)),
                 ((x3 / v + c2 * xdd + c1 * xd) / sp, (y3 / v + c2 * ydd + c1 * yd) / sp))
 
-    def lift(u, k):
-        t = lifts[k] + _gauss(lambda v: _densities(planar, v)[1], edges[k], u)
-        return float(t) if t.ndim == 0 else t
-
     def jet(e):
         u, k = solve(e)
         x, y = planar.xy(u)
-        return (Point(x, y, lift(u, k)), *derivs(u))
+        t = lifts[k] + _gauss(lambda v: _densities(planar, v)[1], edges[k], u)
+        return (Point(x, y, float(t) if t.ndim == 0 else t), *derivs(u))
 
-    arc = PlanarCurve(lambda e: planar.xy(solve(e)[0]),
-                      *(lambda e, n=n: derivs(solve(e)[0])[n] for n in range(3)),
-                      planar.eps_min, planar.eps_min + total)
-    return HorizontalCurve(arc, lambda e: lift(*solve(e)), label=label, jet_of=jet)
+    return HorizontalCurve(jet, planar.eps_min, planar.eps_min + total, label)
 
 
 def line_curve(theta: float = 0.0, base: Point = Point(0.0, 0.0, 0.0),
                eps_min: float = -5.0, eps_max: float = 5.0) -> HorizontalCurve:
     """Horizontal straight line through `base`; theta = 0 gives the x-axis."""
     g = GeodesicSpec(base, theta, 0.0)
-
-    def t_of(e):
-        return np.asarray(geodesic_point(g, e).t, float)
-
     ct, st = np.cos(theta), np.sin(theta)
     x0, y0 = float(base.x), float(base.y)
 
-    def xy(e):
+    def jet(e):
+        t = np.asarray(geodesic_point(g, e).t, float)
         e = np.asarray(e, float)
-        return x0 + ct * e, y0 + st * e
+        one, zero = np.ones_like(e), np.zeros_like(e)
+        return Point(x0 + ct * e, y0 + st * e, t), (ct * one, st * one), (zero, zero), (zero, zero)
 
-    def d1(e):
-        one = np.ones_like(np.asarray(e, float))
-        return ct * one, st * one
-
-    def zeros(e):
-        z = np.zeros_like(np.asarray(e, float))
-        return z, z
-
-    planar = PlanarCurve(xy, d1, zeros, zeros, float(eps_min), float(eps_max))
-    return HorizontalCurve(planar, t_of, label="line")
+    return HorizontalCurve(jet, float(eps_min), float(eps_max), label="line")
 
 
 def helix_curve(r: float, eps_shift: float = 0.0, t_shift: float = 0.0,
@@ -281,28 +235,13 @@ def helix_curve(r: float, eps_shift: float = 0.0, t_shift: float = 0.0,
     if eps_max is None:
         eps_max = np.pi / r
 
-    def xy(e):
+    def jet(e):
         u = np.asarray(e, float) + eps_shift
-        return np.sin(2 * r * u) / (2 * r), (np.cos(2 * r * u) - 1.0) / (2 * r)
+        c, s = np.cos(2 * r * u), np.sin(2 * r * u)
+        return (Point(s / (2 * r), (c - 1.0) / (2 * r), (u - s / (2 * r)) / (2 * r) + t_shift),
+                (c, -s), (-2 * r * s, -2 * r * c), (-4 * r * r * c, 4 * r * r * s))
 
-    def d1(e):
-        u = np.asarray(e, float) + eps_shift
-        return np.cos(2 * r * u), -np.sin(2 * r * u)
-
-    def d2(e):
-        u = np.asarray(e, float) + eps_shift
-        return -2 * r * np.sin(2 * r * u), -2 * r * np.cos(2 * r * u)
-
-    def d3(e):
-        u = np.asarray(e, float) + eps_shift
-        return -4 * r * r * np.cos(2 * r * u), 4 * r * r * np.sin(2 * r * u)
-
-    def t_of(e):
-        u = np.asarray(e, float) + eps_shift
-        return (u - np.sin(2 * r * u) / (2 * r)) / (2 * r) + t_shift
-
-    planar = PlanarCurve(xy, d1, d2, d3, float(eps_min), float(eps_max))
-    return HorizontalCurve(planar, t_of, label="helix")
+    return HorizontalCurve(jet, float(eps_min), float(eps_max), label="helix")
 
 
 def _not_a_knot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

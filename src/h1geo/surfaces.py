@@ -23,8 +23,9 @@ which `GraphPatch.partials` reads, and `hessian` for the graph equation.
 integrands read, and `normal_data` normalizes it and carries the partials
 on, so Z's parameter velocity, which the mean curvature and the
 characteristic traces read, never evaluates a sample twice.
-The Bernstein graph t = xy + g(y) takes (g, g', g'') from `parse_g`,
-which reads a text such as "(y+1)^100" and evaluates it exactly by jets.
+The Bernstein graph t = xy + g(y) reads the jet y -> (g, g', g'') that
+`parse_g` makes of a text such as "(y+1)^100", exact by forward-mode
+arithmetic, once per call.
 A patch states its singular set in its parameters: `quadrature_charts`,
 `Chart` maps on which |N_H| is smooth, read only by the quadrature, and
 `singular_curves`, `SingularCurveRef`s.  A group motion moves points, not
@@ -32,8 +33,9 @@ parameters, so a moved patch keeps both.
 `write_mesh` streams a tensor grid of the patch into OBJ and CSV files and
 keeps only its singular mask.  An orthogonal-geodesic patch reads its curve's
 `jet` (the position and three derivatives) once per call, on eps as given,
-and forms h = x'y'' - x''y' and the rate h' = x'y''' - x'''y' from it; a
-lifted curve reads them all at one parameter.
+and `_curve_data` forms h = x'y'' - x''y' and the rate h' = x'y''' - x'''y'
+from it, for the partials, the cut time and its rate, and the generating
+geodesic alike; a lifted curve reads them all at one parameter.
 """
 
 from __future__ import annotations
@@ -332,10 +334,6 @@ class SpherePatch(ImmersedPatch):
         return fe, geodesic_velocity(GeodesicSpec(ORIGIN, th, self.lam), s), p
 
 
-def sphere_geodesic(lam: float) -> SpherePatch:
-    return SpherePatch(lam)
-
-
 class SphereGraphSheet(ImmersedPatch):
     """One radial graph sheet t = f(rho) of the sphere, parameterized by
     (phi, rho); sheet = -1 lower, +1 upper.
@@ -549,14 +547,13 @@ def _jet(program: list, y):
 
 
 def parse_g(text: str):
-    """(g, g', g'') of the polynomial `text` in y, as functions of y: parsed
-    once, evaluated exactly by forward-mode (jet) arithmetic, never through
+    """The jet y -> (g, g', g'') of the polynomial `text` in y, which
+    `BernsteinGraph` reads: parsed once, and each call runs the program once
+    for all three, exactly, by forward-mode (jet) arithmetic, never through
     power-basis coefficients, which cancel ((y+1)^100 expanded gives -8.8e10
     at y = -0.9).  ConfigError for a malformed text, a non-finite literal,
     more than G_MAX_TOKENS tokens, an exponent above G_MAX_EXPONENT, nesting
-    beyond the recursion limit, and g, g' or g'' not finite at y = -1 or 1.
-    Each function carries `jet`, y -> (g, g', g''), one run of the program
-    for all three, which `BernsteinGraph` reads."""
+    beyond the recursion limit, and g, g' or g'' not finite at y = -1 or 1."""
     try:
         program = _g_program(text)
     except (ValueError, RecursionError) as exc:
@@ -568,18 +565,13 @@ def parse_g(text: str):
     def jet(y):   # a part that does not depend on y still takes its shape
         return tuple(p + np.zeros(np.shape(y)) for p in _jet(program, _asf(y)))
 
-    def part(k):
-        f = lambda y: jet(y)[k]   # noqa: E731
-        f.jet = jet
-        return f
-
-    return tuple(part(k) for k in range(3))
+    return jet
 
 
 class BernsteinGraph(GraphPatch):
     """The graph t = x y + g(y); minimal for every C^2 g, area-stationary
     only for affine g.  Singular curve: x = -g'(y)/2.  `parse_g` turns a
-    text such as "y^2" into the (g, g', g'') it takes.
+    text such as "y^2" into the jet y -> (g, g', g'') it takes.
 
     Orientation +1 (upward normal, <N,T> > 0) so the characteristic field
     on the side 2x + g'(y) > 0 is +X and the singular-curve pairing
@@ -589,10 +581,9 @@ class BernsteinGraph(GraphPatch):
     label = "bernstein"
     lam = 0.0
 
-    def __init__(self, g, dg, ddg, rect=(-3.0, 3.0, -3.0, 3.0)):
+    def __init__(self, jet, rect=(-3.0, 3.0, -3.0, 3.0)):
         super().__init__(*rect)
-        self.g, self.dg, self.ddg = g, dg, ddg
-        self.jet = g.jet      # (g, g', g'') at y from one evaluation
+        self.jet = jet      # (g, g', g'') at y from one evaluation
 
     def height(self, x, y):
         g, dg, _ = self.jet(y)
@@ -605,10 +596,10 @@ class BernsteinGraph(GraphPatch):
     def singular_curves(self):
         def inward(y, offset):
             y = _asf(y)
-            return -self.dg(y) / 2.0 + offset, y
+            return -self.jet(y)[1] / 2.0 + offset, y
 
         def rate(y):
-            return -self.ddg(_asf(y)) / 2.0, 1.0
+            return -self.jet(_asf(y))[2] / 2.0, 1.0
 
         return [SingularCurveRef(inward, rate, label="bernstein-singular")]
 
@@ -621,21 +612,26 @@ class BernsteinGraph(GraphPatch):
         rectangle adds no split."""
         x0, x1, y0, y1 = self.eps_lo, self.eps_hi, self.s_lo, self.s_hi
 
-        def c(y):
-            return -0.5 * self.dg(y)
+        def c(y):   # (c(y), c'(y)) from one run of the g program
+            _, dg, ddg = self.jet(y)
+            return -0.5 * dg, -0.5 * ddg
 
         def left(a, b):
-            cb, dc = c(b), -0.5 * self.ddg(b)
+            cb, dc = c(b)
             return x0 + a * (cb - x0), b, (cb - x0, a * dc, 0.0, 1.0)
 
         def right(a, b):
-            cb, dc = c(b), -0.5 * self.ddg(b)
+            cb, dc = c(b)
             return cb + a * (x1 - cb), b, (x1 - cb, (1.0 - a) * dc, 0.0, 1.0)
 
-        cuts = sorted({y0, y1, *_roots(lambda y: (c(y) - x0) * (c(y) - x1), y0, y1)})
+        def crossing(y):   # changes sign where the curve crosses x = x0 or x = x1
+            cy = c(y)[0]
+            return (cy - x0) * (cy - x1)
+
+        cuts = sorted({y0, y1, *_roots(crossing, y0, y1)})
         charts, split = [], False
         for ya, yb in zip(cuts[:-1], cuts[1:]):
-            if x0 < c(0.5 * (ya + yb)) < x1:
+            if x0 < c(0.5 * (ya + yb))[0] < x1:
                 split = True
                 charts += [Chart(left, (0.0, 1.0, ya, yb)), Chart(right, (0.0, 1.0, ya, yb))]
             else:
@@ -774,8 +770,8 @@ def _curve_data(curve: HorizontalCurve, eps):
     from one `jet` read.
 
     The orthogonal-geodesic patches derive every per-eps quantity from
-    these, so one patch call fetches its curve once on the eps axis and
-    never on the broadcast (eps, s) grid.
+    these, and nothing else forms h or h', so one patch call fetches its
+    curve once on the eps axis and never on the broadcast (eps, s) grid.
     """
     p, (xd, yd), (xdd, ydd), (x3, y3) = curve.jet(_asf(eps))
     return p, (xd, yd), (xdd, ydd), xd * ydd - xdd * yd, xd * y3 - x3 * yd
@@ -796,7 +792,7 @@ class SigmaLambdaPatch(ImmersedPatch):
     def __init__(self, curve: HorizontalCurve, lam: float, side: int = 1,
                  eps_range=None, label=None):
         if lam == 0:
-            raise ValueError("use build_sigma_zero for the ruled lambda = 0 builder")
+            raise ValueError("use SigmaZeroPatch for the ruled lambda = 0 builder")
         if side not in (1, -1):
             raise ValueError("side must be +1 or -1")
         lo, hi = eps_range if eps_range is not None else (curve.eps_min, curve.eps_max)
@@ -807,21 +803,18 @@ class SigmaLambdaPatch(ImmersedPatch):
         self.label = label or f"sigma-lambda({curve.label},lam={lam:g},side={side:+d})"
 
     # -- geometry ------------------------------------------------------------
-    def s_cut(self, eps, h=None):
-        """cut_time(side h(eps), lam); `h` is the planar curvature at eps,
-        passed by callers that already hold it."""
-        if h is None:
-            h = self.curve.planar_curvature(eps)
-        return cut_time(self.side * h, self.lam)
+    def _cut(self, data):
+        """(s_cut, d s_cut / d eps) from the curve data: cut_time(side h, lam)
+        and -2 side h' / (4 lam^2 + h^2)."""
+        h, hdot = data[3:]
+        return (cut_time(self.side * h, self.lam),
+                -2.0 * self.side * hdot / (4.0 * self.lam**2 + h * h))
 
-    def s_cut_rate(self, eps, h=None, hdot=None):
-        """d s_cut / d eps = -2 side h'(eps) / (4 lam^2 + h^2); `h` and `hdot`
-        are h and h' at eps, passed by callers that already hold them."""
-        if h is None:
-            h = self.curve.planar_curvature(eps)
-        if hdot is None:
-            hdot = self.curve.curvature_rate(eps)
-        return -2.0 * self.side * hdot / (4.0 * self.lam**2 + h * h)
+    def s_cut(self, eps):
+        return self._cut(_curve_data(self.curve, eps))[0]
+
+    def s_cut_rate(self, eps):
+        return self._cut(_curve_data(self.curve, eps))[1]
 
     def geometric_s(self, eps, s):
         return _asf(s) * self.s_cut(eps)
@@ -841,8 +834,7 @@ class SigmaLambdaPatch(ImmersedPatch):
         p, (xd, yd), (xdd, ydd), h, _ = data
         sgeo = _asf(sgeo)
         sig, kap, _ = ratios = stable_ratios(self.lam, sgeo)
-        theta = np.arctan2(self.side * xd, -self.side * yd)
-        gdot = geodesic_velocity(GeodesicSpec(p, theta, self.lam), sgeo)
+        gdot = geodesic_velocity(self._geodesic(data), sgeo)
         a = xd - self.side * ydd * sig + self.side * xdd * kap
         b = yd + self.side * ydd * kap + self.side * xdd * sig
         cv = h * kap / self.lam - 2.0 * self.side * sig
@@ -856,20 +848,23 @@ class SigmaLambdaPatch(ImmersedPatch):
     def partials(self, eps, s):
         sig = _asf(s)
         data = _curve_data(self.curve, eps)
-        h = data[3]
-        scut = self.s_cut(eps, h)
+        scut, rate = self._cut(data)
         p, gdot, v = self._along(data, sig * scut)
-        fe = v + (sig * self.s_cut_rate(eps, h, data[4]))[..., None] * gdot
+        fe = v + (sig * rate)[..., None] * gdot
         fs = scut[..., None] * gdot
         return fe, fs, p
 
     # -- structure -------------------------------------------------------------
+    def _geodesic(self, data) -> GeodesicSpec:
+        """The generating geodesic at the curve data: launched from the curve
+        point at the angle theta = arctan2(side x', -side y') of side J(Gamma')."""
+        p, (xd, yd) = data[:2]
+        return GeodesicSpec(p, np.arctan2(self.side * xd, -self.side * yd), self.lam)
+
     def generating_geodesic(self, eps) -> GeodesicSpec:
         """The geodesic leaving the base curve at eps; an array of eps gives
         one spec whose base and theta carry its shape."""
-        xd, yd = self.curve.planar.d1(_asf(eps))
-        theta = np.arctan2(self.side * xd, -self.side * yd)
-        return GeodesicSpec(self.curve.position(_asf(eps)), theta, self.lam)
+        return self._geodesic(_curve_data(self.curve, eps))
 
     def singular_curves(self):
         """The base curve sigma = 0 and the far curve sigma = 1, whose tangent
@@ -882,11 +877,6 @@ class SigmaLambdaPatch(ImmersedPatch):
 
         return [SingularCurveRef(base_inward, _along_eps, label="base"),
                 SingularCurveRef(far_inward, _along_eps, label="far")]
-
-
-def build_sigma_lambda(curve: HorizontalCurve, lam: float, side: int = 1,
-                       eps_range=None) -> SigmaLambdaPatch:
-    return SigmaLambdaPatch(curve, lam, side, eps_range)
 
 
 class SigmaZeroPatch(ImmersedPatch):
@@ -931,10 +921,6 @@ class SigmaZeroPatch(ImmersedPatch):
             return []
         return [_box_chart((self.eps_lo, self.eps_hi, self.s_lo, 0.0)),
                 _box_chart((self.eps_lo, self.eps_hi, 0.0, self.s_hi))]
-
-
-def build_sigma_zero(curve: HorizontalCurve, s_range=(-2.0, 2.0)) -> SigmaZeroPatch:
-    return SigmaZeroPatch(curve, s_range)
 
 
 # ---------------------------------------------------------------------------
@@ -1472,7 +1458,7 @@ def catalog():
     the parameters its surface has."""
 
     def make_sphere(lam=1.0):
-        return sphere_geodesic(float(lam))
+        return SpherePatch(float(lam))
 
     def make_cylinder(lam=1.0, sheet="lower", x_range=(-2.0, 2.0)):
         if sheet not in ("lower", "upper"):
@@ -1484,7 +1470,7 @@ def catalog():
         return helicoid_L(float(lam), float(r), k_max=1).pieces[0]
 
     def make_bernstein(g="0"):
-        return BernsteinGraph(*parse_g(g))
+        return BernsteinGraph(parse_g(g))
 
     def make_plane(normal=(0.0, 0.0, 1.0), d=0.0):
         return plane_patch(normal, float(d))
@@ -1495,12 +1481,12 @@ def catalog():
     def make_sigma_lambda(curve=None, lam=1.0, side=1):
         if curve is None:
             curve = line_curve(eps_min=-2.0, eps_max=2.0)
-        return build_sigma_lambda(curve, float(lam), int(side))
+        return SigmaLambdaPatch(curve, float(lam), int(side))
 
     def make_sigma_zero(curve=None, s_range=(-2.0, 2.0)):
         if curve is None:
             curve = line_curve(eps_min=-2.0, eps_max=2.0)
-        return build_sigma_zero(curve, s_range)
+        return SigmaZeroPatch(curve, s_range)
 
     return {
         "sphere": make_sphere,

@@ -29,13 +29,13 @@ from .hcurves import helix_curve, line_curve
 from .hgroup import ORIGIN, Point, frame_to_cartesian
 from .surfaces import (
     BernsteinGraph,
-    build_sigma_lambda,
-    build_sigma_zero,
+    SigmaLambdaPatch,
+    SigmaZeroPatch,
+    SpherePatch,
     cylinder_S,
     helicoid_L,
     parse_g,
     plane_patch,
-    sphere_geodesic,
     sphere_graph,
 )
 
@@ -197,7 +197,7 @@ def suite_jacobi(tols=None) -> list[Check]:
 
     worst = 0.0
     for curve in (line_curve(eps_min=-2, eps_max=2), helix_curve(1.0, eps_min=-2, eps_max=2)):
-        patch = build_sigma_lambda(curve, 1.0, +1)
+        patch = SigmaLambdaPatch(curve, 1.0, +1)
         eps = rng.uniform(-1.5, 1.5, 5)[:, None]
         s = np.array([rng.uniform(0.05, np.pi - 0.05, 40) for _ in range(eps.size)])
         worst = max(worst, float(np.max(np.abs(conserved_quantity(
@@ -211,7 +211,7 @@ def suite_jacobi(tols=None) -> list[Check]:
     for lam in (0.6, 1.0, 1.7):
         for curve in (line_curve(eps_min=-2, eps_max=2),
                       helix_curve(1.0, eps_min=-2, eps_max=2)):
-            patch = build_sigma_lambda(curve, lam, +1)
+            patch = SigmaLambdaPatch(curve, lam, +1)
             eps = rng.uniform(-1.5, 1.5, 6)[:, None]
             s = np.array([rng.uniform(0.05, np.pi / lam - 0.05, 28) for _ in range(eps.size)])
             g = patch.generating_geodesic(eps)
@@ -261,13 +261,13 @@ def ruling_cases():
         ("ruling", 1.0, 4,
          "characteristic traces follow curvature-H geodesics over arclength 1 "
          "(constant chart velocity: RK4 is exact, 4 steps)", [
-             ("sphere", sphere_geodesic(1.0), [(0.3, 1.2), (2.0, 1.8), (4.0, 2.1)]),
-             ("sigma-lambda", build_sigma_lambda(line, 1.0, +1),
+             ("sphere", SpherePatch(1.0), [(0.3, 1.2), (2.0, 1.8), (4.0, 2.1)]),
+             ("sigma-lambda", SigmaLambdaPatch(line, 1.0, +1),
               [(0.0, 0.5), (-1.0, 0.45), (1.2, 0.55)]),
-             ("cylinder(sigma chart)", build_sigma_lambda(line, 1.0, -1),
+             ("cylinder(sigma chart)", SigmaLambdaPatch(line, 1.0, -1),
               [(0.0, 0.5), (0.7, 0.6)]),
              ("helicoid", helicoid_L(1.0, 1.0, k_max=1).pieces[0], [(0.0, 0.5), (0.4, 0.55)]),
-             ("bernstein(affine)", BernsteinGraph(*parse_g(G_AFFINE)), [(0.5, 0.5), (1.0, -0.5)]),
+             ("bernstein(affine)", BernsteinGraph(parse_g(G_AFFINE)), [(0.5, 0.5), (1.0, -0.5)]),
          ]),
         ("ruling[graph-sheets]", 0.3, 40,
          "characteristic traces, curved in the graph chart, follow curvature-H "
@@ -288,9 +288,9 @@ def suite_curvature(tols=None) -> list[Check]:
     tol_h = _tol(tols, "mean-curvature")
 
     cases = []
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     cases.append(("sphere", sp, 1.0, (0.4, np.pi - 0.4)))
-    sl = build_sigma_lambda(line_curve(eps_min=-2, eps_max=2), 1.0, +1)
+    sl = SigmaLambdaPatch(line_curve(eps_min=-2, eps_max=2), 1.0, +1)
     cases.append(("sigma-lambda(x-axis)", sl, 1.0, (0.15, 0.85)))
     lo, up = cylinder_S(1.0)
     cases.append(("cylinder-lower", lo, 1.0, (-0.4, 0.4)))
@@ -298,8 +298,8 @@ def suite_curvature(tols=None) -> list[Check]:
     fam = helicoid_L(1.0, 1.0, k_max=2)
     for i, piece in enumerate(fam.pieces[:4]):
         cases.append((f"helicoid-piece{i}", piece, 1.0, (0.2, 0.8)))
-    cases.append(("bernstein(y^2)", BernsteinGraph(*parse_g(G_SQUARE)), 0.0, (1.0, 2.5)))
-    sz = build_sigma_zero(helix_curve(1.0, eps_min=-2, eps_max=2), s_range=(-1.5, 1.5))
+    cases.append(("bernstein(y^2)", BernsteinGraph(parse_g(G_SQUARE)), 0.0, (1.0, 2.5)))
+    sz = SigmaZeroPatch(helix_curve(1.0, eps_min=-2, eps_max=2), s_range=(-1.5, 1.5))
     cases.append(("sigma-zero(helix)", sz, 0.0, (0.3, 1.2)))
 
     for name, patch, expected, (lo_s, hi_s) in cases:
@@ -350,7 +350,7 @@ def suite_curvature(tols=None) -> list[Check]:
 def suite_minkowski(tols=None, n: int = 256) -> list[Check]:
     checks = []
     for lam in (0.5, 1.0, 2.0):
-        sp = sphere_geodesic(lam)
+        sp = SpherePatch(lam)
         res = msr.quad_many(sp, n, ("area", "volume"))
         a, v = res["area"].value, res["volume"].value
         checks.append(Check(f"sphere-area[lam={lam:g}]", a, np.pi**2 / lam**3,
@@ -363,8 +363,8 @@ def suite_minkowski(tols=None, n: int = 256) -> list[Check]:
                             abs(3 * a - 8 * lam * v) / (3 * a), 0.0,
                             _tol(tols, "minkowski"), "3A = 8HV"))
 
-    sp = sphere_geodesic(1.0)
-    sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
+    sp = SpherePatch(1.0)
+    sl = SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
     dilations = (-0.5, np.log(2.0))
     for s0, (ra, rv), (ra2, _) in zip(dilations, msr.dilation_homogeneity(sp, dilations, 96),
                                       msr.dilation_homogeneity(sl, dilations, 96)):
@@ -412,17 +412,18 @@ def suite_bernstein(tols=None, g=None) -> list[Check]:
 
     for label, curve in (("x-axis", line_curve(eps_min=-2, eps_max=2)),
                          ("helix", helix_curve(1.0, eps_min=-2, eps_max=2))):
-        patch = build_sigma_lambda(curve, 1.0, +1)
+        patch = SigmaLambdaPatch(curve, 1.0, +1)
         worst = max(float(np.max(np.abs(crv.orthogonality_defect(
             patch, idx, rng.uniform(-1.0, 1.0, 8))))) for idx in (0, 1))
         checks.append(Check(f"orthogonality[sigma,{label}]", worst, 0.0, tol_orth,
                             "characteristic curves meet singular curves at right angles"))
 
     for label, text in [(g, g)] if g else [("ay+b", G_AFFINE), ("y^2", G_SQUARE)]:
-        patch = BernsteinGraph(*parse_g(text))
+        patch = BernsteinGraph(parse_g(text))
         y = rng.uniform(-1.0, 1.0, 8)
-        worst = float(np.max(np.abs(crv.orthogonality_defect(patch, 0, y) - (-patch.ddg(y) / 2.0))))
-        stationary = bool(np.all(np.abs(patch.ddg(np.linspace(-2, 2, 64))) < 1e-12))
+        ddg = patch.jet(y)[2]
+        worst = float(np.max(np.abs(crv.orthogonality_defect(patch, 0, y) - (-ddg / 2.0))))
+        stationary = bool(np.all(np.abs(patch.jet(np.linspace(-2, 2, 64))[2]) < 1e-12))
         verdict = "area-stationary" if stationary else "NOT area-stationary"
         checks.append(Check(f"bernstein-defect[t=xy+{label}]", worst, 0.0,
                             _tol(tols, "bernstein-defect"),
@@ -430,8 +431,8 @@ def suite_bernstein(tols=None, g=None) -> list[Check]:
 
     tol_cal = _tol(tols, "calibration-zero")
     for label, graph in (("planes", plane_patch((-0.7, 0.4, 1.0))),
-                         ("t=xy", BernsteinGraph(*parse_g("0"))),
-                         ("t=xy+2y+1", BernsteinGraph(*parse_g("2*y + 1")))):
+                         ("t=xy", BernsteinGraph(parse_g("0"))),
+                         ("t=xy+2y+1", BernsteinGraph(parse_g("2*y + 1")))):
         pts = rng.uniform(-2, 2, size=(100, 3))
         q = Point(pts[:, 0], pts[:, 1], pts[:, 2])
         keep = crv.locus_distance(graph, q) > 0.05
@@ -440,7 +441,7 @@ def suite_bernstein(tols=None, g=None) -> list[Check]:
         checks.append(Check(f"calibration-zero[{label}]", float(np.max(np.abs(div))), 0.0,
                             tol_cal, "foliation field is divergence-free"))
 
-    cubic = BernsteinGraph(*parse_g(G_CUBIC))
+    cubic = BernsteinGraph(parse_g(G_CUBIC))
     y0 = np.array([[0.4], [0.7], [-0.9]])
     x0 = -3.0 * y0**2 / 2.0
     q = Point(x0 + [-2e-6, 2e-6, 5e-6], y0, 0.1)
@@ -456,7 +457,7 @@ def suite_iso(tols=None, n: int = 256) -> list[Check]:
     checks = []
     expect = (8.0 / 3.0) ** 3 * np.pi**2
     for lam in (0.5, 1.0, 2.0):
-        r = msr.iso_ratio(sphere_geodesic(lam), n)
+        r = msr.iso_ratio(SpherePatch(lam), n)
         checks.append(Check(f"iso-ratio[lam={lam:g}]", r, expect,
                             _tol(tols, "iso-ratio"),
                             "A^4/V^3 = (8/3)^3 pi^2, independent of lambda", mode="rel"))

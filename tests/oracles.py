@@ -4,8 +4,9 @@ Each is an independent method for a quantity the library computes in
 closed form: central differences of a patch's points for its partials,
 fourth-order differences of a graph's height for its derivatives,
 five-point differences of a curve for the geodesic equation, the group
-inverse for the group law, and the Riemannian area element as a named
-quadrature integrand.
+inverse for the group law, the Riemannian area element as a named
+quadrature integrand, and the planar curve under a closed-form horizontal
+curve, whose lift the closed form checks.
 """
 
 from typing import Callable
@@ -13,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from h1geo.geodesics import H_FD2
+from h1geo.hcurves import PlanarCurve
 from h1geo.hgroup import Point, cartesian_to_frame, conn_c, j_c
 
 GRAPH_FD_STEP = 1e-3   # step of fd_bundle's fourth-order differences
@@ -106,3 +108,16 @@ def _rarea(eps, s, p, raw):
 # the Riemannian area of a patch (no |N_H| weight) as a `quad_many` kind:
 # quad_many(patch, n, (RAREA,))["rarea"]
 RAREA = ("rarea", _rarea)
+
+
+def planar_of(curve) -> PlanarCurve:
+    """The planar curve under a closed-form horizontal curve (the circle
+    under a helix, the line under a line), each part read from its `jet`:
+    the input of a lift whose output the closed form checks."""
+    def part(k):
+        def f(e):
+            jet = curve.jet(e)
+            return (jet[0].x, jet[0].y) if k == 0 else jet[k]
+        return f
+
+    return PlanarCurve(*map(part, range(4)), curve.eps_min, curve.eps_max)

@@ -25,12 +25,12 @@ from h1geo.hcurves import helix_curve, line_curve
 from h1geo.hgroup import ORIGIN, Point, frame_to_cartesian
 from h1geo.surfaces import (
     BernsteinGraph,
-    build_sigma_lambda,
+    SigmaLambdaPatch,
+    SpherePatch,
     cylinder_S,
     helicoid_L,
     parse_g,
     plane_patch,
-    sphere_geodesic,
     sphere_graph,
 )
 from h1geo.verify import G_AFFINE, G_CUBIC, G_SQUARE
@@ -48,7 +48,7 @@ def report(num, ok, detail):
 def sphere_quads():
     out = {}
     for lam in LAMBDAS:
-        out[lam] = msr.quad_many(sphere_geodesic(lam), 256, ("area", "volume"))
+        out[lam] = msr.quad_many(SpherePatch(lam), 256, ("area", "volume"))
     return out
 
 
@@ -76,7 +76,7 @@ def test_criterion_03_minkowski(sphere_quads):
     rng = np.random.default_rng(3)
     worst = 0.0
     for lam in LAMBDAS:
-        sp = sphere_geodesic(lam)
+        sp = SpherePatch(lam)
         H = float(np.mean(crv.mean_curvature_char(
             sp, rng.uniform(0, 2 * np.pi, 20),
             rng.uniform(0.3 / lam, np.pi / lam - 0.3 / lam, 20))))
@@ -117,7 +117,7 @@ def test_criterion_06_conserved_quantity():
         span = np.pi / max(abs(float(np.asarray(g.lam))), 0.3)
         worst_std = max(worst_std, float(np.std(
             conserved_quantity(g, field, np.linspace(0, span, 100)))))
-    patch = build_sigma_lambda(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, +1)
+    patch = SigmaLambdaPatch(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, +1)
     worst_orth = 0.0
     for eps in rng.uniform(-1.5, 1.5, 10):
         e = float(eps)
@@ -136,7 +136,7 @@ def test_criterion_07_jacobi_residual():
     for lam in (0.6, 1.0, 1.7):
         for curve in (line_curve(eps_min=-2, eps_max=2),
                       helix_curve(1.0, eps_min=-2, eps_max=2)):
-            patch = build_sigma_lambda(curve, lam, +1)
+            patch = SigmaLambdaPatch(curve, lam, +1)
             for eps in rng.uniform(-1.5, 1.5, 6):
                 e = float(eps)
                 g = patch.generating_geodesic(e)
@@ -193,8 +193,8 @@ def test_criterion_08_cut_identities():
 def test_criterion_09_mean_curvature():
     rng = np.random.default_rng(9)
     worst = 0.0
-    cases = [(sphere_geodesic(1.0), 1.0, (0.4, np.pi - 0.4))]
-    cases.append((build_sigma_lambda(line_curve(eps_min=-2, eps_max=2), 1.0, +1),
+    cases = [(SpherePatch(1.0), 1.0, (0.4, np.pi - 0.4))]
+    cases.append((SigmaLambdaPatch(line_curve(eps_min=-2, eps_max=2), 1.0, +1),
                   1.0, (0.15, 0.85)))
     lo, up = cylinder_S(1.0)
     cases.append((lo, 1.0, (-0.4, 0.4)))
@@ -202,8 +202,8 @@ def test_criterion_09_mean_curvature():
     fam = helicoid_L(1.0, 1.0, k_max=2)
     for piece in fam.pieces:
         cases.append((piece, 1.0, (0.2, 0.8)))
-    cases.append((BernsteinGraph(*quadratic_g()), 0.0, (1.0, 2.5)))
-    cases.append((BernsteinGraph(*affine_g()), 0.0, (1.0, 2.5)))
+    cases.append((BernsteinGraph(quadratic_g()), 0.0, (1.0, 2.5)))
+    cases.append((BernsteinGraph(affine_g()), 0.0, (1.0, 2.5)))
     for patch, expected, (lo_s, hi_s) in cases:
         eps = rng.uniform(patch.eps_lo + 0.3, patch.eps_hi - 0.3, 30)
         s = rng.uniform(lo_s, hi_s, 30)
@@ -225,15 +225,15 @@ def test_criterion_10_orthogonality():
     worst = 0.0
     for curve in (line_curve(eps_min=-2, eps_max=2),
                   helix_curve(1.0, eps_min=-2, eps_max=2)):
-        patch = build_sigma_lambda(curve, 1.0, +1)
+        patch = SigmaLambdaPatch(curve, 1.0, +1)
         for idx in (0, 1):
             for eps in rng.uniform(-1.0, 1.0, 8):
                 worst = max(worst, abs(float(
                     crv.orthogonality_defect(patch, idx, float(eps)))))
-    bg_aff = BernsteinGraph(*affine_g())
+    bg_aff = BernsteinGraph(affine_g())
     for y in rng.uniform(-1.0, 1.0, 8):
         worst = max(worst, abs(float(crv.orthogonality_defect(bg_aff, 0, float(y)))))
-    bg_quad = BernsteinGraph(*quadratic_g())
+    bg_quad = BernsteinGraph(quadratic_g())
     neg = max(abs(float(crv.orthogonality_defect(bg_quad, 0, float(y))) - (-1.0))
               for y in rng.uniform(-1.0, 1.0, 8))
     report(10, worst < 1e-6 and neg < 1e-6,
@@ -245,13 +245,13 @@ def test_criterion_11_calibration():
     rng = np.random.default_rng(11)
     worst = 0.0
     for graph in (plane_patch((0.0, 0.0, 1.0)), plane_patch((-0.7, 0.4, 1.0)),
-                  BernsteinGraph(*parse_g("0")), BernsteinGraph(*parse_g("2*y + 1"))):
+                  BernsteinGraph(parse_g("0")), BernsteinGraph(parse_g("2*y + 1"))):
         pts = rng.uniform(-2, 2, size=(100, 3))
         q = Point(pts[:, 0], pts[:, 1], pts[:, 2])
         keep = crv.locus_distance(graph, q) > 0.05
         div = crv.calibration_divergence(graph, Point(pts[keep, 0], pts[keep, 1], pts[keep, 2]))
         worst = max(worst, float(np.max(np.abs(div))))
-    cubic = BernsteinGraph(*parse_g(G_CUBIC))
+    cubic = BernsteinGraph(parse_g(G_CUBIC))
     control = max(abs(float(crv.calibration_divergence(
         cubic, Point(-3.0 * 0.7**2 / 2.0 + d, 0.7, 0.1)))) for d in (-2e-6, 2e-6, 5e-6))
     report(11, worst < 1e-6 and control > 1e-2,
@@ -277,8 +277,8 @@ def test_criterion_12_helicoid_bookkeeping():
 
 def test_criterion_13_dilation_homogeneity():
     worst = 0.0
-    sp = sphere_geodesic(1.0)
-    sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
+    sp = SpherePatch(1.0)
+    sl = SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
     for s0 in (-0.5, np.log(2.0)):
         ra, rv = msr.dilation_homogeneity(sp, s0, 96)
         worst = max(worst, abs(ra - np.exp(3 * s0)) / np.exp(3 * s0),
@@ -290,7 +290,7 @@ def test_criterion_13_dilation_homogeneity():
 
 def test_criterion_14_first_variation():
     # vertical variations p + tau u T: the stretch u = t, and u = cos eps
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
 
     def stretch(e, s):
         fe, fs, p = sp.partials(e, s)
@@ -314,13 +314,13 @@ def test_criterion_15_ruling():
     # sheets: the characteristics curve in the chart, so the trace is an
     # independent check of the closed-form geodesic
     charts = [
-        (sphere_geodesic(1.0), [(0.3, 1.2), (2.0, 1.8)]),
-        (build_sigma_lambda(line_curve(eps_min=-3, eps_max=3), 1.0, +1),
+        (SpherePatch(1.0), [(0.3, 1.2), (2.0, 1.8)]),
+        (SigmaLambdaPatch(line_curve(eps_min=-3, eps_max=3), 1.0, +1),
          [(0.0, 0.5), (-1.0, 0.45)]),
-        (build_sigma_lambda(line_curve(eps_min=-3, eps_max=3), 1.0, -1),
+        (SigmaLambdaPatch(line_curve(eps_min=-3, eps_max=3), 1.0, -1),
          [(0.0, 0.5), (0.7, 0.6)]),
         (helicoid_L(1.0, 1.0, k_max=1).pieces[0], [(0.0, 0.5), (0.4, 0.55)]),
-        (BernsteinGraph(*affine_g()), [(0.5, 0.5), (1.0, -0.5)]),
+        (BernsteinGraph(affine_g()), [(0.5, 0.5), (1.0, -0.5)]),
     ]
     sphere_lower, sphere_upper = sphere_graph(1.0)
     sheets = [

@@ -20,21 +20,20 @@ from h1geo.hgroup import Point, dot_c
 from h1geo.surfaces import (
     BernsteinGraph,
     ImmersedPatch,
+    SigmaLambdaPatch,
+    SigmaZeroPatch,
     SingularCurveRef,
     SpherePatch,
     TOL_SINGULAR,
     VerticalCylinder,
     _BLOCK_VERTICES,
     _grid,
-    build_sigma_lambda,
-    build_sigma_zero,
     build_surface,
     catalog,
     cylinder_S,
     helicoid_L,
     parse_g,
     plane_patch,
-    sphere_geodesic,
     sphere_graph,
 )
 from h1geo.verify import G_AFFINE, G_CUBIC, G_SQUARE
@@ -45,7 +44,7 @@ RNG = np.random.default_rng(1234)
 
 
 def make_bernstein(kind):
-    return BernsteinGraph(*parse_g(G_SQUARE if kind == "quadratic" else G_AFFINE))
+    return BernsteinGraph(parse_g(G_SQUARE if kind == "quadratic" else G_AFFINE))
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +52,7 @@ def make_bernstein(kind):
 
 
 def test_sphere_mean_curvature():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     eps = RNG.uniform(0, 2 * np.pi, 50)
     s = RNG.uniform(0.4, np.pi - 0.4, 50)
     H = mean_curvature_char(sp, eps, s)
@@ -67,7 +66,7 @@ def test_plane_mean_curvature_zero():
 
 
 def test_sigma_lambda_mean_curvature():
-    sl = build_sigma_lambda(line_curve(eps_min=-2, eps_max=2), 2.0, +1)
+    sl = SigmaLambdaPatch(line_curve(eps_min=-2, eps_max=2), 2.0, +1)
     eps = RNG.uniform(-1.5, 1.5, 20)
     sig = RNG.uniform(0.2, 0.8, 20)
     H = mean_curvature_char(sl, eps, sig)
@@ -76,21 +75,21 @@ def test_sigma_lambda_mean_curvature():
 
 def test_sigma_lambda_both_sides_positive_H():
     for side in (+1, -1):
-        sl = build_sigma_lambda(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, side)
+        sl = SigmaLambdaPatch(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, side)
         H = mean_curvature_char(sl, 0.2, 0.55)
         assert abs(H - 1.0) < 1e-5
 
 
 def test_sigma_zero_minimal():
-    sz = build_sigma_zero(helix_curve(1.0, eps_min=-2, eps_max=2), s_range=(-1.5, 1.5))
+    sz = SigmaZeroPatch(helix_curve(1.0, eps_min=-2, eps_max=2), s_range=(-1.5, 1.5))
     H = mean_curvature_char(sz, np.array([0.1, -0.6]), np.array([0.8, -0.9]))
     assert np.max(np.abs(H)) < 1e-6
 
 
 def test_mean_curvature_constancy_across_catalog():
     cases = [
-        sphere_geodesic(1.0),
-        build_sigma_lambda(line_curve(eps_min=-2, eps_max=2), 1.0, +1),
+        SpherePatch(1.0),
+        SigmaLambdaPatch(line_curve(eps_min=-2, eps_max=2), 1.0, +1),
         cylinder_S(1.0)[0],
     ]
     bounds = [(0.4, np.pi - 0.4), (0.15, 0.85), (-0.4, 0.4)]
@@ -102,7 +101,7 @@ def test_mean_curvature_constancy_across_catalog():
 
 
 def test_orientation_flip_negates_H():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     H1 = mean_curvature_char(sp, 0.9, 1.4)
     H2 = mean_curvature_char(sp.flipped(), 0.9, 1.4)
     assert abs(H1 + H2) < 1e-10
@@ -110,7 +109,7 @@ def test_orientation_flip_negates_H():
 
 def test_mean_curvature_dilation_law():
     # H(phi_s Sigma) = e^{-s} H(Sigma) at corresponding points
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     s0 = 0.6
     H0 = mean_curvature_char(sp, 1.1, 1.3)
     H1 = mean_curvature_char(sp.dilated(s0), 1.1, 1.3)
@@ -118,7 +117,7 @@ def test_mean_curvature_dilation_law():
 
 
 def test_mean_curvature_rejects_singular_point():
-    sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
+    sl = SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
     with pytest.raises(SingularPoint):
         mean_curvature_char(sl, 0.0, 1e-9)
 
@@ -197,7 +196,7 @@ def _bernstein_points(bg):
     """Points `_FRACTIONS` of the way from the singular curve x = -g'(y)/2
     to each side of the rectangle, at y 10% in from its ends."""
     y = np.linspace(0.8 * bg.s_lo, 0.8 * bg.s_hi, 5)
-    c = -0.5 * np.asarray(bg.dg(y))
+    c = -0.5 * np.asarray(bg.jet(y)[1])
     a = _FRACTIONS[:, None]
     return (np.concatenate([c + a * (bg.eps_lo - c), c + a * (bg.eps_hi - c)]).ravel(),
             np.tile(y, 6))
@@ -230,7 +229,7 @@ def _disc_points(sheet):
 _GRAPHS = {
     "bernstein-y^2": (lambda: make_bernstein("quadratic"), _bernstein_points),
     # g = 0.5 - y + y^3 / 3, its last coefficient the double nearest 1/3
-    "bernstein-cubic": (lambda: BernsteinGraph(*parse_g("0.5 - y + 0.3333333333333333*y^3")),
+    "bernstein-cubic": (lambda: BernsteinGraph(parse_g("0.5 - y + 0.3333333333333333*y^3")),
                         _bernstein_points),
     "plane-tilted": (lambda: plane_patch((0.3, -0.2, 1.0), 0.5), _plane_points),
     **{f"cylinder-{which}-lam{lam:g}": (lambda lam=lam, k=k: cylinder_S(lam)[k], _strip_points)
@@ -353,7 +352,7 @@ def test_fill_mesh_curvature_writes_nan_where_the_stencil_straddles():
 
 def test_trace_tangent_solve_is_consistent():
     # the parameter velocity reproduces Z in the tangent plane
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     from h1geo.curvature import _char_velocity
 
     de, ds = _char_velocity(sp, 0.8, 1.2)
@@ -377,8 +376,8 @@ def test_char_velocity_evaluates_the_patch_once():
 
 
 @pytest.mark.parametrize("patch, seeds", [
-    (sphere_geodesic(1.0), [(0.3, 1.2), (2.0, 1.8), (4.0, 2.1)]),
-    (build_sigma_lambda(line_curve(eps_min=-3, eps_max=3), 1.0, -1), [(0.0, 0.5), (0.7, 0.6)]),
+    (SpherePatch(1.0), [(0.3, 1.2), (2.0, 1.8), (4.0, 2.1)]),
+    (SigmaLambdaPatch(line_curve(eps_min=-3, eps_max=3), 1.0, -1), [(0.0, 0.5), (0.7, 0.6)]),
     (helicoid_L(1.0, 1.0, k_max=2).pieces[1], [(0.0, 0.5), (0.4, 0.55)]),
 ], ids=["sphere", "sigma-lambda-side-1", "helicoid-flipped"])
 def test_characteristic_deviation_array_seeds_match_scalar_calls(patch, seeds):
@@ -390,8 +389,8 @@ def test_characteristic_deviation_array_seeds_match_scalar_calls(patch, seeds):
 
 
 @pytest.mark.parametrize("patch, seeds", [
-    (sphere_geodesic(1.0), [(0.3, 1.2), (2.0, 1.8), (4.0, 2.1)]),
-    (build_sigma_lambda(line_curve(eps_min=-3, eps_max=3), 1.0, -1), [(0.0, 0.5), (0.7, 0.6)]),
+    (SpherePatch(1.0), [(0.3, 1.2), (2.0, 1.8), (4.0, 2.1)]),
+    (SigmaLambdaPatch(line_curve(eps_min=-3, eps_max=3), 1.0, -1), [(0.0, 0.5), (0.7, 0.6)]),
     (helicoid_L(1.0, 1.0, k_max=2).pieces[1], [(0.0, 0.5), (0.4, 0.55)]),
 ], ids=["sphere", "sigma-lambda-side-1", "helicoid-flipped"])
 def test_trace_with_signed_arclen_array_stacks_the_scalar_traces(patch, seeds):
@@ -432,23 +431,23 @@ def test_characteristic_deviation_rejects_steps_that_do_not_split_evenly(n_steps
     # n_steps // 2 steps each way: 0 or 1 would trace nothing and read 0.0
     # whatever the curvature, and an odd count would drop a step
     with pytest.raises(ValueError, match="even and at least 2"):
-        characteristic_deviation(sphere_geodesic(1.0), 0.3, 1.2, lam=5.0, n_steps=n_steps)
+        characteristic_deviation(SpherePatch(1.0), 0.3, 1.2, lam=5.0, n_steps=n_steps)
 
 
 def test_characteristic_deviation_at_two_steps_sees_a_wrong_curvature():
-    assert characteristic_deviation(sphere_geodesic(1.0), 0.3, 1.2, lam=5.0, n_steps=2) > 1e-2
+    assert characteristic_deviation(SpherePatch(1.0), 0.3, 1.2, lam=5.0, n_steps=2) > 1e-2
 
 
 @pytest.mark.parametrize("n_steps", [0, -1])
 def test_trace_rejects_fewer_than_one_step(n_steps):
     with pytest.raises(ValueError, match="at least 1"):
-        trace_characteristic(sphere_geodesic(1.0), 0.3, 1.2, 0.2, n_steps=n_steps)
+        trace_characteristic(SpherePatch(1.0), 0.3, 1.2, 0.2, n_steps=n_steps)
 
 
 def test_trace_moves_along_geodesic_parameter():
     # on the sigma patch Z = +gamma', so the trace advances the geometric s
     # linearly with arclength while eps stays fixed
-    sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
+    sl = SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
     ep, spath = trace_characteristic(sl, 0.2, 0.5, 0.3, n_steps=30)
     scut = float(sl.s_cut(0.2))
     assert np.max(np.abs(ep - 0.2)) < 1e-12
@@ -463,12 +462,12 @@ def test_ruling_property(case):
     # verified to agree elsewhere.  Every chart here moves Z at constant
     # parameter velocity, where RK4 is exact, so 4 steps suffice.
     if case == "sphere":
-        patch, seeds = sphere_geodesic(1.0), [(0.3, 1.2), (2.0, 1.8)]
+        patch, seeds = SpherePatch(1.0), [(0.3, 1.2), (2.0, 1.8)]
     elif case == "sigma":
-        patch = build_sigma_lambda(line_curve(eps_min=-3, eps_max=3), 1.0, +1)
+        patch = SigmaLambdaPatch(line_curve(eps_min=-3, eps_max=3), 1.0, +1)
         seeds = [(0.0, 0.5), (-1.0, 0.4)]
     elif case == "cylinder":
-        patch = build_sigma_lambda(line_curve(eps_min=-3, eps_max=3), 1.0, -1)
+        patch = SigmaLambdaPatch(line_curve(eps_min=-3, eps_max=3), 1.0, -1)
         seeds = [(0.0, 0.5), (0.5, 0.6)]
     elif case == "plane":
         patch, seeds = plane_patch(rect=(-3, 3, -3, 3)), [(1.0, 1.0), (-1.5, 0.7)]
@@ -485,7 +484,7 @@ def test_ruling_property(case):
 
 def test_defect_sigma_lambda_boundaries():
     for curve in (line_curve(eps_min=-2, eps_max=2), helix_curve(1.0, eps_min=-2, eps_max=2)):
-        sl = build_sigma_lambda(curve, 1.0, +1)
+        sl = SigmaLambdaPatch(curve, 1.0, +1)
         for idx in (0, 1):
             for eps in (-0.5, 0.0, 0.7):
                 assert abs(orthogonality_defect(sl, idx, eps)) < 1e-6
@@ -564,7 +563,7 @@ def test_calibration_plane_families():
 
 def test_calibration_stationary_bernstein_families():
     for a in (0.0, 2.0):
-        graph = BernsteinGraph(*parse_g(f"{a}*y"))
+        graph = BernsteinGraph(parse_g(f"{a}*y"))
         assert _calibration_gap(graph, *_off_locus(graph, RNG.uniform(-2, 2, size=(100, 3)))) < 1e-6
 
 
@@ -572,11 +571,11 @@ def test_calibration_stationary_family_clean_even_near_locus():
     # the jump of nu_H across the locus is invisible to the divergence when
     # the characteristic lines meet the singular curve orthogonally
     q = Point(2e-6, 0.7, 0.1)
-    assert abs(calibration_divergence(BernsteinGraph(*parse_g("0")), q)) < 1e-6
+    assert abs(calibration_divergence(BernsteinGraph(parse_g("0")), q)) < 1e-6
 
 
 def test_calibration_cubic_control_detects_nonstationarity():
-    cubic = BernsteinGraph(*parse_g(G_CUBIC))   # t = xy + y^3, not area-stationary
+    cubic = BernsteinGraph(parse_g(G_CUBIC))   # t = xy + y^3, not area-stationary
     # probe a short segment straddling the locus 2x + 3y^2 = 0 at y = 0.7
     y0 = 0.7
     x0 = -3.0 * y0**2 / 2.0
@@ -590,7 +589,7 @@ def test_calibration_cubic_control_detects_nonstationarity():
 
 def test_calibration_rejects_on_locus():
     with pytest.raises(OnSingularLocus):
-        calibration_divergence(BernsteinGraph(*parse_g("0")), Point(0.0, 0.3, 0.0))
+        calibration_divergence(BernsteinGraph(parse_g("0")), Point(0.0, 0.3, 0.0))
 
 
 def _sphere_sheet_probes(sheet, rng):
@@ -668,7 +667,7 @@ def test_blocked_fill_matches_one_whole_grid_call():
 
 
 def test_fill_mesh_curvature():
-    sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
+    sl = SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
     h = mesh_curvature(sl, *_grid_nh(sl, 8, 9))
     interior = h[:, 2:-2]
     assert np.all(np.isfinite(interior))

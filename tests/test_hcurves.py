@@ -18,19 +18,24 @@ from h1geo.hcurves import (
     load_curve_csv,
 )
 from h1geo.hgroup import ORIGIN, Point
+from h1geo.surfaces import _curve_data
+from oracles import planar_of
 
 RNG = np.random.default_rng(777)
 
 
+def lift_t(curve, eps):
+    return curve.jet(eps)[0].t
+
+
 def fd_tdot(curve, eps, h=1e-6):
-    return (np.asarray(curve.t_of(eps + h)) - np.asarray(curve.t_of(eps - h))) / (2 * h)
+    return (np.asarray(lift_t(curve, eps + h)) - np.asarray(lift_t(curve, eps - h))) / (2 * h)
 
 
 def horizontality_defect(curve, n=400):
     eps = np.linspace(curve.eps_min + 1e-3, curve.eps_max - 1e-3, n)
-    x, y = curve.planar.xy(eps)
-    xd, yd = curve.planar.d1(eps)
-    return np.max(np.abs(fd_tdot(curve, eps) - (xd * y - x * yd)))
+    p, (xd, yd), _, _ = curve.jet(eps)
+    return np.max(np.abs(fd_tdot(curve, eps) - (xd * p.y - p.x * yd)))
 
 
 def test_lift_of_x_axis_is_x_axis():
@@ -72,7 +77,7 @@ def test_lift_of_planar_circle_is_helix():
     eps = np.linspace(-1.4, 1.4, 31)
     t_expect = (eps - np.sin(2 * r * eps) / (2 * r)) / (2 * r)
     # the lift integrates from eps_min, so match after anchoring at 0
-    t_got = np.asarray(lifted.t_of(eps)) - np.asarray(lifted.t_of(0.0))
+    t_got = np.asarray(lift_t(lifted, eps)) - np.asarray(lift_t(lifted, 0.0))
     assert np.max(np.abs(t_got - t_expect)) < 1e-9
 
 
@@ -90,7 +95,7 @@ def test_lift_rejects_constant_point():
 def test_lift_vertical_translation_freedom():
     r = 0.7
     a = helix_curve(r)
-    planar = a.planar
+    planar = planar_of(a)
     delta = 0.321
     c0 = horizontal_lift(planar, 0.0)
     c1 = horizontal_lift(planar, delta)
@@ -103,11 +108,11 @@ def test_lift_vertical_translation_freedom():
 def test_planar_curvature_catalog():
     line = line_curve()
     eps = np.linspace(-3, 3, 9)
-    assert np.max(np.abs(line.planar_curvature(eps))) == 0.0
+    assert np.max(np.abs(_curve_data(line, eps)[3])) == 0.0
 
     r = 0.9
     helix = helix_curve(r)
-    assert np.allclose(helix.planar_curvature(eps), -2 * r, atol=1e-14)
+    assert np.allclose(_curve_data(helix, eps)[3], -2 * r, atol=1e-14)
 
 
 def test_planar_curvature_unit_circle():
@@ -119,20 +124,19 @@ def test_planar_curvature_unit_circle():
         lambda e: (np.sin(e), -np.cos(e)),
         0.0, 2 * np.pi)
     c = horizontal_lift(planar, 0.0)
-    assert np.allclose(c.planar_curvature(np.linspace(0.2, 6.0, 12)), 1.0, atol=1e-14)
+    assert np.allclose(_curve_data(c, np.linspace(0.2, 6.0, 12))[3], 1.0, atol=1e-14)
 
 
 def test_reparameterize_identity_on_arclength_input():
     # horizontal_lift measures arclength from eps_min, so an arclength
     # curve keeps its parameter
     helix = helix_curve(1.1)
-    out = horizontal_lift(helix.planar).planar
+    out = horizontal_lift(planar_of(helix))
     assert out.eps_min == helix.eps_min
     assert out.eps_max == pytest.approx(helix.eps_max, abs=1e-14)
     eps = np.linspace(out.eps_min, out.eps_max, 40)
-    x0, y0 = helix.planar.xy(eps)
-    x1, y1 = out.xy(eps)
-    assert np.max(np.hypot(x1 - x0, y1 - y0)) < 1e-10
+    p0, p1 = helix.position(eps), out.position(eps)
+    assert np.max(np.hypot(p1.x - p0.x, p1.y - p0.y)) < 1e-10
 
 
 def test_reparameterize_constant_speed():
@@ -142,11 +146,10 @@ def test_reparameterize_constant_speed():
         lambda e: (np.zeros_like(np.asarray(e, float)), np.zeros_like(np.asarray(e, float))),
         lambda e: (np.zeros_like(np.asarray(e, float)), np.zeros_like(np.asarray(e, float))),
         0.0, 1.0)
-    out = horizontal_lift(planar).planar
+    out = horizontal_lift(planar)
     assert out.eps_max == pytest.approx(2.0, abs=1e-12)
     eps = np.linspace(0, 2, 21)
-    x, _ = out.xy(eps)
-    assert np.allclose(x, eps, atol=1e-10)
+    assert np.allclose(out.position(eps).x, eps, atol=1e-10)
 
 
 def test_reparameterize_ellipse_speed():
@@ -156,9 +159,9 @@ def test_reparameterize_ellipse_speed():
         lambda e: (-2.0 * np.cos(e), -np.sin(e)),
         lambda e: (2.0 * np.sin(e), -np.cos(e)),
         0.0, 2 * np.pi)
-    out = horizontal_lift(planar).planar
+    out = horizontal_lift(planar)
     eps = np.linspace(0, out.eps_max, 1000)
-    assert np.max(np.abs(out.speed(eps) - 1.0)) < 1e-8
+    assert np.max(np.abs(np.hypot(*out.jet(eps)[1]) - 1.0)) < 1e-8
 
 
 def test_helix_is_geodesic_curve():
@@ -170,23 +173,6 @@ def test_helix_is_geodesic_curve():
     assert np.max(np.abs(d)) < 1e-13
 
 
-def test_velocity_reads_only_the_planar_tangent():
-    helix = helix_curve(0.8)
-    calls = []
-
-    def t_of(e):
-        calls.append(e)
-        return helix.t_of(e)
-
-    curve = hc.HorizontalCurve(helix.planar, t_of)
-    eps = np.linspace(-1.0, 1.0, 7)
-    v = curve.velocity(eps)
-    assert calls == []
-    assert v.shape == (7, 3)
-    assert np.array_equal(v[..., :2], np.stack(helix.planar.d1(eps), axis=-1))
-    assert np.all(v[..., 2] == 0.0)
-
-
 def test_horizontality_defect_on_catalog():
     for curve in (line_curve(0.4), helix_curve(0.8)):
         assert horizontality_defect(curve) < 1e-9
@@ -196,13 +182,13 @@ def test_curve_from_samples_roundtrip():
     # dense samples of the helix reproduce it after spline + reparam + lift
     helix = helix_curve(1.0, eps_min=-1.5, eps_max=1.5)
     eps = np.linspace(-1.5, 1.5, 400)
-    x, y = helix.planar.xy(eps)
-    rebuilt = curve_from_samples(eps, x, y, t0=float(helix.t_of(-1.5)))
+    p = helix.position(eps)
+    rebuilt = curve_from_samples(eps, p.x, p.y, t0=float(lift_t(helix, -1.5)))
     ee = np.linspace(0.05, rebuilt.eps_max - 0.05, 50)
     p = rebuilt.position(ee)
     q = helix.position(ee + helix.eps_min)
     assert np.max(np.abs(p.as_array() - q.as_array())) < 1e-6
-    assert rebuilt.planar_curvature(1.0) == pytest.approx(-2.0, abs=1e-4)
+    assert _curve_data(rebuilt, 1.0)[3] == pytest.approx(-2.0, abs=1e-4)
 
 
 def test_load_curve_csv(tmp_path):
@@ -225,7 +211,7 @@ def test_load_curve_csv_rejects_bad_header(tmp_path):
 
 def test_curvature_rate_zero_on_catalog():
     helix = helix_curve(0.6)
-    assert abs(helix.curvature_rate(0.3)) < 1e-10
+    assert abs(_curve_data(helix, 0.3)[4]) < 1e-10
 
 
 def test_reparameterize_rejects_vanishing_speed():
@@ -262,7 +248,7 @@ CSV_FRESH = curve_from_samples(*CSV_SAMPLES)         # queried only pointwise
 
 
 def pointwise(curve, eps):
-    return np.array([curve.t_of(float(e)) for e in np.ravel(eps)]).reshape(np.shape(eps))
+    return np.array([lift_t(curve, float(e)) for e in np.ravel(eps)]).reshape(np.shape(eps))
 
 
 @settings(max_examples=40, deadline=None)
@@ -275,24 +261,24 @@ def test_lift_is_pure_for_any_query_order_and_batch(fracs, earlier, rnd):
     span = CSV_CURVE.eps_max - CSV_CURVE.eps_min
     eps = CSV_CURVE.eps_min + span * np.array(fracs)
     expect = pointwise(CSV_FRESH, eps)
-    CSV_CURVE.t_of(CSV_CURVE.eps_min + span * np.array(earlier))
+    lift_t(CSV_CURVE, CSV_CURVE.eps_min + span * np.array(earlier))
     order = list(range(eps.size))
     rnd.shuffle(order)
-    assert np.array_equal(CSV_CURVE.t_of(eps[order]), expect[order])
+    assert np.array_equal(lift_t(CSV_CURVE, eps[order]), expect[order])
     assert np.array_equal(pointwise(CSV_CURVE, eps), expect)
-    assert isinstance(CSV_CURVE.t_of(float(eps[0])), float)
+    assert isinstance(lift_t(CSV_CURVE, float(eps[0])), float)
     if eps.size % 2 == 0:
         grid = eps.reshape(2, -1)
-        assert np.array_equal(CSV_CURVE.t_of(grid), expect.reshape(2, -1))
-        assert np.array_equal(CSV_CURVE.t_of(grid.T), expect.reshape(2, -1).T)
+        assert np.array_equal(lift_t(CSV_CURVE, grid), expect.reshape(2, -1))
+        assert np.array_equal(lift_t(CSV_CURVE, grid.T), expect.reshape(2, -1).T)
 
 
 def test_lift_threads_match_serial():
     eps = np.linspace(CSV_CURVE.eps_min, CSV_CURVE.eps_max, 4001)
     chunks = np.array_split(eps[::-1], 40)
-    serial = [CSV_FRESH.t_of(c) for c in chunks]
+    serial = [lift_t(CSV_FRESH, c) for c in chunks]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = list(pool.map(CSV_CURVE.t_of, chunks))
+        threaded = list(pool.map(lambda c: lift_t(CSV_CURVE, c), chunks))
     assert all(np.array_equal(a, b) for a, b in zip(threaded, serial))
 
 
@@ -301,16 +287,16 @@ def test_lift_threads_match_serial():
     line_curve(0.7, Point(0.3, -1.2, 0.5)), line_curve(1.0, Point(-4.0, 2.5, 0.0)),
 ], ids=["helix-0.5", "helix-1", "helix-3", "line", "line-far"])
 def test_generic_lift_matches_closed_form(closed):
-    lifted = horizontal_lift(closed.planar, float(closed.t_of(closed.eps_min)))
+    lifted = horizontal_lift(planar_of(closed), float(lift_t(closed, closed.eps_min)))
     eps = np.linspace(closed.eps_min, closed.eps_max, 2001)
-    assert np.max(np.abs(lifted.t_of(eps) - closed.t_of(eps))) < 1e-13
+    assert np.max(np.abs(lift_t(lifted, eps) - lift_t(closed, eps))) < 1e-13
 
 
 def test_generic_lift_extrapolates_beyond_the_ends():
     # a query outside the curve takes Newton's method out of the end cell,
     # unbracketed on the outer side; the helix is analytic there
     helix = helix_curve(0.9)
-    lifted = horizontal_lift(helix.planar, float(helix.t_of(helix.eps_min)))
+    lifted = horizontal_lift(planar_of(helix), float(lift_t(helix, helix.eps_min)))
     eps = np.array([helix.eps_min - 0.05, helix.eps_max + 0.05])
     assert np.max(np.abs(lifted.position(eps).as_array() - helix.position(eps).as_array())) < 1e-13
 
@@ -346,9 +332,9 @@ def test_csv_lift_matches_knot_aligned_oracle():
     assert integral(speed, u[-1:])[0] == pytest.approx(CSV_CURVE.eps_max, rel=1e-14, abs=0)
     q = np.linspace(u[0], u[-1], 3001)[1:-1]
     eps = integral(speed, q)
-    assert np.max(np.abs(CSV_CURVE.t_of(eps) - integral(tdot, q))) < 1e-12
-    x1, y1 = CSV_CURVE.planar.xy(eps)
-    assert np.max(np.hypot(x1 - sx(q), y1 - sy(q))) < 1e-12
+    p = CSV_CURVE.position(eps)
+    assert np.max(np.abs(p.t - integral(tdot, q))) < 1e-12
+    assert np.max(np.hypot(p.x - sx(q), p.y - sy(q))) < 1e-12
 
 
 def test_spline_matches_scipy():
@@ -371,7 +357,8 @@ def test_csv_curve_is_one_arclength_curve():
     # step squared (a PCHIP-inverted parameter stalled at 1.5e-5 and 1e-4),
     # and |d1| = 1 to rounding
     eps = np.linspace(0.01, CSV_CURVE.eps_max - 0.01, 401)
-    derivs = [CSV_CURVE.planar.xy, CSV_CURVE.planar.d1, CSV_CURVE.planar.d2]
+    derivs = [lambda e: (CSV_CURVE.position(e).x, CSV_CURVE.position(e).y),
+              lambda e: CSV_CURVE.jet(e)[1], lambda e: CSV_CURVE.jet(e)[2]]
     assert np.max(np.abs(np.hypot(*derivs[1](eps)) - 1.0)) < 1e-15
     for f, df in zip(derivs[:-1], derivs[1:]):
         xd, yd = df(eps)

@@ -24,13 +24,12 @@ from h1geo.measures import (
 )
 from h1geo.surfaces import (
     ImmersedPatch,
+    SigmaLambdaPatch,
     SpherePatch,
     VerticalVariation,
-    build_sigma_lambda,
     build_surface,
     cylinder_S,
     plane_patch,
-    sphere_geodesic,
     sphere_graph,
 )
 
@@ -58,7 +57,7 @@ class EuclideanSphere(ImmersedPatch):
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_sphere_area_closed_form(lam):
-    res = area(sphere_geodesic(lam), 256)
+    res = area(SpherePatch(lam), 256)
     expect = np.pi**2 / lam**3
     assert abs(res.value - expect) / expect < 1e-4
     assert res.error >= 0.0
@@ -66,14 +65,14 @@ def test_sphere_area_closed_form(lam):
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_sphere_volume_closed_form(lam):
-    res = volume_enclosed(sphere_geodesic(lam), 256)
+    res = volume_enclosed(SpherePatch(lam), 256)
     expect = 3 * np.pi**2 / (8 * lam**4)
     assert abs(res.value - expect) / expect < 1e-4
 
 
 def test_degenerate_domain_integrates_to_zero():
-    sp = sphere_geodesic(1.0)
-    sp2 = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
+    sp2 = SpherePatch(1.0)
     sp2.s_hi = sp2.s_lo
     assert area(sp2, 16).value == 0.0
 
@@ -97,7 +96,7 @@ def test_degenerate_domain_is_swept_for_the_samples_it_reports():
 
 
 def test_volume_orientation_flip():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     v1 = volume_enclosed(sp, 64).value
     v2 = volume_enclosed(sp.flipped(), 64).value
     assert v1 > 0
@@ -105,13 +104,13 @@ def test_volume_orientation_flip():
 
 
 def test_area_orientation_independent():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     assert area(sp, 64).value == area(sp.flipped(), 64).value
 
 
 def test_quadrature_convergence_estimate():
     # |I_2n - I_n| <= reported error at n
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     a64 = area(sp, 64)
     a128 = area(sp, 128)
     assert abs(a128.value - a64.value) <= a64.error + 1e-15
@@ -119,7 +118,7 @@ def test_quadrature_convergence_estimate():
 
 def test_first_variation_sweeps_each_perturbed_patch_once(monkeypatch):
     # four varied patches, t = +-dt and +-dt/2, one area-and-volume sweep each
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     u = _MODES["cos"]
     calls = []
     sweep = measures.integrate
@@ -141,7 +140,7 @@ def test_first_variation_sweeps_each_perturbed_patch_once(monkeypatch):
 
 
 def test_left_translation_invariance():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     tp = sp.translated(Point(0.7, -0.4, 1.1))
     a0, a1 = area(sp, 96).value, area(tp, 96).value
     v0, v1 = volume_enclosed(sp, 96).value, volume_enclosed(tp, 96).value
@@ -150,11 +149,11 @@ def test_left_translation_invariance():
 
 
 def test_additivity_over_parameter_split():
-    sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
+    sl = SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
     full = area(sl, 64).value
-    left = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1,
+    left = SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), 1.0, +1,
                               eps_range=(-1.0, 0.25))
-    right = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1,
+    right = SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), 1.0, +1,
                                eps_range=(0.25, 1.0))
     split = area(left, 64).value + area(right, 64).value
     assert abs(split - full) / full < 1e-12
@@ -162,7 +161,7 @@ def test_additivity_over_parameter_split():
 
 def test_minkowski_spheres():
     for lam in (0.5, 1.0, 2.0):
-        rep = measures_report(sphere_geodesic(lam), "sphere", lam, n=128, H=lam)
+        rep = measures_report(SpherePatch(lam), "sphere", lam, n=128, H=lam)
         assert rep["minkowski_defect"] < 1e-4
 
 
@@ -172,22 +171,22 @@ def test_minkowski_rejects_open_patch():
 
 
 def test_dilation_homogeneity_sphere():
-    ra, rv = dilation_homogeneity(sphere_geodesic(1.0), np.log(2.0), 96)
+    ra, rv = dilation_homogeneity(SpherePatch(1.0), np.log(2.0), 96)
     assert abs(ra - 8.0) / 8.0 < 1e-4
     assert abs(rv - 16.0) / 16.0 < 1e-4
-    ra0, rv0 = dilation_homogeneity(sphere_geodesic(1.0), 0.0, 32)
+    ra0, rv0 = dilation_homogeneity(SpherePatch(1.0), 0.0, 32)
     assert ra0 == 1.0 and rv0 == 1.0
 
 
 def test_dilation_homogeneity_sigma_patch():
-    sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
+    sl = SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
     for s in (-0.5, 0.37):
         ra, _ = dilation_homogeneity(sl, s, 96)
         assert abs(ra - np.exp(3 * s)) / np.exp(3 * s) < 1e-4
 
 
 def test_dilation_homogeneity_takes_several_s_over_one_base_ladder(monkeypatch):
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     dilations = (-0.5, np.log(2.0), 0.0)
     singles = [dilation_homogeneity(sp, s0, 32) for s0 in dilations]
     calls = []
@@ -201,12 +200,12 @@ def test_dilation_homogeneity_takes_several_s_over_one_base_ladder(monkeypatch):
 def test_iso_ratio_lambda_independent():
     expect = (8.0 / 3.0) ** 3 * np.pi**2
     for lam in (0.5, 1.0, 2.0):
-        r = iso_ratio(sphere_geodesic(lam), 128)
+        r = iso_ratio(SpherePatch(lam), 128)
         assert abs(r - expect) / expect < 1e-3
 
 
 def test_iso_ratio_dilation_invariant():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     r0 = iso_ratio(sp, 96)
     r1 = iso_ratio(sp.dilated(0.3), 96)
     assert abs(r1 - r0) / r0 < 1e-6
@@ -224,7 +223,7 @@ def test_euclidean_sphere_is_not_optimal():
 
 def test_first_variation_unit_speed():
     # u = 1 is a left translation, so A'(0) = V'(0) = 0 to rounding
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     fv = first_variation_check(sp, _MODES["unit"], n=16)
     assert abs(fv.a_prime) < 1e-12 * area(sp, 96).value
     assert abs(fv.v_prime) < 1e-12 * volume_enclosed(sp, 96).value
@@ -234,7 +233,7 @@ def test_first_variation_unit_speed():
 def test_first_variation_of_the_stretch_is_the_volume(lam):
     # u = t maps (x, y, t) to (x, y, (1 + tau) t), which scales Lebesgue
     # volume by 1 + tau: V'(0) = V, and A'(0) = 2 lam V'(0) on S_lam
-    sp = sphere_geodesic(lam)
+    sp = SpherePatch(lam)
     fv = first_variation_check(sp, _stretch(sp), dt=1e-3, n=16)
     V = 3 * np.pi**2 / (8 * lam**4)
     assert abs(fv.v_prime - V) <= 1e-12 * V
@@ -242,7 +241,7 @@ def test_first_variation_of_the_stretch_is_the_volume(lam):
 
 
 def test_first_variation_volume_preserving_mode():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     fv = first_variation_check(sp, _MODES["cos"], dt=1e-4, n=16)
     a = area(sp, 96).value
     assert abs(fv.v_prime) < 1e-6
@@ -250,13 +249,13 @@ def test_first_variation_volume_preserving_mode():
 
 
 def test_first_variation_step_guard():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     with pytest.raises(StepTooSmall):
         first_variation_check(sp, _MODES["unit"], dt=1e-9, n=16)
 
 
 def test_vertical_translation_keeps_area_and_volume():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     base = measures.integrate(sp, 16, ("area", "volume"))
     for tau in (-0.37, 1e-3, 2.5):
         moved = measures.integrate(VerticalVariation(sp, _MODES["unit"], tau), 16,
@@ -266,14 +265,14 @@ def test_vertical_translation_keeps_area_and_volume():
 
 
 def test_quad_many_matches_single():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     combo = quad_many(sp, 64, ("area", "volume"))
     assert combo["area"].value == area(sp, 64).value
     assert combo["volume"].value == volume_enclosed(sp, 64).value
 
 
 def test_measures_report_fields():
-    rep = measures_report(sphere_geodesic(1.0), "sphere", 1.0, n=64)
+    rep = measures_report(SpherePatch(1.0), "sphere", 1.0, n=64)
     assert list(rep) == ["surface", "lambda", "A", "A_err", "A_converged", "V", "V_err",
                          "V_converged", "H", "minkowski_defect", "iso_ratio", "samples"]
     assert abs(rep["A"] - np.pi**2) < 1e-6
@@ -283,15 +282,15 @@ def test_measures_report_fields():
 
 
 def test_measures_report_open_patch():
-    sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
+    sl = SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
     rep = measures_report(sl, "sigma-lambda", 1.0, n=32)
     assert rep["V"] is None and rep["minkowski_defect"] is None
     assert rep["A"] > 0
 
 
 @pytest.mark.parametrize("patch", [
-    sphere_geodesic(1.3),
-    sphere_geodesic(0.7).dilated(0.4).translated(Point(0.3, -1.1, 0.5)).flipped(),
+    SpherePatch(1.3),
+    SpherePatch(0.7).dilated(0.4).translated(Point(0.3, -1.1, 0.5)).flipped(),
 ], ids=["sphere", "dilated-translated-flipped"])
 def test_quadrature_is_bitwise_independent_of_the_block_size(monkeypatch, patch):
     n = 24
@@ -353,7 +352,7 @@ def test_measures_report_keeps_its_half_resolution_error(monkeypatch):
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 0.8464])
 def test_sphere_converges_early_and_its_error_bounds_the_true_error(lam):
-    res = quad_many(sphere_geodesic(lam), 256, ("area", "volume"))
+    res = quad_many(SpherePatch(lam), 256, ("area", "volume"))
     exact = {"area": np.pi**2 / lam**3, "volume": 3 * np.pi**2 / (8 * lam**4)}
     for kind, est in res.items():
         assert est.converged
@@ -391,7 +390,7 @@ def test_unconverged_report_is_flagged():
 
 
 def test_degenerate_domain_reports_null_ratios():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     sp.s_hi = sp.s_lo
     rep = measures_report(sp, "sphere", 1.0, n=16)
     assert rep["A"] == 0.0 and rep["V"] == 0.0
@@ -437,19 +436,19 @@ def _normal_speed(patch, u):
         return u(e, s)[0] * raw[..., 2] / np.linalg.norm(raw, axis=-1)
     return w
 _SPHERES = {
-    "S_0.5": lambda: sphere_geodesic(0.5),
-    "S_1": lambda: sphere_geodesic(1.0),
-    "S_2": lambda: sphere_geodesic(2.0),
+    "S_0.5": lambda: SpherePatch(0.5),
+    "S_1": lambda: SpherePatch(1.0),
+    "S_2": lambda: SpherePatch(2.0),
     "S_1-dilated-translated-flipped":
-        lambda: sphere_geodesic(1.0).dilated(0.3).translated(Point(0.7, -0.4, 1.1)).flipped(),
+        lambda: SpherePatch(1.0).dilated(0.3).translated(Point(0.7, -0.4, 1.1)).flipped(),
 }
 
 
 def test_estimate_fields_have_one_type():
     # the floor is a float like the Richardson difference, so neither the
     # error nor converged depends on which of the two is larger
-    res = quad_many(sphere_geodesic(1.0), 96, ("area", RAREA, "volume"))
-    res.update(first_variation(sphere_geodesic(1.0), _speed("cos")))
+    res = quad_many(SpherePatch(1.0), 96, ("area", RAREA, "volume"))
+    res.update(first_variation(SpherePatch(1.0), _speed("cos")))
     for est in res.values():
         assert type(est.error) is float and type(est.converged) is bool
 
@@ -471,14 +470,14 @@ def test_first_variation_matches_the_finite_difference_oracle(which, mode):
 @pytest.mark.parametrize("mode", sorted(_MODES))
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_first_variation_errors_bound_the_stationarity_defect(lam, mode):
-    fv = first_variation(sphere_geodesic(lam), _speed(mode))
+    fv = first_variation(SpherePatch(lam), _speed(mode))
     a, v = fv["a_prime"], fv["v_prime"]
     assert abs(a.value - 2 * lam * v.value) <= a.error + 2 * lam * v.error
 
 
 @pytest.mark.parametrize("mode", ["unit", "cos"])
 def test_first_variation_stops_at_twelve_cells(mode):
-    for est in first_variation(sphere_geodesic(1.0), _speed(mode)).values():
+    for est in first_variation(SpherePatch(1.0), _speed(mode)).values():
         assert est.converged
         assert est.samples <= (measures.GAUSS_ORDER * 12) ** 2
 
@@ -492,7 +491,7 @@ def test_first_variation_evaluates_each_speed_once_per_sample():
         return np.ones(e.shape)
 
     # the ladder sweeps 6 and then 12 cells per side: 48^2 + 96^2 samples
-    fv = first_variation(sphere_geodesic(1.0), u)
+    fv = first_variation(SpherePatch(1.0), u)
     assert fv["a_prime"].samples == (measures.GAUSS_ORDER * 12) ** 2
     assert sum(points) == 11_520
 
@@ -500,7 +499,7 @@ def test_first_variation_evaluates_each_speed_once_per_sample():
 def test_first_variation_of_two_speeds_equals_two_single_calls():
     # the minkowski suite's stretch t N_T and mean-zero cos(eps) on S_1, whose
     # ladders both stop at 12 cells, so the joint ladder keeps every bit
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     speeds = (_normal_speed(sp, _stretch(sp)), _speed("cos"))
     joint = first_variation(sp, speeds)
     assert len(joint) == 2
@@ -522,7 +521,7 @@ def test_first_variation_richardson_h_is_within_its_rounding():
 
 def test_first_variation_rejects_open_patches():
     u = _speed("unit")
-    for patch in (plane_patch(), build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)):
+    for patch in (plane_patch(), SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), 1.0, +1)):
         with pytest.raises(NotClosedSurface):
             first_variation(patch, u)
 

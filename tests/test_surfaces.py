@@ -19,7 +19,6 @@ from h1geo.geodesics import (
     jacobi_residual,
 )
 from h1geo.hcurves import (
-    HorizontalCurve,
     PlanarCurve,
     helix_curve,
     horizontal_lift,
@@ -31,10 +30,10 @@ from h1geo.surfaces import (
     BernsteinGraph,
     Chart,
     ImmersedPatch,
+    SigmaLambdaPatch,
+    SigmaZeroPatch,
     SpherePatch,
     TOL_SINGULAR,
-    build_sigma_lambda,
-    build_sigma_zero,
     build_surface,
     catalog,
     cylinder_S,
@@ -42,7 +41,6 @@ from h1geo.surfaces import (
     parse_g,
     plane_patch,
     singular_components,
-    sphere_geodesic,
     sphere_graph,
     VerticalCylinder,
     VerticalVariation,
@@ -89,7 +87,7 @@ def test_normal_data_horizontal_plane_singular_at_origin():
 
 
 def test_normal_decomposition_identity_on_sphere():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     eps = RNG.uniform(0, 2 * np.pi, 50)
     s = RNG.uniform(0.2, np.pi - 0.2, 50)
     nd = sp.normal_data(eps, s)
@@ -99,13 +97,13 @@ def test_normal_decomposition_identity_on_sphere():
 
 
 def test_degenerate_point_raises():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     with pytest.raises(DegeneratePoint):
         sp.normal_data(0.3, 0.0)  # pole: F_theta vanishes
 
 
 def test_orientation_flip():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     nd = sp.normal_data(0.7, 1.1)
     ndf = sp.flipped().normal_data(0.7, 1.1)
     assert np.allclose(ndf.normal, -nd.normal, atol=0)
@@ -119,7 +117,7 @@ def test_orientation_flip():
 
 
 def test_sphere_analytic_partials_match_fd():
-    sp = sphere_geodesic(1.3)
+    sp = SpherePatch(1.3)
     for _ in range(10):
         eps = RNG.uniform(0, 2 * np.pi)
         s = RNG.uniform(0.2, np.pi / 1.3 - 0.2)
@@ -130,7 +128,7 @@ def test_sphere_analytic_partials_match_fd():
 
 
 def test_sphere_pole_concurrence_through_patch():
-    sp = sphere_geodesic(0.7)
+    sp = SpherePatch(0.7)
     th = np.linspace(0, 2 * np.pi, 32)
     top = sp.point(th, np.pi / 0.7).as_array()
     assert np.max(np.abs(top - [0, 0, np.pi / (2 * 0.49)])) < 1e-12
@@ -152,7 +150,7 @@ def test_sphere_graph_sheets_poles_and_equator():
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_sphere_graph_agrees_with_geodesic_parameterization(lam):
     # two-sided sampled distance between the representations
-    sp = sphere_geodesic(lam)
+    sp = SpherePatch(lam)
     lower, upper = sphere_graph(lam)
     th = RNG.uniform(0, 2 * np.pi, 200)
     s = RNG.uniform(1e-3, np.pi / lam - 1e-3, 200)
@@ -184,12 +182,12 @@ def test_sphere_graph_partials_match_fd():
 
 def test_sigma_lambda_requires_nonzero_lambda():
     with pytest.raises(ValueError):
-        build_sigma_lambda(line_curve(), 0.0)
+        SigmaLambdaPatch(line_curve(), 0.0)
 
 
 def test_sigma_lambda_x_axis_far_curve_is_translated_axis():
     for lam in (1.0, -1.0, 2.0):
-        sl = build_sigma_lambda(line_curve(eps_min=-2, eps_max=2), lam, +1)
+        sl = SigmaLambdaPatch(line_curve(eps_min=-2, eps_max=2), lam, +1)
         assert np.allclose(sl.s_cut(0.0), np.pi / (2 * abs(lam)), atol=1e-15)
         eps = np.linspace(-1, 1, 7)
         far = sl.point(eps, 1.0).as_array()
@@ -199,7 +197,7 @@ def test_sigma_lambda_x_axis_far_curve_is_translated_axis():
 
 def test_sigma_lambda_partials_match_fd():
     for side in (+1, -1):
-        sl = build_sigma_lambda(helix_curve(0.8, eps_min=-2, eps_max=2), 1.4, side)
+        sl = SigmaLambdaPatch(helix_curve(0.8, eps_min=-2, eps_max=2), 1.4, side)
         for _ in range(5):
             eps = RNG.uniform(-1.5, 1.5)
             sig = RNG.uniform(0.05, 0.95)
@@ -210,23 +208,19 @@ def test_sigma_lambda_partials_match_fd():
 
 
 def counting_curve(base):
-    """`base` with each planar and lift call recorded as (name, points)."""
+    """`base` with the number of points of each `jet` read recorded."""
     calls = []
 
-    def wrap(name, f):
-        def counted(e):
-            calls.append((name, np.size(e)))
-            return f(e)
-        return counted
+    def jet(e):
+        calls.append(np.size(e))
+        return base.jet(e)
 
-    planar = dataclasses.replace(base.planar, xy=wrap("xy", base.planar.xy),
-                                 d1=wrap("d1", base.planar.d1), d2=wrap("d2", base.planar.d2))
-    return HorizontalCurve(planar, wrap("t_of", base.t_of), base.label), calls
+    return dataclasses.replace(base, jet=jet), calls
 
 
 @pytest.mark.parametrize("build", [
-    lambda c: build_sigma_lambda(c, 1.2, -1),
-    lambda c: build_sigma_zero(c),
+    lambda c: SigmaLambdaPatch(c, 1.2, -1),
+    lambda c: SigmaZeroPatch(c),
 ], ids=["sigma-lambda", "sigma-zero"])
 def test_partials_fetch_the_curve_once_on_the_eps_axis(build):
     curve, calls = counting_curve(helix_curve(0.8, eps_min=-2, eps_max=2))
@@ -236,18 +230,15 @@ def test_partials_fetch_the_curve_once_on_the_eps_axis(build):
     s = np.linspace(0.1, 0.9, n)[None, :]
     fe, fs, p = patch.partials(eps, s)
     assert fe.shape == fs.shape == (m, n, 3)
-    assert max(size for _, size in calls) <= m
-    names = [name for name, _ in calls]
-    assert names.count("xy") == 1
-    assert names.count("t_of") == 1
+    assert calls == [m]   # one read, on the eps axis
     # the same values as on the broadcast grid
     fe2, fs2, p2 = patch.partials(*np.broadcast_arrays(eps, s))
     assert np.array_equal(fe, fe2) and np.array_equal(fs, fs2)
     assert np.array_equal(p.as_array(), p2.as_array())
 
 
-def clothoid_curve():
-    """Arclength curve with x' = cos(e^2/2), y' = sin(e^2/2): planar
+def clothoid_planar():
+    """Arclength planar curve with x' = cos(e^2/2), y' = sin(e^2/2): planar
     curvature h = e, so the cut time varies along it."""
     from scipy.special import fresnel
 
@@ -270,35 +261,34 @@ def clothoid_curve():
         c, s = np.cos(e * e / 2), np.sin(e * e / 2)
         return -s - e * e * c, c - e * e * s
 
-    return horizontal_lift(PlanarCurve(xy, d1, d2, d3, -1.0, 1.0), label="clothoid")
+    return PlanarCurve(xy, d1, d2, d3, -1.0, 1.0)
+
+
+def clothoid_curve():
+    return horizontal_lift(clothoid_planar(), label="clothoid")
 
 
 def test_clothoid_curvature_and_rate_are_exact():
     clothoid = clothoid_curve()
     eps = np.linspace(-1.0, 1.0, 41)
-    assert np.max(np.abs(clothoid.planar_curvature(eps) - eps)) < 1e-14
-    assert np.max(np.abs(clothoid.curvature_rate(eps) - 1.0)) < 1e-14
+    _, _, _, h, hdot = _curve_data(clothoid, eps)
+    assert np.max(np.abs(h - eps)) < 1e-14
+    assert np.max(np.abs(hdot - 1.0)) < 1e-14
 
 
 @pytest.mark.parametrize("side", [1, -1])
 def test_sigma_lambda_partials_evaluate_curvature_once_on_eps(side):
-    calls = []
-
-    class CountingCurve(HorizontalCurve):
-        def planar_curvature(self, eps):
-            calls.append(np.array(eps, float))
-            return super().planar_curvature(eps)
-
     base = clothoid_curve()
-    sl = build_sigma_lambda(CountingCurve(base.planar, base.t_of, base.label), 1.3, side)
+    curve, calls = counting_curve(base)
+    sl = SigmaLambdaPatch(curve, 1.3, side)
     eps = np.linspace(-0.8, 0.8, 7)[:, None]
     s = np.linspace(0.1, 0.9, 5)[None, :]
     fe, fs, p = sl.partials(eps, s)
-    # none at all: s_cut and s_cut_rate take h from the curve data, and
-    # curvature_rate reads d1 and d3
-    assert calls == []
+    # one read of the curve on eps: s_cut and s_cut_rate take h and h' from
+    # the curve data that the point and the variation field read
+    assert calls == [7]
     # the same bits as the expressions that fetched h for s_cut and s_cut_rate
-    ref = build_sigma_lambda(base, 1.3, side)
+    ref = SigmaLambdaPatch(base, 1.3, side)
     scut = ref.s_cut(eps)
     p2, gdot, v = ref._along(_curve_data(base, eps), s * scut)
     fe2 = v + (s * ref.s_cut_rate(eps))[..., None] * gdot
@@ -307,9 +297,36 @@ def test_sigma_lambda_partials_evaluate_curvature_once_on_eps(side):
     assert p.as_array().tobytes() == p2.as_array().tobytes()
 
 
+def test_sigma_lambda_reads_a_lifted_curve_once_per_call():
+    # each call finds the curve parameter of its eps once: the Newton
+    # iterations of one `jet` read (each reads the planar speed) and one
+    # read of the second derivative there
+    calls = []
+
+    class CountingPlanar(PlanarCurve):
+        def speed(self, eps):
+            calls.append("speed")
+            return super().speed(eps)
+
+    base = clothoid_planar()
+    planar = CountingPlanar(base.xy, base.d1, lambda e: calls.append("d2") or base.d2(e),
+                            base.d3, base.eps_min, base.eps_max)
+    sl = SigmaLambdaPatch(horizontal_lift(planar), 1.3, +1)
+    eps = np.linspace(-0.8, 0.8, 7)
+    calls.clear()
+    sl.curve.jet(eps)
+    one = list(calls)
+    assert one.count("d2") == 1 and one.count("speed") >= 1
+    for read in (sl.s_cut, sl.s_cut_rate, lambda e: sl.geometric_s(e, 0.5),
+                 sl.generating_geodesic):
+        calls.clear()
+        read(eps)
+        assert calls == one
+
+
 @pytest.mark.parametrize("side", [1, -1])
 def test_far_curve_tangent_matches_fd_of_far_curve(side):
-    sl = build_sigma_lambda(clothoid_curve(), 1.0, side)
+    sl = SigmaLambdaPatch(clothoid_curve(), 1.0, side)
     eps = np.linspace(-0.8, 0.8, 7)
     assert np.min(np.abs(sl.s_cut_rate(eps))) > 0.4   # the s_cut' term counts
     d = 1e-5
@@ -321,10 +338,10 @@ def test_far_curve_tangent_matches_fd_of_far_curve(side):
 
 
 def test_sigma_lambda_variation_field_endpoints():
-    sl = build_sigma_lambda(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, +1)
+    sl = SigmaLambdaPatch(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, +1)
     for eps in (-0.7, 0.0, 0.4):
         v0 = sl.variation_coeffs(eps, 0.0)
-        assert np.allclose(v0, sl.curve.velocity(eps), atol=1e-14)
+        assert np.allclose(v0, [*sl.curve.jet(eps)[1], 0.0], atol=1e-14)
         scut = sl.s_cut(eps)
         vc = sl.variation_coeffs(eps, scut)
         expect = j_c(geodesic_velocity(sl.generating_geodesic(eps), scut))
@@ -333,7 +350,7 @@ def test_sigma_lambda_variation_field_endpoints():
 
 def test_sigma_lambda_tilde_variation_endpoint():
     # on the -J side the cut value is -J(gamma')
-    sl = build_sigma_lambda(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, -1)
+    sl = SigmaLambdaPatch(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, -1)
     eps = 0.3
     scut = sl.s_cut(eps)
     vc = sl.variation_coeffs(eps, scut)
@@ -342,7 +359,7 @@ def test_sigma_lambda_tilde_variation_endpoint():
 
 
 def test_sigma_lambda_variation_is_jacobi_field():
-    sl = build_sigma_lambda(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, +1)
+    sl = SigmaLambdaPatch(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, +1)
     for eps in (-0.5, 0.2):
         # no analytic derivative: the residual differences the coefficients
         field = FieldAlongGeodesic(sl.generating_geodesic(eps),
@@ -354,7 +371,7 @@ def test_sigma_lambda_variation_is_jacobi_field():
 
 
 def test_sigma_lambda_vt_sign_structure():
-    sl = build_sigma_lambda(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, +1)
+    sl = SigmaLambdaPatch(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, +1)
     eps = 0.1
     scut = float(sl.s_cut(eps))
     s = np.linspace(1e-3, np.pi - 1e-3, 300)
@@ -366,13 +383,13 @@ def test_sigma_lambda_vt_sign_structure():
 def test_sigma_lambda_vjg_identity():
     # <V, J(gamma')> = sigma(s) h - side cos(2 lam s); equals side at the cut
     for side in (+1, -1):
-        sl = build_sigma_lambda(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, side)
+        sl = SigmaLambdaPatch(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, side)
         eps = 0.25
         s = np.linspace(0.0, np.pi, 50)
         v = sl.variation_coeffs(eps, s)
         jg = j_c(geodesic_velocity(sl.generating_geodesic(eps), s))
         got = dot_c(v, jg)
-        h = float(sl.curve.planar_curvature(eps))
+        h = float(_curve_data(sl.curve, eps)[3])
         expect = np.sin(2 * s) / 2 * h - side * np.cos(2 * s)
         assert np.max(np.abs(got - expect)) < 1e-12
         scut = float(sl.s_cut(eps))
@@ -385,7 +402,7 @@ def test_sigma_lambda_vjg_identity():
                                    helix_curve(0.7, eps_min=-2, eps_max=2)],
                          ids=["line", "helix"])
 def test_generating_geodesic_of_an_eps_array_matches_each_eps_bitwise(curve):
-    sl = build_sigma_lambda(curve, 1.2, +1)
+    sl = SigmaLambdaPatch(curve, 1.2, +1)
     eps = np.linspace(-1.5, 1.5, 7)[:, None]
     g = sl.generating_geodesic(eps)
     assert np.shape(g.theta) == eps.shape and g.lam == sl.lam
@@ -396,7 +413,7 @@ def test_generating_geodesic_of_an_eps_array_matches_each_eps_bitwise(curve):
 
 
 def test_sigma_lambda_generating_geodesics_residual():
-    sl = build_sigma_lambda(helix_curve(0.7, eps_min=-2, eps_max=2), 1.2, +1)
+    sl = SigmaLambdaPatch(helix_curve(0.7, eps_min=-2, eps_max=2), 1.2, +1)
     from h1geo.geodesics import geodesic_residual
 
     for eps in (-1.0, 0.0, 0.8):
@@ -416,7 +433,7 @@ def test_sigma_lambda_generating_geodesics_residual():
 
 
 def test_sigma_zero_x_axis_is_skew_graph():
-    sz = build_sigma_zero(line_curve(eps_min=-2, eps_max=2))
+    sz = SigmaZeroPatch(line_curve(eps_min=-2, eps_max=2))
     eps = RNG.uniform(-2, 2, 20)
     s = RNG.uniform(-2, 2, 20)
     p = sz.point(eps, s)
@@ -427,7 +444,7 @@ def test_sigma_zero_x_axis_is_skew_graph():
 
 def test_sigma_zero_variation_vs_fd():
     # the variation field is d F / d eps; T-coefficient s^2 h - 2 s
-    sz = build_sigma_zero(helix_curve(0.9, eps_min=-2, eps_max=2), s_range=(-1.5, 1.5))
+    sz = SigmaZeroPatch(helix_curve(0.9, eps_min=-2, eps_max=2), s_range=(-1.5, 1.5))
     from h1geo.hgroup import cartesian_to_frame
 
     for _ in range(6):
@@ -442,18 +459,18 @@ def test_sigma_zero_variation_vs_fd():
 
 def test_sigma_zero_vt_coefficient():
     # x-axis generator: <V, T> = -2s exactly (h = 0)
-    sz = build_sigma_zero(line_curve(eps_min=-2, eps_max=2))
+    sz = SigmaZeroPatch(line_curve(eps_min=-2, eps_max=2))
     s = np.linspace(-2, 2, 9)
     vt = sz.variation_coeffs(0.3, s)[..., 2]
     assert np.allclose(vt, -2 * s, atol=0)
     # curved generator picks up the s^2 h term
-    szh = build_sigma_zero(helix_curve(1.0, eps_min=-2, eps_max=2))
+    szh = SigmaZeroPatch(helix_curve(1.0, eps_min=-2, eps_max=2))
     vt2 = szh.variation_coeffs(0.0, s)[..., 2]
     assert np.allclose(vt2, s * s * (-2.0) - 2 * s, atol=1e-12)
 
 
 def test_sigma_zero_rulings_are_lines():
-    sz = build_sigma_zero(helix_curve(1.0, eps_min=-2, eps_max=2))
+    sz = SigmaZeroPatch(helix_curve(1.0, eps_min=-2, eps_max=2))
     res = curve_geodesic_residual(lambda s: sz.point(0.4, s), 0.0, 0.3)
     assert res < 1e-7
 
@@ -476,7 +493,7 @@ def test_cylinder_matches_sigma_builder():
     lam = 1.0
     lower, upper = cylinder_S(lam)
     for side in (+1, -1):
-        sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), lam, side)
+        sl = SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), lam, side)
         eps = RNG.uniform(-0.5, 0.5, 40)
         sig = RNG.uniform(0.02, 0.98, 40)
         p = sl.point(eps, sig).as_array()
@@ -517,20 +534,20 @@ def test_parse_g_jets_match_mpmath_taylor(text, f, floor, rtol):
     y = np.linspace(-3.0, 3.0, 601)
     with mpmath.workdps(60):
         exact = [_taylor_parts(f, yi) for yi in y]
-        for k, part in enumerate(parse_g(text)):
+        for k, part in enumerate(parse_g(text)(y)):
             ref = [e[k] for e in exact]
             scale = floor * max(abs(e) for e in ref)
             worst = max(abs(mpmath.mpf(float(a)) - e) / abs(e) if e else abs(a)
-                        for a, e in zip(part(y), ref) if abs(e) >= scale)
+                        for a, e in zip(part, ref) if abs(e) >= scale)
             assert worst <= rtol, (text, k, float(worst))
 
 
 def test_parse_g_parts_take_the_shape_of_y():
-    g, dg, ddg = parse_g("3*y + 7")
-    y = np.zeros((2, 3))
-    assert g(y).shape == dg(y).shape == ddg(y).shape == (2, 3)
-    assert np.all(dg(y) == 3.0) and np.all(ddg(y) == 0.0)
-    assert float(g(2.0)) == 13.0
+    jet = parse_g("3*y + 7")
+    g, dg, ddg = jet(np.zeros((2, 3)))
+    assert g.shape == dg.shape == ddg.shape == (2, 3)
+    assert np.all(dg == 3.0) and np.all(ddg == 0.0)
+    assert float(jet(2.0)[0]) == 13.0
 
 
 def test_bernstein_runs_the_jet_program_once_per_call(monkeypatch):
@@ -538,21 +555,37 @@ def test_bernstein_runs_the_jet_program_once_per_call(monkeypatch):
 
     runs, jet = [], srf._jet
     monkeypatch.setattr(srf, "_jet", lambda program, y: runs.append(np.size(y)) or jet(program, y))
-    graph = BernsteinGraph(*parse_g("(y-0.3)^7*(y+2)^5"))
+    graph = BernsteinGraph(parse_g("(y-0.3)^7*(y+2)^5"))
     x, y = np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-2, 2, 4))
     for call in (graph.partials, graph.height, graph.hessian, graph.normal_data):
         runs.clear()
         call(x, y)
         assert runs == [20], call.__name__
-    # the same numbers as the three parts read one at a time
-    g, dg, ddg = parse_g("(y-0.3)^7*(y+2)^5")
+    # the same numbers as the jet read on its own
+    g, dg, ddg = parse_g("(y-0.3)^7*(y+2)^5")(y)
     u, _, uy = graph.height(x, y)
-    assert np.array_equal(u, x * y + g(y)) and np.array_equal(uy, x + dg(y))
-    assert np.array_equal(graph.hessian(x, y)[2], ddg(y))
+    assert np.array_equal(u, x * y + g) and np.array_equal(uy, x + dg)
+    assert np.array_equal(graph.hessian(x, y)[2], ddg)
+
+
+def test_bernstein_sweep_runs_the_g_program_once_per_chart_block(monkeypatch):
+    # y^2 splits every row at x = -y: one run for the root search, one for
+    # the test of the piece, and per chart block one for the chart map
+    # (c and c' together) and one for the height
+    import h1geo.measures as msr
+    import h1geo.surfaces as srf
+
+    runs, jet = [], srf._jet
+    monkeypatch.setattr(srf, "_jet", lambda program, y: runs.append(np.size(y)) or jet(program, y))
+    graph = BernsteinGraph(parse_g(G_SQUARE))
+    assert len(graph.quadrature_charts()) == 2
+    runs.clear()
+    msr._sweep(graph, 8, ("area",))
+    assert len(runs) == 6
 
 
 def _bernstein_y2():
-    return BernsteinGraph(*parse_g(G_SQUARE))
+    return BernsteinGraph(parse_g(G_SQUARE))
 
 
 def test_bernstein_singular_curve_projection():
@@ -568,7 +601,7 @@ def test_bernstein_singular_curve_projection():
 
 def test_bernstein_characteristic_lines():
     # t = xy + g(y) contains the line s -> (s, y, s y + g(y)) at each y
-    bg = BernsteinGraph(*parse_g(G_AFFINE))
+    bg = BernsteinGraph(parse_g(G_AFFINE))
     y0 = 0.8
     s = np.linspace(-2, 2, 9)
     t = np.asarray(bg.height(s, y0)[0])
@@ -634,7 +667,7 @@ def test_helicoid_curves_pairwise_distinct():
 
 
 def test_mesh_sphere_singular_clusters_at_poles():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     singular = write_mesh(sp, 128, 128, tol_singular=0.08)
     flagged = np.argwhere(singular)
     assert len(flagged) > 0
@@ -645,7 +678,7 @@ def test_mesh_sphere_singular_clusters_at_poles():
 
 
 def test_mesh_sigma_lambda_singular_rows():
-    sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
+    sl = SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
     singular = write_mesh(sl, 24, 33)
     flagged = np.argwhere(singular)
     assert len(flagged) == 2 * 24
@@ -668,7 +701,7 @@ def read_csv(path, n_e, n_s):
 
 
 def test_mesh_geometric_s_rectified(tmp_path):
-    sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
+    sl = SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
     write_mesh(sl, 8, 9, csv=tmp_path / "m.csv")
     geom_s = read_csv(tmp_path / "m.csv", 8, 9)[..., 1]
     assert np.allclose(geom_s[:, -1], np.pi / 2, atol=1e-14)
@@ -688,11 +721,11 @@ def _csv_curve_sigma_lambda(tmp_path):
     path = tmp_path / "curve.csv"
     path.write_text("eps,x,y\n" + "".join(
         f"{e:.17g},{e + 0.1 * e * e:.17g},{0.2 * np.sin(3.0 * e):.17g}\n" for e in eps))
-    return build_sigma_lambda(load_curve_csv(path), 1.0, +1)
+    return SigmaLambdaPatch(load_curve_csv(path), 1.0, +1)
 
 
 @pytest.mark.parametrize("make, n_eps, n_s", [
-    (lambda tmp_path: sphere_geodesic(1.0), 37, 301),
+    (lambda tmp_path: SpherePatch(1.0), 37, 301),
     (lambda tmp_path: build_surface("helicoid-l"), 256, 256),
     (_csv_curve_sigma_lambda, 100, 150),
 ], ids=["sphere-37x301", "helicoid-l-256x256", "sigma-lambda-csv-100x150"])
@@ -716,7 +749,7 @@ class _RowNaN(ImmersedPatch):
     partials (a zero F_eps) on the rows `degenerate_rows`, of a 37-row grid."""
 
     def __init__(self, nan_rows=(), degenerate_rows=()):
-        self.base = sphere_geodesic(1.0)
+        self.base = SpherePatch(1.0)
         super().__init__(self.base.eps_lo, self.base.eps_hi, self.base.s_lo, self.base.s_hi)
         self.open_s_ends = self.base.open_s_ends
         eps = _grid(self, 37, 2)[0]
@@ -785,7 +818,7 @@ def test_mesh_memory_does_not_grow_with_eps_rows(tmp_path):
 
 
 def test_export_obj_and_csv(tmp_path):
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     obj = tmp_path / "s.obj"
     csv = tmp_path / "s.csv"
     write_mesh(sp, 6, 7, obj, csv)
@@ -905,7 +938,7 @@ def assert_matches_oracle(case, out, files=("m.obj", "m.csv")):
 
 
 def sphere_mesh_with_h():
-    grid = Grid(sphere_geodesic(1.0), 9, 8, with_h=True, tol_singular=0.05)
+    grid = Grid(SpherePatch(1.0), 9, 8, with_h=True, tol_singular=0.05)
     h = grid.fields().h_est    # the tolerance masks the columns next to the poles
     assert np.isnan(h).any() and np.isfinite(h).any()
     return grid
@@ -976,8 +1009,8 @@ def multi_block_mesh():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: Grid(sphere_geodesic(1.0), 2, 2),
-    lambda: Grid(build_sigma_lambda(helix_curve(0.8), 1.2, -1), 3, 5),
+    lambda: Grid(SpherePatch(1.0), 2, 2),
+    lambda: Grid(SigmaLambdaPatch(helix_curve(0.8), 1.2, -1), 3, 5),
     sphere_mesh_with_h,
     special_mesh,
     lambda: field_mesh(y=SPECIAL[:4], geom_s=[0.0, 0.5, 1.0, 1.5]),
@@ -995,9 +1028,9 @@ def test_export_bytes_match_per_vertex_oracle(tmp_path, make):
 
 
 @pytest.mark.parametrize("case, files", [
-    (Grid(sphere_geodesic(1.0), 37, 301), ("m.obj", "m.csv")),
-    (Grid(sphere_geodesic(1.0), 37, 301), ("m.obj", None)),
-    (Grid(sphere_geodesic(1.0), 37, 301), (None, "m.csv")),
+    (Grid(SpherePatch(1.0), 37, 301), ("m.obj", "m.csv")),
+    (Grid(SpherePatch(1.0), 37, 301), ("m.obj", None)),
+    (Grid(SpherePatch(1.0), 37, 301), (None, "m.csv")),
     (Grid(build_surface("helicoid-l"), 37, 301, with_h=True), ("m.obj", "m.csv")),
 ], ids=["sphere-37x301", "sphere-37x301-obj-only", "sphere-37x301-csv-only",
         "helicoid-l-37x301-h"])
@@ -1103,7 +1136,7 @@ def test_int_text_matches_percent_d():
 
 
 def test_export_determinism(tmp_path):
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_mesh(sp, 5, 5, csv=p1)
     write_mesh(sp, 5, 5, csv=p2)
@@ -1166,7 +1199,7 @@ def test_atomic_write_failing_partway_leaves_no_trace(tmp_path, existing):
 
 
 def test_translated_patch_keeps_frame_data():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     tp = sp.translated(Point(0.4, -0.3, 1.2))
     nd0 = sp.normal_data(0.7, 1.3)
     nd1 = tp.normal_data(0.7, 1.3)
@@ -1175,7 +1208,7 @@ def test_translated_patch_keeps_frame_data():
 
 
 def test_dilated_patch_partials_match_fd():
-    sp = sphere_geodesic(1.0)
+    sp = SpherePatch(1.0)
     dp = sp.dilated(0.4)
     fe, fs, _ = dp.partials(0.9, 1.2)
     fe2, fs2, _ = fd_partials(dp, 0.9, 1.2)
@@ -1185,7 +1218,7 @@ def test_dilated_patch_partials_match_fd():
 
 def test_composed_transforms_keep_metadata_and_partials():
     p0 = Point(0.4, -0.3, 1.2)
-    tp = sphere_geodesic(1.0).dilated(0.3).translated(p0).flipped()
+    tp = SpherePatch(1.0).dilated(0.3).translated(p0).flipped()
     assert tp.label == "sphere(lam=1)+dilated+translated"
     assert tp.closed and tp.open_s_ends == (True, True)
     assert tp.lam == -(np.exp(-0.3) * 1.0)
@@ -1243,7 +1276,7 @@ _DECLARED = {
     "bernstein-y^2": lambda: build_surface("bernstein", g="y^2"),
     "bernstein-3y^2": lambda: build_surface("bernstein", g="3*y^2"),
     "plane-tilted": lambda: plane_patch((0.3, -0.2, 1.0), 0.4),
-    "sigma-zero-helix": lambda: build_sigma_zero(helix_curve(0.8, eps_min=-1, eps_max=1),
+    "sigma-zero-helix": lambda: SigmaZeroPatch(helix_curve(0.8, eps_min=-1, eps_max=1),
                                                  s_range=(-0.5, 1.5)),
 }
 
@@ -1294,9 +1327,9 @@ def test_chart_partials_follow_the_chain_rule(name, form):
 
 @pytest.mark.parametrize("form", sorted(_FORMS))
 def test_patches_that_declare_nothing_are_their_own_chart(form):
-    patches = [sphere_geodesic(1.0),
-               build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1),
-               build_sigma_zero(line_curve(eps_min=-1, eps_max=1), s_range=(0.0, 2.0)),
+    patches = [SpherePatch(1.0),
+               SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), 1.0, +1),
+               SigmaZeroPatch(line_curve(eps_min=-1, eps_max=1), s_range=(0.0, 2.0)),
                helicoid_L(1.0, 1.0, k_max=2).pieces[1],
                VerticalCylinder(1.5),
                plane_patch((1.0, 0.5, 0.0), 0.3),
@@ -1330,7 +1363,7 @@ def test_charts_split_where_the_singular_set_lies():
 def test_moved_patches_keep_their_singular_curves():
     # a move changes points, not parameters: every moved patch keeps the
     # base's curves, and the defect pairs its own Z with its own tangent
-    sl = build_sigma_lambda(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
+    sl = SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
     assert sl.flipped().lam == -1.0 and sl.dilated(0.2).lam == np.exp(-0.2)
     p0, s0 = Point(0.4, -0.3, 1.2), 0.3
     bg = build_surface("bernstein", g="y^2")
@@ -1341,7 +1374,7 @@ def test_moved_patches_keep_their_singular_curves():
     assert np.allclose(orthogonality_defect(bg.dilated(s0), 0, y), np.exp(s0) * base,
                        rtol=1e-12, atol=0.0)
     assert np.allclose(orthogonality_defect(bg.flipped(), 0, y), -base, rtol=1e-12, atol=0.0)
-    helix = build_sigma_lambda(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, +1)
+    helix = SigmaLambdaPatch(helix_curve(1.0, eps_min=-2, eps_max=2), 1.0, +1)
     eps = np.linspace(-1.0, 1.0, 5)
     for moved in (helix.translated(p0), helix.dilated(-s0), helix.flipped(),
                   helix.dilated(s0).translated(p0).flipped()):
@@ -1352,10 +1385,10 @@ def test_moved_patches_keep_their_singular_curves():
 def test_frame_is_the_single_evaluation_path():
     # normal_data carries the partials it was built from, and frame's raw
     # normal is the oriented cross product of those partials, bit for bit
-    patches = [sphere_geodesic(1.0),
-               build_sigma_lambda(helix_curve(1.0, eps_min=-1, eps_max=1), 1.0, -1),
+    patches = [SpherePatch(1.0),
+               SigmaLambdaPatch(helix_curve(1.0, eps_min=-1, eps_max=1), 1.0, -1),
                helicoid_L(1.0, 1.0, k_max=2).pieces[1],
-               sphere_geodesic(0.7).dilated(0.2).translated(Point(0.1, 0.2, 0.3))]
+               SpherePatch(0.7).dilated(0.2).translated(Point(0.1, 0.2, 0.3))]
     for patch in patches:
         eps = RNG.uniform(patch.eps_lo, patch.eps_hi, (4, 5))
         s = RNG.uniform(patch.s_lo + 0.1 * (patch.s_hi - patch.s_lo),

@@ -53,6 +53,11 @@ OUTDIR receives:
   They are recorded from the library calls the suites make, whether a call
   takes one case or a batch of them (cases along the first axes, samples
   along the last), so the file reads the same for both;
+- `extra/curves.txt`: the `repr` of the `jet` of three horizontal curves (a
+  line off the origin, a shifted and raised helix, and the lift of the
+  curve workload's seed-11 CSV samples) on 9 equally spaced eps, and of
+  `s_cut`, `s_cut_rate` and the base and angle of `generating_geodesic` of
+  the sigma-lambda patch over each, on both sides, at the same eps;
 - for every operation, `<name>.stdout`: its exit code, then its standard
   output without the `wrote PATH` lines (those name OUTDIR); a report's
   JSON is there, because `report` without `--out` prints it.
@@ -77,6 +82,8 @@ import numpy as np  # noqa: E402
 
 from h1geo import curvature as crv, geodesics as geo, surfaces as srf, verify  # noqa: E402
 from h1geo.cli import main  # noqa: E402
+from h1geo.hcurves import curve_from_samples, helix_curve, line_curve  # noqa: E402
+from h1geo.hgroup import Point  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (11, 12)
@@ -236,6 +243,29 @@ def write_suite_cases(path):
         fh.write("".join(sorted(lines, key=lambda line: line.split(" ")[0])))
 
 
+def write_curves(path):
+    u, x, y = workloads.curve_samples(np.random.default_rng(11))
+    curves = [("line", line_curve(0.3, Point(0.4, -0.2, 0.1), eps_min=-2.0, eps_max=2.0)),
+              ("helix-shifted", helix_curve(0.8, eps_shift=0.3, t_shift=-0.25,
+                                            eps_min=-2.0, eps_max=2.0)),
+              ("csv-11", curve_from_samples(u, x, y))]
+    lines = []
+    for name, curve in curves:
+        eps = np.linspace(curve.eps_min, curve.eps_max, 9)
+        p, *derivs = curve.jet(eps)
+        values = [p.x, p.y, p.t] + [v for pair in derivs for v in pair]
+        lines.append(f"{name} jet {[np.asarray(v).tolist() for v in values]!r}\n")
+        for side in (1, -1):
+            sl = srf.SigmaLambdaPatch(curve, 1.3, side)
+            g = sl.generating_geodesic(eps)
+            lines += [f"{name} side={side:+d} s_cut {sl.s_cut(eps).tolist()!r}\n",
+                      f"{name} side={side:+d} s_cut_rate {sl.s_cut_rate(eps).tolist()!r}\n",
+                      f"{name} side={side:+d} base {g.base.as_array().tolist()!r}\n",
+                      f"{name} side={side:+d} theta {np.asarray(g.theta).tolist()!r}\n"]
+    with open(path, "w") as fh:
+        fh.write("".join(lines))
+
+
 def write_all(outdir):
     os.makedirs(outdir, exist_ok=True)
     _run(["verify", "--suite", "all", "--out", os.path.join(outdir, "verify-all.json")],
@@ -269,6 +299,7 @@ def write_all(outdir):
     write_mean_curvature(os.path.join(extra, "mean-curvature.txt"))
     write_ruling(os.path.join(extra, "ruling.txt"))
     write_suite_cases(os.path.join(extra, "suite-cases.txt"))
+    write_curves(os.path.join(extra, "curves.txt"))
 
 
 if __name__ == "__main__":
