@@ -1,10 +1,11 @@
 """Mean curvature, stationarity diagnostics, and the calibration of graphs.
 
-The mean curvature of a patch at a regular point is evaluated intrinsically:
--2H = <D_Z nu_H, Z> is a first derivative along the characteristic field
-Z = J(nu_H), so it is differenced along the straight parameter line through
-the point in Z's direction, and no graph structure is assumed.  Integral
-curves of Z (characteristic traces) serve the ruling check only.
+The mean curvature of a patch at a regular point is read intrinsically
+from its first and second partials, with no graph structure assumed:
+H = <N, D_Z Z> / (2 |N_H|) for the characteristic field Z = J(nu_H).  On a
+singular curve, where N_H = 0, the limit of nu_H is read from the same
+second partials.  Integral curves of Z (characteristic traces) serve the
+ruling check only.
 Graphs additionally support the prescribed-curvature PDE residual
 
     (u_y+x)^2 u_xx - 2 (u_y+x)(u_x-y) u_xy + (u_x-y)^2 u_yy
@@ -22,22 +23,8 @@ import numpy as np
 
 from .errors import NoSingularCurve, OnSingularLocus, SingularPoint
 from .geodesics import GeodesicSpec, geodesic_point
-from .hgroup import Point, conn_c, cross_c, divergence, dot_c
-from .surfaces import _BLOCK_VERTICES, ImmersedPatch, NormalData, TOL_SINGULAR
-
-# The difference step h of mean_curvature_char: its ends sit at parameter
-# offsets +-h/2 and +-h along Z's velocity, that is at arclength about h/2
-# and h from the point, and Richardson's step over the two removes the h^2
-# term of the central differences.
-H_CHAR_STEP = 1e-4
-# The rounding of that H, in units of eps / h.  H(k) = -(1/2) <(nu_+ - nu_-)
-# / (2k), Z> reads the unit nu_H at the two ends of the line; each end carries
-# about 4 ulps, 2 of nu_H itself and 2 from rounding the end's parameters
-# (eps, s) +- k (ve, vs), so H(k) is off by about 2 eps / k and (4 H(h/2) -
-# H(h)) / 3 by (16 + 2) / 3 = 6 eps / h.  At the Gauss nodes of S_lambda
-# (lambda = 0.5, 1, 2, and S_1 dilated, translated and flipped) the error
-# measures 2.5 to 4.2 eps / h.
-H_ROUNDOFF = 6.0
+from .hgroup import Point, cross_c, divergence, dot_c, j_c
+from .surfaces import ImmersedPatch, NormalData, TOL_SINGULAR, _T, _twist
 
 
 def _asf(x):
@@ -94,53 +81,33 @@ def trace_characteristic(patch: ImmersedPatch, eps0, s0, arclen,
     return np.array(eps_path), np.array(s_path)
 
 
-def _forward_back(seed_ndim: int):
-    """Signs (+1, -1) on a leading axis that broadcasts against seeds of
-    `seed_ndim` dimensions; times a length, one sweep goes both ways."""
-    return np.array([1.0, -1.0]).reshape((2,) + (1,) * seed_ndim)
-
-
-def _mean_curvature(patch: ImmersedPatch, eps, s, tol_singular: float):
-    """(H, regular): the estimate of mean_curvature_char and the mask of the
-    points where its stencil is regular.  A point is not regular when
-    |N_H| < 10 * tol_singular there, or when an end of its stencil lies in
-    the singular band (where nu_H is NaN) or across a singular curve: both
-    fail <nu_end, nu_seed> > 0.  H is meaningless there.  Non-regular seeds
-    take no step, so no end is evaluated at NaN parameters."""
+def _mean_curvature(patch: ImmersedPatch, eps, s):
+    """(H, regular): the H of mean_curvature_char and the mask of the points
+    where |N_H| >= 10 TOL_SINGULAR; H is meaningless, or NaN, elsewhere."""
     nd = patch.normal_data(eps, s)
-    regular = nd.nh_norm >= 10 * tol_singular
-    ve, vs = (np.where(regular, v, 0.0) for v in _z_velocity(nd))
-    signs = _forward_back(regular.ndim)
-
-    def slope(k):
-        # keeps only nu_H of the ends, so the two pairs' NormalData are never
-        # alive together, which would raise peak memory
-        nu = patch.normal_data(eps + signs * k * ve, s + signs * k * vs).nu_h
-        return (nu[0] - nu[1]) / (2.0 * k), np.all(dot_c(nu, nd.nu_h) > 0, axis=0)
-
-    (half, half_ok), (full, full_ok) = slope(H_CHAR_STEP / 2), slope(H_CHAR_STEP)
-    regular = regular & half_ok & full_ok
-    dnu = (4.0 * half - full) / 3.0
-    cov = dnu + conn_c(nd.z, nd.nu_h)
-    return -0.5 * dot_c(cov, nd.z), regular
+    ee, se, ss = patch.second_partials(eps, s)
+    ve, vs = (v[..., None] for v in _z_velocity(nd))
+    # the normal part of D_Z Z: d_s F_eps + tau T is the symmetric mixed term
+    dzz = ve * ve * ee + 2.0 * ve * vs * (se + 0.5 * _twist(nd.fe, nd.fs)) + vs * vs * ss
+    with np.errstate(invalid="ignore", divide="ignore"):
+        H = dot_c(nd.normal, dzz) / (2.0 * nd.nh_norm)
+    return H, nd.nh_norm >= 10 * TOL_SINGULAR
 
 
 def mean_curvature_char(patch: ImmersedPatch, eps, s):
-    """H = -(1/2) <D_Z nu_H, Z> at (eps, s).
+    """H = -(1/2) <D_Z nu_H, Z> at (eps, s), from one `normal_data` and one
+    `second_partials` call.
 
-    D_Z nu_H is a first derivative along Z, so nu_H is differenced along the
-    straight parameter line through the point in the direction of Z's
-    parameter velocity (ve, vs): central differences with ends at
-    (eps, s) +- k (ve, vs) for k = h / 2 and h, h = H_CHAR_STEP, combined
-    by Richardson's step (4 D(h / 2) - D(h)) / 3.  That costs one
-    `normal_data` call at the points and one for each pair of ends.  The
-    rounding is about H_ROUNDOFF eps / h.
+    <nu_H, Z>, <T, Z> and <D_Z T, Z> = <JZ, Z> vanish, so H = <N, D_Z Z> /
+    (2 |N_H|).  With Z = ve F_eps + vs F_s, (ve, vs) from _z_velocity, the
+    normal part of D_Z Z is that of ve^2 d_eps F_eps + 2 ve vs (d_s F_eps +
+    tau T) + vs^2 d_s F_s, as d_eps F_s = d_s F_eps + 2 tau T and
+    conn(Z, Z) = 0 for a horizontal Z.  A tangent error in the second
+    partials does not reach H, which carries the rounding of the partials.
 
-    Raises SingularPoint when |N_H| < 10 * TOL_SINGULAR at the point, or
-    when an end of the stencil lies in the singular band or across a
-    singular curve (the horizontal normal blows up or flips there).
+    Raises SingularPoint when |N_H| < 10 * TOL_SINGULAR at the point.
     """
-    H, regular = _mean_curvature(patch, eps, s, TOL_SINGULAR)
+    H, regular = _mean_curvature(patch, eps, s)
     if not np.all(regular):
         raise SingularPoint("mean curvature requested too close to the singular set")
     return H
@@ -168,7 +135,7 @@ def characteristic_deviation(patch: ImmersedPatch, eps0, s0, arclen: float = 1.0
     nd0 = patch.normal_data(eps0, s0)
     theta = np.arctan2(nd0.z[..., 1], nd0.z[..., 0])
     geo = GeodesicSpec(nd0.base, theta, lam)
-    signs = _forward_back(theta.ndim)
+    signs = np.array([1.0, -1.0]).reshape((2,) + (1,) * theta.ndim)   # both ways at once
     ep, sp = trace_characteristic(patch, eps0, s0, signs * arclen / 2.0, n_steps // 2)
     tau = np.multiply.outer(np.linspace(0.0, arclen / 2.0, n_steps // 2 + 1), signs)
     trace_pts = patch.point(ep, sp).as_array()
@@ -207,8 +174,8 @@ def graph_pde_residual(graph, x, y, H):
 
 def graph_pde_mean_curvature(graph, x, y):
     """The H solving the graph equation pointwise (downward-normal sign),
-    from `graph`'s `height` and `hessian`: an estimate independent of
-    mean_curvature_char's differences along Z."""
+    from `graph`'s `height` and `hessian`: an estimate independent of the
+    patch frame that mean_curvature_char reads."""
     lhs, w2 = _graph_lhs(graph, x, y, "graph mean curvature")
     return -lhs / (2.0 * w2**1.5)
 
@@ -217,43 +184,37 @@ def graph_pde_mean_curvature(graph, x, y):
 # Stationarity at singular curves
 
 
-DEFECT_OFFSET = 10 * TOL_SINGULAR   # the probe's distance into the regular side
-
-
 def orthogonality_defect(patch: ImmersedPatch, index: int, param):
     """<limit characteristic direction, singular-curve tangent> at `param`
     on the curve patch.singular_curves()[index].
 
-    The tangent is d eps F_eps + d s F_s at the curve, from the curve's
-    `rate` and the patch's own partials.  Z is sampled at DEFECT_OFFSET and
-    twice that into the regular side and extrapolated linearly to the curve,
-    which removes the O(offset) rotation bias of the characteristic
-    direction.  Zero means the patch is compatible with area-stationarity at
-    this curve.
+    The tangent is d eps F_eps + d s F_s, from the curve's `rate` and the
+    patch's partials.  N_H vanishes on the curve, so the limit of nu_H is
+    the direction of the horizontal part of the raw normal's derivative
+    along the curve's `inward` direction w, orientation * (d_w F_eps x F_s +
+    F_eps x d_w F_s); a tangent error in `second_partials` moves only its
+    vertical part.  Z is J of that limit.  Zero means the patch is
+    compatible with area-stationarity at this curve.  Raises SingularPoint
+    where the horizontal part vanishes or is not finite.
     """
     curves = patch.singular_curves()
     if not curves:
         raise NoSingularCurve(f"{patch.label} carries no singular curve")
     curve = curves[int(index)]
-    on_curve = curve.inward(param, 0.0)
-    fe, fs, _ = patch.partials(*on_curve)
+    eps, s = curve.at(param)
+    fe, fs, _ = patch.partials(eps, s)
+    ee, se, ss = patch.second_partials(eps, s)
+    we, ws = curve.inward
+    raw_rate = patch.orientation * (cross_c(we * ee + ws * se, fs)
+                                    + cross_c(fe, we * (se + _twist(fe, fs)) + ws * ss))
+    horizontal = raw_rate * (1.0 - _T)
+    size = np.hypot(horizontal[..., 0], horizontal[..., 1])
+    bad = ~(np.isfinite(size) & (size > 0.0))
+    if np.any(bad):
+        raise SingularPoint(f"no limit of the characteristic direction at {curve.label} of "
+                            f"{patch.label}, parameter {np.broadcast_to(param, bad.shape)[bad][0]:g}")
     de, ds = (_asf(r)[..., None] for r in curve.rate(param))
-    tangent = de * fe + ds * fs
-
-    def pairing(off):
-        pe, ps = curve.inward(param, off)
-        nd = patch.normal_data(pe, ps)
-        if np.any(nd.singular):
-            shape, k = nd.singular.shape, np.flatnonzero(nd.singular)[0]
-            at = [np.broadcast_to(v, shape).flat[k] for v in (param, pe, ps, *on_curve)]
-            lost = ": the offset is lost to rounding there" if at[1:3] == at[3:] else ""
-            raise SingularPoint(f"probe offset {off:g} from {curve.label} of {patch.label} "
-                                f"at parameter {at[0]:g} landed inside the singular band{lost}")
-        return dot_c(nd.z, tangent)
-
-    d1 = pairing(DEFECT_OFFSET)
-    d2 = pairing(2.0 * DEFECT_OFFSET)
-    return 2.0 * d1 - d2
+    return dot_c(j_c(horizontal), de * fe + ds * fs) / size
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +264,9 @@ def calibration_divergence(graph, q: Point):
     return divergence(lambda p: _calibration_field(graph, p), q)
 
 
-def mesh_curvature(patch: ImmersedPatch, eps, s, nh_norm,
-                   tol_singular: float = TOL_SINGULAR) -> np.ndarray:
-    """H at the vertices of the grid of eps rows and s columns, whose |N_H|
-    is nh_norm, (len(eps), len(s)): NaN near the singular set, where
-    mean_curvature_char would raise.  The grid is taken in blocks of whole
-    eps rows: each vertex carries the four ends of its stencil, so a block
-    holds a quarter of _BLOCK_VERTICES vertices."""
-    h = np.full(np.shape(nh_norm), np.nan)
-    step = max(1, _BLOCK_VERTICES // (4 * len(s)))
-    for i in range(0, len(eps), step):
-        rows = slice(i, i + step)
-        ok = nh_norm[rows] >= 10 * tol_singular
-        if np.any(ok):
-            e = np.broadcast_to(eps[rows, None], ok.shape)[ok]
-            H, regular = _mean_curvature(patch, e, np.broadcast_to(s, ok.shape)[ok], tol_singular)
-            h[rows][ok] = np.where(regular, H, np.nan)
-    return h
+def mesh_curvature(patch: ImmersedPatch, eps, s) -> np.ndarray:
+    """H at the vertices of the grid of eps rows and s columns,
+    (len(eps), len(s)): NaN near the singular set, where
+    mean_curvature_char would raise."""
+    H, regular = _mean_curvature(patch, _asf(eps)[:, None], _asf(s)[None, :])
+    return np.where(regular, H, np.nan)

@@ -18,7 +18,8 @@ roundoff floor of the sum.  Next to the built-in integrands it takes named
 integrand functions of the sample, as `first_variation` does: A'(0) and
 V'(0) of a closed patch under a normal variation u N, or under each of
 several speeds, from one ladder over the base patch, with the mean
-curvature read pointwise from `curvature` once per sample.
+curvature read pointwise from `curvature` once per sample, from the
+patch's second partials.
 `dilation_homogeneity` takes one dilation parameter or several, and sweeps
 the base patch's ladder once for all of them.
 `first_variation_check` is its finite-difference oracle: fixed-n sweeps of
@@ -39,7 +40,7 @@ from .errors import (
     StepTooSmall,
 )
 from .hgroup import W_field, dot_c
-from .surfaces import _BLOCK_VERTICES, ImmersedPatch, VerticalVariation, _box_chart
+from .surfaces import ImmersedPatch, VerticalVariation, _box_chart
 
 GAUSS_ORDER = 8
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
@@ -68,16 +69,15 @@ def _axis_rule(lo: float, hi: float, n: int):
 
 
 def _area(eps, s, p, raw):
-    return np.hypot(raw[..., 0], raw[..., 1]), None
+    return np.hypot(raw[..., 0], raw[..., 1])
 
 
 def _volume(eps, s, p, raw):
-    return -0.25 * dot_c(W_field(p), raw), None
+    return -0.25 * dot_c(W_field(p), raw)
 
 
-# A named integrand maps the samples (eps, s, p, raw) of one block to (f,
-# roundoff): f the integrand values, roundoff None or a per-sample bound on
-# the rounding error f carries from its own evaluation.
+# A named integrand maps the samples (eps, s, p, raw) of one block to the
+# integrand values f.
 _INTEGRANDS = {"area": _area, "volume": _volume}
 _NONNEGATIVE = ("area",)   # sum |f| w is sum f w for these
 
@@ -90,13 +90,12 @@ def _sweep(patch: ImmersedPatch, n: int, kinds: tuple):
 
     A kind is a built-in name ('area', 'volume'), a (name, fn)
     pair with fn a named integrand (see _INTEGRANDS), or a (names, fn) pair
-    with names a tuple and fn returning one (f, roundoff) per name, so that
-    integrands that share work do it once per sample; results are keyed by
-    name.  An integrand sees the base parameters (eps, s) of its samples and
-    the chart's raw normal, which carries the map's Jacobian.  The floor of a
-    kind is FLOOR_ULPS ulps of sum |f| w, plus sum roundoff w when its
-    integrand states a roundoff, plus sum rel |f| w on a chart that states
-    the relative rounding rel of its samples.
+    with names a tuple and fn returning one f per name, so that integrands
+    that share work do it once per sample; results are keyed by name.  An
+    integrand sees the base parameters (eps, s) of its samples and the
+    chart's raw normal, which carries the map's Jacobian.  The floor of a
+    kind is FLOOR_ULPS ulps of sum |f| w, plus sum rel |f| w on a chart that
+    states the relative rounding rel of its samples.
 
     Each chart is swept in blocks of whole rows, about _BLOCK_SAMPLES
     samples each.  Each row's s-sum is kept and the rows are combined with
@@ -119,8 +118,8 @@ def _sweep(patch: ImmersedPatch, n: int, kinds: tuple):
 
 
 def _group(kind):
-    """(names, fn) of a kind, with fn returning one (f, roundoff) per name;
-    a single name's integrand is wrapped to return its one pair."""
+    """(names, fn) of a kind, with fn returning one f per name; a single
+    name's integrand is wrapped to return its one f."""
     names, fn = (kind, _INTEGRANDS[kind]) if isinstance(kind, str) else kind
     if isinstance(names, str):
         return (names,), lambda *sample: (fn(*sample),)
@@ -135,38 +134,35 @@ def _total(terms: list):
 
 
 def _sweep_chart(patch: ImmersedPatch, chart, n: int, groups: list, nonnegative: set) -> dict:
-    """{kind: (sum f w, sum |f| w, sum roundoff w or None)} over one `Chart`
-    of the patch; sum |f| w is sum f w for the kinds in `nonnegative`."""
+    """{kind: (sum f w, sum |f| w, sum rel |f| w or None)} over one `Chart`
+    of the patch, the last where the chart states a roundoff rel; sum |f| w
+    is sum f w for the kinds in `nonnegative`."""
     eps_pts, eps_wts = _axis_rule(*chart.rect[:2], n)
     s_pts, s_wts = _axis_rule(*chart.rect[2:], n)
     names = [name for names, _ in groups for name in names]
     rows = {k: np.empty(eps_pts.size) for k in names}
     abs_rows = {k: np.empty(eps_pts.size) for k in names if k not in nonnegative}
-    round_rows = {}
+    round_rows = {k: np.empty(eps_pts.size) for k in names} if chart.roundoff else {}
     block = max(1, _BLOCK_SAMPLES // s_pts.size)
     for start in range(0, eps_pts.size, block):
         a, b = eps_pts[start:start + block, None], s_pts[None, :]
         eps, s, p, raw = chart.samples(patch, a, b)
-        rel = None if chart.roundoff is None else chart.roundoff(a, b)
+        rel = chart.roundoff(a, b) if round_rows else None
         for kinds, fn in groups:
-            for kind, (f, roundoff) in zip(kinds, fn(eps, s, p, raw)):
+            for kind, f in zip(kinds, fn(eps, s, p, raw)):
                 if not np.all(np.isfinite(f)):
                     raise NonFinite(f"{kind} integrand produced non-finite samples")
-                if rel is not None:
-                    roundoff = rel * np.abs(f) + (0.0 if roundoff is None else roundoff)
                 rows[kind][start:start + block] = (f * s_wts).sum(axis=1)
                 if kind in abs_rows:
                     abs_rows[kind][start:start + block] = (np.abs(f) * s_wts).sum(axis=1)
-                if roundoff is not None:
-                    if kind not in round_rows:
-                        round_rows[kind] = np.empty(eps_pts.size)
-                    round_rows[kind][start:start + block] = (roundoff * s_wts).sum(axis=1)
+                if round_rows:
+                    round_rows[kind][start:start + block] = (rel * np.abs(f) * s_wts).sum(axis=1)
     out = {}
     for k in names:
         value = float((rows[k] * eps_wts).sum())
         mag = float((abs_rows[k] * eps_wts).sum()) if k in abs_rows else value
         out[k] = (value, mag,
-                  float((round_rows[k] * eps_wts).sum()) if k in round_rows else None)
+                  float((round_rows[k] * eps_wts).sum()) if round_rows else None)
     return out
 
 
@@ -261,34 +257,23 @@ def first_variation(patch: ImmersedPatch, u):
 
     On the regular set A'(0) = -integral 2 H u dSigma and V'(0) = -integral
     u dSigma, dSigma = |raw| d eps ds the Riemannian area element.  H is
-    curvature.mean_curvature_char at its step h = H_CHAR_STEP.  The floor of
-    a_prime adds that H's rounding, H_ROUNDOFF eps / h per sample, times
-    2 |u| |raw|.  An open patch's variation has a boundary term, so it raises
-    NotClosedSurface.  The term along singular curves is not evaluated, so
-    the result is A'(0) only for closed patches whose singular set is
-    isolated points, as on the spheres, where it adds no term.  H is taken
-    at most a quarter of _BLOCK_VERTICES samples at a time, as each sample
-    carries the four ends of its stencil.  Each speed is evaluated once per
-    sample.
+    curvature.mean_curvature_char, read once per sample.  An open patch's
+    variation has a boundary term, so it raises NotClosedSurface.  The term
+    along singular curves is not evaluated, so the result is A'(0) only for
+    closed patches whose singular set is isolated points, as on the spheres,
+    where it adds no term.  Each speed is evaluated once per sample.
     """
     if not patch.closed:
         raise NotClosedSurface("first variation formula applies to closed surfaces")
     speeds = [u] if callable(u) else list(u)
-    h = crv.H_CHAR_STEP
-    step = _BLOCK_VERTICES // 4
 
     def integrands(eps, s, p, raw):
-        e, t = np.broadcast_arrays(eps, s)
-        H = np.empty(e.shape)
-        flat, e, t = H.reshape(-1), e.ravel(), t.ravel()
-        for i in range(0, flat.size, step):
-            flat[i:i + step] = crv.mean_curvature_char(patch, e[i:i + step], t[i:i + step])
+        H = crv.mean_curvature_char(patch, eps, s)
         da = np.linalg.norm(raw, axis=-1)
         out = []
         for w in speeds:
             ud = np.asarray(w(eps, s), float) * da
-            out += [(-2.0 * H * ud, 2.0 * crv.H_ROUNDOFF * np.finfo(float).eps / h * np.abs(ud)),
-                    (-ud, None)]
+            out += [-2.0 * H * ud, -ud]
         return out
 
     names = [(f"a_prime[{i}]", f"v_prime[{i}]") for i in range(len(speeds))]

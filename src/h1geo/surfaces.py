@@ -15,10 +15,13 @@ Each sample is evaluated along one path:
 
     partials -> frame -> normal_data -> {quadrature, characteristic field}
 
-A patch class implements only `partials(eps, s) -> (F_eps, F_s, p)`: both
-partials as frame triples and the point, from one evaluation of the chart.
-A graph t = u(x, y) implements `height(x, y) -> (u, u_x, u_y)` instead,
-which `GraphPatch.partials` reads, and `hessian` for the graph equation.
+A patch class implements `partials(eps, s) -> (F_eps, F_s, p)`: both
+partials as frame triples and the point, from one evaluation of the chart;
+and `second_partials(eps, s) -> (d_eps F_eps, d_s F_eps, d_s F_s)`, the
+plain derivatives of those triples, each exact up to a vector tangent to
+the patch, as the mean curvature and the singular-curve defect read them.
+A graph t = u(x, y) implements `height(x, y) -> (u, u_x, u_y)` and
+`hessian` instead, which `GraphPatch` reads for both.
 `frame` adds the unnormalized oriented normal, which the quadrature
 integrands read, and `normal_data` normalizes it and carries the partials
 on, so Z's parameter velocity, which the mean curvature and the
@@ -29,13 +32,14 @@ arithmetic, once per call.
 A patch states its singular set in its parameters: `quadrature_charts`,
 `Chart` maps on which |N_H| is smooth, read only by the quadrature, and
 `singular_curves`, `SingularCurveRef`s.  A group motion moves points, not
-parameters, so a moved patch keeps both.
+parameters, so a moved patch keeps both, and scales its second partials as
+it does its partials.
 `write_mesh` streams a tensor grid of the patch into OBJ and CSV files and
 keeps only its singular mask.  An orthogonal-geodesic patch reads its curve's
 `jet` (the position and three derivatives) once per call, on eps as given,
 and `_curve_data` forms h = x'y'' - x''y' and the rate h' = x'y''' - x'''y'
-from it, for the partials, the cut time and its rate, and the generating
-geodesic alike; a lifted curve reads them all at one parameter.
+from it, for the partials of both orders, the cut time and its rate, and
+the generating geodesic alike; a lifted curve reads them at one parameter.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .hcurves import HorizontalCurve, helix_curve, line_curve
 from .hgroup import ORIGIN, Point, cross_c, dilate, group_mul, j_c
 
 TOL_SINGULAR = 1e-6
+_T = np.array([0.0, 0.0, 1.0])   # the frame triple of T
 _ROOT_SAMPLES = 1024         # cells of each pass of _roots
 HELICOID_EPS = (-2.5, 2.5)   # eps range of every helicoid piece
 HELICOID_CHECKS = 33         # landing points matched per piece
@@ -93,6 +98,12 @@ def _unit_normal(raw):
     return raw / nrm[..., None]
 
 
+def _twist(fe, fs):
+    """d_eps F_s - d_s F_eps = 2 tau T, tau = a_eps b_s - b_eps a_s: the
+    coordinate fields commute, and [X, Y] = -2T."""
+    return (2.0 * (fe[..., 0] * fs[..., 1] - fe[..., 1] * fs[..., 0]))[..., None] * _T
+
+
 class ImmersedPatch:
     """Base class: subclasses supply `partials`."""
 
@@ -112,6 +123,10 @@ class ImmersedPatch:
     def partials(self, eps, s):
         """(F_eps, F_s, p): the partials as frame triples and the point."""
         raise NotImplementedError
+
+    def second_partials(self, eps, s):
+        """(d_eps F_eps, d_s F_eps, d_s F_s), each up to a tangent vector."""
+        raise NotImplementedError(f"{self.label} states no second partials")
 
     def point(self, eps, s) -> Point:
         return self.partials(eps, s)[2]
@@ -175,9 +190,9 @@ class ImmersedPatch:
 class Chart:
     """A map of a patch's parameters on which its area integrand is smooth.
 
-    `to_base(a, b)` gives (eps, s, (eps_a, eps_b, s_a, s_b)): the patch
-    parameters of (a, b) in the rectangle `rect` = (a_lo, a_hi, b_lo, b_hi)
-    and the map's Jacobian, with det >= 0 so the orientation is kept.
+    `to_base(a, b)` gives (eps, s, det): the patch parameters of (a, b) in
+    the rectangle `rect` = (a_lo, a_hi, b_lo, b_hi) and the map's
+    det J = eps_a s_b - eps_b s_a >= 0, so the orientation is kept.
     `roundoff`, when given, maps (a, b) to a bound on the relative rounding
     error the patch carries into the integrands at those samples.
     """
@@ -189,18 +204,16 @@ class Chart:
     def samples(self, patch: ImmersedPatch, a, b):
         """(eps, s, p, raw) of `patch` at the chart parameters (a, b), from
         one `to_base` call: the patch parameters, the point, and the chart's
-        raw normal orientation * (F_a x F_b), where by the chain rule
-        F_a = eps_a F_eps + s_a F_s and F_b = eps_b F_eps + s_b F_s, so raw
-        is det J times the patch's."""
-        eps, s, jac = self.to_base(_asf(a), _asf(b))
-        fe, fs, p = patch.partials(eps, s)
-        ea, eb, sa, sb = (_asf(j)[..., None] for j in jac)
-        return eps, s, p, patch.orientation * cross_c(ea * fe + sa * fs, eb * fe + sb * fs)
+        raw normal orientation * (F_a x F_b), which by the chain rule is
+        det J times the patch's `frame` raw normal."""
+        eps, s, det = self.to_base(_asf(a), _asf(b))
+        p, _, _, raw = patch.frame(eps, s)
+        return eps, s, p, _asf(det)[..., None] * raw
 
 
 def _box_chart(rect) -> Chart:
     """The patch itself on the sub-rectangle rect of its parameters."""
-    return Chart(lambda a, b: (a, b, (1.0, 0.0, 0.0, 1.0)), rect)
+    return Chart(lambda a, b: (a, b, 1.0), rect)
 
 
 # Rounding the base carries into a sine chart's integrands, relative, in
@@ -229,7 +242,7 @@ def _sine_charts(patch: ImmersedPatch, mid: float) -> list:
 
         def to_base(a, b, L=L):
             q = 0.5 * np.pi * b
-            return a, mid + L * np.sin(q), (1.0, 0.0, 0.0, 0.5 * np.pi * L * np.cos(q))
+            return a, mid + L * np.sin(q), 0.5 * np.pi * L * np.cos(q)
 
         charts.append(Chart(to_base, (patch.eps_lo, patch.eps_hi, b_lo, b_hi), _sine_roundoff))
     return charts
@@ -261,6 +274,9 @@ class _MappedPatch(ImmersedPatch):
         return (fe * self._scale, fs * self._scale,
                 p if self._move is None else self._move(p))
 
+    def second_partials(self, eps, s):
+        return tuple(d * self._scale for d in self._base.second_partials(eps, s))
+
     def geometric_s(self, eps, s):
         return self._base.geometric_s(eps, s)
 
@@ -279,7 +295,8 @@ class VerticalVariation(ImmersedPatch):
     stay put, so the partials are exactly F_eps + tau u_eps T and
     F_s + tau u_s T, from one base `partials` call.  The normal speed is
     u N_T.  The variation moves the singular set, so it declares no charts,
-    no singular curves and no nominal curvature."""
+    no singular curves, no nominal curvature and, u having no second
+    derivatives, no second partials."""
 
     def __init__(self, base: ImmersedPatch, u: Callable, tau: float):
         super().__init__(base.eps_lo, base.eps_hi, base.s_lo, base.s_hi,
@@ -292,8 +309,7 @@ class VerticalVariation(ImmersedPatch):
     def partials(self, eps, s):
         fe, fs, p = self._base.partials(eps, s)
         u, ue, us = (self._tau * _asf(v) for v in self._u(eps, s))
-        lift = np.array([0.0, 0.0, 1.0])
-        return fe + ue[..., None] * lift, fs + us[..., None] * lift, Point(p.x, p.y, p.t + u)
+        return fe + ue[..., None] * _T, fs + us[..., None] * _T, Point(p.x, p.y, p.t + u)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +349,14 @@ class SpherePatch(ImmersedPatch):
         fe = np.stack(np.broadcast_arrays(dx_th, dy_th, c_th), axis=-1)
         return fe, geodesic_velocity(GeodesicSpec(ORIGIN, th, self.lam), s), p
 
+    def second_partials(self, eps, s):
+        # d_theta F_theta = -(x, y, 0), d_theta F_s = J(F_s), d_s F_s = -2 lam J(F_s)
+        fe, fs, p = self.partials(eps, s)
+        x, y = np.broadcast_arrays(_asf(p.x), _asf(p.y))
+        jfs = j_c(fs)
+        return (np.stack([-x, -y, np.zeros_like(x)], axis=-1), jfs - _twist(fe, fs),
+                -2.0 * self.lam * jfs)
+
 
 class SphereGraphSheet(ImmersedPatch):
     """One radial graph sheet t = f(rho) of the sphere, parameterized by
@@ -367,6 +391,11 @@ class SphereGraphSheet(ImmersedPatch):
              + sheet * (lam * rho * w + np.arccos(np.clip(lam * rho, -1, 1))) / (2 * lam**2))
         return f, -sheet * lam * rho**2 / np.sqrt(np.maximum(1.0 - (lam * rho) ** 2, 1e-300))
 
+    def _profile_curvature(self, rho):
+        """f''(rho)."""
+        lr = self.lam * rho
+        return -self.sheet * self.lam * rho * (2.0 - lr**2) / np.maximum(1.0 - lr**2, 1e-300)**1.5
+
     def partials(self, eps, s):
         phi, rho = _asf(eps), _asf(s)
         f, df = self._profile(rho)
@@ -376,6 +405,14 @@ class SphereGraphSheet(ImmersedPatch):
         c_r = df - cph * _asf(p.y) + sph * _asf(p.x)
         dr = np.stack(np.broadcast_arrays(cph + 0.0 * rho, sph + 0.0 * rho, c_r), axis=-1)
         return de, dr, p
+
+    def second_partials(self, eps, s):
+        # F_rho's T coefficient c_r is f'(rho) itself, whatever phi
+        phi, rho = np.broadcast_arrays(_asf(eps), _asf(s))
+        cph, sph, zero = np.cos(phi), np.sin(phi), np.zeros_like(rho)
+        return (np.stack([-rho * cph, -rho * sph, zero], axis=-1),
+                np.stack([-sph, cph, 2.0 * rho], axis=-1),
+                np.stack([zero, zero, self._profile_curvature(rho)], axis=-1))
 
     @staticmethod
     def _polar(x, y):
@@ -391,10 +428,7 @@ class SphereGraphSheet(ImmersedPatch):
     def hessian(self, x, y):
         """(u_xx, u_xy, u_yy) in Cartesian (x, y)."""
         x, y, rho = self._polar(x, y)
-        _, df = self._profile(rho)
-        lam = self.lam
-        w2 = np.maximum(1.0 - (lam * rho) ** 2, 1e-300)
-        ddf = -self.sheet * lam * rho * (2.0 - (lam * rho) ** 2) / w2**1.5
+        df, ddf = self._profile(rho)[1], self._profile_curvature(rho)
         return (ddf * x * x / rho**2 + df * y * y / rho**3,
                 ddf * x * y / rho**2 - df * x * y / rho**3,
                 ddf * y * y / rho**2 + df * x * x / rho**3)
@@ -418,9 +452,10 @@ class GraphPatch(ImmersedPatch):
 
     A subclass states its height once: `height(x, y) -> (u, u_x, u_y)`,
     which `partials` reads, and `hessian(x, y) -> (u_xx, u_xy, u_yy)`,
-    which only the graph equation in `curvature` reads.  In the frame,
-    F_x = (1, 0, u_x - y) and F_y = (0, 1, u_y + x); the raw normal
-    (orientation +1) is the upward direction (y - u_x, -x - u_y, 1).
+    which `second_partials` and the graph equation in `curvature` read.  In
+    the frame, F_x = (1, 0, u_x - y) and F_y = (0, 1, u_y + x), so the
+    second partials are the vertical triples u_xx, u_xy - 1 and u_yy; the
+    raw normal (orientation +1) is the upward direction (y - u_x, -x - u_y, 1).
     """
 
     def partials(self, eps, s):
@@ -433,25 +468,31 @@ class GraphPatch(ImmersedPatch):
         fy = np.stack([zero, one, uy + x], axis=-1)
         return fx, fy, p
 
+    def second_partials(self, eps, s):
+        uxx, uxy, uyy = self.hessian(*np.broadcast_arrays(_asf(eps), _asf(s)))
+        return uxx[..., None] * _T, (uxy - 1.0)[..., None] * _T, uyy[..., None] * _T
+
 
 @dataclass(frozen=True)
 class SingularCurveRef:
     """A singular curve of a patch, in its parameters.
 
-    `inward(param, offset)` gives the patch parameters (eps, s) of a probe
-    `offset` into the regular side, the curve itself at offset 0; `rate`
-    maps param to (d eps, d s) along the curve, so its tangent is
-    d eps F_eps + d s F_s from the patch's own partials.
+    `at(param)` gives the patch parameters (eps, s) of the curve, and `rate`
+    maps param to (d eps, d s) along it, so its tangent is d eps F_eps +
+    d s F_s.  `inward` is a constant parameter direction (d eps, d s) into
+    the regular side whose characteristic field the curve is paired with.
     """
 
-    inward: Callable         # (param, offset) -> (eps, s) patch parameters
+    at: Callable             # param -> (eps, s) patch parameters
     rate: Callable           # param -> (d eps / d param, d s / d param)
+    inward: tuple            # (d eps, d s) into the regular side
     label: str = "singular"
 
 
-def _along_eps(param):
-    """The rate of a singular curve that runs along eps at constant s."""
-    return 1.0, 0.0
+def _eps_row(s: float, inward: float, label: str) -> SingularCurveRef:
+    """The singular curve along eps at the parameter s, entered toward s + inward."""
+    return SingularCurveRef(lambda e: (_asf(e), s + 0.0 * _asf(e)), lambda e: (1.0, 0.0),
+                            (0.0, inward), label)
 
 
 G_MAX_TOKENS = 1000     # a longer g text is refused
@@ -594,14 +635,14 @@ class BernsteinGraph(GraphPatch):
         return np.zeros(shape), np.ones(shape), self.jet(y)[2] + 0.0 * _asf(x)
 
     def singular_curves(self):
-        def inward(y, offset):
+        def at(y):
             y = _asf(y)
-            return -self.jet(y)[1] / 2.0 + offset, y
+            return -self.jet(y)[1] / 2.0, y
 
         def rate(y):
             return -self.jet(_asf(y))[2] / 2.0, 1.0
 
-        return [SingularCurveRef(inward, rate, label="bernstein-singular")]
+        return [SingularCurveRef(at, rate, (1.0, 0.0), label="bernstein-singular")]
 
     def quadrature_charts(self):
         """|N_H| = |2x + g'(y)| has a kink along x = c(y) = -g'(y)/2.  The
@@ -612,26 +653,25 @@ class BernsteinGraph(GraphPatch):
         rectangle adds no split."""
         x0, x1, y0, y1 = self.eps_lo, self.eps_hi, self.s_lo, self.s_hi
 
-        def c(y):   # (c(y), c'(y)) from one run of the g program
-            _, dg, ddg = self.jet(y)
-            return -0.5 * dg, -0.5 * ddg
+        def c(y):
+            return -0.5 * self.jet(y)[1]
 
         def left(a, b):
-            cb, dc = c(b)
-            return x0 + a * (cb - x0), b, (cb - x0, a * dc, 0.0, 1.0)
+            cb = c(b)
+            return x0 + a * (cb - x0), b, cb - x0
 
         def right(a, b):
-            cb, dc = c(b)
-            return cb + a * (x1 - cb), b, (x1 - cb, (1.0 - a) * dc, 0.0, 1.0)
+            cb = c(b)
+            return cb + a * (x1 - cb), b, x1 - cb
 
         def crossing(y):   # changes sign where the curve crosses x = x0 or x = x1
-            cy = c(y)[0]
+            cy = c(y)
             return (cy - x0) * (cy - x1)
 
         cuts = sorted({y0, y1, *_roots(crossing, y0, y1)})
         charts, split = [], False
         for ya, yb in zip(cuts[:-1], cuts[1:]):
-            if x0 < c(0.5 * (ya + yb))[0] < x1:
+            if x0 < c(0.5 * (ya + yb)) < x1:
                 split = True
                 charts += [Chart(left, (0.0, 1.0, ya, yb)), Chart(right, (0.0, 1.0, ya, yb))]
             else:
@@ -711,8 +751,7 @@ class _PlaneGraph(GraphPatch):
                 continue
 
             def to_base(a, b, e1x=e1x, e1y=e1y, dx=e2x - e1x, dy=e2y - e1y):
-                wx, wy = e1x + b * dx, e1y + b * dy
-                return px + a * wx, py + a * wy, (wx, a * dx, wy, a * dy)
+                return px + a * (e1x + b * dx), py + a * (e1y + b * dy), a * (e1x * dy - e1y * dx)
 
             charts.append(Chart(to_base, (0.0, 1.0, 0.0, 1.0)))
         return charts
@@ -738,6 +777,9 @@ class _VerticalPlane(ImmersedPatch):
         fs = np.stack([0.0 * ell, 0.0 * ell, 1.0 + 0.0 * ell], axis=-1)
         return fe, fs, p
 
+    def second_partials(self, eps, s):   # F_ell is constant, and F_s is T
+        return (np.zeros(np.broadcast_shapes(np.shape(eps), np.shape(s)) + (3,)),) * 3
+
 
 class VerticalCylinder(ImmersedPatch):
     """The right circular cylinder x^2 + y^2 = rho^2, parameterized (phi, t).
@@ -760,21 +802,26 @@ class VerticalCylinder(ImmersedPatch):
         fs = np.stack([0.0 * phi, 0.0 * phi, 1.0 + 0.0 * phi], axis=-1)
         return fe, fs, p
 
+    def second_partials(self, eps, s):
+        phi, _ = np.broadcast_arrays(_asf(eps), _asf(s))
+        fee = np.stack([-self.rho * np.cos(phi), -self.rho * np.sin(phi), 0.0 * phi], axis=-1)
+        return fee, 0.0 * fee, 0.0 * fee
+
 
 # ---------------------------------------------------------------------------
 # Orthogonal-geodesic builders
 
 
 def _curve_data(curve: HorizontalCurve, eps):
-    """(position, (x', y'), (x'', y''), h, h') of the curve on `eps` as given,
-    from one `jet` read.
+    """(position, (x', y'), (x'', y''), h, h', (x''', y''')) of the curve on
+    `eps` as given, from one `jet` read.
 
     The orthogonal-geodesic patches derive every per-eps quantity from
     these, and nothing else forms h or h', so one patch call fetches its
     curve once on the eps axis and never on the broadcast (eps, s) grid.
     """
     p, (xd, yd), (xdd, ydd), (x3, y3) = curve.jet(_asf(eps))
-    return p, (xd, yd), (xdd, ydd), xd * ydd - xdd * yd, xd * y3 - x3 * yd
+    return p, (xd, yd), (xdd, ydd), xd * ydd - xdd * yd, xd * y3 - x3 * yd, (x3, y3)
 
 
 class SigmaLambdaPatch(ImmersedPatch):
@@ -806,21 +853,19 @@ class SigmaLambdaPatch(ImmersedPatch):
     def _cut(self, data):
         """(s_cut, d s_cut / d eps) from the curve data: cut_time(side h, lam)
         and -2 side h' / (4 lam^2 + h^2)."""
-        h, hdot = data[3:]
+        h, hdot = data[3:5]
         return (cut_time(self.side * h, self.lam),
                 -2.0 * self.side * hdot / (4.0 * self.lam**2 + h * h))
 
     def s_cut(self, eps):
         return self._cut(_curve_data(self.curve, eps))[0]
 
-    def s_cut_rate(self, eps):
-        return self._cut(_curve_data(self.curve, eps))[1]
-
     def geometric_s(self, eps, s):
         return _asf(s) * self.s_cut(eps)
 
     def _along(self, data, sgeo):
-        """(point, geodesic velocity, variation coefficients) at geometric s.
+        """(point, geodesic velocity, variation coefficients, ratios) at
+        geometric s.
 
         `data` is the curve data of `_curve_data` on the eps axis and `sgeo`
         broadcasts against it.  The point and velocity are the generating
@@ -831,7 +876,7 @@ class SigmaLambdaPatch(ImmersedPatch):
             b = y' + side y'' kap + side x'' sig
             c = h kap / lam - 2 side sig
         """
-        p, (xd, yd), (xdd, ydd), h, _ = data
+        p, (xd, yd), (xdd, ydd), h = data[:4]
         sgeo = _asf(sgeo)
         sig, kap, _ = ratios = stable_ratios(self.lam, sgeo)
         gdot = geodesic_velocity(self._geodesic(data), sgeo)
@@ -839,7 +884,7 @@ class SigmaLambdaPatch(ImmersedPatch):
         b = yd + self.side * ydd * kap + self.side * xdd * sig
         cv = h * kap / self.lam - 2.0 * self.side * sig
         return (_point_ab(p, -self.side * yd, self.side * xd, ratios), gdot,
-                np.stack(np.broadcast_arrays(a, b, cv), axis=-1))
+                np.stack(np.broadcast_arrays(a, b, cv), axis=-1), ratios)
 
     def variation_coeffs(self, eps, sgeo):
         """Frame triple of the variation field V_eps at geometric s (see `_along`)."""
@@ -849,10 +894,30 @@ class SigmaLambdaPatch(ImmersedPatch):
         sig = _asf(s)
         data = _curve_data(self.curve, eps)
         scut, rate = self._cut(data)
-        p, gdot, v = self._along(data, sig * scut)
+        p, gdot, v, _ = self._along(data, sig * scut)
         fe = v + (sig * rate)[..., None] * gdot
         fs = scut[..., None] * gdot
         return fe, fs, p
+
+    def second_partials(self, eps, s):
+        """From F_eps = V + sigma s_cut' gamma' and F_sigma = s_cut gamma' at
+        s = sigma s_cut, with d_s gamma' = -2 lam J(gamma'), d_eps gamma' =
+        h J(gamma'), d_eps V from the curve data and d_s V = d_eps gamma' -
+        `_twist`(V, gamma').  Terms along gamma' are tangent: s_cut'' drops."""
+        sig = _asf(s)
+        data = _curve_data(self.curve, eps)
+        _, _, (xdd, ydd), h, hdot, (x3, y3) = data
+        scut, rate = self._cut(data)
+        _, g, v, (sn, kp, _) = self._along(data, sig * scut)
+        side, jg = self.side, j_c(g)
+        v_eps = np.stack(np.broadcast_arrays(xdd - side * y3 * sn + side * x3 * kp,
+                                             ydd + side * y3 * kp + side * x3 * sn,
+                                             hdot * kp / self.lam), axis=-1)
+        v_s = h[..., None] * jg - _twist(v, g)
+        spin = (2.0 * self.lam * sig * rate)[..., None]   # how far F_eps's gamma' turns in s
+        return (v_eps + (sig * rate)[..., None] * (v_s + (h[..., None] - spin) * jg),
+                scut[..., None] * (v_s - spin * jg),
+                (-2.0 * self.lam * scut * scut)[..., None] * jg)
 
     # -- structure -------------------------------------------------------------
     def _geodesic(self, data) -> GeodesicSpec:
@@ -869,14 +934,7 @@ class SigmaLambdaPatch(ImmersedPatch):
     def singular_curves(self):
         """The base curve sigma = 0 and the far curve sigma = 1, whose tangent
         F_eps(eps, 1) is V(s_cut) + s_cut'(eps) gamma'(s_cut)."""
-        def base_inward(e, offset):
-            return _asf(e), offset / self.s_cut(_asf(e))
-
-        def far_inward(e, offset):
-            return _asf(e), 1.0 - offset / self.s_cut(_asf(e))
-
-        return [SingularCurveRef(base_inward, _along_eps, label="base"),
-                SingularCurveRef(far_inward, _along_eps, label="far")]
+        return [_eps_row(0.0, 1.0, "base"), _eps_row(1.0, -1.0, "far")]
 
 
 class SigmaZeroPatch(ImmersedPatch):
@@ -900,19 +958,25 @@ class SigmaZeroPatch(ImmersedPatch):
 
     def partials(self, eps, s):
         """F_s is broadcast to the sample shape."""
-        p, (xd, yd), (xdd, ydd), h, _ = _curve_data(self.curve, eps)
+        p, (xd, yd), (xdd, ydd), h = _curve_data(self.curve, eps)[:4]
         s = _asf(s)
         x0, y0, t0 = _asf(p.x), _asf(p.y), _asf(p.t)
         fe = np.stack([xd - s * ydd, yd + s * xdd, s * s * h - 2.0 * s], axis=-1)
         fs = np.broadcast_to(np.stack([-yd, xd, np.zeros_like(xd)], axis=-1), fe.shape)
         return fe, fs, Point(x0 - s * yd, y0 + s * xd, t0 - s * (x0 * xd + y0 * yd))
 
+    def second_partials(self, eps, s):
+        _, _, (xdd, ydd), h, hdot, (x3, y3) = _curve_data(self.curve, eps)
+        s = _asf(s)
+        fee = np.stack(np.broadcast_arrays(xdd - s * y3, ydd + s * x3, s * s * hdot), axis=-1)
+        fse = np.stack(np.broadcast_arrays(-ydd, xdd, 2.0 * s * h - 2.0), axis=-1)
+        return fee, fse, np.zeros(fee.shape)
+
     def variation_coeffs(self, eps, s):
         return self.partials(eps, s)[0]
 
     def singular_curves(self):
-        return [SingularCurveRef(lambda e, offset: (_asf(e), offset + 0.0 * _asf(e)),
-                                 _along_eps, label="base")]
+        return [_eps_row(0.0, 1.0, "base")]
 
     def quadrature_charts(self):
         # |N_H| is a multiple of |s| near the base curve s = 0: a kink there
@@ -1038,9 +1102,6 @@ class HelicoidFamily:
                 + (np.sign(lam) * np.pi - 2 * lam * s_cut) / (4 * r * r)
                 - (r * r + lam * lam) * np.sin(2 * lam * s_cut) / (4 * lam * lam * r * r))
 
-    def c2(self) -> float:
-        return np.sign(self.lam) * np.pi / (2 * self.lam**2) - self.c1()
-
     def c1k(self, k: int) -> float:
         return k * self.c1() - np.sign(self.lam) * (k // 2) * np.pi / (2 * self.lam**2)
 
@@ -1135,16 +1196,16 @@ def _grid(patch: ImmersedPatch, n_eps: int, n_s: int):
 
 
 def write_mesh(patch: ImmersedPatch, n_eps: int, n_s: int, obj=None, csv=None,
-               h_est: Callable | None = None, tol_singular: float = TOL_SINGULAR) -> np.ndarray:
+               h_est: Callable | None = None) -> np.ndarray:
     """Sample the patch on the (n_eps x n_s) tensor grid `_grid`, write it to
     the paths `obj` and `csv` (either may be None), and return its singular
-    mask |N_H| < tol_singular, (n_eps, n_s) bool.
+    mask |N_H| < TOL_SINGULAR, (n_eps, n_s) bool.
 
     The OBJ holds the v records row-major and each quad (a, b, c, d) as the
     triangles (a, b, c), (a, c, d); the CSV the columns eps, s (geometric),
-    x, y, t, nh_norm and h_est, row-major.  h_est(patch, eps, s, nh_norm,
-    tol_singular) gives the mean curvature of a block's vertices; without it
-    the column reads nan, and it is called only when the CSV is written.
+    x, y, t, nh_norm and h_est, row-major.  h_est(patch, eps, s) gives the
+    mean curvature on the grid of a block's eps rows and the s columns;
+    without it the column reads nan.  It is called only for the CSV.
 
     The grid is streamed in blocks of whole eps rows, about _BLOCK_VERTICES
     vertices each: a block is evaluated by one `frame` call, checked, and
@@ -1175,14 +1236,14 @@ def write_mesh(patch: ImmersedPatch, n_eps: int, n_s: int, obj=None, csv=None,
             n = _unit_normal(raw)
             nh = np.hypot(n[..., 0], n[..., 1])
             del raw, n, _         # so what follows holds only this block's fields
-            singular[rows] = nh < tol_singular
+            singular[rows] = nh < TOL_SINGULAR
             finite = finite and all(np.isfinite(c).all() for c in (p.x, p.y, p.t, nh))
             if not finite:
                 continue          # the rest is evaluated, for a DegeneratePoint, not written
             geom_s = h = None
             if csv_fh:
                 geom_s = patch.geometric_s(e, s[None, :])
-                h = np.nan if h_est is None else h_est(patch, eps[rows], s, nh, tol_singular)
+                h = np.nan if h_est is None else h_est(patch, eps[rows], s)
             _write_vertices(obj_fh, csv_fh, eps[rows], p.x, p.y, p.t, geom_s, nh, h)
         if not finite:
             raise NonFinite(f"{patch.label}: a mesh point or |N_H| is not finite")

@@ -2,6 +2,8 @@
 
 Each is an independent method for a quantity the library computes in
 closed form: central differences of a patch's points for its partials,
+fourth-order differences of a patch's partials for its second partials,
+a Richardson stencil of nu_H along Z for the mean curvature,
 fourth-order differences of a graph's height for its derivatives,
 five-point differences of a curve for the geodesic equation, the group
 inverse for the group law, the Riemannian area element as a named
@@ -13,11 +15,22 @@ from typing import Callable
 
 import numpy as np
 
+from h1geo.curvature import _z_velocity
 from h1geo.geodesics import H_FD2
 from h1geo.hcurves import PlanarCurve
-from h1geo.hgroup import Point, cartesian_to_frame, conn_c, j_c
+from h1geo.hgroup import Point, cartesian_to_frame, conn_c, dot_c, j_c
 
 GRAPH_FD_STEP = 1e-3   # step of fd_bundle's fourth-order differences
+# The step h of stencil_mean_curvature: its ends sit at parameter offsets
+# +-h/2 and +-h along Z's velocity, and Richardson's step over the two
+# removes the h^2 term of the central differences.
+STENCIL_STEP = 1e-4
+# The rounding of that H, in units of eps / h: each end's unit nu_H carries
+# about 4 ulps, so H(k) is off by about 2 eps / k and (4 H(h/2) - H(h)) / 3
+# by (16 + 2) / 3 = 6 eps / h.  Near a singular set the Richardson remainder
+# passes this (2.8e-10 on the lambda = 1 cylinder sheet at y = 0.001 of the
+# half-width).
+STENCIL_ROUNDOFF = 6.0
 
 
 def _asf(x):
@@ -35,6 +48,40 @@ def fd_partials(patch, eps, s):
     de = (patch.point(eps + he, s).as_array() - patch.point(eps - he, s).as_array()) / (2 * he)
     ds = (patch.point(eps, s + hs).as_array() - patch.point(eps, s - hs).as_array()) / (2 * hs)
     return cartesian_to_frame(p, de), cartesian_to_frame(p, ds), p
+
+
+def fd_second_partials(patch, eps, s, steps=(1e-3, 1e-3)):
+    """(d_eps F_eps, d_s F_eps, d_s F_s) by fourth-order central differences
+    of `patch.partials` with the steps (in eps, in s); the reference for
+    `second_partials`, whose tangent parts it does not fix."""
+    he, hs = steps
+
+    def d(k, along_eps, h):
+        vals = [patch.partials(eps + j * h, s)[k] if along_eps else patch.partials(eps, s + j * h)[k]
+                for j in (-2, -1, 1, 2)]
+        return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
+
+    return d(0, True, he), d(0, False, hs), d(1, False, hs)
+
+
+def stencil_mean_curvature(patch, eps, s):
+    """H = -(1/2) <D_Z nu_H, Z> with D_Z nu_H differenced along the straight
+    parameter line through (eps, s) in the direction of Z's parameter
+    velocity: central differences of nu_H with ends at +-k (ve, vs) for
+    k = h / 2 and h, h = STENCIL_STEP, combined by Richardson's step
+    (4 D(h / 2) - D(h)) / 3.  Its rounding is about STENCIL_ROUNDOFF eps / h
+    away from singular sets.  The points must be regular and so must the
+    stencil's ends (nu_H is NaN in the singular band)."""
+    nd = patch.normal_data(eps, s)
+    ve, vs = _z_velocity(nd)
+    signs = np.array([1.0, -1.0]).reshape((2,) + (1,) * np.ndim(ve))
+
+    def slope(k):
+        nu = patch.normal_data(eps + signs * k * ve, s + signs * k * vs).nu_h
+        return (nu[0] - nu[1]) / (2.0 * k)
+
+    dnu = (4.0 * slope(STENCIL_STEP / 2) - slope(STENCIL_STEP)) / 3.0
+    return -0.5 * dot_c(dnu + conn_c(nd.z, nd.nu_h), nd.z)
 
 
 def fd_bundle(u: Callable):
@@ -102,7 +149,7 @@ def group_inv(p: Point) -> Point:
 
 
 def _rarea(eps, s, p, raw):
-    return np.linalg.norm(raw, axis=-1), None
+    return np.linalg.norm(raw, axis=-1)
 
 
 # the Riemannian area of a patch (no |N_H| weight) as a `quad_many` kind:

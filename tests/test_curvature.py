@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,7 +16,13 @@ from h1geo.curvature import (
     trace_characteristic,
 )
 from h1geo.errors import NoSingularCurve, OnSingularLocus, SingularPoint
-from h1geo.hcurves import helix_curve, line_curve
+from h1geo.hcurves import (
+    PlanarCurve,
+    curve_from_samples,
+    helix_curve,
+    horizontal_lift,
+    line_curve,
+)
 from h1geo.hgroup import Point, dot_c
 from h1geo.surfaces import (
     BernsteinGraph,
@@ -24,8 +31,8 @@ from h1geo.surfaces import (
     SigmaZeroPatch,
     SingularCurveRef,
     SpherePatch,
-    TOL_SINGULAR,
     VerticalCylinder,
+    VerticalVariation,
     _BLOCK_VERTICES,
     _grid,
     build_surface,
@@ -35,10 +42,17 @@ from h1geo.surfaces import (
     parse_g,
     plane_patch,
     sphere_graph,
+    write_mesh,
 )
 from h1geo.verify import G_AFFINE, G_CUBIC, G_SQUARE
 
-from oracles import fd_bundle
+from oracles import (
+    STENCIL_ROUNDOFF,
+    STENCIL_STEP,
+    fd_bundle,
+    fd_second_partials,
+    stencil_mean_curvature,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -114,6 +128,134 @@ def test_mean_curvature_dilation_law():
     H0 = mean_curvature_char(sp, 1.1, 1.3)
     H1 = mean_curvature_char(sp.dilated(s0), 1.1, 1.3)
     assert abs(H1 - np.exp(-s0) * H0) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# second partials, and H read from them
+
+
+def _csv_lift():
+    """The lift of a not-a-knot spline through 17 samples, and the
+    arclengths of its knots, where its third derivative jumps."""
+    u = np.linspace(0.0, 4.0, 17)
+    curve = curve_from_samples(u, u + 0.3 * np.sin(1.7 * u), 0.5 * u * np.cos(1.3 * u))
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    knots = [0.0]
+    for a, b in zip(u[:-1], u[1:]):
+        v = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+        dx = 1.0 + 0.51 * np.cos(1.7 * v)
+        dy = 0.5 * np.cos(1.3 * v) - 0.65 * v * np.sin(1.3 * v)
+        knots.append(knots[-1] + 0.5 * (b - a) * np.sum(weights * np.hypot(dx, dy)))
+    return curve, np.array(knots)
+
+
+_SECOND_PARTIAL_CLASSES = {
+    "sphere": lambda: SpherePatch(1.3),
+    "sphere-sheet-lower": lambda: sphere_graph(0.7)[0],
+    "sphere-sheet-upper": lambda: sphere_graph(0.7)[1],
+    "cylinder-lower": lambda: cylinder_S(1.3)[0],
+    "cylinder-upper-lam-1": lambda: cylinder_S(-1.0)[1],
+    "bernstein-cubic": lambda: build_surface("bernstein", g="0.5 - y + 0.4*y^3"),
+    "plane-tilted": lambda: plane_patch((0.3, -0.2, 1.0), 0.4),
+    "vertical-plane": lambda: plane_patch((1.0, 0.5, 0.0), 0.3),
+    "vertical-cylinder": lambda: VerticalCylinder(1.3),
+    "sigma-lambda-helix": lambda: SigmaLambdaPatch(helix_curve(0.8, eps_min=-2, eps_max=2),
+                                                   1.3, -1),
+    "sigma-lambda-line": lambda: SigmaLambdaPatch(
+        line_curve(0.3, Point(0.4, -0.2, 0.1), eps_min=-2, eps_max=2), 0.7, +1),
+    "sigma-lambda-csv": lambda: SigmaLambdaPatch(_csv_lift()[0], 1.1, +1),
+    "sigma-zero-helix": lambda: SigmaZeroPatch(helix_curve(0.8, eps_min=-1, eps_max=1),
+                                               s_range=(-0.5, 1.5)),
+    "sigma-zero-csv": lambda: SigmaZeroPatch(_csv_lift()[0], s_range=(-0.5, 1.5)),
+    "helicoid-flipped": lambda: helicoid_L(1.0, 1.3, k_max=2).pieces[1],
+}
+_MOVES = {
+    "base": lambda p: p,
+    "flipped": lambda p: p.flipped(),
+    "translated": lambda p: p.translated(Point(0.3, -0.7, 1.1)),
+    "dilated": lambda p: p.dilated(0.4),
+}
+
+
+@pytest.mark.parametrize("move", sorted(_MOVES))
+@pytest.mark.parametrize("name", sorted(_SECOND_PARTIAL_CLASSES))
+def test_second_partials_match_differences_of_partials(name, move):
+    # only the normal parts are fixed: a tangent error reaches neither H nor
+    # the defect.  Points stay off the cylinder sheets' line y = 0, where
+    # u_yyy jumps, and off the lift's knots, where F_eps jumps along gamma'
+    patch = _MOVES[move](_SECOND_PARTIAL_CLASSES[name]())
+    rng = np.random.default_rng(53)
+    eps = patch.eps_lo + (patch.eps_hi - patch.eps_lo) * rng.uniform(0.1, 0.9, 12)
+    s = patch.s_lo + (patch.s_hi - patch.s_lo) * rng.uniform(0.1, 0.9, 12)
+    steps = (1e-3 * (patch.eps_hi - patch.eps_lo), 1e-3 * (patch.s_hi - patch.s_lo))
+    if name.startswith("cylinder"):
+        s = np.where(np.abs(s) < 0.05, s + 0.1, s)
+    if name.endswith("csv"):
+        knots = _csv_lift()[1]
+        eps = 0.5 * (knots[:-1] + knots[1:])[rng.permutation(16)[:12]]
+        steps = (1e-4, steps[1])
+    normal = patch.normal_data(eps, s).normal
+    for k, (got, want) in enumerate(zip(patch.second_partials(eps, s),
+                                        fd_second_partials(patch, eps, s, steps))):
+        gap = np.abs(dot_c(normal, got - want)) / (1.0 + np.linalg.norm(want, axis=-1))
+        assert np.max(gap) < 1e-7, ("d_eps F_eps", "d_s F_eps", "d_s F_s")[k]
+
+
+def test_varied_patches_state_no_second_partials():
+    # p + tau u T would need u's second derivatives, which u does not give
+    varied = VerticalVariation(SpherePatch(1.0), lambda e, s: (0.0 * e, 0.0 * e, 0.0 * e), 0.1)
+    with pytest.raises(NotImplementedError, match="sphere.*varied states no second partials"):
+        varied.second_partials(0.3, 1.2)
+    with pytest.raises(NotImplementedError):
+        mean_curvature_char(varied, 0.3, 1.2)
+
+
+def _closed_form_cases():
+    cases = []
+    for lam in (0.5, 1.0, 2.0):
+        sp = SpherePatch(lam)
+        cases += [(f"sphere-{lam:g}", sp, lam, (0.1, np.pi / lam - 0.1)),
+                  (f"sphere-{lam:g}-moved", sp.dilated(0.3).translated(Point(0.7, -0.4, 1.1))
+                   .flipped(), -lam * np.exp(-0.3), (0.1, np.pi / lam - 0.1))]
+        for side in (1, -1):
+            for label, curve in (("line", line_curve(eps_min=-2, eps_max=2)),
+                                 ("helix", helix_curve(0.7, eps_min=-2, eps_max=2)),
+                                 ("csv", _csv_lift()[0])):
+                cases.append((f"sigma-lambda-{label}-{lam:g}-{side:+d}",
+                              SigmaLambdaPatch(curve, lam, side), lam, (0.05, 0.95)))
+    for piece in helicoid_L(1.0, 1.0, k_max=2).pieces:
+        cases.append((piece.label, piece, 1.0, (0.05, 0.95)))
+    cases.append(("sigma-zero-helix",
+                  SigmaZeroPatch(helix_curve(1.0, eps_min=-2, eps_max=2), s_range=(-1.5, 1.5)),
+                  0.0, (0.3, 1.2)))
+    for r in (1.0, 1.2):
+        cases.append((f"vertical-cylinder-{r:g}", VerticalCylinder(r), -1.0 / (2 * r), (-1.9, 1.9)))
+    return cases
+
+
+@pytest.mark.parametrize("name, patch, expected, s_range", _closed_form_cases(),
+                         ids=[c[0] for c in _closed_form_cases()])
+def test_mean_curvature_is_within_1e_14_of_its_closed_form(name, patch, expected, s_range):
+    rng = np.random.default_rng(59)
+    eps = rng.uniform(patch.eps_lo, patch.eps_hi, 200)
+    s = rng.uniform(*s_range, 200)
+    if name.startswith("sigma-zero"):
+        s *= rng.choice([-1.0, 1.0], 200)
+    assert np.max(np.abs(mean_curvature_char(patch, eps, s) - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_mean_curvature_agrees_with_the_stencil_oracle(name):
+    # away from the singular set, where the stencil's ends stay regular
+    patch = build_surface(name)
+    frac = np.array([0.12, 0.31, 0.62, 0.83])
+    eps, s = np.meshgrid(patch.eps_lo + frac * (patch.eps_hi - patch.eps_lo),
+                         patch.s_lo + frac * (patch.s_hi - patch.s_lo), indexing="ij")
+    keep = patch.normal_data(eps, s).nh_norm > 0.05
+    assert keep.sum() >= 12
+    gap = mean_curvature_char(patch, eps[keep], s[keep]) - stencil_mean_curvature(
+        patch, eps[keep], s[keep])
+    assert np.max(np.abs(gap)) <= 100 * STENCIL_ROUNDOFF * np.finfo(float).eps / STENCIL_STEP
 
 
 def test_mean_curvature_rejects_singular_point():
@@ -315,19 +457,8 @@ def test_mean_curvature_matches_the_graph_equation_on_curved_sheets(name, sheet)
     assert np.max(np.abs(gap)) < 5e-11
 
 
-# on the upper cylinder sheet at x = 0.3: at these y the seed clears the
-# guard |N_H| >= 10 TOL_SINGULAR, but an end of the stencil lies in the
-# singular band or across the line y = 0, where nu_H flips
-STRADDLING_Y = (2e-5, 5e-5, 1e-4)
+# on the upper cylinder sheet at x = 0.3
 CLEAR_Y = (2e-4, 5e-4, 1e-3)
-
-
-@pytest.mark.parametrize("y", STRADDLING_Y)
-def test_mean_curvature_rejects_a_stencil_across_the_singular_line(y):
-    upper = cylinder_S(1.0)[1]
-    assert upper.normal_data(0.3, y).nh_norm >= 10 * TOL_SINGULAR
-    with pytest.raises(SingularPoint):
-        mean_curvature_char(upper, 0.3, y)
 
 
 def test_mean_curvature_next_to_the_singular_line_is_accurate():
@@ -335,15 +466,16 @@ def test_mean_curvature_next_to_the_singular_line_is_accurate():
     assert np.max(np.abs(H - 1.0)) < 1e-9
 
 
-def test_fill_mesh_curvature_writes_nan_where_the_stencil_straddles():
-    upper = cylinder_S(1.0)[1]
-    eps = np.array([-0.5, 0.3])
-    s = np.array(STRADDLING_Y + CLEAR_Y)
-    nd = upper.normal_data(eps[:, None], s[None, :])
-    h = mesh_curvature(upper, eps, s, nd.nh_norm)
-    straddling = np.arange(len(s)) < len(STRADDLING_Y)
-    assert np.all(np.isnan(h[:, straddling]))
-    assert np.max(np.abs(h[:, ~straddling] - 1.0)) < 1e-9
+@pytest.mark.parametrize("which", [0, 1], ids=["lower", "upper"])
+def test_mean_curvature_on_the_cylinder_sheets_down_to_a_thousandth_of_the_half_width(which):
+    # the height's own rounding, which the graph equation's H carries too,
+    # is 1.7e-11 at y = 0.001 of the half-width; a difference stencil read
+    # 2.8e-10 there
+    sheet = cylinder_S(1.0)[which]
+    frac = np.array([1e-3, 2e-3, 5e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999])
+    y = np.concatenate([-frac, frac]) * sheet.s_hi
+    x = np.array([-0.3, 0.0, 0.3])[:, None]
+    assert np.max(np.abs(mean_curvature_char(sheet, x, y) - 1.0)) < 2e-11
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +535,19 @@ def test_trace_with_signed_arclen_array_stacks_the_scalar_traces(patch, seeds):
         assert np.array_equal(spath[:, k], s1)
 
 
-def test_mean_curvature_evaluates_three_times_and_only_the_ruling_traces(monkeypatch):
-    # H reads the seed, then the ends at +-h/2 and at +-h, each pair in one
-    # call; only characteristic_deviation traces, both ways in one call
+def test_mean_curvature_evaluates_once_and_only_the_ruling_traces(monkeypatch):
+    # H reads one normal_data and one second_partials call at the points;
+    # only characteristic_deviation traces, both ways in one call
     shapes, traces = [], []
 
     class CountingSphere(SpherePatch):
         def normal_data(self, eps, s):
             shapes.append(np.broadcast(eps, s).shape)
             return super().normal_data(eps, s)
+
+        def second_partials(self, eps, s):
+            shapes.append(("second", np.broadcast(eps, s).shape))
+            return super().second_partials(eps, s)
 
     def counting(*args, **kwargs):
         traces.append(args[3])
@@ -420,7 +556,7 @@ def test_mean_curvature_evaluates_three_times_and_only_the_ruling_traces(monkeyp
     monkeypatch.setattr(crv, "trace_characteristic", counting)
     sp = CountingSphere(1.0)
     mean_curvature_char(sp, np.array([0.3, 1.1, 2.0]), np.array([1.2, 0.8, 1.9]))
-    assert shapes == [(3,), (2, 3), (2, 3)]
+    assert shapes == [(3,), ("second", (3,))]
     assert traces == []
     characteristic_deviation(sp, np.array([0.3, 2.0]), np.array([1.2, 1.8]), n_steps=20)
     assert len(traces) == 1
@@ -517,12 +653,17 @@ class _ShearedBernstein(ImmersedPatch):
         fx, fy, p = self._graph.partials(np.asarray(eps, float) + s, s)
         return fx, fx + fy, p
 
-    def singular_curves(self):
-        def inward(y, offset):
-            y = np.asarray(y, float)
-            return -2.0 * y + offset, y
+    def second_partials(self, eps, s):
+        # d_x F_y = d_y F_x + 2T on a graph
+        xx, xy, yy = self._graph.second_partials(np.asarray(eps, float) + s, s)
+        return xx, xx + xy, xx + 2.0 * xy + np.array([0.0, 0.0, 2.0]) + yy
 
-        return [SingularCurveRef(inward, lambda y: (-2.0, 1.0))]
+    def singular_curves(self):
+        def at(y):
+            y = np.asarray(y, float)
+            return -2.0 * y, y
+
+        return [SingularCurveRef(at, lambda y: (-2.0, 1.0), (1.0, 0.0))]
 
 
 def test_defect_tangent_takes_both_partials():
@@ -530,6 +671,71 @@ def test_defect_tangent_takes_both_partials():
     y = np.array([-0.8, 0.0, 0.5])
     d = orthogonality_defect(_ShearedBernstein(), 0, y)
     assert np.max(np.abs(d - (-1.0))) < 1e-6
+
+
+class _AlongTheCurve(BernsteinGraph):
+    """t = xy with the inward direction of its singular curve x = 0 along
+    the curve itself, where N_H stays 0: no limit direction there."""
+
+    def singular_curves(self):
+        return [SingularCurveRef(lambda y: (0.0 * np.asarray(y), np.asarray(y, float)),
+                                 lambda y: (0.0, 1.0), (0.0, 1.0), "along")]
+
+
+def test_defect_refuses_where_the_limit_direction_vanishes():
+    with pytest.raises(SingularPoint, match="no limit of the characteristic direction at along "
+                                            "of bernstein, parameter -0.2"):
+        orthogonality_defect(_AlongTheCurve(parse_g("0")), 0, np.array([-0.2, 0.5]))
+
+
+def _ellipse_curve():
+    """The lift of the ellipse (cos u, 0.6 sin u), u in [0.3, 2.8], from
+    closed-form derivatives in u."""
+    def part(k):
+        def f(u):
+            u = np.asarray(u, float) + 0.5 * np.pi * k
+            return np.cos(u), 0.6 * np.sin(u)
+        return f
+
+    return horizontal_lift(PlanarCurve(*map(part, range(4)), 0.3, 2.8), label="ellipse")
+
+
+def _ellipse_h(u):
+    """(h, h') of the ellipse at the parameter u, by mpmath: h the planar
+    curvature and h' its arclength rate."""
+    def h(v):
+        return 0.6 / (mpmath.sin(v) ** 2 + 0.36 * mpmath.cos(v) ** 2) ** 1.5
+
+    speed = mpmath.sqrt(mpmath.sin(u) ** 2 + 0.36 * mpmath.cos(u) ** 2)
+    return h(u), mpmath.diff(h, u) / speed
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_far_curve_defect_is_the_cut_time_rate(lam, side):
+    # over a curve whose curvature varies the far curve sigma = 1 fails
+    # orthogonality by s_cut'(eps) = -2 side h' / (4 lam^2 + h^2); the base
+    # curve meets its characteristics at right angles
+    curve = _ellipse_curve()
+    eps = np.linspace(curve.eps_min, curve.eps_max, 11)[1:-1]
+    p = curve.jet(eps)[0]
+    expected = []
+    with mpmath.workdps(30):
+        for u in np.arctan2(np.asarray(p.y) / 0.6, np.asarray(p.x)):
+            h, hdot = _ellipse_h(mpmath.mpf(float(u)))
+            expected.append(float(-2 * side * hdot / (4 * lam**2 + h**2)))
+    sl = SigmaLambdaPatch(curve, lam, side)
+    assert np.max(np.abs(orthogonality_defect(sl, 1, eps) / expected - 1.0)) < 1e-12
+    assert np.max(np.abs(orthogonality_defect(sl, 0, eps))) < 1e-14
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_helix_defect_vanishes_on_both_curves(lam, side):
+    sl = SigmaLambdaPatch(helix_curve(0.7, eps_min=-2, eps_max=2), lam, side)
+    eps = np.linspace(-1.5, 1.5, 9)
+    for idx in (0, 1):
+        assert np.max(np.abs(orthogonality_defect(sl, idx, eps))) <= 1e-14
 
 
 def test_defect_requires_singular_curve():
@@ -646,29 +852,21 @@ def test_z_velocity_agrees_with_the_gram_system_away_from_parallel_partials(name
 # mesh curvature fill
 
 
-def _grid_nh(patch, n_eps, n_s):
-    """The axes of the mesh grid and its |N_H|, from one `normal_data` call."""
-    eps, s = _grid(patch, n_eps, n_s)
-    return eps, s, patch.normal_data(eps[:, None], s[None, :]).nh_norm
-
-
-def test_blocked_fill_matches_one_whole_grid_call():
+def test_blocked_fill_matches_one_whole_grid_call(tmp_path):
+    # the mesh writer fills H a block of rows at a time; its CSV column,
+    # printed round-trip exact, holds the bits of one call over the grid
     patch = build_surface("helicoid-l")
-    eps, s, nh = _grid_nh(patch, 256, 256)
-    assert 256 > _BLOCK_VERTICES // (4 * 256)    # block edges fall inside the grid
-    h = mesh_curvature(patch, eps, s, nh)
-    ok = nh >= 10 * TOL_SINGULAR
-    H, regular = crv._mean_curvature(patch, np.broadcast_to(eps[:, None], nh.shape)[ok],
-                                     np.broadcast_to(s[None, :], nh.shape)[ok], TOL_SINGULAR)
-    want = np.full(nh.shape, np.nan)
-    want[ok] = np.where(regular, H, np.nan)
+    assert 256 > _BLOCK_VERTICES // 256    # block edges fall inside the grid
+    write_mesh(patch, 256, 256, csv=tmp_path / "m.csv", h_est=mesh_curvature)
+    h = np.loadtxt(tmp_path / "m.csv", delimiter=",", skiprows=1, usecols=6).reshape(256, 256)
+    want = mesh_curvature(patch, *_grid(patch, 256, 256))
     assert np.isnan(want).any() and np.isfinite(want).any()
     assert h.tobytes() == want.tobytes()
 
 
 def test_fill_mesh_curvature():
     sl = SigmaLambdaPatch(line_curve(eps_min=-1, eps_max=1), 1.0, +1)
-    h = mesh_curvature(sl, *_grid_nh(sl, 8, 9))
+    h = mesh_curvature(sl, *_grid(sl, 8, 9))
     interior = h[:, 2:-2]
     assert np.all(np.isfinite(interior))
     assert np.max(np.abs(interior - 1.0)) < 1e-4

@@ -271,7 +271,7 @@ def clothoid_curve():
 def test_clothoid_curvature_and_rate_are_exact():
     clothoid = clothoid_curve()
     eps = np.linspace(-1.0, 1.0, 41)
-    _, _, _, h, hdot = _curve_data(clothoid, eps)
+    h, hdot = _curve_data(clothoid, eps)[3:5]
     assert np.max(np.abs(h - eps)) < 1e-14
     assert np.max(np.abs(hdot - 1.0)) < 1e-14
 
@@ -284,14 +284,14 @@ def test_sigma_lambda_partials_evaluate_curvature_once_on_eps(side):
     eps = np.linspace(-0.8, 0.8, 7)[:, None]
     s = np.linspace(0.1, 0.9, 5)[None, :]
     fe, fs, p = sl.partials(eps, s)
-    # one read of the curve on eps: s_cut and s_cut_rate take h and h' from
+    # one read of the curve on eps: s_cut and its rate take h and h' from
     # the curve data that the point and the variation field read
     assert calls == [7]
-    # the same bits as the expressions that fetched h for s_cut and s_cut_rate
+    # the same bits as the expressions that fetched h for s_cut and its rate
     ref = SigmaLambdaPatch(base, 1.3, side)
     scut = ref.s_cut(eps)
-    p2, gdot, v = ref._along(_curve_data(base, eps), s * scut)
-    fe2 = v + (s * ref.s_cut_rate(eps))[..., None] * gdot
+    p2, gdot, v, _ = ref._along(_curve_data(base, eps), s * scut)
+    fe2 = v + (s * ref._cut(_curve_data(base, eps))[1])[..., None] * gdot
     assert fe.tobytes() == fe2.tobytes()
     assert fs.tobytes() == (scut[..., None] * gdot).tobytes()
     assert p.as_array().tobytes() == p2.as_array().tobytes()
@@ -317,8 +317,8 @@ def test_sigma_lambda_reads_a_lifted_curve_once_per_call():
     sl.curve.jet(eps)
     one = list(calls)
     assert one.count("d2") == 1 and one.count("speed") >= 1
-    for read in (sl.s_cut, sl.s_cut_rate, lambda e: sl.geometric_s(e, 0.5),
-                 sl.generating_geodesic):
+    for read in (sl.s_cut, lambda e: sl.second_partials(e, 0.5),
+                 lambda e: sl.geometric_s(e, 0.5), sl.generating_geodesic):
         calls.clear()
         read(eps)
         assert calls == one
@@ -328,7 +328,7 @@ def test_sigma_lambda_reads_a_lifted_curve_once_per_call():
 def test_far_curve_tangent_matches_fd_of_far_curve(side):
     sl = SigmaLambdaPatch(clothoid_curve(), 1.0, side)
     eps = np.linspace(-0.8, 0.8, 7)
-    assert np.min(np.abs(sl.s_cut_rate(eps))) > 0.4   # the s_cut' term counts
+    assert np.min(np.abs(sl._cut(_curve_data(sl.curve, eps))[1])) > 0.4   # the s_cut' term counts
     d = 1e-5
     de = (sl.point(eps + d, 1.0).as_array() - sl.point(eps - d, 1.0).as_array()) / (2 * d)
     fd = cartesian_to_frame(sl.point(eps, 1.0), de)
@@ -592,7 +592,7 @@ def test_bernstein_singular_curve_projection():
     bg = _bernstein_y2()
     sc = bg.singular_curves()[0]
     y = np.linspace(-1, 1, 9)
-    pts = bg.point(*sc.inward(y, 0.0)).as_array()
+    pts = bg.point(*sc.at(y)).as_array()
     assert np.allclose(pts[:, 0], -y, atol=0)  # x = -g'(y)/2 = -y
     assert np.all(pts[:, 2] == 0.0)  # t = xy + g(y) = -y^2 + y^2
     nd = bg.normal_data(pts[:, 0], y)
@@ -612,15 +612,15 @@ def test_bernstein_horizontal_singular_curve():
     bg = _bernstein_y2()
     sc = bg.singular_curves()[0]
     y = np.linspace(-1, 1, 7)
-    fe, fs, p = bg.partials(*sc.inward(y, 0.0))
+    fe, fs, p = bg.partials(*sc.at(y))
     de, ds = (np.asarray(r, float)[..., None] for r in sc.rate(y))
     tang = de * fe + ds * fs
     # tangent has no T-component: the singular curve is horizontal
     assert np.max(np.abs(tang[..., 2])) == 0.0
     # and it is the derivative of the curve's points
     d = 1e-6
-    fd = (bg.point(*sc.inward(y + d, 0.0)).as_array()
-          - bg.point(*sc.inward(y - d, 0.0)).as_array()) / (2 * d)
+    fd = (bg.point(*sc.at(y + d)).as_array()
+          - bg.point(*sc.at(y - d)).as_array()) / (2 * d)
     assert np.max(np.abs(tang - cartesian_to_frame(p, fd))) < 1e-8
 
 
@@ -630,7 +630,7 @@ def test_bernstein_horizontal_singular_curve():
 
 def test_helicoid_c2_identity():
     fam = helicoid_L(1.0, 1.0, k_max=1)
-    assert abs(fam.c2() - (np.sign(1.0) * np.pi / 2 - fam.c1())) < 1e-12
+    assert abs(fam.c2k(1) - (np.sign(1.0) * np.pi / 2 - fam.c1())) < 1e-12
     assert abs(fam.c1() - (np.pi / 4 + 0.5)) < 1e-14
 
 
@@ -667,8 +667,13 @@ def test_helicoid_curves_pairwise_distinct():
 
 
 def test_mesh_sphere_singular_clusters_at_poles():
+    # the mesh insets the poles, so its own mask is clear; |N_H| < 0.08 is
+    # the wider mask of the vertices next to them
     sp = SpherePatch(1.0)
-    singular = write_mesh(sp, 128, 128, tol_singular=0.08)
+    assert not write_mesh(sp, 128, 128).any()
+    eps, s = _grid(sp, 128, 128)
+    singular = sp.normal_data(eps[:, None], s[None, :]).nh_norm < 0.08
+    assert len(singular_components(singular)) == 2
     flagged = np.argwhere(singular)
     assert len(flagged) > 0
     # flagged rows are only near the first/last s rows (the poles)
@@ -759,6 +764,9 @@ class _RowNaN(ImmersedPatch):
         fe, fs, p = self.base.partials(eps, s)
         fe = np.where(np.isin(eps, self.degenerate_eps)[..., None], 0.0, fe)
         return fe, fs, Point(p.x, p.y, np.where(np.isin(eps, self.nan_eps), np.nan, p.t))
+
+    def second_partials(self, eps, s):
+        return self.base.second_partials(eps, s)
 
 
 def test_mesh_raises_when_only_the_last_block_is_not_finite():
@@ -906,19 +914,16 @@ class Grid:
     n_eps: int
     n_s: int
     with_h: bool = False
-    tol_singular: float = TOL_SINGULAR
 
     def fields(self):
         eps, s = _grid(self.patch, self.n_eps, self.n_s)
         points, nh, geom_s = _whole_grid(self.patch, eps, s)
-        h = (mesh_curvature(self.patch, eps, s, nh, self.tol_singular) if self.with_h
-             else np.full(nh.shape, np.nan))
+        h = mesh_curvature(self.patch, eps, s) if self.with_h else np.full(nh.shape, np.nan)
         return Fields(eps, points, nh, geom_s, h)
 
     def write(self, obj, csv):
         write_mesh(self.patch, self.n_eps, self.n_s, obj, csv,
-                   h_est=mesh_curvature if self.with_h else None,
-                   tol_singular=self.tol_singular)
+                   h_est=mesh_curvature if self.with_h else None)
 
 
 def assert_matches_oracle(case, out, files=("m.obj", "m.csv")):
@@ -938,9 +943,8 @@ def assert_matches_oracle(case, out, files=("m.obj", "m.csv")):
 
 
 def sphere_mesh_with_h():
-    grid = Grid(SpherePatch(1.0), 9, 8, with_h=True, tol_singular=0.05)
-    h = grid.fields().h_est    # the tolerance masks the columns next to the poles
-    assert np.isnan(h).any() and np.isfinite(h).any()
+    grid = Grid(SpherePatch(1.0), 9, 8, with_h=True)
+    assert np.all(np.isfinite(grid.fields().h_est))    # the poles are inset
     return grid
 
 
@@ -1297,12 +1301,12 @@ def test_chart_partials_follow_the_chain_rule(name, form):
         a = a_lo + (a_hi - a_lo) * rng.uniform(0.1, 0.9, 8)
         b = b_lo + (b_hi - b_lo) * rng.uniform(0.1, 0.9, 8)
         ha, hb = 1e-6 * max(a_hi - a_lo, 1.0), 1e-6 * max(b_hi - b_lo, 1.0)
-        eps, s, jac = chart.to_base(a, b)
-        ea, eb, sa, sb = np.broadcast_arrays(*jac, a)[:4]
-        # the stated Jacobian against central differences of to_base
-        for k, (col_a, col_b) in enumerate(((ea, eb), (sa, sb))):
-            assert np.max(np.abs(_central(lambda x: chart.to_base(x, b)[k], a, ha) - col_a)) < 1e-7
-            assert np.max(np.abs(_central(lambda x: chart.to_base(a, x)[k], b, hb) - col_b)) < 1e-7
+        eps, s, det = chart.to_base(a, b)
+        det = np.broadcast_to(det, a.shape)
+        # the stated det J against central differences of to_base
+        ea, sa = (_central(lambda x: chart.to_base(x, b)[k], a, ha) for k in (0, 1))
+        eb, sb = (_central(lambda x: chart.to_base(a, x)[k], b, hb) for k in (0, 1))
+        assert np.max(np.abs(ea * sb - eb * sa - det)) < 1e-7 * max(1.0, np.max(np.abs(det)))
         # chain rule: the chart's raw normal is the oriented cross product of
         # the central differences of the patch's points along a and b
         def pts(aa, bb):
@@ -1320,7 +1324,6 @@ def test_chart_partials_follow_the_chain_rule(name, form):
         assert np.array_equal(e2, eps) and np.array_equal(s2, s)
         p0, _, _, raw0 = patch.frame(eps, s)
         assert np.array_equal(p.as_array(), p0.as_array())
-        det = ea * sb - eb * sa
         assert np.all(det > 0.0)
         assert np.allclose(raw, det[..., None] * raw0, rtol=1e-12, atol=0.0)
 
@@ -1431,6 +1434,6 @@ def test_catalog_unknown_surface():
 def test_plane_has_one_isolated_singular_vertex():
     pl = plane_patch(rect=(-2.0, 2.0, -2.0, 2.0))
     # an odd grid puts a vertex exactly at the origin
-    comps = singular_components(write_mesh(pl, 33, 33, tol_singular=0.05))
+    comps = singular_components(write_mesh(pl, 33, 33))
     assert len(comps) == 1
     assert len(comps[0]) == 1

@@ -12,7 +12,7 @@ OUTDIR receives:
   `--suite bernstein --g` with the seed's polynomial) given
   `--out <name>.json`, so its checks are kept at full precision;
 - `extra/`: 40x40 `--with-h` meshes of five surfaces, whose per-vertex mean
-  curvature differences nu_H along Z, and the reports of a Bernstein graph
+  curvature reads each patch's second partials, and the reports of a Bernstein graph
   whose singular curve crosses the rectangle's sides, of a cylinder sheet
   at a second lambda, and of sigma-zero at an odd cap, which puts its
   singular curve s = 0 inside a cell unless it is a chart edge;
@@ -40,7 +40,8 @@ OUTDIR receives:
   calibrating field or to the frame differencing shows which graph moved;
 - `extra/mean-curvature.txt`: the `repr` of `mean_curvature_char` on the
   same 4x4 grid of every catalog surface (at its default parameters) and of
-  every graph above, so a change to the estimator shows which H moved;
+  every graph above, so a change to H or to a patch's second partials shows
+  which H moved;
 - `extra/ruling.txt`: the `repr` of `characteristic_deviation` for every
   case of both ruling checks (`verify.ruling_cases`), at the steps and
   arclength the curvature suite pins, one line per case, so a change to the
@@ -56,8 +57,14 @@ OUTDIR receives:
 - `extra/curves.txt`: the `repr` of the `jet` of three horizontal curves (a
   line off the origin, a shifted and raised helix, and the lift of the
   curve workload's seed-11 CSV samples) on 9 equally spaced eps, and of
-  `s_cut`, `s_cut_rate` and the base and angle of `generating_geodesic` of
-  the sigma-lambda patch over each, on both sides, at the same eps;
+  `s_cut`, its rate (from `_cut`) and the base and angle of
+  `generating_geodesic` of the sigma-lambda patch over each, on both sides,
+  at the same eps;
+- `extra/defects.txt`: the `repr` of `orthogonality_defect` on both singular
+  curves of the sigma-lambda patches over those three curves (lambda = 0.5,
+  1 and 2, both sides, at the same 9 eps), and on the singular curve of the
+  Bernstein graphs with g = y^2, a cubic and (y+1)^100 at 9 y in [-1, 1];
+  a defect that raises is written as its error;
 - for every operation, `<name>.stdout`: its exit code, then its standard
   output without the `wrote PATH` lines (those name OUTDIR); a report's
   JSON is there, because `report` without `--out` prints it.
@@ -81,6 +88,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import numpy as np  # noqa: E402
 
 from h1geo import curvature as crv, geodesics as geo, surfaces as srf, verify  # noqa: E402
+from h1geo.errors import GeometryError  # noqa: E402
 from h1geo.cli import main  # noqa: E402
 from h1geo.hcurves import curve_from_samples, helix_curve, line_curve  # noqa: E402
 from h1geo.hgroup import Point  # noqa: E402
@@ -243,14 +251,17 @@ def write_suite_cases(path):
         fh.write("".join(sorted(lines, key=lambda line: line.split(" ")[0])))
 
 
-def write_curves(path):
+def _curves():
     u, x, y = workloads.curve_samples(np.random.default_rng(11))
-    curves = [("line", line_curve(0.3, Point(0.4, -0.2, 0.1), eps_min=-2.0, eps_max=2.0)),
-              ("helix-shifted", helix_curve(0.8, eps_shift=0.3, t_shift=-0.25,
-                                            eps_min=-2.0, eps_max=2.0)),
-              ("csv-11", curve_from_samples(u, x, y))]
+    return [("line", line_curve(0.3, Point(0.4, -0.2, 0.1), eps_min=-2.0, eps_max=2.0)),
+            ("helix-shifted", helix_curve(0.8, eps_shift=0.3, t_shift=-0.25,
+                                          eps_min=-2.0, eps_max=2.0)),
+            ("csv-11", curve_from_samples(u, x, y))]
+
+
+def write_curves(path):
     lines = []
-    for name, curve in curves:
+    for name, curve in _curves():
         eps = np.linspace(curve.eps_min, curve.eps_max, 9)
         p, *derivs = curve.jet(eps)
         values = [p.x, p.y, p.t] + [v for pair in derivs for v in pair]
@@ -259,9 +270,34 @@ def write_curves(path):
             sl = srf.SigmaLambdaPatch(curve, 1.3, side)
             g = sl.generating_geodesic(eps)
             lines += [f"{name} side={side:+d} s_cut {sl.s_cut(eps).tolist()!r}\n",
-                      f"{name} side={side:+d} s_cut_rate {sl.s_cut_rate(eps).tolist()!r}\n",
+                      f"{name} side={side:+d} s_cut_rate "
+                      f"{sl._cut(srf._curve_data(curve, eps))[1].tolist()!r}\n",
                       f"{name} side={side:+d} base {g.base.as_array().tolist()!r}\n",
                       f"{name} side={side:+d} theta {np.asarray(g.theta).tolist()!r}\n"]
+    with open(path, "w") as fh:
+        fh.write("".join(lines))
+
+
+def _defect_line(name, patch, index, param):
+    try:
+        value = crv.orthogonality_defect(patch, index, param).tolist()
+    except GeometryError as exc:
+        value = f"{type(exc).__name__}: {exc}"
+    return f"{name} {value!r}\n"
+
+
+def write_defects(path):
+    lines = []
+    for name, curve in _curves():
+        eps = np.linspace(curve.eps_min, curve.eps_max, 9)
+        for lam in (0.5, 1.0, 2.0):
+            for side in (1, -1):
+                sl = srf.SigmaLambdaPatch(curve, lam, side)
+                lines += [_defect_line(f"{name} lam={lam:g} side={side:+d} {label}", sl, index, eps)
+                          for index, label in enumerate(("base", "far"))]
+    y = np.linspace(-1.0, 1.0, 9)
+    for g in ("y^2", "0.5 - y + 0.4*y^3", "(y+1)^100"):
+        lines.append(_defect_line(f"bernstein g={g}", srf.build_surface("bernstein", g=g), 0, y))
     with open(path, "w") as fh:
         fh.write("".join(lines))
 
@@ -300,6 +336,7 @@ def write_all(outdir):
     write_ruling(os.path.join(extra, "ruling.txt"))
     write_suite_cases(os.path.join(extra, "suite-cases.txt"))
     write_curves(os.path.join(extra, "curves.txt"))
+    write_defects(os.path.join(extra, "defects.txt"))
 
 
 if __name__ == "__main__":
