@@ -195,12 +195,11 @@ def _measure_H(patch):
     eps = np.linspace(patch.eps_lo, patch.eps_hi, 7)[1:-1]
     s = np.linspace(patch.s_lo, patch.s_hi, 7)[1:-1]
     ee, ss = np.meshgrid(eps, s, indexing="ij")
-    nd = patch.normal_data(ee, ss)
-    ok = nd.nh_norm >= 1e-2
+    H, nh = crv._mean_curvature(patch, ee, ss)
+    ok = nh >= 1e-2
     if not np.any(ok):
         return patch.lam
-    vals = crv.mean_curvature_char(patch, ee[ok], ss[ok])
-    return float(np.mean(vals))
+    return float(np.mean(H[ok]))
 
 
 def cmd_report(cfg: dict) -> int:

@@ -82,8 +82,8 @@ def trace_characteristic(patch: ImmersedPatch, eps0, s0, arclen,
 
 
 def _mean_curvature(patch: ImmersedPatch, eps, s):
-    """(H, regular): the H of mean_curvature_char and the mask of the points
-    where |N_H| >= 10 TOL_SINGULAR; H is meaningless, or NaN, elsewhere."""
+    """(H, |N_H|): the H of mean_curvature_char and the |N_H| of the same
+    `normal_data` call; H is meaningless, or NaN, where |N_H| < 10 TOL_SINGULAR."""
     nd = patch.normal_data(eps, s)
     ee, se, ss = patch.second_partials(eps, s)
     ve, vs = (v[..., None] for v in _z_velocity(nd))
@@ -91,7 +91,7 @@ def _mean_curvature(patch: ImmersedPatch, eps, s):
     dzz = ve * ve * ee + 2.0 * ve * vs * (se + 0.5 * _twist(nd.fe, nd.fs)) + vs * vs * ss
     with np.errstate(invalid="ignore", divide="ignore"):
         H = dot_c(nd.normal, dzz) / (2.0 * nd.nh_norm)
-    return H, nd.nh_norm >= 10 * TOL_SINGULAR
+    return H, nd.nh_norm
 
 
 def mean_curvature_char(patch: ImmersedPatch, eps, s):
@@ -107,8 +107,8 @@ def mean_curvature_char(patch: ImmersedPatch, eps, s):
 
     Raises SingularPoint when |N_H| < 10 * TOL_SINGULAR at the point.
     """
-    H, regular = _mean_curvature(patch, eps, s)
-    if not np.all(regular):
+    H, nh = _mean_curvature(patch, eps, s)
+    if not np.all(nh >= 10 * TOL_SINGULAR):
         raise SingularPoint("mean curvature requested too close to the singular set")
     return H
 
@@ -268,5 +268,5 @@ def mesh_curvature(patch: ImmersedPatch, eps, s) -> np.ndarray:
     """H at the vertices of the grid of eps rows and s columns,
     (len(eps), len(s)): NaN near the singular set, where
     mean_curvature_char would raise."""
-    H, regular = _mean_curvature(patch, _asf(eps)[:, None], _asf(s)[None, :])
-    return np.where(regular, H, np.nan)
+    H, nh = _mean_curvature(patch, _asf(eps)[:, None], _asf(s)[None, :])
+    return np.where(nh >= 10 * TOL_SINGULAR, H, np.nan)

@@ -63,23 +63,6 @@ def dilate(s: float, p: Point) -> Point:
     return Point(es * p.x, es * p.y, es * es * p.t)
 
 
-def frame_at(p: Point) -> np.ndarray:
-    """Cartesian components of (X, Y, T) at p, shape (..., 3, 3).
-
-    Rows are the frame vectors: X = (1, 0, y), Y = (0, 1, -x), T = (0, 0, 1).
-    """
-    x = np.asarray(p.x, float)
-    y = np.asarray(p.y, float)
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    out = np.zeros(shape + (3, 3))
-    out[..., 0, 0] = 1.0
-    out[..., 0, 2] = y
-    out[..., 1, 1] = 1.0
-    out[..., 1, 2] = -x
-    out[..., 2, 2] = 1.0
-    return out
-
-
 def cartesian_to_frame(p: Point, v) -> np.ndarray:
     """Frame coefficients (a, b, c) of a Cartesian tangent vector at p.
 
@@ -209,11 +192,10 @@ def divergence(field, p: Point):
     fields X, Y, T are divergence-free (sum_i <D_{E_i} E_j, E_i> = 0 in the
     connection table), so no connection term enters: div = sum_i E_i(u_i).
     """
-    frame = frame_at(p)  # (..., 3, 3)
     base = p.as_array()
     div = 0.0
     for i in range(3):
-        step = H_FD * frame[..., i, :]
+        step = H_FD * frame_to_cartesian(p, np.eye(3)[i])
         up = np.asarray(field(Point.from_array(base + step)), float)
         dn = np.asarray(field(Point.from_array(base - step)), float)
         div = div + (up[..., i] - dn[..., i]) / (2.0 * H_FD)

@@ -8,12 +8,12 @@ cut-bounded builders the second parameter is rectified to sigma = s/s_cut in
     N = orientation * (F_eps x F_s) / |F_eps x F_s|
 
 in frame coefficients; the singular set is where the horizontal part N_H
-vanishes, and there the horizontal normal nu_H and the characteristic field
-Z = J(nu_H) are withheld.
+vanishes, and there the characteristic field Z = J(nu_H), nu_H = N_H / |N_H|,
+is withheld.
 
 Each sample is evaluated along one path:
 
-    partials -> frame -> normal_data -> {quadrature, characteristic field}
+    partials -> frame -> {quadrature, normal_data -> {mesh, H, characteristic field}}
 
 A patch class implements `partials(eps, s) -> (F_eps, F_s, p)`: both
 partials as frame triples and the point, from one evaluation of the chart;
@@ -23,9 +23,9 @@ the patch, as the mean curvature and the singular-curve defect read them.
 A graph t = u(x, y) implements `height(x, y) -> (u, u_x, u_y)` and
 `hessian` instead, which `GraphPatch` reads for both.
 `frame` adds the unnormalized oriented normal, which the quadrature
-integrands read, and `normal_data` normalizes it and carries the partials
-on, so Z's parameter velocity, which the mean curvature and the
-characteristic traces read, never evaluates a sample twice.
+integrands read, and `normal_data`, the one place where N, |N_H| and Z are
+formed from it, carries the partials on, so the mesh writer, the mean
+curvature and the characteristic traces each evaluate a sample once.
 The Bernstein graph t = xy + g(y) reads the jet y -> (g, g', g'') that
 `parse_g` makes of a text such as "(y+1)^100", exact by forward-mode
 arithmetic, once per call.
@@ -73,29 +73,18 @@ def _asf(x):
 class NormalData:
     """Per-point normal bundle and the partials it came from.
 
-    Singular entries of nu_h and z are NaN.  `fe` and `fs` are the frame
-    triples F_eps and F_s returned by `partials` at the same points.
+    z = J(nu_H), nu_H = N_H / |N_H|; its horizontal part is NaN where
+    |N_H| < TOL_SINGULAR, the singular set, and nu_H = -J(z) elsewhere.
+    `fe` and `fs` are the frame triples F_eps and F_s returned by
+    `partials` at the same points.
     """
 
     base: Point
     normal: np.ndarray       # (..., 3) unit N
     nh_norm: np.ndarray      # |N_H|
-    nu_h: np.ndarray         # (..., 3) or NaN where singular
-    z: np.ndarray            # J(nu_h)
-    singular: np.ndarray     # bool mask |N_H| < tol
+    z: np.ndarray            # (..., 3) J(nu_H)
     fe: np.ndarray           # (..., 3) F_eps
     fs: np.ndarray           # (..., 3) F_s
-
-
-def _unit_normal(raw):
-    """raw / |raw|, refusing points where the immersion partials are dependent.
-    A squared norm that overflows raises FloatingPointError instead of
-    reading |raw| = inf, which would give N = 0."""
-    with np.errstate(over="raise"):
-        nrm = np.linalg.norm(raw, axis=-1)
-    if np.any(nrm < 1e-12):
-        raise DegeneratePoint("immersion partials are dependent at a requested point")
-    return raw / nrm[..., None]
 
 
 def _twist(fe, fs):
@@ -147,14 +136,20 @@ class ImmersedPatch:
         return p, fe, fs, self.orientation * cross_c(fe, fs)
 
     def normal_data(self, eps, s) -> NormalData:
+        """The bundle at (eps, s) from one `frame` call, N = raw / |raw|.
+        Raises DegeneratePoint where the immersion partials are dependent;
+        a squared norm that overflows raises FloatingPointError instead of
+        reading |raw| = inf, which would give N = 0."""
         p, fe, fs, raw = self.frame(eps, s)
-        n = _unit_normal(raw)
+        with np.errstate(over="raise"):
+            nrm = np.linalg.norm(raw, axis=-1)
+        if np.any(nrm < 1e-12):
+            raise DegeneratePoint("immersion partials are dependent at a requested point")
+        n = raw / nrm[..., None]
         nh = np.hypot(n[..., 0], n[..., 1])
-        singular = nh < TOL_SINGULAR
         with np.errstate(invalid="ignore", divide="ignore"):
-            nu = np.stack([n[..., 0] / nh, n[..., 1] / nh, np.zeros_like(nh)], axis=-1)
-        nu = np.where(singular[..., None], np.nan, nu)
-        return NormalData(p, n, nh, nu, j_c(nu), singular, fe, fs)
+            z = j_c(np.where((nh < TOL_SINGULAR)[..., None], np.nan, n / nh[..., None]))
+        return NormalData(p, n, nh, z, fe, fs)
 
     # -- orientation and group motions ---------------------------------------
     def flipped(self) -> "ImmersedPatch":
@@ -1208,8 +1203,8 @@ def write_mesh(patch: ImmersedPatch, n_eps: int, n_s: int, obj=None, csv=None,
     without it the column reads nan.  It is called only for the CSV.
 
     The grid is streamed in blocks of whole eps rows, about _BLOCK_VERTICES
-    vertices each: a block is evaluated by one `frame` call, checked, and
-    its lines are appended to both files before the next block is
+    vertices each: a block is evaluated by one `normal_data` call, checked,
+    and its lines are appended to both files before the next block is
     evaluated, so only the mask outlives it.  The faces follow the last
     block.  Each file is written to a temp file in its directory and
     replaces its path only once both are complete, the OBJ first; an
@@ -1232,10 +1227,9 @@ def write_mesh(patch: ImmersedPatch, n_eps: int, n_s: int, obj=None, csv=None,
             csv_fh.write(b"eps,s,x,y,t,nh_norm,h_est\n")
         for i in range(0, n_eps, step):
             rows, e = slice(i, i + step), eps[i:i + step, None]
-            p, _, _, raw = patch.frame(e, s[None, :])
-            n = _unit_normal(raw)
-            nh = np.hypot(n[..., 0], n[..., 1])
-            del raw, n, _         # so what follows holds only this block's fields
+            nd = patch.normal_data(e, s[None, :])
+            p, nh = nd.base, nd.nh_norm
+            del nd                # so what follows holds only this block's fields
             singular[rows] = nh < TOL_SINGULAR
             finite = finite and all(np.isfinite(c).all() for c in (p.x, p.y, p.t, nh))
             if not finite:

@@ -295,9 +295,9 @@ def suite_curvature(tols=None) -> list[Check]:
     lo, up = cylinder_S(1.0)
     cases.append(("cylinder-lower", lo, 1.0, (-0.4, 0.4)))
     cases.append(("cylinder-upper", up, 1.0, (-0.4, 0.4)))
-    fam = helicoid_L(1.0, 1.0, k_max=2)
-    for i, piece in enumerate(fam.pieces[:4]):
-        cases.append((f"helicoid-piece{i}", piece, 1.0, (0.2, 0.8)))
+    fam4 = helicoid_L(1.0, 1.0, k_max=4)
+    for i, k in enumerate((0, 1, 4, 5)):   # levels 1 and 2 of both branches
+        cases.append((f"helicoid-piece{i}", fam4.pieces[k], 1.0, (0.2, 0.8)))
     cases.append(("bernstein(y^2)", BernsteinGraph(parse_g(G_SQUARE)), 0.0, (1.0, 2.5)))
     sz = SigmaZeroPatch(helix_curve(1.0, eps_min=-2, eps_max=2), s_range=(-1.5, 1.5))
     cases.append(("sigma-zero(helix)", sz, 0.0, (0.3, 1.2)))
@@ -324,7 +324,6 @@ def suite_curvature(tols=None) -> list[Check]:
                     for _label, patch, seeds in ruling)
         checks.append(Check(check, worst, 0.0, _tol(tols, "ruling"), source))
 
-    fam4 = helicoid_L(1.0, 1.0, k_max=4)
     c2_gap = abs(fam4.measured_lift(2, 1) - (np.pi / 2 - fam4.measured_lift(1, 1)))
     c2_gap = min(c2_gap, abs(c2_gap - fam4.pitch))
     checks.append(Check("helicoid-c2", c2_gap, 0.0,

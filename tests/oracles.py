@@ -77,11 +77,11 @@ def stencil_mean_curvature(patch, eps, s):
     signs = np.array([1.0, -1.0]).reshape((2,) + (1,) * np.ndim(ve))
 
     def slope(k):
-        nu = patch.normal_data(eps + signs * k * ve, s + signs * k * vs).nu_h
+        nu = -j_c(patch.normal_data(eps + signs * k * ve, s + signs * k * vs).z)
         return (nu[0] - nu[1]) / (2.0 * k)
 
     dnu = (4.0 * slope(STENCIL_STEP / 2) - slope(STENCIL_STEP)) / 3.0
-    return -0.5 * dot_c(dnu + conn_c(nd.z, nd.nu_h), nd.z)
+    return -0.5 * dot_c(dnu + conn_c(nd.z, -j_c(nd.z)), nd.z)
 
 
 def fd_bundle(u: Callable):

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import h1geo
-from h1geo.cli import _parse_res, main
+from h1geo.cli import _measure_H, _parse_res, main
 from h1geo.errors import ConfigError
-from h1geo.surfaces import G_MAX_EXPONENT, G_MAX_TOKENS, catalog, parse_g
+from h1geo.curvature import mean_curvature_char
+from h1geo.surfaces import G_MAX_EXPONENT, G_MAX_TOKENS, SpherePatch, catalog, parse_g
 from h1geo.verify import Check, run_suite
 
 
@@ -303,6 +304,25 @@ def test_report_cylinder_sheet_H(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert abs(rep["H"] - 1.0) < 1e-5  # measured, not nominal
     assert rep["V"] is None  # open sheet
+
+
+def test_report_H_evaluates_its_probes_once():
+    # one normal_data call on all 25 probes serves both the selection of the
+    # regular ones and their H
+    shapes = []
+
+    class CountingSphere(SpherePatch):
+        def normal_data(self, eps, s):
+            shapes.append(np.broadcast(eps, s).shape)
+            return super().normal_data(eps, s)
+
+    H = _measure_H(CountingSphere(1.0))
+    assert shapes == [(5, 5)]
+    sp = SpherePatch(1.0)
+    ee, ss = np.meshgrid(np.linspace(sp.eps_lo, sp.eps_hi, 7)[1:-1],
+                         np.linspace(sp.s_lo, sp.s_hi, 7)[1:-1], indexing="ij")
+    ok = sp.normal_data(ee, ss).nh_norm >= 1e-2
+    assert H == float(np.mean(mean_curvature_char(sp, ee[ok], ss[ok])))
 
 
 def test_report_rejects_unequal_resolution(capsys):

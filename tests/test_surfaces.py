@@ -30,6 +30,7 @@ from h1geo.surfaces import (
     BernsteinGraph,
     Chart,
     ImmersedPatch,
+    NormalData,
     SigmaLambdaPatch,
     SigmaZeroPatch,
     SpherePatch,
@@ -71,7 +72,7 @@ def test_normal_data_vertical_plane():
     vp = plane_patch((0.0, 1.0, 0.0), 0.0)
     nd = vp.normal_data(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5))
     assert np.allclose(nd.nh_norm, 1.0, atol=1e-15)
-    assert not np.any(nd.singular)
+    assert not np.any(nd.nh_norm < TOL_SINGULAR)
     # N is the +-Y direction
     assert np.allclose(np.abs(nd.normal[..., 1]), 1.0, atol=1e-15)
 
@@ -79,11 +80,11 @@ def test_normal_data_vertical_plane():
 def test_normal_data_horizontal_plane_singular_at_origin():
     pl = plane_patch((0.0, 0.0, 1.0), 0.0)
     nd = pl.normal_data(0.0, 0.0)
-    assert nd.singular
+    assert nd.nh_norm < TOL_SINGULAR
     assert nd.nh_norm < 1e-15
-    assert np.all(np.isnan(nd.nu_h))
+    assert np.all(np.isnan(-j_c(nd.z)[:2]))
     nd2 = pl.normal_data(1.0, 0.5)
-    assert not nd2.singular
+    assert not nd2.nh_norm < TOL_SINGULAR
 
 
 def test_normal_decomposition_identity_on_sphere():
@@ -93,7 +94,23 @@ def test_normal_decomposition_identity_on_sphere():
     nd = sp.normal_data(eps, s)
     assert np.max(np.abs(np.linalg.norm(nd.normal, axis=-1) - 1.0)) < 1e-12
     assert np.max(np.abs(nd.nh_norm**2 + nd.normal[..., 2] ** 2 - 1.0)) < 1e-12
-    assert np.allclose(nd.z, j_c(nd.nu_h), atol=0)
+    assert np.allclose(-j_c(nd.z)[..., :2], nd.normal[..., :2] / nd.nh_norm[..., None], atol=0)
+
+
+def test_normal_data_holds_six_fields_and_withholds_z_exactly_on_the_singular_set():
+    assert [f.name for f in dataclasses.fields(NormalData)] == [
+        "base", "normal", "nh_norm", "z", "fe", "fs"]
+    pl = plane_patch((0.0, 0.0, 1.0), 0.0)   # singular at the origin only
+    near = np.array([-1.0, -2e-6, -3e-7, 0.0, 4e-7, 1e-6, 0.5])
+    nd = pl.normal_data(near[:, None], near[None, :])
+    singular = nd.nh_norm < TOL_SINGULAR
+    assert 1 < singular.sum() < singular.size
+    with np.errstate(invalid="ignore", divide="ignore"):
+        want = j_c(nd.normal / nd.nh_norm[..., None])
+    assert nd.z[~singular].tobytes() == want[~singular].tobytes()
+    assert np.array_equal(np.isnan(nd.z[..., 0]), singular)
+    assert np.array_equal(np.isnan(nd.z[..., 1]), singular)
+    assert np.all(nd.z[..., 2] == 0.0)
 
 
 def test_degenerate_point_raises():
@@ -107,7 +124,7 @@ def test_orientation_flip():
     nd = sp.normal_data(0.7, 1.1)
     ndf = sp.flipped().normal_data(0.7, 1.1)
     assert np.allclose(ndf.normal, -nd.normal, atol=0)
-    assert np.allclose(ndf.nu_h, -nd.nu_h, atol=0)
+    assert np.allclose(-j_c(ndf.z), j_c(nd.z), atol=0)
     assert np.allclose(ndf.z, -nd.z, atol=0)
     assert ndf.nh_norm == nd.nh_norm
 
@@ -510,7 +527,7 @@ def test_cylinder_singular_lines():
     assert np.max(np.abs(np.asarray(lower.height(x, 0.0)[0]))) < 1e-15
     assert np.allclose(np.asarray(upper.height(x, 0.0)[0]), np.pi / (4 * lam**2), atol=1e-15)
     nd = lower.normal_data(x, np.zeros_like(x))
-    assert np.all(nd.singular)
+    assert np.all(nd.nh_norm < TOL_SINGULAR)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +613,7 @@ def test_bernstein_singular_curve_projection():
     assert np.allclose(pts[:, 0], -y, atol=0)  # x = -g'(y)/2 = -y
     assert np.all(pts[:, 2] == 0.0)  # t = xy + g(y) = -y^2 + y^2
     nd = bg.normal_data(pts[:, 0], y)
-    assert np.all(nd.singular)
+    assert np.all(nd.nh_norm < TOL_SINGULAR)
 
 
 def test_bernstein_characteristic_lines():
@@ -747,6 +764,23 @@ def test_blocked_mesh_matches_one_whole_grid_evaluation(tmp_path, make, n_eps, n
         assert got[..., k].tobytes() == np.ascontiguousarray(want).tobytes()
     assert np.isnan(got[..., 6]).all()
     assert np.array_equal(singular, nh < TOL_SINGULAR)
+
+
+def test_mesh_reads_each_block_from_one_normal_data_call(tmp_path):
+    shapes = []
+
+    class CountingSphere(SpherePatch):
+        def normal_data(self, eps, s):
+            shapes.append(np.broadcast(eps, s).shape)
+            return super().normal_data(eps, s)
+
+    sp = CountingSphere(1.0)
+    step = _BLOCK_VERTICES // 301
+    write_mesh(sp, 37, 301, csv=tmp_path / "m.csv")
+    assert shapes == [(min(step, 37 - i), 301) for i in range(0, 37, step)]
+    eps, s = _grid(sp, 37, 301)
+    nh = SpherePatch(1.0).normal_data(eps[:, None], s[None, :]).nh_norm
+    assert read_csv(tmp_path / "m.csv", 37, 301)[..., 5].tobytes() == nh.tobytes()
 
 
 class _RowNaN(ImmersedPatch):

@@ -42,6 +42,10 @@ OUTDIR receives:
   same 4x4 grid of every catalog surface (at its default parameters) and of
   every graph above, so a change to H or to a patch's second partials shows
   which H moved;
+- `extra/normal-data.txt`: the `repr` of `normal_data`'s |N_H| (`nh_norm`)
+  and characteristic field `z` on the same 4x4 grid of every catalog
+  surface, so a change to how the normal bundle is formed shows which
+  surface moved;
 - `extra/ruling.txt`: the `repr` of `characteristic_deviation` for every
   case of both ruling checks (`verify.ruling_cases`), at the steps and
   arclength the curvature suite pins, one line per case, so a change to the
@@ -177,6 +181,16 @@ def write_mean_curvature(path):
     cases += [(name, graph) for name, graph, _H in _graphs()]
     lines = [f"{name} {crv.mean_curvature_char(patch, *_grid(patch)).tolist()!r}\n"
              for name, patch in cases]
+    with open(path, "w") as fh:
+        fh.write("".join(lines))
+
+
+def write_normal_data(path):
+    lines = []
+    for name in sorted(srf.catalog()):
+        patch = srf.build_surface(name)
+        nd = patch.normal_data(*_grid(patch))
+        lines += [f"{name} nh_norm {nd.nh_norm.tolist()!r}\n", f"{name} z {nd.z.tolist()!r}\n"]
     with open(path, "w") as fh:
         fh.write("".join(lines))
 
@@ -333,6 +347,7 @@ def write_all(outdir):
     write_graph_pde(os.path.join(extra, "graph-pde.txt"))
     write_calibration(os.path.join(extra, "calibration.txt"))
     write_mean_curvature(os.path.join(extra, "mean-curvature.txt"))
+    write_normal_data(os.path.join(extra, "normal-data.txt"))
     write_ruling(os.path.join(extra, "ruling.txt"))
     write_suite_cases(os.path.join(extra, "suite-cases.txt"))
     write_curves(os.path.join(extra, "curves.txt"))
